@@ -27,7 +27,6 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
-    Rational,
     interval_sqrt,
     rat_sqrt_bounds,
 )
@@ -149,13 +148,12 @@ def _chain_seed_for(n: int) -> int:
     )
 
 
-def _doubling_chain(n: int, p: Precision) -> list[PolygonBounds]:
+def _polygon(n: int, p: Precision) -> PolygonBounds:
+    """Bounds at n sides, doubled up from the seed polygon."""
     b = polygon_seed(_chain_seed_for(n), p)
-    chain = [b]
     while b.sides < n:
         b = double_polygon(b, p)
-        chain.append(b)
-    return chain
+    return b
 
 
 def pi_bounds(
@@ -179,9 +177,7 @@ def pi_bounds(
             k //= 2
         if k != 6:
             raise ValueError(f"target_sides must be 6 * 2**k, got {target_sides}")
-        b = polygon_seed(6, p)
-        while b.sides < target_sides:
-            b = double_polygon(b, p)
+        b = _polygon(target_sides, p)
         return PiBounds(
             lower=b.per_inscribed.lo,
             upper=b.per_circumscribed.hi,
@@ -344,8 +340,7 @@ def fibonacci_identity_check(n: int, p: Precision = DEFAULT_PRECISION) -> Interv
     independent apothem route, so the returned interval is a genuine
     certificate that the two quantities agree; it must contain zero.
     """
-    chain = _doubling_chain(2 * n, p)
-    by_sides = {b.sides: b for b in chain}
-    half_perimeter_times_r = by_sides[n].per_inscribed
-    area_2n = by_sides[2 * n].area_inscribed
+    b = _polygon(n, p)
+    half_perimeter_times_r = b.per_inscribed
+    area_2n = double_polygon(b, p).area_inscribed
     return half_perimeter_times_r - area_2n

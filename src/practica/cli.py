@@ -25,8 +25,11 @@ from .heron import (
 )
 from .mean_proportionals import (
     DEFAULT_TOL,
+    DIOCLES,
     HERON_APOLLONIUS,
     METHODS,
+    NICOMEDES,
+    PHILO,
     BracketNotFoundError,
     CurveSampler,
     MeanPropProblem,
@@ -37,12 +40,12 @@ from .numerics import Interval, Precision, PrecisionError, pow10, rat_sqrt_bound
 from .root_extraction import FULL, SIMPLIFIED, extract_root, render_trace
 from .root_extraction import SpecialNumbers
 
-_METHOD_FLAGS = ("heron", "philo", "diocles", "nicomedes")
-_METHOD_BY_FLAG = {
+#: ``meanprops --method`` flag -> key in the solver registry
+_METHODS = {
     "heron": HERON_APOLLONIUS,
-    "philo": "philo",
-    "diocles": "diocles",
-    "nicomedes": "nicomedes",
+    "philo": PHILO,
+    "diocles": DIOCLES,
+    "nicomedes": NICOMEDES,
 }
 
 
@@ -198,20 +201,23 @@ def _meanprop_row(name: str, res: MeanPropResult, digits: int) -> str:
 
 
 def cmd_meanprops(args: argparse.Namespace) -> int:
-    p = Precision(args.precision)
     digits = args.decimal_digits
-    prob = MeanPropProblem(ab=args.ab, bc=args.bc, tol=args.tol, p=p)
+    prob = MeanPropProblem(ab=args.ab, bc=args.bc, tol=args.tol)
     if args.method == "all":
-        lines = []
-        for flag in _METHOD_FLAGS:
-            res = METHODS[_METHOD_BY_FLAG[flag]](prob)
-            lines.append(_meanprop_row(flag, res, digits))
+        # one failing method must not hide the others' rows
+        lines, status = [], 0
+        for flag, name in _METHODS.items():
+            try:
+                lines.append(_meanprop_row(flag, METHODS[name](prob), digits))
+            except _NUMERICAL_FAILURES as exc:
+                lines.append(f"{flag:<10s} numerical failure: {exc}")
+                status = 3
         _emit(lines)
-        return 0
+        return status
     if args.method == "heron" and args.variant == "apollonius":
         res = solve_heron_apollonius(prob, variant="apollonius")
     else:
-        res = METHODS[_METHOD_BY_FLAG[args.method]](prob)
+        res = METHODS[_METHODS[args.method]](prob)
     r1 = max(abs(res.residual1.lo), abs(res.residual1.hi))
     r2 = max(abs(res.residual2.lo), abs(res.residual2.hi))
     _emit(
@@ -316,11 +322,19 @@ class _DomainError(ValueError):
     """Bad inputs recognized after argparse (exit code 2)."""
 
 
+#: Errors reported with exit code 3.
+_NUMERICAL_FAILURES = (PrecisionError, BracketNotFoundError)
+
+
+def _add_decimal_digits(sub: argparse.ArgumentParser, default: int | None = 15) -> None:
+    sub.add_argument("--decimal-digits", type=int, default=default, metavar="D",
+                     help="decimal places in printed values")
+
+
 def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15) -> None:
     sub.add_argument("--precision", type=int, default=30, metavar="P",
                      help="working precision in decimal digits (default 30)")
-    sub.add_argument("--decimal-digits", type=int, default=decimal_default, metavar="D",
-                     help="decimal places in printed values")
+    _add_decimal_digits(sub, decimal_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_heron)
 
     sp = sub.add_parser("meanprops", help="two mean proportionals between two lines")
-    sp.add_argument("--method", choices=_METHOD_FLAGS + ("all",), default="all")
+    sp.add_argument("--method", choices=(*_METHODS, "all"), default="all")
     sp.add_argument("--variant", choices=("heron", "apollonius"), default="heron",
                     help="equal-cuts criterion used by the heron method")
     sp.add_argument("--ab", type=parse_rational, required=True, metavar="A")
     sp.add_argument("--bc", type=parse_rational, required=True, metavar="C")
     sp.add_argument("--tol", type=parse_rational, default=DEFAULT_TOL, metavar="T")
-    _add_common(sp)
+    _add_decimal_digits(sp)
     sp.set_defaults(func=cmd_meanprops)
 
     sp = sub.add_parser("nth-root", help="digit-by-digit root extraction")
@@ -391,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PrecisionError, BracketNotFoundError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"practica: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (_DomainError, ValueError, ZeroDivisionError) as exc:

@@ -27,10 +27,6 @@ class PointBounds:
     x: Interval
     y: Interval
 
-    @classmethod
-    def exact(cls, p: Point2) -> "PointBounds":
-        return cls(Interval.point(p.x), Interval.point(p.y))
-
 
 def dist_sq(p: Point2, q: Point2) -> Fraction:
     dx, dy = p.x - q.x, p.y - q.y

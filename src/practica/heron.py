@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
-from .numerics import (
-    DEFAULT_PRECISION,
-    Interval,
-    Precision,
-    Rational,
-    interval_sqrt,
-    rat_sqrt_bounds,
-)
-import math
+from .numerics import DEFAULT_PRECISION, Interval, Precision, interval_sqrt, rat_sqrt_bounds
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,7 @@ class TriangleVertices:
             raise ValueError("vertices are collinear")
 
 
-def heron_product(t: TriangleSides) -> Rational:
+def heron_product(t: TriangleSides) -> Fraction:
     """The pre-square-root product s(s-a)(s-b)(s-c), exactly."""
     s = t.semiperimeter
     return s * (s - t.a) * (s - t.b) * (s - t.c)
@@ -75,7 +67,7 @@ def heron_area_bounds(t: TriangleSides, p: Precision = DEFAULT_PRECISION) -> Int
     return rat_sqrt_bounds(heron_product(t), p)
 
 
-def heron_area_sq_from_vertices(t: TriangleVertices) -> Rational:
+def heron_area_sq_from_vertices(t: TriangleVertices) -> Fraction:
     """Exact squared area from vertices via 16*A**2 = 2a2b2+2b2c2+2c2a2-a4-b4-c4.
 
     The symmetric form needs only the squared side lengths, so it is an
@@ -108,15 +100,6 @@ class HeronIdentityReport:
     identity_residual: Interval
     perp_sq: tuple[Interval, Interval, Interval]
     perp_residuals: tuple[Interval, Interval, Interval]
-
-
-def _sqrt_maybe_exact(x: Fraction, p: Precision) -> Interval:
-    """Exact degenerate interval when x is a perfect rational square."""
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Interval.point(Fraction(rn, rd))
-    return rat_sqrt_bounds(x, p)
 
 
 def _point_on_segment(p1: Point2, p2: Point2, t: Interval) -> PointBounds:
@@ -152,9 +135,9 @@ def verify_heron_identity(
     distances from D to the sides, which are all the inradius.
     """
     p1, p2, p3 = t.p1, t.p2, t.p3
-    a = _sqrt_maybe_exact(dist_sq(p2, p3), p)  # opposite p1
-    b = _sqrt_maybe_exact(dist_sq(p1, p3), p)  # opposite p2
-    c = _sqrt_maybe_exact(dist_sq(p1, p2), p)  # opposite p3
+    a = rat_sqrt_bounds(dist_sq(p2, p3), p)  # opposite p1
+    b = rat_sqrt_bounds(dist_sq(p1, p3), p)  # opposite p2
+    c = rat_sqrt_bounds(dist_sq(p1, p2), p)  # opposite p3
     perimeter = a + b + c
     s = perimeter / 2
 
@@ -206,7 +189,4 @@ def verify_heron_identity(
 
 def interval_len(a: PointBounds, b: Point2, p: Precision = DEFAULT_PRECISION) -> Interval:
     """Enclosure of the distance between an interval point and an exact point."""
-    d_sq = (a.x - b.x).square() + (a.y - b.y).square()
-    if d_sq.lo == d_sq.hi:
-        return _sqrt_maybe_exact(d_sq.lo, p)
-    return interval_sqrt(d_sq, p)
+    return interval_sqrt((a.x - b.x).square() + (a.y - b.y).square(), p)

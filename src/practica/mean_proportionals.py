@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 from .geometry import Point2, PointBounds, orient
 from .numerics import (
@@ -58,7 +58,6 @@ class MeanPropProblem:
     ab: Fraction
     bc: Fraction
     tol: Fraction = DEFAULT_TOL
-    p: Precision = DEFAULT_PRECISION
     swapped: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
@@ -150,53 +149,90 @@ def _width_target(prob: MeanPropProblem) -> Fraction:
     return prob.tol * min(prob.bc, max(Fraction(1), prob.ab) / 8)
 
 
-def _scan_then_bisect(
+#: Verdict of an ``accept`` callback: abandon this bracket, try the next.
+_REJECT = object()
+
+
+def _sign_changes(
+    sign_at: Callable[[Fraction], int | None], lo: Fraction, hi: Fraction, samples: int
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """Scan ``samples + 1`` evenly spaced points from lo to hi and yield,
+    left to right, each zero as (t, t) and each sign change as (t0, t1).
+
+    A None sign (defect undefined there) never brackets."""
+    prev_t, prev_s = lo, None
+    for j in range(samples + 1):
+        t = lo + (hi - lo) * Fraction(j, samples)
+        s = sign_at(t)
+        if s == 0:
+            yield t, t
+        elif s is not None and prev_s is not None and s * prev_s < 0:
+            yield prev_t, t
+        prev_t, prev_s = t, s
+
+
+def _scan_and_bisect(
+    sign_at: Callable[[Fraction], int | None],
+    lo: Fraction,
+    hi: Fraction,
+    accept: Callable[[Fraction, Fraction], object],
+    samples: int = 64,
+    max_iter: int = 500,
+) -> object:
+    """Bisect each scanned bracket on exact signs until ``accept`` takes it.
+
+    ``accept(lo, hi)`` is called on every bracket before each step and
+    returns the result, None to keep narrowing, or ``_REJECT`` to abandon
+    the bracket for the next one; a bracket whose midpoint sign is
+    undefined is abandoned too.  Returns None when the scan yields no
+    bracket or every bracket is abandoned, and raises PrecisionError
+    when a bracket shrinks to a point or runs out of steps unaccepted.
+    """
+    for bl, bh in _sign_changes(sign_at, lo, hi, samples):
+        s_lo = sign_at(bl)
+        for _ in range(max_iter):
+            verdict = accept(bl, bh)
+            if verdict is _REJECT:
+                break
+            if verdict is not None:
+                return verdict
+            if bl == bh:
+                raise PrecisionError("enclosure too wide at an exact root")
+            mid = (bl + bh) / 2
+            s_mid = sign_at(mid)
+            if s_mid is None:
+                break  # bracket straddles a direction where the defect is undefined
+            if s_mid == 0:
+                bl = bh = mid
+            elif s_mid * s_lo < 0:
+                bh = mid
+            else:
+                bl, s_lo = mid, s_mid
+        else:
+            raise PrecisionError("bisection failed to reach the requested widths")
+    return None
+
+
+def _solve_defect(
     sign_at: Callable[[Fraction], int],
     lo: Fraction,
     hi: Fraction,
     evaluate: Callable[[Fraction, Fraction], tuple[Interval, Interval]],
     target: Fraction,
-    samples: int = 64,
-    max_iter: int = 500,
 ) -> tuple[Interval, Interval]:
-    """Scan for a sign change, bisect on exact signs, return (x, y) intervals
-    once both widths reach the target."""
-    xs = [lo + (hi - lo) * Fraction(j, samples) for j in range(samples + 1)]
-    bracket = None
-    prev_x, prev_s = xs[0], sign_at(xs[0])
-    if prev_s == 0:
-        bracket = (xs[0], xs[0])
-    else:
-        for x in xs[1:]:
-            s = sign_at(x)
-            if s == 0:
-                bracket = (x, x)
-                break
-            if s * prev_s < 0:
-                bracket = (prev_x, x)
-                break
-            prev_x, prev_s = x, s
-    if bracket is None:
-        raise BracketNotFoundError("defect function has no sign change in range")
+    """Narrow the defect's first bracket until the (x, y) intervals that
+    ``evaluate`` reads off it are both no wider than the target."""
 
-    bl, bh = bracket
-    s_lo = sign_at(bl)
-    for _ in range(max_iter):
+    def accept(bl: Fraction, bh: Fraction) -> tuple[Interval, Interval] | None:
         x_iv, y_iv = evaluate(bl, bh)
         if x_iv.width <= target and y_iv.width <= target:
             return x_iv, y_iv
-        if bl == bh:
-            raise PrecisionError("enclosure too wide at an exact root")
-        mid = (bl + bh) / 2
-        s_mid = sign_at(mid)
-        if s_mid == 0:
-            bl = bh = mid
-            s_lo = 0
-        elif s_lo != 0 and s_mid * s_lo < 0:
-            bh = mid
-        else:
-            bl, s_lo = mid, s_mid
-    raise PrecisionError("bisection failed to reach the requested widths")
+        return None
+
+    found = _scan_and_bisect(sign_at, lo, hi, accept)
+    if found is None:
+        raise BracketNotFoundError("defect function has no sign change in range")
+    return found
 
 
 def _sign(v: Fraction) -> int:
@@ -256,7 +292,7 @@ def solve_heron_apollonius(
         def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
             return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
 
-        x_iv, y_iv = _scan_then_bisect(sign_at, u_lo, u_hi, evaluate, target)
+        x_iv, y_iv = _solve_defect(sign_at, u_lo, u_hi, evaluate, target)
         return _result(HERON_APOLLONIUS, prob, x_iv, y_iv)
 
     if variant != "apollonius":
@@ -278,7 +314,7 @@ def solve_heron_apollonius(
         root_hi = rat_sqrt_bounds(sh * sh + base, wp).hi
         return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
 
-    x_iv, y_iv = _scan_then_bisect(sign_at_sigma, s_lo_b, s_hi_b, evaluate_sigma, target)
+    x_iv, y_iv = _solve_defect(sign_at_sigma, s_lo_b, s_hi_b, evaluate_sigma, target)
     return _result(HERON_APOLLONIUS, prob, x_iv, y_iv)
 
 
@@ -306,7 +342,7 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
     def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
         return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
 
-    x_iv, y_iv = _scan_then_bisect(sign_at, u_lo, u_hi, evaluate, target)
+    x_iv, y_iv = _solve_defect(sign_at, u_lo, u_hi, evaluate, target)
     return _result(PHILO, prob, x_iv, y_iv)
 
 
@@ -396,7 +432,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         )
         return x_iv, y_iv
 
-    x_iv, y_iv = _scan_then_bisect(sign_at, Fraction(0), r, evaluate, target)
+    x_iv, y_iv = _solve_defect(sign_at, Fraction(0), r, evaluate, target)
     return _result(DIOCLES, prob, x_iv, y_iv)
 
 
@@ -446,9 +482,9 @@ def conchoid_quartic_residual(point: PointBounds) -> Interval:
 def solve_neusis(
     npb: NeusisProblem,
     p: Precision = DEFAULT_PRECISION,
-    select: Callable[[NeusisSolution], bool] | None = None,
+    select: Callable[[NeusisSolution], object] | None = None,
     samples: int = 64,
-) -> NeusisSolution:
+) -> Any:
     """Find a line through the pole cutting a segment of the given length
     between the two lines.
 
@@ -456,10 +492,14 @@ def solve_neusis(
     which covers every line direction with rational arithmetic.  A
     coarse scan locates sign changes of |cut|**2 - L**2 (an exact
     rational), bisection narrows each candidate, and a candidate is
-    accepted only when interval evaluation over the final bracket
+    accepted only when interval evaluation over the current bracket
     certifies the intercept within tolerance 10**-digits * max(1, L).
     Sign changes caused by crossing a direction parallel to one of the
     lines fail certification and are discarded.
+
+    ``select``, when given, sees every certified bracket and returns
+    what the solve returns, None to keep narrowing, or ``_REJECT`` to
+    move on to the next candidate.
     """
     L = npb.intercept_len
     tol = pow10(-p.decimal_digits) * max(Fraction(1), L)
@@ -507,40 +547,18 @@ def solve_neusis(
         intercept = interval_sqrt(cut_sq, p)
         return NeusisSolution(t_bracket=t_iv, q1=q1, q2=q2, intercept=intercept)
 
-    ts = [Fraction(-1) + Fraction(2 * j, samples) for j in range(samples + 1)]
-    signs = [g_sign(t) for t in ts]
-    candidates: list[tuple[Fraction, Fraction]] = []
-    for j, (t, s) in enumerate(zip(ts, signs)):
-        if s == 0:
-            candidates.append((t, t))
-        if j + 1 <= samples:
-            s2 = signs[j + 1] if j + 1 < len(signs) else None
-            if s is not None and s2 is not None and s * s2 < 0:
-                candidates.append((t, ts[j + 1]))
+    def accept(tl: Fraction, th: Fraction) -> object:
+        sol = try_certify(tl, th)
+        if sol is None or select is None:
+            return sol
+        return select(sol)
 
-    for tl, th in candidates:
-        s_lo = g_sign(tl)
-        for _ in range(300):
-            sol = try_certify(tl, th)
-            if sol is not None:
-                if select is None or select(sol):
-                    return sol
-                break  # certified but not the wanted branch
-            if tl == th:
-                break
-            mid = (tl + th) / 2
-            s_mid = g_sign(mid)
-            if s_mid is None:
-                break  # bracket straddles a parallel direction only
-            if s_mid == 0:
-                tl = th = mid
-            elif s_lo is not None and s_mid * s_lo < 0:
-                th = mid
-            else:
-                tl, s_lo = mid, s_mid
-    raise NeusisNoSolutionError(
-        f"no direction with intercept {L} certified over {samples} scanned samples"
-    )
+    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept, samples, max_iter=300)
+    if found is None:
+        raise NeusisNoSolutionError(
+            f"no direction with intercept {L} certified over {samples} scanned samples"
+        )
+    return found
 
 
 def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
@@ -563,12 +581,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
 
     corner_far = Point2(c, a)  # L, opposite the right angle at B
     c_pt = Point2(c, Fraction(0))
-    z_sq = (a * a - c * c) / 4
-    rn, rd = math.isqrt(z_sq.numerator), math.isqrt(z_sq.denominator)
-    if rn * rn == z_sq.numerator and rd * rd == z_sq.denominator:
-        z_len = Fraction(rn, rd)
-    else:
-        z_len = rat_sqrt_bounds(z_sq, Precision(2 * base_digits + 12)).mid
+    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * base_digits + 12)).mid
     pole = Point2(c / 2, -z_len)
     # G = (-c, 0) always: the line through the far corner and the midpoint
     # of AB meets the base line there.  The neusis line1 runs through C
@@ -579,18 +592,17 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         line1=theta_line, line2=base_line, pole=pole, intercept_len=a / 2
     )
 
-    def beyond_c(sol: NeusisSolution) -> bool:
-        return sol.q2.x.lo > c
-
-    for extra in (4, 10, 18, 30):
-        sol = solve_neusis(npb, Precision(base_digits + extra), select=beyond_c)
+    def read_means(sol: NeusisSolution) -> object:
         x_k = sol.q2.x
+        if x_k.lo <= c:
+            return _REJECT  # the branch short of C
         x_iv = x_k - c
-        m_height = (x_k * a) / (x_k - c)
-        y_iv = m_height - a
+        y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
         if x_iv.width <= target and y_iv.width <= target:
             return _result(NICOMEDES, prob, x_iv, y_iv)
-    raise PrecisionError("neusis enclosure failed to reach the requested widths")
+        return None
+
+    return solve_neusis(npb, Precision(base_digits + 4), select=read_means)
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {
@@ -606,7 +618,6 @@ def scale_solid_ratio(
     ratio: Fraction,
     method: str = HERON_APOLLONIUS,
     tol: Fraction = DEFAULT_TOL,
-    p: Precision = DEFAULT_PRECISION,
 ) -> Interval:
     """Edge of the solid scaled in volume by ``ratio``: edge times the
     cube root of the ratio, read off the second mean proportional."""
@@ -617,7 +628,7 @@ def scale_solid_ratio(
         raise ValueError(f"unknown method {method!r}")
     if ratio == 1:
         return Interval.point(edge)
-    prob = MeanPropProblem(ab=ratio * edge, bc=edge, tol=tol, p=p)
+    prob = MeanPropProblem(ab=ratio * edge, bc=edge, tol=tol)
     res = METHODS[method](prob)
     return res.x if prob.swapped else res.y
 

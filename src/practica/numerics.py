@@ -17,12 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The universal exact scalar.  `fractions.Fraction` already guarantees
-# canonical form (positive denominator, reduced terms) after every
-# construction and arithmetic operation, and raises on division by
-# zero, which is exactly the contract the rest of the package assumes.
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

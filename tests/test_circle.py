@@ -136,7 +136,7 @@ def test_exhaustion_steps_certify_halving():
 
 
 def test_fibonacci_identity_small_and_large():
-    for n in (4, 6, 12):
+    for n in (3, 4, 6, 12):
         d = fibonacci_identity_check(n, Precision(30))
         assert d.contains(0)
         assert d.width <= Fraction(1, 10 ** 20)

@@ -10,9 +10,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 from practica.cli import format_decimal, format_magnitude_bound, parse_rational
-from practica.mean_proportionals import CurveSampler
+from practica.mean_proportionals import CurveSampler, MeanPropProblem, solve_nicomedes
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -93,11 +96,29 @@ def test_heron_accepts_rational_syntax():
 def test_meanprops_all_table():
     r = run("meanprops", "--method", "all", "--ab", "2", "--bc", "1")
     assert r.returncode == 0
+    # the block printed under the command in the README, byte for byte
+    readme = README.read_text(encoding="utf-8").splitlines()
+    start = readme.index("$ practica meanprops --method all --ab 2 --bc 1") + 1
+    end = readme.index("", start)
+    assert r.stdout == ("\n".join(readme[start:end]) + "\n").encode()
+
+
+def test_meanprops_all_reports_each_failure_and_keeps_other_rows():
+    r = run("meanprops", "--method", "all", "--ab", "1.000000000000001", "--bc", "1")
+    assert r.returncode == 3
     lines = r.stdout.decode().splitlines()
-    assert len(lines) == 4
-    for line in lines:
-        assert "x~1.587401051968" in line
-        assert "y~1.259921049894" in line
+    assert [line.split()[0] for line in lines] == ["heron", "philo", "diocles", "nicomedes"]
+    for line in lines[:3]:
+        assert " x~" in line and " y~" in line
+    assert lines[3].startswith("nicomedes  numerical failure: no direction")
+
+
+def test_meanprops_nicomedes_at_huge_ratio():
+    r = run("meanprops", "--method", "nicomedes", "--ab", "1e30", "--bc", "1")
+    assert r.returncode == 0
+    res = solve_nicomedes(MeanPropProblem(ab=Fraction(10 ** 30), bc=Fraction(1)))
+    assert res.x.contains(10 ** 20)
+    assert res.y.contains(10 ** 10)
 
 
 def test_meanprops_single_method_and_variant():
