@@ -7,8 +7,13 @@ answers are returned as certified intervals together with residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2.
 The defect signs are evaluated as exact rational comparisons (square
 roots are eliminated by squaring before comparing), so bisection never
-accumulates rounding error; enclosures enter only when the final
-bracket is converted to coordinate intervals.
+accumulates rounding error; enclosures enter only when a bracket is
+converted to coordinate intervals.  Because the signs are exact, each
+scanned bracket's chain of bisection steps is fixed in advance, and the
+one kernel (``_scan_and_bisect``) converts and checks only the brackets
+at steps 0, 1, 3, 7, ..., then binary-searches back to the first step
+that passes: the checks are monotone along nested brackets, so this
+finds the step that checking every one would.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Generator, Iterator
 
 from .geometry import Point2, PointBounds, orient
 from .numerics import (
@@ -171,6 +176,34 @@ def _sign_changes(
         prev_t, prev_s = t, s
 
 
+def _bisection_chain(
+    sign_at: Callable[[Fraction], int | None], bl: Fraction, bh: Fraction, max_iter: int
+) -> Generator[tuple[Fraction, Fraction], None, PrecisionError | None]:
+    """Yield the nested brackets that bisection on exact signs makes from
+    (bl, bh), starting with (bl, bh) itself, one per step.
+
+    The chain ends at a point bracket, at a bracket whose midpoint sign
+    is undefined, or after ``max_iter`` brackets.  Its return value says
+    what that end means when no bracket of the chain is accepted: the
+    PrecisionError to raise, or None to move on to the next bracket."""
+    s_lo = sign_at(bl)
+    for _ in range(max_iter):
+        yield bl, bh
+        if bl == bh:
+            return PrecisionError("enclosure too wide at an exact root")
+        mid = (bl + bh) / 2
+        s_mid = sign_at(mid)
+        if s_mid is None:
+            return None  # the bracket straddles a direction where the defect is undefined
+        if s_mid == 0:
+            bl = bh = mid
+        elif s_mid * s_lo < 0:
+            bh = mid
+        else:
+            bl, s_lo = mid, s_mid
+    return PrecisionError("bisection failed to reach the requested widths")
+
+
 def _scan_and_bisect(
     sign_at: Callable[[Fraction], int | None],
     lo: Fraction,
@@ -181,35 +214,67 @@ def _scan_and_bisect(
 ) -> object:
     """Bisect each scanned bracket on exact signs until ``accept`` takes it.
 
-    ``accept(lo, hi)`` is called on every bracket before each step and
-    returns the result, None to keep narrowing, or ``_REJECT`` to abandon
-    the bracket for the next one; a bracket whose midpoint sign is
-    undefined is abandoned too.  Returns None when the scan yields no
-    bracket or every bracket is abandoned, and raises PrecisionError
-    when a bracket shrinks to a point or runs out of steps unaccepted.
+    ``accept(lo, hi)`` returns the result, None to keep narrowing, or
+    ``_REJECT`` to abandon the bracket for the next one.  The kernel
+    returns the verdict of the first step of each bracket's bisection
+    chain (see ``_bisection_chain``) whose verdict is not None, moving
+    on when that verdict is ``_REJECT``.  When every step of a chain
+    gives None, the chain's end decides: a point bracket or running out
+    of ``max_iter`` steps raises PrecisionError, an undefined midpoint
+    sign moves on.  Returns None when the scan yields no bracket or
+    every bracket is abandoned.
+
+    Contract: along nested brackets, "the verdict is not None" is
+    monotone; once a bracket's verdict is not None, so is every bracket
+    inside it.  Interval arithmetic on exact Fraction endpoints is
+    inclusion-isotonic, so a certification that succeeds on a bracket
+    succeeds on any sub-bracket.  (Apollonius and diocles read their
+    means through ``rat_sqrt_bounds``, whose endpoints are monotone
+    only up to their last-digit rounding; a width within that rounding
+    of the target at a skipped step is the one way they could settle
+    on another step than the step-by-step loop.)
+
+    The chain depends on the signs alone, so ``accept`` is called only
+    at steps 0, 1, 3, 7, 15, ... (the gap doubles), and at the chain's
+    last step when the chain ends first; at the first probe whose
+    verdict is not None a binary search back to the last None probe
+    finds the first such step.  For a chain settled at step k that is
+    at most 2*ceil(log2(k + 2)) + 2 calls instead of k + 1.  Whatever
+    the kernel returns is still the verdict ``accept`` gave on that
+    very bracket; only its being the first such step rests on the
+    contract.
     """
-    for bl, bh in _sign_changes(sign_at, lo, hi, samples):
-        s_lo = sign_at(bl)
-        for _ in range(max_iter):
-            verdict = accept(bl, bh)
+    for bracket in _sign_changes(sign_at, lo, hi, samples):
+        steps = _bisection_chain(sign_at, *bracket, max_iter)
+        chain: list[tuple[Fraction, Fraction]] = []
+        end: PrecisionError | None = None
+        ended = False
+        none_at, probe = -1, 0  # last step known to give None; next step to probe
+        while True:
+            while not ended and len(chain) <= probe:
+                try:
+                    chain.append(next(steps))
+                except StopIteration as stop:
+                    ended, end = True, stop.value
+            probe = min(probe, len(chain) - 1)
+            if probe == none_at:  # no step of the chain is accepted
+                if end is not None:
+                    raise end
+                break
+            verdict = accept(*chain[probe])
+            if verdict is None:
+                none_at, probe = probe, 2 * probe + 1
+                continue
+            while probe - none_at > 1:  # the first step not None lies in (none_at, probe]
+                mid = (none_at + probe) // 2
+                mid_verdict = accept(*chain[mid])
+                if mid_verdict is None:
+                    none_at = mid
+                else:
+                    probe, verdict = mid, mid_verdict
             if verdict is _REJECT:
                 break
-            if verdict is not None:
-                return verdict
-            if bl == bh:
-                raise PrecisionError("enclosure too wide at an exact root")
-            mid = (bl + bh) / 2
-            s_mid = sign_at(mid)
-            if s_mid is None:
-                break  # bracket straddles a direction where the defect is undefined
-            if s_mid == 0:
-                bl = bh = mid
-            elif s_mid * s_lo < 0:
-                bh = mid
-            else:
-                bl, s_lo = mid, s_mid
-        else:
-            raise PrecisionError("bisection failed to reach the requested widths")
+            return verdict
     return None
 
 
@@ -283,10 +348,9 @@ def solve_heron_apollonius(
         u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
 
         def sign_at(u: Fraction) -> int:
-            f = Point2(-a / u, a)
-            g = Point2(c, -u * c)
-            ef_sq = (e.x - f.x) ** 2 + (e.y - f.y) ** 2
-            eg_sq = (e.x - g.x) ** 2 + (e.y - g.y) ** 2
+            # the cuts are F = (-a/u, a) and G = (c, -u*c)
+            ef_sq = (e.x + a / u) ** 2 + (e.y - a) ** 2
+            eg_sq = (e.x - c) ** 2 + (e.y + u * c) ** 2
             return _sign(ef_sq - eg_sq)
 
         def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
@@ -479,6 +543,38 @@ def conchoid_quartic_residual(point: PointBounds) -> Interval:
     return (x.square() + y1.square()) * y.square() - y1.square()
 
 
+def _cut_constants(
+    z: Point2, lines: tuple[tuple[Point2, Point2], ...]
+) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """Per line (p0, p1): its direction v = (vx, vy) and the numerator
+    (p0 - z) x v of the ray parameter lam = num / (d x v) at which the
+    ray z + lam * d meets it."""
+    constants = []
+    for p0, p1 in lines:
+        vx, vy = p1.x - p0.x, p1.y - p0.y
+        constants.append((vx, vy, (p0.x - z.x) * vy - (p0.y - z.y) * vx))
+    return tuple(constants)
+
+
+def _intercept_sign(
+    t: Fraction, cuts: tuple[tuple[Fraction, Fraction, Fraction], ...], L: Fraction
+) -> int | None:
+    """Exact sign of |q1 - q2|**2 - L**2, where q1, q2 are the cuts of the
+    ray z + lam * (1 - t**2, 2t) with the two lines of ``cuts``; None
+    when the direction is parallel to either line.
+
+    Both cuts lie on the ray and (1 - t**2)**2 + (2t)**2 = (1 + t**2)**2,
+    so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built."""
+    dx, dy = 1 - t * t, 2 * t
+    lams = []
+    for vx, vy, num in cuts:
+        den = dx * vy - dy * vx
+        if den == 0:
+            return None
+        lams.append(num / den)
+    return _sign(abs((lams[0] - lams[1]) * (1 + t * t)) - L)
+
+
 def solve_neusis(
     npb: NeusisProblem,
     p: Precision = DEFAULT_PRECISION,
@@ -490,57 +586,48 @@ def solve_neusis(
 
     Directions are parametrized as (1 - t**2, 2t) for t in [-1, 1],
     which covers every line direction with rational arithmetic.  A
-    coarse scan locates sign changes of |cut|**2 - L**2 (an exact
-    rational), bisection narrows each candidate, and a candidate is
-    accepted only when interval evaluation over the current bracket
-    certifies the intercept within tolerance 10**-digits * max(1, L).
-    Sign changes caused by crossing a direction parallel to one of the
-    lines fail certification and are discarded.
+    coarse scan locates sign changes of |cut|**2 - L**2, bisection
+    narrows each candidate, and a candidate is accepted only when
+    interval evaluation over the current bracket certifies the
+    intercept within tolerance 10**-digits * max(1, L).  Sign changes
+    caused by crossing a direction parallel to one of the lines fail
+    certification and are discarded.
 
-    ``select``, when given, sees every certified bracket and returns
-    what the solve returns, None to keep narrowing, or ``_REJECT`` to
-    move on to the next candidate.
+    The sign is exact and builds no point: both cuts lie on the ray
+    pole + lam * (1 - t**2, 2t), and (1 - t**2)**2 + (2t)**2 =
+    (1 + t**2)**2, so |cut| = |lam1 - lam2| * (1 + t**2) with each lam
+    a ratio of cross products whose line terms are computed once per
+    solve.  Certification is interval arithmetic on exact endpoints,
+    so it is monotone along nested brackets and the kernel certifies
+    only O(log n) of a chain's n brackets (see ``_scan_and_bisect``).
+
+    ``select``, when given, sees the certified brackets the kernel
+    probes and returns what the solve returns, None to keep narrowing,
+    or ``_REJECT`` to move on to the next candidate.  Its "not None"
+    must be monotone along nested brackets too.
     """
     L = npb.intercept_len
     tol = pow10(-p.decimal_digits) * max(Fraction(1), L)
     lo_target = (L - tol) ** 2 if L > tol else Fraction(0)
     target_sq = Interval(lo_target, (L + tol) ** 2)
     z = npb.pole
-    lines = (npb.line1, npb.line2)
-
-    def cut_points(t: Fraction) -> tuple[Point2, Point2] | None:
-        dx, dy = 1 - t * t, 2 * t
-        result = []
-        for p0, p1 in lines:
-            vx, vy = p1.x - p0.x, p1.y - p0.y
-            den = dx * vy - dy * vx
-            if den == 0:
-                return None
-            lam = ((p0.x - z.x) * vy - (p0.y - z.y) * vx) / den
-            result.append(Point2(z.x + lam * dx, z.y + lam * dy))
-        return result[0], result[1]
+    cuts = _cut_constants(z, (npb.line1, npb.line2))
 
     def g_sign(t: Fraction) -> int | None:
-        pts = cut_points(t)
-        if pts is None:
-            return None
-        q1, q2 = pts
-        g = (q1.x - q2.x) ** 2 + (q1.y - q2.y) ** 2 - L * L
-        return _sign(g)
+        return _intercept_sign(t, cuts, L)
 
     def try_certify(tl: Fraction, th: Fraction) -> NeusisSolution | None:
         t_iv = Interval(tl, th)
         dx = Interval.point(1) - t_iv.square()
         dy = 2 * t_iv
-        cuts = []
-        for p0, p1 in lines:
-            vx, vy = p1.x - p0.x, p1.y - p0.y
+        points = []
+        for vx, vy, num in cuts:
             den = dx * vy - dy * vx
             if den.contains(0):
                 return None
-            lam = ((p0.x - z.x) * vy - (p0.y - z.y) * vx) / den
-            cuts.append(PointBounds(z.x + lam * dx, z.y + lam * dy))
-        q1, q2 = cuts
+            lam = num / den
+            points.append(PointBounds(z.x + lam * dx, z.y + lam * dy))
+        q1, q2 = points
         cut_sq = (q1.x - q2.x).square() + (q1.y - q2.y).square()
         if not target_sq.contains_interval(cut_sq):
             return None
@@ -594,8 +681,10 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
 
     def read_means(sol: NeusisSolution) -> object:
         x_k = sol.q2.x
+        if x_k.hi <= c:
+            return _REJECT  # certainly the branch short of C
         if x_k.lo <= c:
-            return _REJECT  # the branch short of C
+            return None  # may still lie beyond C: narrow until it is decided
         x_iv = x_k - c
         y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
         if x_iv.width <= target and y_iv.width <= target:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,11 @@ from practica.mean_proportionals import (
     MeanPropProblem,
     NeusisNoSolutionError,
     NeusisProblem,
+    _REJECT,
+    _cut_constants,
+    _intercept_sign,
+    _scan_and_bisect,
+    _sign_changes,
     cissoid_arc_defect,
     cissoid_points,
     conchoid_points,
@@ -25,7 +31,7 @@ from practica.mean_proportionals import (
     solve_neusis,
     solve_philo,
 )
-from practica.numerics import Precision, int_nth_root_floor
+from practica.numerics import Precision, PrecisionError, int_nth_root_floor
 
 
 def cbrt(x: Fraction, digits: int = 30) -> Fraction:
@@ -250,6 +256,157 @@ def test_neusis_problem_validation():
         )
     with pytest.raises(ValueError):
         NeusisProblem(line1=horizontal, line2=slanted, pole=Point2(0, 2), intercept_len=Fraction(0))
+
+
+def _stepwise(sign_at, lo, hi, accept, samples=64, max_iter=500):
+    """Reference for ``_scan_and_bisect``: call ``accept`` on every step
+    of every bracket's bisection chain.  Returns (step, verdict)."""
+    for bl, bh in _sign_changes(sign_at, lo, hi, samples):
+        s_lo = sign_at(bl)
+        for step in range(max_iter):
+            verdict = accept(bl, bh)
+            if verdict is _REJECT:
+                break
+            if verdict is not None:
+                return step, verdict
+            if bl == bh:
+                raise PrecisionError("enclosure too wide at an exact root")
+            mid = (bl + bh) / 2
+            s_mid = sign_at(mid)
+            if s_mid is None:
+                break
+            if s_mid == 0:
+                bl = bh = mid
+            elif s_mid * s_lo < 0:
+                bh = mid
+            else:
+                bl, s_lo = mid, s_mid
+        else:
+            raise PrecisionError("bisection failed to reach the requested widths")
+    return None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(399, 100), max_denominator=10**6),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_scan_and_bisect_accepts_the_first_step_with_few_probes(c, j, m):
+    # Roots at -sqrt(c) and sqrt(c): the negative bracket is rejected
+    # once narrow enough, the positive one accepted.
+    width = Fraction(m, 2 ** j)
+    calls = []
+
+    def sign_at(t):
+        return (t * t > c) - (t * t < c)
+
+    def accept(bl, bh):
+        calls.append(bl)
+        if bh - bl > width:
+            return None
+        return _REJECT if bh <= 0 else (bl, bh)
+
+    found = _scan_and_bisect(sign_at, Fraction(-2), Fraction(2), accept)
+    probes = sum(1 for bl in calls if bl >= 0)  # on the accepted chain
+    step, expected = _stepwise(sign_at, Fraction(-2), Fraction(2), accept)
+    assert found == expected
+    assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
+
+
+def _undefined_at_half(t):
+    # Brackets (0, 1) and (2, 3) over the samples 0..4; the first one's
+    # midpoint has no sign.
+    if t == Fraction(1, 2):
+        return None
+    f = (t - Fraction(1, 3)) * (t - Fraction(7, 3))
+    return (f > 0) - (f < 0)
+
+
+@pytest.mark.parametrize(
+    "sign_at, lo, hi, samples, max_iter, expected",
+    [
+        # an exact zero reached by bisection and never accepted
+        (lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)), 0, 1, 3, 500,
+         (PrecisionError, "enclosure too wide at an exact root")),
+        # an undefined midpoint abandons the first bracket for the second
+        (_undefined_at_half, 0, 4, 4, 500, None),
+        # running out of steps
+        (lambda t: (t ** 3 > 2) - (t ** 3 < 2), 0, 2, 64, 20,
+         (PrecisionError, "bisection failed to reach the requested widths")),
+    ],
+    ids=["exact-root", "undefined-midpoint", "max-iter"],
+)
+def test_scan_and_bisect_chain_ends_as_stepwise(sign_at, lo, hi, samples, max_iter, expected):
+    def never(bl, bh):
+        return None
+
+    def narrow_second(bl, bh):
+        return (bl, bh) if bl >= 2 and bh - bl <= Fraction(1, 2 ** 10) else None
+
+    accept = narrow_second if expected is None else never
+    args = (sign_at, Fraction(lo), Fraction(hi), accept, samples, max_iter)
+    found = _outcome(lambda: _scan_and_bisect(*args))
+    reference = _outcome(lambda: _stepwise(*args))
+    if expected is None:
+        _, verdict = reference
+        assert found == verdict
+        assert verdict[0] < Fraction(7, 3) < verdict[1]
+    else:
+        assert found == reference == expected
+
+
+_coord = st.fractions(min_value=-10, max_value=10, max_denominator=60)
+_point = st.builds(Point2, _coord, _coord)
+
+
+@given(
+    _point, _point, _point, _point, _point,
+    st.one_of(
+        st.just(Fraction(1)),
+        st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=60),
+    ),
+    st.fractions(min_value=-1, max_value=1, max_denominator=2 ** 20),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t, parallel):
+    dx, dy = 1 - t * t, 2 * t
+    if parallel:  # line1 along the direction itself
+        a1 = Point2(a0.x + 3 * dx, a0.y + 3 * dy)
+    if a0 == a1 or b0 == b1:
+        return
+    lines = ((a0, a1), (b0, b1))
+    cuts = []
+    for p0, p1 in lines:
+        vx, vy = p1.x - p0.x, p1.y - p0.y
+        den = dx * vy - dy * vx
+        if den == 0:
+            break
+        lam = ((p0.x - z.x) * vy - (p0.y - z.y) * vx) / den
+        cuts.append(Point2(z.x + lam * dx, z.y + lam * dy))
+    if len(cuts) < 2:
+        L, expected = scale, None
+    else:
+        q1, q2 = cuts
+        cut_sq = (q1.x - q2.x) ** 2 + (q1.y - q2.y) ** 2
+        # Both cuts lie on one rational ray, so the cut length is rational;
+        # L near it (scale 1: equal to it) brings up both signs and ties.
+        root = Fraction(math.isqrt(cut_sq.numerator), math.isqrt(cut_sq.denominator))
+        assert root * root == cut_sq
+        L = scale * root or scale
+        g = cut_sq - L * L
+        expected = (g > 0) - (g < 0)
+    assert _intercept_sign(t, _cut_constants(z, lines), L) == expected
+    if parallel:
+        assert expected is None
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=9))
