@@ -36,7 +36,14 @@ from .mean_proportionals import (
     MeanPropResult,
     solve_heron_apollonius,
 )
-from .numerics import Interval, Precision, PrecisionError, pow10, rat_sqrt_bounds
+from .numerics import (
+    Interval,
+    Precision,
+    PrecisionError,
+    int_to_decimal,
+    pow10,
+    rat_sqrt_bounds,
+)
 from .root_extraction import FULL, SIMPLIFIED, extract_root, render_trace
 from .root_extraction import SpecialNumbers
 
@@ -235,7 +242,7 @@ def cmd_meanprops(args: argparse.Namespace) -> int:
 def cmd_nth_root(args: argparse.Namespace) -> int:
     mode = FULL if args.divisor == "full" else SIMPLIFIED
     rx = extract_root(args.radicand, args.degree, frac_digits=args.frac_digits, divisor_mode=mode)
-    lines = [f"root       {rx.root_string()}", f"remainder  {rx.remainder}"]
+    lines = [f"root       {rx.root_string()}", f"remainder  {int_to_decimal(rx.remainder)}"]
     if args.trace:
         lines.append("")
         lines.append(render_trace(rx))

@@ -13,6 +13,7 @@ platform.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,6 +263,17 @@ def int_nth_root_floor(N: int, n: int) -> int:
     while (x + 1) ** n <= N:
         x += 1
     return x
+
+
+def int_to_decimal(x: int) -> str:
+    """Decimal digits of an integer of any size, as ``str(x)`` spells them.
+
+    ``str`` refuses integers of more than 4300 digits (CPython's
+    integer-string conversion limit); the exact conversion through
+    ``decimal.Decimal`` has no such limit and changes no interpreter-wide
+    setting.
+    """
+    return str(decimal.Decimal(x))
 
 
 def binomial_table(max_n: int) -> list[list[int]]:

@@ -8,13 +8,28 @@ every further point divide by a divisor assembled from the binomial
 the guess downward until the subtrahend (10r + d)**n - (10r)**n fits,
 and carry the remainder into the next point.  Fractional digits come
 from appending n zeros per requested digit before grouping.
+
+Cost per digit.  With V_k = C(n,k) * 10**(n-k) (and V_n = 1) and r the
+root so far, each step forms r, r**2, ..., r**(n-1) by one chain of n-2
+full-size multiplications and the terms T_k = V_k * r**(n-k).  The
+divisor is T_1 (simplified) or T_1 + ... + T_(n-1) (full), and the
+subtrahend of a candidate digit d is (10r + d)**n - (10r)**n =
+T_1*d + T_2*d**2 + ... + T_n*d**n, evaluated by Horner's rule in d.
+Everything but the power chain multiplies a big number by a small one.
+
+Each `TraceStep` stores only what it cannot derive: the remainder
+carried into the point (the same object as the previous step's
+``remainder_after``), the point's digit group, the degree, the divisor,
+both digits and ``remainder_after``.  ``point_value`` and ``subtrahend``
+are computed from these on access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .numerics import binomial_table
+from .numerics import binomial_table, int_to_decimal
 
 FULL = "full"
 SIMPLIFIED = "simplified"
@@ -28,7 +43,9 @@ class SpecialNumbers:
     values: tuple[int, ...]
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)
     def for_degree(cls, degree: int) -> "SpecialNumbers":
+        """The row for one degree; frozen, so repeated calls share it."""
         if degree < 2:
             raise ValueError(f"degree must be at least 2, got {degree}")
         row = binomial_table(degree)[degree]
@@ -36,20 +53,34 @@ class SpecialNumbers:
         return cls(degree, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One point of the extraction, with every intermediate quantity.
 
-    ``divisor`` is 0 on steps where the root so far is zero (the first
-    digit comes straight from the power table, not from a division).
+    ``carried`` is the remainder brought into this point, the previous
+    step's ``remainder_after`` (0 on the first step), and ``group`` is
+    the point's own n digits.  ``divisor`` is 0 on steps where the root
+    so far is zero (the first digit comes straight from the power table,
+    not from a division).
     """
 
-    point_value: int
+    carried: int
+    group: int
+    degree: int
     divisor: int
     trial_digit: int
     corrected_digit: int
-    subtrahend: int
     remainder_after: int
+
+    @property
+    def point_value(self) -> int:
+        """The number this step divides: carried * 10**degree + group."""
+        return self.carried * 10 ** self.degree + self.group
+
+    @property
+    def subtrahend(self) -> int:
+        """(10r + d)**n - (10r)**n for the corrected digit d."""
+        return self.point_value - self.remainder_after
 
 
 @dataclass(frozen=True)
@@ -109,9 +140,37 @@ def group_points(N: int, n: int) -> list[int]:
         raise ValueError(f"degree must be at least 2, got {n}")
     if N < 0:
         raise ValueError(f"radicand must be nonnegative, got {N}")
-    s = str(N)
+    s = int_to_decimal(N)
     first = len(s) % n or n
     return [int(s[:first])] + [int(s[i : i + n]) for i in range(first, len(s), n)]
+
+
+def _terms(root: int, sp: SpecialNumbers) -> list[int]:
+    """T_n, T_(n-1), ..., T_1 with T_k = V_k * root**(n-k) and V_n = 1.
+
+    The powers root, root**2, ..., root**(n-1) come from one chain of
+    n-2 full-size multiplications; each term is a power times a small
+    special number.
+    """
+    terms = [1]
+    power = 1
+    for v in reversed(sp.values):
+        power *= root
+        terms.append(v * power)
+    return terms
+
+
+def _divisor(terms: list[int], mode: str) -> int:
+    """T_1 in simplified mode, T_1 + ... + T_(n-1) in full mode."""
+    return terms[-1] if mode == SIMPLIFIED else sum(terms[1:])
+
+
+def _subtrahend(terms: list[int], d: int) -> int:
+    """(10r + d)**n - (10r)**n = T_1*d + ... + T_n*d**n, by Horner in d."""
+    acc = 0
+    for t in terms:
+        acc = acc * d + t
+    return acc * d
 
 
 def form_divisor(root_so_far: int, sp: SpecialNumbers, mode: str = FULL) -> int:
@@ -124,14 +183,14 @@ def form_divisor(root_so_far: int, sp: SpecialNumbers, mode: str = FULL) -> int:
     """
     if root_so_far < 1:
         raise ValueError("divisor is only defined once a leading digit exists")
-    n = sp.degree
-    if mode == SIMPLIFIED:
-        return sp.values[0] * root_so_far ** (n - 1)
-    if mode != FULL:
+    if mode not in (FULL, SIMPLIFIED):
         raise ValueError(f"unknown divisor mode {mode!r}")
-    return sum(
-        sp.values[k - 1] * root_so_far ** (n - k) for k in range(1, n)
-    )
+    return _divisor(_terms(root_so_far, sp), mode)
+
+
+def _check_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer")
 
 
 def extract_root(
@@ -147,8 +206,9 @@ def extract_root(
     min(9, point // divisor) and is decremented until the subtrahend
     (10r + d)**n - (10r)**n no longer exceeds the point.
     """
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise TypeError("radicand must be an integer")
+    _check_int(N, "radicand")
+    _check_int(n, "root degree")
+    _check_int(frac_digits, "frac_digits")
     if N < 0:
         raise ValueError(f"radicand must be nonnegative, got {N}")
     if n < 2:
@@ -160,12 +220,13 @@ def extract_root(
 
     sp = SpecialNumbers.for_degree(n)
     groups = group_points(N, n) + [0] * frac_digits
+    base = 10 ** n
 
     steps: list[TraceStep] = []
     root = 0
     remainder = 0
     for group in groups:
-        point = remainder * 10 ** n + group
+        point = remainder * base + group
         if root == 0:
             # Power-table rule: no divisor exists yet.
             digit = 0
@@ -175,15 +236,16 @@ def extract_root(
                     break
             divisor = 0
             trial = digit
+            subtrahend = digit ** n
         else:
-            divisor = form_divisor(root, sp, divisor_mode)
-            trial = min(9, point // divisor)
-            digit = trial
-            while (10 * root + digit) ** n - (10 * root) ** n > point:
+            terms = _terms(root, sp)
+            divisor = _divisor(terms, divisor_mode)
+            trial = digit = min(9, point // divisor)
+            while (subtrahend := _subtrahend(terms, digit)) > point:
                 digit -= 1
-        subtrahend = (10 * root + digit) ** n - (10 * root) ** n
-        remainder = point - subtrahend
-        steps.append(TraceStep(point, divisor, trial, digit, subtrahend, remainder))
+        after = point - subtrahend
+        steps.append(TraceStep(remainder, group, n, divisor, trial, digit, after))
+        remainder = after
         root = 10 * root + digit
 
     return RootExtraction(
@@ -202,12 +264,12 @@ def render_trace(rx: RootExtraction) -> str:
     rows = [
         (
             str(i + 1),
-            str(s.point_value),
-            str(s.divisor),
+            int_to_decimal(s.point_value),
+            int_to_decimal(s.divisor),
             str(s.trial_digit),
             str(s.corrected_digit),
-            str(s.subtrahend),
-            str(s.remainder_after),
+            int_to_decimal(s.subtrahend),
+            int_to_decimal(s.remainder_after),
         )
         for i, s in enumerate(rx.steps)
     ]
@@ -219,5 +281,6 @@ def render_trace(rx: RootExtraction) -> str:
         "  ".join("-" * w for w in widths),
     ]
     lines += ["  ".join(f.rjust(w) for f, w in zip(row, widths)) for row in rows]
-    lines.append(f"root {rx.root_string()}  remainder {rx.remainder}  (degree {rx.degree})")
+    remainder = int_to_decimal(rx.remainder)
+    lines.append(f"root {rx.root_string()}  remainder {remainder}  (degree {rx.degree})")
     return "\n".join(lines)

@@ -9,11 +9,13 @@ import io
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from practica.cli import format_decimal, format_magnitude_bound, parse_rational
 from practica.mean_proportionals import CurveSampler, MeanPropProblem, solve_nicomedes
+from practica.numerics import int_nth_root_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -159,6 +161,15 @@ def test_nth_root_simplified_exact_cube():
 def test_nth_root_frac_digits():
     r = run("nth-root", "--degree", "2", "--radicand", "2", "--frac-digits", "5")
     assert "root       1.41421" in r.stdout.decode()
+
+
+def test_nth_root_remainder_beyond_str_limit():
+    r = run("nth-root", "--degree", "2", "--radicand", "2", "--frac-digits", "5000")
+    assert r.returncode == 0
+    lines = r.stdout.decode().splitlines()
+    root = int_nth_root_floor(2 * 10 ** 10000, 2)
+    assert lines[0].split()[1].replace(".", "") == str(Decimal(root))
+    assert lines[1].split() == ["remainder", str(Decimal(2 * 10 ** 10000 - root ** 2))]
 
 
 def test_nth_root_exit_codes():

@@ -1,5 +1,8 @@
-"""Longhand root extraction: golden traces, the remainder invariant, and
-the divisor bookkeeping."""
+"""Longhand root extraction: golden traces, the remainder invariant, the
+divisor bookkeeping, and the digit loop against a pow-based reference."""
+
+import decimal
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -163,3 +166,132 @@ def test_validation():
         extract_root(10, 2, divisor_mode="quick")
     with pytest.raises(TypeError):
         extract_root(10.0, 2)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((10, 3.0), "root degree"),
+        ((10, True), "root degree"),
+        ((10, 2, 1.5), "frac_digits"),
+        ((10, 2, True), "frac_digits"),
+    ],
+)
+def test_bad_argument_types_name_the_argument(args, name):
+    with pytest.raises(TypeError, match=name):
+        extract_root(*args)
+
+
+# --- the digit loop against the pow-based reference ----------------------
+
+
+def reference_extraction(N, n, frac_digits, mode):
+    """The longhand loop with every power taken in full: per step
+    (point, divisor, trial, digit, subtrahend, remainder), then the
+    final remainder."""
+    s = str(N)
+    first = len(s) % n or n
+    groups = [int(s[:first])] + [int(s[i : i + n]) for i in range(first, len(s), n)]
+    special = {k: math.comb(n, k) * 10 ** (n - k) for k in range(1, n)}
+    rows, root, remainder = [], 0, 0
+    for group in groups + [0] * frac_digits:
+        point = remainder * 10 ** n + group
+        if root == 0:
+            digit = max((d for d in range(10) if d ** n <= point), default=0)
+            divisor, trial = 0, digit
+        else:
+            if mode == SIMPLIFIED:
+                divisor = special[1] * root ** (n - 1)
+            else:
+                divisor = sum(special[k] * root ** (n - k) for k in range(1, n))
+            trial = digit = min(9, point // divisor)
+            while (10 * root + digit) ** n - (10 * root) ** n > point:
+                digit -= 1
+        subtrahend = (10 * root + digit) ** n - (10 * root) ** n
+        remainder = point - subtrahend
+        rows.append((point, divisor, trial, digit, subtrahend, remainder))
+        root = 10 * root + digit
+    return rows, remainder
+
+
+def reference_render(rows, root_string, remainder, n):
+    header = ("step", "point", "divisor", "trial", "digit", "subtrahend", "remainder")
+    table = [(str(i + 1), *map(str, row)) for i, row in enumerate(rows)]
+    widths = [max(len(header[c]), *(len(r[c]) for r in table)) for c in range(7)]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    lines += ["  ".join(f.rjust(w) for f, w in zip(r, widths)) for r in table]
+    lines.append(f"root {root_string}  remainder {remainder}  (degree {n})")
+    return "\n".join(lines)
+
+
+def assert_matches_reference(N, n, frac, mode):
+    rx = extract_root(N, n, frac_digits=frac, divisor_mode=mode)
+    rows, remainder = reference_extraction(N, n, frac, mode)
+    assert rx.digits == tuple(row[3] for row in rows)
+    assert rx.remainder == remainder
+    got = [
+        (s.point_value, s.divisor, s.trial_digit, s.corrected_digit, s.subtrahend,
+         s.remainder_after)
+        for s in rx.steps
+    ]
+    assert got == rows
+    assert rx.steps[0].carried == 0
+    for prev, step in zip(rx.steps, rx.steps[1:]):
+        assert step.carried is prev.remainder_after
+    assert all(s.degree == n and 0 <= s.group < 10 ** n for s in rx.steps)
+    assert render_trace(rx) == reference_render(rows, rx.root_string(), remainder, n)
+
+
+@st.composite
+def radicands_with_zero_groups(draw):
+    n = draw(st.integers(min_value=2, max_value=17))
+    group = st.one_of(st.just(0), st.integers(min_value=0, max_value=10 ** n - 1))
+    groups = draw(st.lists(group, min_size=1, max_size=6))
+    N = sum(g * 10 ** (n * i) for i, g in enumerate(groups))
+    return N, n
+
+
+@given(
+    radicands_with_zero_groups(),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([FULL, SIMPLIFIED]),
+)
+@settings(max_examples=300, deadline=None)
+def test_digit_loop_matches_pow_reference(case, frac, mode):
+    N, n = case
+    assert_matches_reference(N, n, frac, mode)
+
+
+@pytest.mark.parametrize("mode", [FULL, SIMPLIFIED])
+def test_long_cube_root_matches_pow_reference(mode):
+    assert_matches_reference(2, 3, 400, mode)
+
+
+def test_trace_steps_have_slots():
+    step = extract_root(239483190, 3).steps[1]
+    assert not hasattr(step, "__dict__")
+    assert (step.carried, step.group, step.degree) == (23, 483, 3)
+
+
+def test_special_numbers_are_cached():
+    assert SpecialNumbers.for_degree(5) is SpecialNumbers.for_degree(5)
+    with pytest.raises(ValueError):
+        SpecialNumbers.for_degree(1)
+
+
+# --- integers beyond the 4300-digit str() limit ---------------------------
+
+
+def test_radicand_beyond_str_limit():
+    N = 10 ** 4400 + 1
+    assert extract_root(N, 2).root_scaled == int_nth_root_floor(N, 2)
+
+
+def test_render_trace_beyond_str_limit():
+    rx = extract_root(2, 2, frac_digits=5000)
+    root = int_nth_root_floor(2 * 10 ** 10000, 2)
+    digits = str(decimal.Decimal(root))
+    remainder = str(decimal.Decimal(2 * 10 ** 10000 - root ** 2))
+    last = render_trace(rx).rsplit("\n", 1)[1]
+    assert last == f"root {digits[0]}.{digits[1:]}  remainder {remainder}  (degree 2)"
