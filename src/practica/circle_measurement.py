@@ -19,14 +19,18 @@ the enclosure.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import dropwhile, islice, pairwise
+from typing import TypeVar
 
 from .numerics import (
     DEFAULT_PRECISION,
     Interval,
     Precision,
     PrecisionError,
+    _check_int,
     interval_sqrt,
     rat_sqrt_bounds,
 )
@@ -34,9 +38,7 @@ from .numerics import (
 #: Extra decimal digits carried internally beyond the requested precision.
 _GUARD_DIGITS = 10
 
-#: Longest supported doubling chain (6 * 2**70 sides is far beyond any
-#: width this package will be asked for).
-_MAX_DOUBLINGS = 70
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -135,25 +137,61 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
 
 
 def _chain_seed_for(n: int) -> int:
-    """Seed polygon from which n is reachable by doubling."""
+    """n halved while even and above 6: the seed of the only chain that
+    can hold n sides (reachable exactly when that is 3, 4 or 6)."""
+    while n % 2 == 0 and n > 6:
+        n //= 2
+    return n
+
+
+def _chain(seed: int, p: Precision) -> Iterator[PolygonBounds]:
+    """Bounds at seed, 2*seed, 4*seed, ... sides, each doubled on demand
+    (the one caller of polygon_seed and double_polygon)."""
+    b = polygon_seed(seed, p)
+    while True:
+        yield b
+        b = double_polygon(b, p)
+
+
+def _chain_from(n: int, p: Precision) -> Iterator[PolygonBounds]:
+    """The chain from n sides on, for n = 3, 4 or 6 times a power of two."""
+    seed = _chain_seed_for(n)
     if n < 3:
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-    m = n
-    while m % 2 == 0 and m > 6:
-        m //= 2
-    if m in (3, 4, 6):
-        return m
-    raise ValueError(
-        f"{n} sides is not reachable by doubling from a 3-, 4-, or 6-gon"
-    )
+    if seed not in (3, 4, 6):
+        raise ValueError(f"{n} sides is not reachable by doubling from a 3-, 4-, or 6-gon")
+    return dropwhile(lambda b: b.sides < n, _chain(seed, p))
 
 
-def _polygon(n: int, p: Precision) -> PolygonBounds:
-    """Bounds at n sides, doubled up from the seed polygon."""
-    b = polygon_seed(_chain_seed_for(n), p)
-    while b.sides < n:
-        b = double_polygon(b, p)
-    return b
+def _with_retry(run: Callable[[Precision], _T], p: Precision) -> _T:
+    """run(p); if that raises PrecisionError, run once more at twice the digits."""
+    try:
+        return run(p)
+    except PrecisionError:
+        return run(Precision(2 * p.decimal_digits))
+
+
+def _enclosure(b: PolygonBounds, p: Precision) -> PiBounds:
+    return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, p)
+
+
+def _pi_to_width(width: Fraction, p: Precision) -> PiBounds:
+    # Every endpoint lies on the 10**-(working digits) grid, so each width
+    # is a positive multiple of that step.  The loop goes on only while
+    # the width strictly falls, so it ends: at the target or at a stall.
+    chain = _chain(6, p)
+    narrowest: Fraction | None = None
+    while True:
+        b = next(chain)
+        w = b.per_circumscribed.hi - b.per_inscribed.lo
+        if w <= width:
+            return _enclosure(b, p)
+        if narrowest is not None and w >= narrowest:
+            raise PrecisionError(
+                f"cannot reach width {width} at {p.decimal_digits} digits: "
+                f"the bounds stopped narrowing at {b.sides // 2} sides"
+            )
+        narrowest = w
 
 
 def pi_bounds(
@@ -164,55 +202,25 @@ def pi_bounds(
     """Certified rational bounds on the circle ratio.
 
     Exactly one of ``target_sides`` (which must be 6 * 2**k) and
-    ``target_width`` must be given.  If a requested width cannot be
-    reached at the working precision the computation is retried once
-    with doubled precision before failing.
+    ``target_width`` must be given.  A width is sought by doubling from
+    the hexagon at ``p`` until the bounds stop narrowing on the rounding
+    grid, the only stop short of the width; after such a stall the search
+    runs once more at twice the digits, and a second stall raises
+    `PrecisionError`.
     """
     if (target_sides is None) == (target_width is None):
         raise ValueError("give exactly one of target_sides and target_width")
 
     if target_sides is not None:
-        k = target_sides
-        while k % 2 == 0 and k > 6:
-            k //= 2
-        if k != 6:
+        _check_int(target_sides, "target_sides")
+        if _chain_seed_for(target_sides) != 6:
             raise ValueError(f"target_sides must be 6 * 2**k, got {target_sides}")
-        b = _polygon(target_sides, p)
-        return PiBounds(
-            lower=b.per_inscribed.lo,
-            upper=b.per_circumscribed.hi,
-            sides=b.sides,
-            precision=p,
-        )
+        return _enclosure(next(_chain_from(target_sides, p)), p)
 
     width = Fraction(target_width)
     if width <= 0:
         raise ValueError("target_width must be positive")
-
-    def attempt(prec: Precision) -> PiBounds:
-        b = polygon_seed(6, prec)
-        prev_width = b.per_circumscribed.hi - b.per_inscribed.lo
-        for _ in range(_MAX_DOUBLINGS):
-            if prev_width <= width:
-                return PiBounds(
-                    lower=b.per_inscribed.lo,
-                    upper=b.per_circumscribed.hi,
-                    sides=b.sides,
-                    precision=prec,
-                )
-            b = double_polygon(b, prec)
-            new_width = b.per_circumscribed.hi - b.per_inscribed.lo
-            if new_width >= prev_width:
-                break  # stalled on the rounding grid
-            prev_width = new_width
-        raise PrecisionError(
-            f"cannot reach width {width} at {prec.decimal_digits} digits"
-        )
-
-    try:
-        return attempt(p)
-    except PrecisionError:
-        return attempt(Precision(2 * p.decimal_digits))
+    return _with_retry(lambda q: _pi_to_width(width, q), p)
 
 
 def archimedes_window(p: Precision = DEFAULT_PRECISION) -> PiBounds:
@@ -278,6 +286,39 @@ class ExhaustionStep:
     circumscribed_halved: bool
 
 
+def _exhaustion(max_doublings: int, p: Precision) -> list[ExhaustionStep]:
+    # The circle area (unit radius) enclosed well below the final gap size.
+    final_gap = Fraction(4) / 4 ** max_doublings
+    pi_b = pi_bounds(target_width=final_gap / 10 ** 6, p=p)
+    circle = Interval(pi_b.lower, pi_b.upper)
+
+    steps: list[ExhaustionStep] = []
+    for b, b2 in islice(pairwise(_chain(4, p)), max_doublings):
+        gap_in_before = circle - b.area_inscribed
+        gap_in_after = circle - b2.area_inscribed
+        gap_circ_before = b.area_circumscribed - circle
+        gap_circ_after = b2.area_circumscribed - circle
+        in_ok = gap_in_after.hi < gap_in_before.lo / 2
+        circ_ok = gap_circ_after.hi < gap_circ_before.lo / 2
+        if not (in_ok and circ_ok):
+            raise PrecisionError(
+                f"halving not certifiable at {b.sides} -> {b2.sides} sides"
+            )
+        steps.append(
+            ExhaustionStep(
+                sides_before=b.sides,
+                sides_after=b2.sides,
+                inscribed_gap_before=gap_in_before,
+                inscribed_gap_after=gap_in_after,
+                circumscribed_gap_before=gap_circ_before,
+                circumscribed_gap_after=gap_circ_after,
+                inscribed_halved=in_ok,
+                circumscribed_halved=circ_ok,
+            )
+        )
+    return steps
+
+
 def exhaustion_report(
     max_doublings: int, p: Precision = DEFAULT_PRECISION
 ) -> list[ExhaustionStep]:
@@ -286,50 +327,15 @@ def exhaustion_report(
     Starting from the square, each step n -> 2n certifies on interval
     endpoints that circle - A_in(2n) < (circle - A_in(n)) / 2 and that
     A_circ(2n) - circle < (A_circ(n) - circle) / 2, with the circle area
-    enclosed by an independent hexagon-chain computation.
+    enclosed by an independent hexagon-chain computation.  If the report
+    at ``p`` raises `PrecisionError` (a halving not certified, or the
+    circle enclosure stalled after its own retry), it is built once more
+    at twice the digits.
     """
+    _check_int(max_doublings, "max_doublings")
     if max_doublings < 1:
         raise ValueError("max_doublings must be at least 1")
-
-    def attempt(prec: Precision) -> list[ExhaustionStep]:
-        # The circle area (unit radius) enclosed well below the final gap size.
-        final_gap = Fraction(4) / 4 ** max_doublings
-        pi_iv_bounds = pi_bounds(target_width=final_gap / 10 ** 6, p=prec)
-        circle = Interval(pi_iv_bounds.lower, pi_iv_bounds.upper)
-
-        b = polygon_seed(4, prec)
-        steps: list[ExhaustionStep] = []
-        for _ in range(max_doublings):
-            b2 = double_polygon(b, prec)
-            gap_in_before = circle - b.area_inscribed
-            gap_in_after = circle - b2.area_inscribed
-            gap_circ_before = b.area_circumscribed - circle
-            gap_circ_after = b2.area_circumscribed - circle
-            in_ok = gap_in_after.hi < gap_in_before.lo / 2
-            circ_ok = gap_circ_after.hi < gap_circ_before.lo / 2
-            if not (in_ok and circ_ok):
-                raise PrecisionError(
-                    f"halving not certifiable at {b.sides} -> {b2.sides} sides"
-                )
-            steps.append(
-                ExhaustionStep(
-                    sides_before=b.sides,
-                    sides_after=b2.sides,
-                    inscribed_gap_before=gap_in_before,
-                    inscribed_gap_after=gap_in_after,
-                    circumscribed_gap_before=gap_circ_before,
-                    circumscribed_gap_after=gap_circ_after,
-                    inscribed_halved=in_ok,
-                    circumscribed_halved=circ_ok,
-                )
-            )
-            b = b2
-        return steps
-
-    try:
-        return attempt(p)
-    except PrecisionError:
-        return attempt(Precision(2 * p.decimal_digits))
+    return _with_retry(lambda q: _exhaustion(max_doublings, q), p)
 
 
 def fibonacci_identity_check(n: int, p: Precision = DEFAULT_PRECISION) -> Interval:
@@ -340,7 +346,7 @@ def fibonacci_identity_check(n: int, p: Precision = DEFAULT_PRECISION) -> Interv
     independent apothem route, so the returned interval is a genuine
     certificate that the two quantities agree; it must contain zero.
     """
-    b = _polygon(n, p)
-    half_perimeter_times_r = b.per_inscribed
-    area_2n = double_polygon(b, p).area_inscribed
-    return half_perimeter_times_r - area_2n
+    _check_int(n, "n")
+    chain = _chain_from(n, p)
+    b = next(chain)
+    return b.per_inscribed - next(chain).area_inscribed

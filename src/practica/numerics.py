@@ -46,6 +46,12 @@ class PrecisionError(ArithmeticError):
     """A requested output width is unattainable at the working precision."""
 
 
+def _check_int(value: object, what: str) -> None:
+    """Reject anything but a true int (bools too), naming the argument."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer")
+
+
 def _to_rational(value: Fraction | int) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -237,10 +243,8 @@ def int_nth_root_floor(N: int, n: int) -> int:
     Returns r with r**n <= N < (r+1)**n, computed by integer Newton
     iteration from an overestimate, then clamped exactly.
     """
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise TypeError("radicand must be an integer")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("root degree must be an integer")
+    _check_int(N, "radicand")
+    _check_int(n, "root degree")
     if n < 2:
         raise ValueError(f"root degree must be at least 2, got {n}")
     if N < 0:
@@ -275,13 +279,3 @@ def int_to_decimal(x: int) -> str:
     """
     return str(decimal.Decimal(x))
 
-
-def binomial_table(max_n: int) -> list[list[int]]:
-    """Rows 0..max_n of Pascal's triangle as exact integers."""
-    if not isinstance(max_n, int) or max_n < 0:
-        raise ValueError(f"max_n must be a nonnegative integer, got {max_n}")
-    rows = [[1]]
-    for _ in range(max_n):
-        prev = rows[-1]
-        rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return rows

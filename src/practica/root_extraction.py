@@ -26,10 +26,11 @@ are computed from these on access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import binomial_table, int_to_decimal
+from .numerics import _check_int, int_to_decimal
 
 FULL = "full"
 SIMPLIFIED = "simplified"
@@ -48,8 +49,9 @@ class SpecialNumbers:
         """The row for one degree; frozen, so repeated calls share it."""
         if degree < 2:
             raise ValueError(f"degree must be at least 2, got {degree}")
-        row = binomial_table(degree)[degree]
-        values = tuple(row[k] * 10 ** (degree - k) for k in range(1, degree))
+        values = tuple(
+            math.comb(degree, k) * 10 ** (degree - k) for k in range(1, degree)
+        )
         return cls(degree, values)
 
 
@@ -186,11 +188,6 @@ def form_divisor(root_so_far: int, sp: SpecialNumbers, mode: str = FULL) -> int:
     if mode not in (FULL, SIMPLIFIED):
         raise ValueError(f"unknown divisor mode {mode!r}")
     return _divisor(_terms(root_so_far, sp), mode)
-
-
-def _check_int(value, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer")
 
 
 def extract_root(

@@ -1,6 +1,8 @@
 """Polygon-doubling bounds: seeds, recurrences, and the derived checks."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,10 @@ from practica.circle_measurement import (
 from practica.numerics import Interval, Precision, PrecisionError
 
 P20 = Precision(20)
+
+# the circle ratio to 60 decimals, truncated, and one unit in the last place above
+PI_60 = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
+PI_60_UP = PI_60 + Fraction(1, 10 ** 60)
 
 
 def test_seed_values_are_exact_where_possible():
@@ -69,8 +75,8 @@ def test_hexagon_lower_bound_is_exactly_three():
 
 
 def test_target_sides_must_be_hexagon_chain():
-    for bad in (0, 17, 48 * 3, 7):
-        with pytest.raises(ValueError):
+    for bad in (0, 17, 48 * 3, 7, 3, 4, 12 * 5, -6):
+        with pytest.raises(ValueError, match=rf"^target_sides must be 6 \* 2\*\*k, got {bad}$"):
             pi_bounds(target_sides=bad, p=P20)
     with pytest.raises(ValueError):
         pi_bounds(p=P20)  # neither target given
@@ -85,8 +91,30 @@ def test_width_driver_reaches_requested_width():
 
 
 def test_width_driver_raises_when_precision_cannot_deliver():
-    with pytest.raises(PrecisionError):
+    # after the retry at 6 digits the chain stalls; the error says where
+    with pytest.raises(PrecisionError, match=r"at 6 digits: .* stopped narrowing at \d+ sides"):
         pi_bounds(target_width=Fraction(1, 10 ** 21), p=Precision(3))
+
+
+def test_width_driver_has_no_doubling_cap():
+    # 62 working digits stall near 4e-38; the retry at 104 digits reaches
+    # the width at 6 * 2**70 sides, 70 doublings from the hexagon
+    b = pi_bounds(target_width=Fraction(1, 10 ** 42), p=Precision(52))
+    assert b.width <= Fraction(1, 10 ** 42)
+    assert (b.sides, b.precision) == (6 * 2 ** 70, Precision(104))
+    assert b.lower < PI_60 and PI_60_UP < b.upper
+    r = subprocess.run(
+        [sys.executable, "-m", "practica", "pi-bounds", "--width", "1e-42", "--precision", "52"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("exponent", [10, 30, 41])
+def test_width_mode_agrees_with_side_mode(exponent):
+    b = pi_bounds(target_width=Fraction(1, 10 ** exponent), p=Precision(30))
+    assert pi_bounds(target_sides=b.sides, p=b.precision) == b
 
 
 def test_pi_bounds_validation():
@@ -127,12 +155,29 @@ def test_circle_area_with_archimedes_window():
 
 
 def test_exhaustion_steps_certify_halving():
-    steps = exhaustion_report(5, Precision(25))
-    assert [s.sides_before for s in steps] == [4, 8, 16, 32, 64]
-    for s in steps:
-        assert s.inscribed_halved and s.circumscribed_halved
-        assert s.inscribed_gap_after.hi < s.inscribed_gap_before.lo / 2
-        assert s.circumscribed_gap_after.hi < s.circumscribed_gap_before.lo / 2
+    # 10 digits cannot certify 20 halvings: that report is rebuilt at 20
+    for doublings, digits in ((5, 25), (20, 10)):
+        steps = exhaustion_report(doublings, Precision(digits))
+        assert [s.sides_before for s in steps] == [4 * 2 ** k for k in range(doublings)]
+        for s in steps:
+            assert s.inscribed_halved and s.circumscribed_halved
+            assert s.inscribed_gap_after.hi < s.inscribed_gap_before.lo / 2
+            assert s.circumscribed_gap_after.hi < s.circumscribed_gap_before.lo / 2
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: pi_bounds(target_sides=96.0, p=P20), "target_sides"),
+        (lambda: pi_bounds(target_sides=True, p=P20), "target_sides"),
+        (lambda: fibonacci_identity_check(12.0, P20), "n"),
+        (lambda: exhaustion_report(2.5, P20), "max_doublings"),
+        (lambda: exhaustion_report(True, P20), "max_doublings"),
+    ],
+)
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer$"):
+        call()
 
 
 def test_fibonacci_identity_small_and_large():

@@ -6,12 +6,15 @@ byte-level determinism are what a shell user would see.
 
 import csv
 import io
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from practica.cli import format_decimal, format_magnitude_bound, parse_rational
 from practica.mean_proportionals import CurveSampler, MeanPropProblem, solve_nicomedes
@@ -95,14 +98,35 @@ def test_heron_accepts_rational_syntax():
     assert "product        9/4" in r.stdout.decode()
 
 
-def test_meanprops_all_table():
-    r = run("meanprops", "--method", "all", "--ab", "2", "--bc", "1")
-    assert r.returncode == 0
+#: Every README command that prints to stdout, by test id.
+README_COMMANDS = {
+    "pi-bounds-sides": "practica pi-bounds --sides 96 --decimal-digits 10",
+    "pi-bounds-width": "practica pi-bounds --width 1e-21 | grep 'lower ~'",
+    "heron": "practica heron --vertices 0 0 5 0 1 2",
+    "meanprops": "practica meanprops --method all --ab 2 --bc 1",
+    "nth-root": "practica nth-root --degree 3 --radicand 239483190 --trace",
+    "special-numbers": "practica special-numbers --max-degree 4",
+}
+
+
+@pytest.mark.parametrize("command", README_COMMANDS.values(), ids=README_COMMANDS.keys())
+def test_readme_cli_block(command):
     # the block printed under the command in the README, byte for byte
+    # (up to the next command or the end of the code block, less the blank
+    # line that separates commands)
     readme = README.read_text(encoding="utf-8").splitlines()
-    start = readme.index("$ practica meanprops --method all --ab 2 --bc 1") + 1
-    end = readme.index("", start)
-    assert r.stdout == ("\n".join(readme[start:end]) + "\n").encode()
+    start = readme.index(f"$ {command}") + 1
+    end = next(i for i in range(start, len(readme)) if readme[i].startswith(("$ ", "```")))
+    while readme[end - 1] == "":
+        end -= 1
+    invocation, _, grep = command.partition(" | grep ")
+    r = run(*shlex.split(invocation)[1:])
+    assert r.returncode == 0
+    out = r.stdout.decode()
+    if grep:
+        pattern = shlex.split(grep)[0]
+        out = "".join(line for line in out.splitlines(keepends=True) if pattern in line)
+    assert out == "\n".join(readme[start:end]) + "\n"
 
 
 def test_meanprops_all_reports_each_failure_and_keeps_other_rows():

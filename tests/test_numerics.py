@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from practica.numerics import (
     Interval,
     Precision,
-    binomial_table,
     ceil_to_grid,
     floor_to_grid,
     int_nth_root_floor,
@@ -157,9 +155,3 @@ def test_precision_validation():
         Precision(-3)
     assert Precision(7).decimal_digits == 7
 
-
-def test_binomial_table_matches_comb():
-    rows = binomial_table(17)
-    assert len(rows) == 18
-    for n, row in enumerate(rows):
-        assert row == [math.comb(n, k) for k in range(n + 1)]

@@ -84,6 +84,12 @@ def test_special_numbers_rows():
     assert len(SpecialNumbers.for_degree(17).values) == 16
 
 
+def test_special_numbers_match_comb():
+    for n in [*range(2, 41), 800]:
+        expected = tuple(math.comb(n, k) * 10 ** (n - k) for k in range(1, n))
+        assert SpecialNumbers.for_degree(n).values == expected, n
+
+
 def test_form_divisor_modes():
     sp = SpecialNumbers.for_degree(3)
     # root-so-far 4: full divisor 300*16 + 30*4 = 4920, simplified 4800
