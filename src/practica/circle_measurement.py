@@ -8,7 +8,8 @@ recurrences
     inscribed(2n)     = sqrt(circumscribed(2n) * inscribed(n))
 
 which for regular polygons are algebraically equivalent to the classical
-angle-bisection argument.  Areas (unit radius) come from an independent
+angle-bisection argument.  Only the two perimeter ratios are stored;
+areas (unit radius) are derived where they are read, by an independent
 route: the circumscribed n-gon area equals its perimeter ratio, and the
 inscribed n-gon area is i_n * sqrt(1 - (i_n/n)**2) via the apothem, so
 area-based identities are genuine checks rather than restatements of
@@ -43,18 +44,17 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class PolygonBounds:
-    """Certified data for inscribed/circumscribed regular n-gons.
+    """Certified perimeter/diameter ratios of the inscribed and
+    circumscribed regular n-gons.
 
-    Perimeter fields are perimeter/diameter ratios; area fields are
-    areas for the unit-radius circle.  By construction the true circle
-    ratio lies between per_inscribed.lo and per_circumscribed.hi.
+    Areas are not stored: the exhaustion and identity checks derive them
+    from these fields where they read them.  By construction the true
+    circle ratio lies between per_inscribed.lo and per_circumscribed.hi.
     """
 
     sides: int
     per_inscribed: Interval
     per_circumscribed: Interval
-    area_inscribed: Interval
-    area_circumscribed: Interval
 
     def __post_init__(self) -> None:
         if self.sides < 3:
@@ -85,11 +85,11 @@ def _working_digits(p: Precision) -> int:
     return p.decimal_digits + _GUARD_DIGITS
 
 
-def _inscribed_area(per_in: Interval, sides: int, digits: int) -> Interval:
+def _inscribed_area(b: PolygonBounds, p: Precision) -> Interval:
     # apothem route: A_in(n) = i_n * sqrt(1 - (i_n / n)**2)
-    wp = Precision(digits)
-    cos_sq = Interval.point(1) - (per_in / sides).square()
-    return (per_in * interval_sqrt(cos_sq, wp)).round_outward(digits)
+    digits = _working_digits(p)
+    cos_sq = Interval.point(1) - (b.per_inscribed / b.sides).square()
+    return (b.per_inscribed * interval_sqrt(cos_sq, Precision(digits))).round_outward(digits)
 
 
 def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
@@ -108,15 +108,7 @@ def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
         per_circ = 3 * sqrt3
     else:
         raise ValueError(f"no exact seed for {sides} sides (use 3, 4, or 6)")
-    per_in = per_in.round_outward(digits)
-    per_circ = per_circ.round_outward(digits)
-    return PolygonBounds(
-        sides=sides,
-        per_inscribed=per_in,
-        per_circumscribed=per_circ,
-        area_inscribed=_inscribed_area(per_in, sides, digits),
-        area_circumscribed=per_circ,
-    )
+    return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
 
 
 def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
@@ -126,14 +118,7 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
     i, c = b.per_inscribed, b.per_circumscribed
     c2 = ((2 * i * c) / (i + c)).round_outward(digits)
     i2 = interval_sqrt(c2 * i, wp).round_outward(digits)
-    sides = 2 * b.sides
-    return PolygonBounds(
-        sides=sides,
-        per_inscribed=i2,
-        per_circumscribed=c2,
-        area_inscribed=_inscribed_area(i2, sides, digits),
-        area_circumscribed=c2,
-    )
+    return PolygonBounds(2 * b.sides, i2, c2)
 
 
 def _chain_seed_for(n: int) -> int:
@@ -292,12 +277,14 @@ def _exhaustion(max_doublings: int, p: Precision) -> list[ExhaustionStep]:
     pi_b = pi_bounds(target_width=final_gap / 10 ** 6, p=p)
     circle = Interval(pi_b.lower, pi_b.upper)
 
+    with_area = ((b, _inscribed_area(b, p)) for b in islice(_chain(4, p), max_doublings + 1))
     steps: list[ExhaustionStep] = []
-    for b, b2 in islice(pairwise(_chain(4, p)), max_doublings):
-        gap_in_before = circle - b.area_inscribed
-        gap_in_after = circle - b2.area_inscribed
-        gap_circ_before = b.area_circumscribed - circle
-        gap_circ_after = b2.area_circumscribed - circle
+    for (b, a_in), (b2, a2_in) in pairwise(with_area):
+        gap_in_before = circle - a_in
+        gap_in_after = circle - a2_in
+        # For unit radius the circumscribed n-gon's area equals its perimeter/diameter ratio.
+        gap_circ_before = b.per_circumscribed - circle
+        gap_circ_after = b2.per_circumscribed - circle
         in_ok = gap_in_after.hi < gap_in_before.lo / 2
         circ_ok = gap_circ_after.hi < gap_circ_before.lo / 2
         if not (in_ok and circ_ok):
@@ -349,4 +336,4 @@ def fibonacci_identity_check(n: int, p: Precision = DEFAULT_PRECISION) -> Interv
     _check_int(n, "n")
     chain = _chain_from(n, p)
     b = next(chain)
-    return b.per_inscribed - next(chain).area_inscribed
+    return b.per_inscribed - _inscribed_area(next(chain), p)

@@ -31,9 +31,10 @@ from .mean_proportionals import (
     NICOMEDES,
     PHILO,
     BracketNotFoundError,
-    CurveSampler,
     MeanPropProblem,
     MeanPropResult,
+    cissoid_points,
+    conchoid_points,
     solve_heron_apollonius,
 )
 from .numerics import (
@@ -253,21 +254,9 @@ def cmd_nth_root(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     p = Precision(args.precision)
     if args.type == "cissoid":
-        sampler = CurveSampler(
-            kind="cissoid",
-            sample_count=args.samples,
-            radius=args.radius,
-            span=(args.span[0], args.span[1]),
-        )
+        points = cissoid_points(args.radius, args.samples, p, args.span)
     else:
-        sampler = CurveSampler(
-            kind="conchoid",
-            sample_count=args.samples,
-            pole_distance=args.pole_distance,
-            offset=args.offset,
-            x_range=(args.x_range[0], args.x_range[1]),
-        )
-    points = sampler.sample(p)
+        points = conchoid_points(args.pole_distance, args.offset, args.samples, args.x_range, p)
     if args.format == "csv":
         digits = args.decimal_digits
         rows = ["x,y"]
@@ -296,7 +285,7 @@ def cmd_special_numbers(args: argparse.Namespace) -> int:
 # SVG
 
 
-def render_svg(points: list[PointBounds], stroke_width: str = "1.5") -> str:
+def render_svg(points: list[PointBounds]) -> str:
     """Standalone 800x800 SVG with the midpoint polyline autoscaled to
     fit (uniform scale, y up)."""
     size, margin = Fraction(800), Fraction(40)
@@ -316,7 +305,7 @@ def render_svg(points: list[PointBounds], stroke_width: str = "1.5") -> str:
         'viewBox="0 0 800 800">\n'
         '  <rect width="800" height="800" fill="white"/>\n'
         f'  <polyline points="{coords}" fill="none" stroke="black" '
-        f'stroke-width="{stroke_width}"/>\n'
+        'stroke-width="1.5"/>\n'
         "</svg>\n"
     )
 

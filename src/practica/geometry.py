@@ -40,14 +40,3 @@ def orient(o: Point2, a: Point2, b: Point2) -> Fraction:
 
 def collinear(o: Point2, a: Point2, b: Point2) -> bool:
     return orient(o, a, b) == 0
-
-
-def line_intersection(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Point2:
-    """Exact intersection of lines (p1,p2) and (q1,q2); raises for parallels."""
-    dxp, dyp = p2.x - p1.x, p2.y - p1.y
-    dxq, dyq = q2.x - q1.x, q2.y - q1.y
-    den = dxp * dyq - dyp * dxq
-    if den == 0:
-        raise ValueError("lines are parallel or coincident")
-    t = ((q1.x - p1.x) * dyq - (q1.y - p1.y) * dxq) / den
-    return Point2(p1.x + t * dxp, p1.y + t * dyp)

@@ -157,6 +157,9 @@ def _width_target(prob: MeanPropProblem) -> Fraction:
 #: Verdict of an ``accept`` callback: abandon this bracket, try the next.
 _REJECT = object()
 
+#: Evenly spaced cells a scan splits its parameter range into.
+_SCAN_SAMPLES = 64
+
 
 def _sign_changes(
     sign_at: Callable[[Fraction], int | None], lo: Fraction, hi: Fraction, samples: int
@@ -209,7 +212,7 @@ def _scan_and_bisect(
     lo: Fraction,
     hi: Fraction,
     accept: Callable[[Fraction, Fraction], object],
-    samples: int = 64,
+    samples: int = _SCAN_SAMPLES,
     max_iter: int = 500,
 ) -> object:
     """Bisect each scanned bracket on exact signs until ``accept`` takes it.
@@ -579,7 +582,6 @@ def solve_neusis(
     npb: NeusisProblem,
     p: Precision = DEFAULT_PRECISION,
     select: Callable[[NeusisSolution], object] | None = None,
-    samples: int = 64,
 ) -> Any:
     """Find a line through the pole cutting a segment of the given length
     between the two lines.
@@ -640,10 +642,10 @@ def solve_neusis(
             return sol
         return select(sol)
 
-    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept, samples, max_iter=300)
+    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept, max_iter=300)
     if found is None:
         raise NeusisNoSolutionError(
-            f"no direction with intercept {L} certified over {samples} scanned samples"
+            f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"
         )
     return found
 
@@ -721,43 +723,3 @@ def scale_solid_ratio(
     res = METHODS[method](prob)
     return res.x if prob.swapped else res.y
 
-
-@dataclass(frozen=True)
-class CurveSampler:
-    """Configuration for emitting certified curve points."""
-
-    kind: str
-    sample_count: int
-    radius: Fraction | None = None
-    pole_distance: Fraction | None = None
-    offset: Fraction | None = None
-    x_range: tuple[Fraction, Fraction] | None = None
-    span: tuple[Fraction, Fraction] | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 2:
-            raise ValueError("need at least 2 samples")
-        if self.kind == "cissoid":
-            radius = Fraction(self.radius if self.radius is not None else 1)
-            if radius <= 0:
-                raise ValueError("radius must be positive")
-            object.__setattr__(self, "radius", radius)
-        elif self.kind == "conchoid":
-            d = Fraction(self.pole_distance if self.pole_distance is not None else 1)
-            e = Fraction(self.offset if self.offset is not None else 1)
-            if d <= 0 or e <= 0:
-                raise ValueError("pole distance and offset must be positive")
-            object.__setattr__(self, "pole_distance", d)
-            object.__setattr__(self, "offset", e)
-            if self.x_range is None:
-                object.__setattr__(self, "x_range", (Fraction(0), Fraction(21)))
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-
-    def sample(self, p: Precision = DEFAULT_PRECISION) -> list[PointBounds]:
-        if self.kind == "cissoid":
-            span = self.span if self.span is not None else (Fraction(0), Fraction(1))
-            return cissoid_points(self.radius, self.sample_count, p, span)
-        return conchoid_points(
-            self.pole_distance, self.offset, self.sample_count, self.x_range, p
-        )

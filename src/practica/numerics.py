@@ -132,9 +132,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 

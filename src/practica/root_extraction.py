@@ -125,13 +125,6 @@ class RootExtraction:
         return f"{ipart}.{fpart}"
 
 
-def digit_power_table(n: int) -> list[int]:
-    """d**n for d = 1 .. 9, the table used to pick the first digit."""
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
-    return [d ** n for d in range(1, 10)]
-
-
 def group_points(N: int, n: int) -> list[int]:
     """Groups of n decimal digits of N from the right.
 
@@ -173,21 +166,6 @@ def _subtrahend(terms: list[int], d: int) -> int:
     for t in terms:
         acc = acc * d + t
     return acc * d
-
-
-def form_divisor(root_so_far: int, sp: SpecialNumbers, mode: str = FULL) -> int:
-    """Divisor for the next digit trial.
-
-    Full mode sums every special number weighted by the matching power
-    of the root so far; simplified mode keeps only the leading term
-    n * 10**(n-1) * r**(n-1), which underestimates the full divisor but
-    is cheap enough to carry in one's head.
-    """
-    if root_so_far < 1:
-        raise ValueError("divisor is only defined once a leading digit exists")
-    if mode not in (FULL, SIMPLIFIED):
-        raise ValueError(f"unknown divisor mode {mode!r}")
-    return _divisor(_terms(root_so_far, sp), mode)
 
 
 def extract_root(

@@ -9,6 +9,8 @@ import pytest
 
 from practica.circle_measurement import (
     PiBounds,
+    _chain_from,
+    _inscribed_area,
     archimedes_window,
     circle_area_bounds,
     double_polygon,
@@ -185,6 +187,19 @@ def test_fibonacci_identity_small_and_large():
         d = fibonacci_identity_check(n, Precision(30))
         assert d.contains(0)
         assert d.width <= Fraction(1, 10 ** 20)
+
+
+@pytest.mark.parametrize("digits", [10, 30])
+def test_derived_inscribed_areas_contain_exact_values(digits):
+    # unit-radius areas squared: square 4, octagon 8, hexagon 27/4, 12-gon 9
+    p = Precision(digits)
+    for sides, num, den in ((4, 4, 1), (8, 8, 1), (6, 27, 4), (12, 9, 1)):
+        area = _inscribed_area(next(_chain_from(sides, p)), p)
+        lo, hi = area.lo, area.hi
+        assert 0 < lo, sides
+        # lo**2 <= num/den <= hi**2, cross-multiplied on integers
+        assert lo.numerator ** 2 * den <= num * lo.denominator ** 2, sides
+        assert num * hi.denominator ** 2 <= hi.numerator ** 2 * den, sides
 
 
 def test_fibonacci_identity_rejects_bad_sides():

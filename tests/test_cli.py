@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from practica.cli import format_decimal, format_magnitude_bound, parse_rational
-from practica.mean_proportionals import CurveSampler, MeanPropProblem, solve_nicomedes
+from practica.mean_proportionals import MeanPropProblem, conchoid_points, solve_nicomedes
 from practica.numerics import int_nth_root_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -227,7 +227,7 @@ def test_curve_csv_round_trips_to_midpoints():
     samples, digits = 20, 15
     r = run("curve", "--type", "conchoid", "--samples", str(samples))
     rows = list(csv.reader(io.StringIO(r.stdout.decode())))[1:]
-    pts = CurveSampler(kind="conchoid", sample_count=samples).sample()
+    pts = conchoid_points(Fraction(1), Fraction(1), samples, (Fraction(0), Fraction(21)))
     ulp = Fraction(1, 10 ** digits)
     for row, pt in zip(rows, pts):
         assert abs(parse_rational(row[0]) - pt.x.mid) <= ulp

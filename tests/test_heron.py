@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from practica.geometry import Point2, collinear, dist_sq, line_intersection, orient
+from practica.geometry import Point2, collinear, dist_sq, orient
 from practica.heron import (
     TriangleSides,
     TriangleVertices,
@@ -144,10 +144,3 @@ def test_orient_and_collinear():
 def test_dist_sq_exact():
     assert dist_sq(Point2(0, 0), Point2(3, 4)) == 25
     assert dist_sq(Point2(Fraction(1, 2), 0), Point2(0, Fraction(1, 2))) == Fraction(1, 2)
-
-
-def test_line_intersection():
-    p = line_intersection(Point2(0, 0), Point2(2, 2), Point2(0, 2), Point2(2, 0))
-    assert (p.x, p.y) == (1, 1)
-    with pytest.raises(ValueError):
-        line_intersection(Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1))

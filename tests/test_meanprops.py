@@ -13,7 +13,6 @@ from practica.mean_proportionals import (
     METHODS,
     NICOMEDES,
     PHILO,
-    CurveSampler,
     MeanPropProblem,
     NeusisNoSolutionError,
     NeusisProblem,
@@ -206,6 +205,8 @@ def test_conchoid_validation():
         conchoid_points(Fraction(0), Fraction(1), 5, (Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         conchoid_points(Fraction(1), Fraction(1), 5, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError):
+        conchoid_points(Fraction(1), Fraction(0), 5, (Fraction(0), Fraction(21)))
 
 
 def test_neusis_vertical_solution_between_parallels():
@@ -420,17 +421,3 @@ def test_nicomedes_matches_heron_on_random_ratios(num, den):
     her = METHODS[HERON_APOLLONIUS](prob)
     assert abs(nic.y.mid - her.y.mid) <= 2 * prob.tol * prob.ab
 
-
-def test_curve_sampler_dispatch_and_validation():
-    cs = CurveSampler(kind="cissoid", sample_count=7, radius=Fraction(2))
-    assert len(cs.sample()) == 7
-    cc = CurveSampler(kind="conchoid", sample_count=5)
-    pts = cc.sample()
-    assert len(pts) == 5
-    assert cc.x_range == (Fraction(0), Fraction(21))
-    with pytest.raises(ValueError):
-        CurveSampler(kind="spiral", sample_count=5)
-    with pytest.raises(ValueError):
-        CurveSampler(kind="cissoid", sample_count=1)
-    with pytest.raises(ValueError):
-        CurveSampler(kind="conchoid", sample_count=5, offset=Fraction(0))

@@ -13,9 +13,7 @@ from practica.root_extraction import (
     FULL,
     SIMPLIFIED,
     SpecialNumbers,
-    digit_power_table,
     extract_root,
-    form_divisor,
     group_points,
     render_trace,
 )
@@ -88,19 +86,6 @@ def test_special_numbers_match_comb():
     for n in [*range(2, 41), 800]:
         expected = tuple(math.comb(n, k) * 10 ** (n - k) for k in range(1, n))
         assert SpecialNumbers.for_degree(n).values == expected, n
-
-
-def test_form_divisor_modes():
-    sp = SpecialNumbers.for_degree(3)
-    # root-so-far 4: full divisor 300*16 + 30*4 = 4920, simplified 4800
-    assert form_divisor(4, sp, FULL) == 4920
-    assert form_divisor(4, sp, SIMPLIFIED) == 4800
-    with pytest.raises(ValueError):
-        form_divisor(0, sp, FULL)
-
-
-def test_digit_power_table():
-    assert digit_power_table(3) == [1, 8, 27, 64, 125, 216, 343, 512, 729]
 
 
 # --- the invariant that defines the algorithm ----------------------------
