@@ -4,7 +4,7 @@ Every number crosses the CLI boundary exactly: arguments parse as
 fractions (``p/q`` or decimal literals), and decimal output is produced
 by integer arithmetic, truncated toward zero, so identical flags give
 byte-identical output on any platform.  Exit codes: 0 success, 2 usage
-or domain error, 3 numerical failure (precision exhausted, no bracket).
+or domain error, 3 numerical failure (exact root, no bracket, pi stall).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .mean_proportionals import (
     solve_heron_apollonius,
 )
 from .numerics import (
+    DEFAULT_PRECISION,
     Interval,
     Precision,
     PrecisionError,
@@ -45,8 +46,7 @@ from .numerics import (
     pow10,
     rat_sqrt_bounds,
 )
-from .root_extraction import FULL, SIMPLIFIED, extract_root, render_trace
-from .root_extraction import SpecialNumbers
+from .root_extraction import FULL, SIMPLIFIED, SpecialNumbers, extract_root, render_trace
 
 #: ``meanprops --method`` flag -> key in the solver registry
 _METHODS = {
@@ -132,8 +132,6 @@ def _emit(lines: list[str]) -> None:
 def cmd_pi_bounds(args: argparse.Namespace) -> int:
     p = Precision(args.precision)
     digits = args.decimal_digits if args.decimal_digits is not None else p.decimal_digits
-    if (args.sides is None) == (args.width is None):
-        raise _DomainError("exactly one of --sides/--width is required")
     b = pi_bounds(target_sides=args.sides, target_width=args.width, p=p)
     if args.format == "csv":
         _emit(
@@ -160,8 +158,6 @@ def cmd_pi_bounds(args: argparse.Namespace) -> int:
 def cmd_heron(args: argparse.Namespace) -> int:
     p = Precision(args.precision)
     digits = args.decimal_digits
-    if (args.sides is None) == (args.vertices is None):
-        raise _DomainError("exactly one of --sides/--vertices is required")
     if args.sides is not None:
         tri = TriangleSides(*args.sides)
         product = heron_product(tri)
@@ -198,9 +194,13 @@ def cmd_heron(args: argparse.Namespace) -> int:
     return 0
 
 
+def _residual_bounds(res: MeanPropResult) -> tuple[Fraction, Fraction]:
+    """Upper bounds on |ab*y - x^2| and |x*bc - y^2|."""
+    return res.residual1.magnitude().hi, res.residual2.magnitude().hi
+
+
 def _meanprop_row(name: str, res: MeanPropResult, digits: int) -> str:
-    r1 = max(abs(res.residual1.lo), abs(res.residual1.hi))
-    r2 = max(abs(res.residual2.lo), abs(res.residual2.hi))
+    r1, r2 = _residual_bounds(res)
     return (
         f"{name:<10s} x~{format_decimal(res.x.mid, digits):<{digits + 4}s} "
         f"y~{format_decimal(res.y.mid, digits):<{digits + 4}s} "
@@ -226,8 +226,7 @@ def cmd_meanprops(args: argparse.Namespace) -> int:
         res = solve_heron_apollonius(prob, variant="apollonius")
     else:
         res = METHODS[_METHODS[args.method]](prob)
-    r1 = max(abs(res.residual1.lo), abs(res.residual1.hi))
-    r2 = max(abs(res.residual2.lo), abs(res.residual2.hi))
+    r1, r2 = _residual_bounds(res)
     _emit(
         [
             f"method     {args.method}",
@@ -272,7 +271,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_special_numbers(args: argparse.Namespace) -> int:
     if args.max_degree < 2:
-        raise _DomainError("--max-degree must be at least 2")
+        raise ValueError("--max-degree must be at least 2")
     lines = []
     for n in range(2, args.max_degree + 1):
         sp = SpecialNumbers.for_degree(n)
@@ -314,22 +313,25 @@ def render_svg(points: list[PointBounds]) -> str:
 # parser and dispatch
 
 
-class _DomainError(ValueError):
-    """Bad inputs recognized after argparse (exit code 2)."""
-
-
 #: Errors reported with exit code 3.
 _NUMERICAL_FAILURES = (PrecisionError, BracketNotFoundError)
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def _add_decimal_digits(sub: argparse.ArgumentParser, default: int | None = 15) -> None:
-    sub.add_argument("--decimal-digits", type=int, default=default, metavar="D",
+    sub.add_argument("--decimal-digits", type=nonnegative_int, default=default, metavar="D",
                      help="decimal places in printed values")
 
 
 def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15) -> None:
-    sub.add_argument("--precision", type=int, default=30, metavar="P",
-                     help="working precision in decimal digits (default 30)")
+    sub.add_argument("--precision", type=int, default=DEFAULT_PRECISION.decimal_digits,
+                     metavar="P", help="working precision in decimal digits (default %(default)s)")
     _add_decimal_digits(sub, decimal_default)
 
 
@@ -341,18 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pi-bounds", help="polygon-doubling bounds on the circle ratio")
-    sp.add_argument("--sides", type=int, metavar="N",
-                    help="stop at an N-gon (N = 6*2^k)")
-    sp.add_argument("--width", type=parse_rational, metavar="W",
-                    help="double until upper - lower <= W")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--sides", type=int, metavar="N",
+                        help="stop at an N-gon (N = 6*2^k)")
+    target.add_argument("--width", type=parse_rational, metavar="W",
+                        help="double until upper - lower <= W")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
     _add_common(sp, decimal_default=None)
     sp.set_defaults(func=cmd_pi_bounds)
 
     sp = sub.add_parser("heron", help="triangle area from sides or vertices")
-    sp.add_argument("--sides", type=parse_rational, nargs=3, metavar=("A", "B", "C"))
-    sp.add_argument("--vertices", type=parse_rational, nargs=6,
-                    metavar=("X1", "Y1", "X2", "Y2", "X3", "Y3"))
+    triangle = sp.add_mutually_exclusive_group(required=True)
+    triangle.add_argument("--sides", type=parse_rational, nargs=3, metavar=("A", "B", "C"))
+    triangle.add_argument("--vertices", type=parse_rational, nargs=6,
+                          metavar=("X1", "Y1", "X2", "Y2", "X3", "Y3"))
     _add_common(sp)
     sp.set_defaults(func=cmd_heron)
 
@@ -404,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_FAILURES as exc:
         print(f"practica: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (_DomainError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"practica: error: {exc}", file=sys.stderr)
         return 2
 

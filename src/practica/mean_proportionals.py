@@ -2,7 +2,7 @@
 
 Each construction is realized as exact rational geometry plus bracketed
 one-dimensional root finding: a coarse scan locates a sign change of
-the construction's defect function, bisection narrows it, and the
+the defect function, bisection with no step budget narrows it, and the
 answers are returned as certified intervals together with residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2.
 The defect signs are evaluated as exact rational comparisons (square
@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Generator, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from .geometry import Point2, PointBounds, orient
 from .numerics import (
@@ -143,7 +144,7 @@ def _digits_for(x: Fraction) -> int:
     if x <= 0:
         raise ValueError("width target must be positive")
     d = 1
-    while pow10(-d) > x and d < 500:
+    while pow10(-d) > x:
         d += 1
     return d
 
@@ -180,31 +181,26 @@ def _sign_changes(
 
 
 def _bisection_chain(
-    sign_at: Callable[[Fraction], int | None], bl: Fraction, bh: Fraction, max_iter: int
-) -> Generator[tuple[Fraction, Fraction], None, PrecisionError | None]:
+    sign_at: Callable[[Fraction], int | None], bl: Fraction, bh: Fraction
+) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield the nested brackets that bisection on exact signs makes from
-    (bl, bh), starting with (bl, bh) itself, one per step.
-
-    The chain ends at a point bracket, at a bracket whose midpoint sign
-    is undefined, or after ``max_iter`` brackets.  Its return value says
-    what that end means when no bracket of the chain is accepted: the
-    PrecisionError to raise, or None to move on to the next bracket."""
+    (bl, bh), starting with (bl, bh) itself, one per step, up to a point
+    bracket or a bracket whose midpoint sign is undefined."""
     s_lo = sign_at(bl)
-    for _ in range(max_iter):
+    while True:
         yield bl, bh
         if bl == bh:
-            return PrecisionError("enclosure too wide at an exact root")
+            return
         mid = (bl + bh) / 2
         s_mid = sign_at(mid)
         if s_mid is None:
-            return None  # the bracket straddles a direction where the defect is undefined
+            return  # the bracket straddles a direction where the defect is undefined
         if s_mid == 0:
             bl = bh = mid
         elif s_mid * s_lo < 0:
             bh = mid
         else:
             bl, s_lo = mid, s_mid
-    return PrecisionError("bisection failed to reach the requested widths")
 
 
 def _scan_and_bisect(
@@ -213,7 +209,6 @@ def _scan_and_bisect(
     hi: Fraction,
     accept: Callable[[Fraction, Fraction], object],
     samples: int = _SCAN_SAMPLES,
-    max_iter: int = 500,
 ) -> object:
     """Bisect each scanned bracket on exact signs until ``accept`` takes it.
 
@@ -222,10 +217,19 @@ def _scan_and_bisect(
     returns the verdict of the first step of each bracket's bisection
     chain (see ``_bisection_chain``) whose verdict is not None, moving
     on when that verdict is ``_REJECT``.  When every step of a chain
-    gives None, the chain's end decides: a point bracket or running out
-    of ``max_iter`` steps raises PrecisionError, an undefined midpoint
-    sign moves on.  Returns None when the scan yields no bracket or
-    every bracket is abandoned.
+    gives None, its last bracket decides: a point bracket raises
+    PrecisionError, one cut short by an undefined midpoint sign moves
+    on.  Returns None when the scan yields no bracket or every bracket
+    is abandoned.
+
+    There is no step budget.  The loop ends because, along any chain
+    that narrows onto a root where the defect is defined, ``accept``
+    eventually returns something other than None: heron and philo read
+    x and y through exact maps; apollonius and diocles go through
+    ``rat_sqrt_bounds``, whose error falls as endpoint denominators grow
+    like 2**k; the neusis certificate, interval evaluation, converges at
+    a root since the cut denominators are nonzero there; and nicomedes'
+    ``read_means`` cannot straddle C at a root (K = C means x = 0).
 
     Contract: along nested brackets, "the verdict is not None" is
     monotone; once a bracket's verdict is not None, so is every bracket
@@ -248,21 +252,15 @@ def _scan_and_bisect(
     contract.
     """
     for bracket in _sign_changes(sign_at, lo, hi, samples):
-        steps = _bisection_chain(sign_at, *bracket, max_iter)
+        steps = _bisection_chain(sign_at, *bracket)
         chain: list[tuple[Fraction, Fraction]] = []
-        end: PrecisionError | None = None
-        ended = False
         none_at, probe = -1, 0  # last step known to give None; next step to probe
         while True:
-            while not ended and len(chain) <= probe:
-                try:
-                    chain.append(next(steps))
-                except StopIteration as stop:
-                    ended, end = True, stop.value
+            chain.extend(islice(steps, probe + 1 - len(chain)))
             probe = min(probe, len(chain) - 1)
-            if probe == none_at:  # no step of the chain is accepted
-                if end is not None:
-                    raise end
+            if probe == none_at:  # the chain ended and no step of it is accepted
+                if chain[-1][0] == chain[-1][1]:  # a point bracket
+                    raise PrecisionError("enclosure too wide at an exact root")
                 break
             verdict = accept(*chain[probe])
             if verdict is None:
@@ -327,6 +325,20 @@ def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
 # rectangle methods (shared figure: B=(0,0), A=(0,ab), C=(bc,0), D=(bc,ab))
 
 
+def _solve_slope(
+    prob: MeanPropProblem, sign_at: Callable[[Fraction], int]
+) -> tuple[Interval, Interval]:
+    """Rotate a line through B with slope u from 1/2 to past cbrt(a/c) until
+    ``sign_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c."""
+    a, c = prob.ab, prob.bc
+    u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
+
+    def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
+        return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
+
+    return _solve_defect(sign_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
+
+
 def solve_heron_apollonius(
     prob: MeanPropProblem, variant: str = "heron"
 ) -> MeanPropResult:
@@ -342,34 +354,26 @@ def solve_heron_apollonius(
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(HERON_APOLLONIUS, prob)
-    target = _width_target(prob)
-    wp = Precision(_digits_for(target) + 8)
     e = Point2(c / 2, a / 2)
 
     if variant == "heron":
-        u_lo = Fraction(1, 2)
-        u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
-
         def sign_at(u: Fraction) -> int:
             # the cuts are F = (-a/u, a) and G = (c, -u*c)
             ef_sq = (e.x + a / u) ** 2 + (e.y - a) ** 2
             eg_sq = (e.x - c) ** 2 + (e.y + u * c) ** 2
             return _sign(ef_sq - eg_sq)
 
-        def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
-            return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
-
-        x_iv, y_iv = _solve_defect(sign_at, u_lo, u_hi, evaluate, target)
-        return _result(HERON_APOLLONIUS, prob, x_iv, y_iv)
+        return _result(HERON_APOLLONIUS, prob, *_solve_slope(prob, sign_at))
 
     if variant != "apollonius":
         raise ValueError(f"unknown variant {variant!r}")
+    target = _width_target(prob)
+    wp = Precision(_digits_for(target) + 8)
 
     # sigma is the (signed) distance from E's abscissa to the circle's
     # cut F on the horizontal through A; the matching vertical cut is
     # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below C.
     base = (a * a - c * c) / 4
-    s_lo_b, s_hi_b = Fraction(c), c / 2 + a
 
     def sign_at_sigma(sigma: Fraction) -> int:
         q = a / 2 + a * c / (sigma - c / 2)
@@ -381,8 +385,8 @@ def solve_heron_apollonius(
         root_hi = rat_sqrt_bounds(sh * sh + base, wp).hi
         return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
 
-    x_iv, y_iv = _solve_defect(sign_at_sigma, s_lo_b, s_hi_b, evaluate_sigma, target)
-    return _result(HERON_APOLLONIUS, prob, x_iv, y_iv)
+    means = _solve_defect(sign_at_sigma, Fraction(c), c / 2 + a, evaluate_sigma, target)
+    return _result(HERON_APOLLONIUS, prob, *means)
 
 
 def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
@@ -397,20 +401,13 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(PHILO, prob)
-    target = _width_target(prob)
-    u_lo = Fraction(1, 2)
-    u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
 
     def sign_at(u: Fraction) -> int:
         t_o = (c - u * a) / (1 + u * u)  # second circle crossing
         t_f = -a / u  # the cut F on y = a
         return _sign(c - (t_o - t_f))  # sign of BG - OF
 
-    def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
-        return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
-
-    x_iv, y_iv = _solve_defect(sign_at, u_lo, u_hi, evaluate, target)
-    return _result(PHILO, prob, x_iv, y_iv)
+    return _result(PHILO, prob, *_solve_slope(prob, sign_at))
 
 
 # ----------------------------------------------------------------------
@@ -499,8 +496,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         )
         return x_iv, y_iv
 
-    x_iv, y_iv = _solve_defect(sign_at, Fraction(0), r, evaluate, target)
-    return _result(DIOCLES, prob, x_iv, y_iv)
+    return _result(DIOCLES, prob, *_solve_defect(sign_at, Fraction(0), r, evaluate, target))
 
 
 # ----------------------------------------------------------------------
@@ -588,12 +584,12 @@ def solve_neusis(
 
     Directions are parametrized as (1 - t**2, 2t) for t in [-1, 1],
     which covers every line direction with rational arithmetic.  A
-    coarse scan locates sign changes of |cut|**2 - L**2, bisection
-    narrows each candidate, and a candidate is accepted only when
-    interval evaluation over the current bracket certifies the
-    intercept within tolerance 10**-digits * max(1, L).  Sign changes
-    caused by crossing a direction parallel to one of the lines fail
-    certification and are discarded.
+    coarse scan locates sign changes of |cut|**2 - L**2, bisection with
+    no step budget narrows each candidate, and a candidate is accepted
+    only when interval evaluation over the current bracket certifies
+    the intercept within tolerance 10**-digits * max(1, L).  The cut
+    grows without bound toward a direction parallel to either line, so
+    no sign change closes on one.
 
     The sign is exact and builds no point: both cuts lie on the ray
     pole + lam * (1 - t**2, 2t), and (1 - t**2)**2 + (2t)**2 =
@@ -642,7 +638,7 @@ def solve_neusis(
             return sol
         return select(sol)
 
-    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept, max_iter=300)
+    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept)
     if found is None:
         raise NeusisNoSolutionError(
             f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"
@@ -668,7 +664,6 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     target = _width_target(prob)
     base_digits = _digits_for(target)
 
-    corner_far = Point2(c, a)  # L, opposite the right angle at B
     c_pt = Point2(c, Fraction(0))
     z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * base_digits + 12)).mid
     pole = Point2(c / 2, -z_len)

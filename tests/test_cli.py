@@ -139,6 +139,14 @@ def test_meanprops_all_reports_each_failure_and_keeps_other_rows():
     assert lines[3].startswith("nicomedes  numerical failure: no direction")
 
 
+def test_meanprops_all_at_tight_tolerance():
+    r = run("meanprops", "--method", "all", "--ab", "2", "--bc", "1", "--tol", "1e-160")
+    assert r.returncode == 0, r.stderr.decode()
+    lines = r.stdout.decode().splitlines()
+    assert [line.split()[0] for line in lines] == ["heron", "philo", "diocles", "nicomedes"]
+    assert all(" x~1.587401051968199 " in line for line in lines)
+
+
 def test_meanprops_nicomedes_at_huge_ratio():
     r = run("meanprops", "--method", "nicomedes", "--ab", "1e30", "--bc", "1")
     assert r.returncode == 0
@@ -266,6 +274,23 @@ def test_special_numbers_degree_17_row_width():
     last = r.stdout.decode().splitlines()[-1]
     assert last.startswith("degree 17:")
     assert len(last.split(":")[1].split(",")) == 16
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("pi-bounds", "--sides", "96"),
+        ("heron", "--sides", "3", "4", "5"),
+        ("meanprops", "--ab", "2", "--bc", "1"),
+        ("curve", "--type", "cissoid"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_negative_decimal_digits_is_usage_error(command):
+    r = run(*command, "--decimal-digits", "-1")
+    assert r.returncode == 2
+    assert "--decimal-digits" in r.stderr.decode()
+    assert r.stdout == b""
 
 
 def test_unknown_subcommand_is_usage_error():

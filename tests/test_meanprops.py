@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from practica.mean_proportionals import (
     _intercept_sign,
     _scan_and_bisect,
     _sign_changes,
+    _width_target,
     cissoid_arc_defect,
     cissoid_points,
     conchoid_points,
@@ -106,6 +108,35 @@ def test_methods_pairwise_agreement_random():
         # certified enclosures of the same true value must overlap
         intervals = [METHODS[m](prob).y for m in METHODS]
         assert max(iv.lo for iv in intervals) <= min(iv.hi for iv in intervals)
+
+
+#: Every route by name, the apollonius variant included.
+_ROUTES = {
+    "heron": solve_heron_apollonius,
+    "apollonius": lambda prob: solve_heron_apollonius(prob, variant="apollonius"),
+    "philo": solve_philo,
+    "diocles": METHODS[DIOCLES],
+    "nicomedes": METHODS[NICOMEDES],
+}
+
+
+@pytest.mark.parametrize(
+    "route, ab, bc, k",
+    [
+        pytest.param(route, ab, bc, 160, id=f"{route}-{ab}:{bc}-1e-160")
+        for ab, bc in ((Fraction(2), Fraction(1)), (Fraction(7, 3), Fraction(5, 11)))
+        for route in _ROUTES
+    ]
+    + [pytest.param("nicomedes", Fraction(2), Fraction(1), 100, id="nicomedes-2:1-1e-100")],
+)
+def test_tight_tolerances_enclose_the_means(route, ab, bc, k):
+    # Bisection has no step budget, so very tight tolerances still return.
+    prob = MeanPropProblem(ab=ab, bc=bc, tol=Fraction(1, 10 ** k))
+    res = _ROUTES[route](prob)
+    assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3
+    assert res.y.lo ** 3 <= ab * bc * bc <= res.y.hi ** 3
+    target = _width_target(prob)
+    assert res.x.width <= target and res.y.width <= target
 
 
 def test_ordering_of_means():
@@ -259,12 +290,12 @@ def test_neusis_problem_validation():
         NeusisProblem(line1=horizontal, line2=slanted, pole=Point2(0, 2), intercept_len=Fraction(0))
 
 
-def _stepwise(sign_at, lo, hi, accept, samples=64, max_iter=500):
+def _stepwise(sign_at, lo, hi, accept, samples=64):
     """Reference for ``_scan_and_bisect``: call ``accept`` on every step
     of every bracket's bisection chain.  Returns (step, verdict)."""
     for bl, bh in _sign_changes(sign_at, lo, hi, samples):
         s_lo = sign_at(bl)
-        for step in range(max_iter):
+        for step in itertools.count():
             verdict = accept(bl, bh)
             if verdict is _REJECT:
                 break
@@ -282,8 +313,6 @@ def _stepwise(sign_at, lo, hi, accept, samples=64, max_iter=500):
                 bh = mid
             else:
                 bl, s_lo = mid, s_mid
-        else:
-            raise PrecisionError("bisection failed to reach the requested widths")
     return None
 
 
@@ -332,20 +361,17 @@ def _undefined_at_half(t):
 
 
 @pytest.mark.parametrize(
-    "sign_at, lo, hi, samples, max_iter, expected",
+    "sign_at, lo, hi, samples, expected",
     [
         # an exact zero reached by bisection and never accepted
-        (lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)), 0, 1, 3, 500,
+        (lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)), 0, 1, 3,
          (PrecisionError, "enclosure too wide at an exact root")),
         # an undefined midpoint abandons the first bracket for the second
-        (_undefined_at_half, 0, 4, 4, 500, None),
-        # running out of steps
-        (lambda t: (t ** 3 > 2) - (t ** 3 < 2), 0, 2, 64, 20,
-         (PrecisionError, "bisection failed to reach the requested widths")),
+        (_undefined_at_half, 0, 4, 4, None),
     ],
-    ids=["exact-root", "undefined-midpoint", "max-iter"],
+    ids=["exact-root", "undefined-midpoint"],
 )
-def test_scan_and_bisect_chain_ends_as_stepwise(sign_at, lo, hi, samples, max_iter, expected):
+def test_scan_and_bisect_chain_ends_as_stepwise(sign_at, lo, hi, samples, expected):
     def never(bl, bh):
         return None
 
@@ -353,7 +379,7 @@ def test_scan_and_bisect_chain_ends_as_stepwise(sign_at, lo, hi, samples, max_it
         return (bl, bh) if bl >= 2 and bh - bl <= Fraction(1, 2 ** 10) else None
 
     accept = narrow_second if expected is None else never
-    args = (sign_at, Fraction(lo), Fraction(hi), accept, samples, max_iter)
+    args = (sign_at, Fraction(lo), Fraction(hi), accept, samples)
     found = _outcome(lambda: _scan_and_bisect(*args))
     reference = _outcome(lambda: _stepwise(*args))
     if expected is None:
