@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import dropwhile, islice, pairwise
-from typing import TypeVar
+from typing import ClassVar, TypeVar
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -232,43 +232,60 @@ def circle_area_bounds(radius: Fraction, pi_b: PiBounds) -> Interval:
 
 @dataclass(frozen=True)
 class RatioVerdict:
-    """Whether 11/14 falls inside the quarter-ratio interval."""
+    """Whether 11/14 falls inside the quarter-ratio interval.
 
-    target: Fraction
+    Only the interval is stored; the verdict and the signed distance
+    from 11/14 to the nearest endpoint are derived from it.
+    """
+
+    target: ClassVar[Fraction] = Fraction(11, 14)
     quarter: Interval
-    contained: bool
-    signed_distance: Fraction
+
+    @property
+    def signed_distance(self) -> Fraction:
+        """Positive when 11/14 lies above the interval, negative below, 0 inside."""
+        q, t = self.quarter, self.target
+        return max(t - q.hi, Fraction(0)) + min(t - q.lo, Fraction(0))
+
+    @property
+    def contained(self) -> bool:
+        return self.signed_distance == 0
 
 
 def prop2_ratio_check(pi_b: PiBounds) -> RatioVerdict:
     """Check the classical area:square-of-diameter ratio 11:14.
 
-    The ratio equals the circle ratio divided by 4, so the verdict
-    reports containment of 11/14 in [lower/4, upper/4] and the signed
-    distance to the nearest endpoint when outside (positive when 11/14
-    lies above the interval).
+    The ratio equals the circle ratio divided by 4, so the verdict is
+    about 11/14 against the interval [lower/4, upper/4].
     """
-    target = Fraction(11, 14)
-    quarter = Interval(pi_b.lower / 4, pi_b.upper / 4)
-    if quarter.contains(target):
-        return RatioVerdict(target, quarter, True, Fraction(0))
-    if target > quarter.hi:
-        return RatioVerdict(target, quarter, False, target - quarter.hi)
-    return RatioVerdict(target, quarter, False, target - quarter.lo)
+    return RatioVerdict(Interval(pi_b.lower / 4, pi_b.upper / 4))
 
 
 @dataclass(frozen=True)
 class ExhaustionStep:
-    """One doubling step of the square chain with certified halving."""
+    """One doubling step of the square chain: the area gaps before and after.
+
+    The side count after the step and the two halving verdicts are
+    derived from the stored side count and gaps.
+    """
 
     sides_before: int
-    sides_after: int
     inscribed_gap_before: Interval
     inscribed_gap_after: Interval
     circumscribed_gap_before: Interval
     circumscribed_gap_after: Interval
-    inscribed_halved: bool
-    circumscribed_halved: bool
+
+    @property
+    def sides_after(self) -> int:
+        return 2 * self.sides_before
+
+    @property
+    def inscribed_halved(self) -> bool:
+        return self.inscribed_gap_after.hi < self.inscribed_gap_before.lo / 2
+
+    @property
+    def circumscribed_halved(self) -> bool:
+        return self.circumscribed_gap_after.hi < self.circumscribed_gap_before.lo / 2
 
 
 def _exhaustion(max_doublings: int, p: Precision) -> list[ExhaustionStep]:
@@ -277,32 +294,19 @@ def _exhaustion(max_doublings: int, p: Precision) -> list[ExhaustionStep]:
     pi_b = pi_bounds(target_width=final_gap / 10 ** 6, p=p)
     circle = Interval(pi_b.lower, pi_b.upper)
 
-    with_area = ((b, _inscribed_area(b, p)) for b in islice(_chain(4, p), max_doublings + 1))
+    # For unit radius the circumscribed n-gon's area equals its perimeter/diameter ratio.
+    gaps = (
+        (b.sides, circle - _inscribed_area(b, p), b.per_circumscribed - circle)
+        for b in islice(_chain(4, p), max_doublings + 1)
+    )
     steps: list[ExhaustionStep] = []
-    for (b, a_in), (b2, a2_in) in pairwise(with_area):
-        gap_in_before = circle - a_in
-        gap_in_after = circle - a2_in
-        # For unit radius the circumscribed n-gon's area equals its perimeter/diameter ratio.
-        gap_circ_before = b.per_circumscribed - circle
-        gap_circ_after = b2.per_circumscribed - circle
-        in_ok = gap_in_after.hi < gap_in_before.lo / 2
-        circ_ok = gap_circ_after.hi < gap_circ_before.lo / 2
-        if not (in_ok and circ_ok):
+    for (n, in_before, circ_before), (_, in_after, circ_after) in pairwise(gaps):
+        step = ExhaustionStep(n, in_before, in_after, circ_before, circ_after)
+        if not (step.inscribed_halved and step.circumscribed_halved):
             raise PrecisionError(
-                f"halving not certifiable at {b.sides} -> {b2.sides} sides"
+                f"halving not certifiable at {n} -> {step.sides_after} sides"
             )
-        steps.append(
-            ExhaustionStep(
-                sides_before=b.sides,
-                sides_after=b2.sides,
-                inscribed_gap_before=gap_in_before,
-                inscribed_gap_after=gap_in_after,
-                circumscribed_gap_before=gap_circ_before,
-                circumscribed_gap_after=gap_circ_after,
-                inscribed_halved=in_ok,
-                circumscribed_halved=circ_ok,
-            )
-        )
+        steps.append(step)
     return steps
 
 

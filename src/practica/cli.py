@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .circle_measurement import pi_bounds
@@ -64,7 +65,7 @@ def parse_rational(text: str) -> Fraction:
         if "/" in s:
             return Fraction(s)
         return Fraction(decimal.Decimal(s))
-    except (ValueError, ZeroDivisionError, decimal.InvalidOperation):
+    except (ValueError, OverflowError, ZeroDivisionError, decimal.InvalidOperation):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
@@ -317,20 +318,27 @@ def render_svg(points: list[PointBounds]) -> str:
 _NUMERICAL_FAILURES = (PrecisionError, BracketNotFoundError)
 
 
-def nonnegative_int(text: str) -> int:
-    n = int(text)  # argparse reports a ValueError as an invalid value
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
-    return n
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        n = int(text)  # argparse reports a ValueError as an invalid value
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_decimal_digits(sub: argparse.ArgumentParser, default: int | None = 15) -> None:
-    sub.add_argument("--decimal-digits", type=nonnegative_int, default=default, metavar="D",
+    sub.add_argument("--decimal-digits", type=int_at_least(0), default=default, metavar="D",
                      help="decimal places in printed values")
 
 
 def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15) -> None:
-    sub.add_argument("--precision", type=int, default=DEFAULT_PRECISION.decimal_digits,
+    sub.add_argument("--precision", type=int_at_least(1),
+                     default=DEFAULT_PRECISION.decimal_digits,
                      metavar="P", help="working precision in decimal digits (default %(default)s)")
     _add_decimal_digits(sub, decimal_default)
 

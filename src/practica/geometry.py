@@ -36,7 +36,3 @@ def dist_sq(p: Point2, q: Point2) -> Fraction:
 def orient(o: Point2, a: Point2, b: Point2) -> Fraction:
     """Twice the signed area of triangle (o, a, b); zero iff collinear."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def collinear(o: Point2, a: Point2, b: Point2) -> bool:
-    return orient(o, a, b) == 0

@@ -3,8 +3,8 @@
 Each construction is realized as exact rational geometry plus bracketed
 one-dimensional root finding: a coarse scan locates a sign change of
 the defect function, bisection with no step budget narrows it, and the
-answers are returned as certified intervals together with residuals of
-the two continued-proportion equations AB*y - x**2 and x*BC - y**2.
+answers are returned as certified intervals, from which the residuals of
+the two continued-proportion equations AB*y - x**2 and x*BC - y**2 follow.
 The defect signs are evaluated as exact rational comparisons (square
 roots are eliminated by squaring before comparing), so bisection never
 accumulates rounding error; enclosures enter only when a bracket is
@@ -83,14 +83,22 @@ class MeanPropProblem:
 
 @dataclass(frozen=True)
 class MeanPropResult:
-    """Certified means and continued-proportion residuals."""
+    """Certified means; the continued-proportion residuals are derived."""
 
     method: str
     x: Interval
     y: Interval
-    residual1: Interval  # ab * y - x**2
-    residual2: Interval  # x * bc - y**2
     problem: MeanPropProblem
+
+    @property
+    def residual1(self) -> Interval:
+        """Encloses ab * y - x**2."""
+        return self.problem.ab * self.y - self.x.square()
+
+    @property
+    def residual2(self) -> Interval:
+        """Encloses x * bc - y**2."""
+        return self.x * self.problem.bc - self.y.square()
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,6 @@ class NeusisProblem:
     line2: tuple[Point2, Point2]
     pole: Point2
     intercept_len: Fraction
-    allow_parallel: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intercept_len", Fraction(self.intercept_len))
@@ -113,11 +120,6 @@ class NeusisProblem:
                 raise ValueError(f"{name} needs two distinct points")
             if orient(p, q, self.pole) == 0:
                 raise ValueError(f"pole lies on {name}")
-        (p1, q1), (p2, q2) = self.line1, self.line2
-        d1 = (q1.x - p1.x, q1.y - p1.y)
-        d2 = (q2.x - p2.x, q2.y - p2.y)
-        if d1[0] * d2[1] - d1[1] * d2[0] == 0 and not self.allow_parallel:
-            raise ValueError("given lines are parallel (pass allow_parallel to accept)")
 
 
 @dataclass(frozen=True)
@@ -305,20 +307,9 @@ def _sign(v: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def _result(method: str, prob: MeanPropProblem, x: Interval, y: Interval) -> MeanPropResult:
-    return MeanPropResult(
-        method=method,
-        x=x,
-        y=y,
-        residual1=prob.ab * y - x.square(),
-        residual2=x * prob.bc - y.square(),
-        problem=prob,
-    )
-
-
 def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
     point = Interval.point(prob.ab)
-    return _result(method, prob, point, point)
+    return MeanPropResult(method, point, point, prob)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +354,7 @@ def solve_heron_apollonius(
             eg_sq = (e.x - c) ** 2 + (e.y + u * c) ** 2
             return _sign(ef_sq - eg_sq)
 
-        return _result(HERON_APOLLONIUS, prob, *_solve_slope(prob, sign_at))
+        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, sign_at), prob)
 
     if variant != "apollonius":
         raise ValueError(f"unknown variant {variant!r}")
@@ -386,7 +377,7 @@ def solve_heron_apollonius(
         return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
 
     means = _solve_defect(sign_at_sigma, Fraction(c), c / 2 + a, evaluate_sigma, target)
-    return _result(HERON_APOLLONIUS, prob, *means)
+    return MeanPropResult(HERON_APOLLONIUS, *means, prob)
 
 
 def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
@@ -407,7 +398,7 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
         t_f = -a / u  # the cut F on y = a
         return _sign(c - (t_o - t_f))  # sign of BG - OF
 
-    return _result(PHILO, prob, *_solve_slope(prob, sign_at))
+    return MeanPropResult(PHILO, *_solve_slope(prob, sign_at), prob)
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +487,8 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         )
         return x_iv, y_iv
 
-    return _result(DIOCLES, prob, *_solve_defect(sign_at, Fraction(0), r, evaluate, target))
+    means = _solve_defect(sign_at, Fraction(0), r, evaluate, target)
+    return MeanPropResult(DIOCLES, *means, prob)
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +677,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         x_iv = x_k - c
         y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
         if x_iv.width <= target and y_iv.width <= target:
-            return _result(NICOMEDES, prob, x_iv, y_iv)
+            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
         return None
 
     return solve_neusis(npb, Precision(base_digits + 4), select=read_means)

@@ -110,11 +110,6 @@ class Interval:
         v = _to_rational(value)
         return cls(v, v)
 
-    @classmethod
-    def hull(cls, *values: Fraction | int) -> "Interval":
-        vs = [_to_rational(v) for v in values]
-        return cls(min(vs), max(vs))
-
     # -- inspection --------------------------------------------------
 
     @property

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from practica.circle_measurement import (
+    ExhaustionStep,
     PiBounds,
+    RatioVerdict,
     _chain_from,
     _inscribed_area,
     archimedes_window,
@@ -148,6 +150,24 @@ def test_prop2_verdict_outside_for_tight_bounds():
     assert abs(verdict.signed_distance - Fraction(316, 10 ** 6)) < Fraction(2, 10 ** 6)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, contained, distance",
+    [
+        (Fraction(3, 4), Fraction(4, 5), True, 0),
+        (Fraction(1, 2), Fraction(3, 4), False, Fraction(11, 14) - Fraction(3, 4)),
+        (Fraction(4, 5), Fraction(9, 10), False, Fraction(11, 14) - Fraction(4, 5)),
+    ],
+    ids=["inside", "above", "below"],
+)
+def test_ratio_verdict_derives_from_the_quarter(lo, hi, contained, distance):
+    verdict = RatioVerdict(Interval(lo, hi))
+    assert verdict.target == Fraction(11, 14)
+    assert verdict.contained is contained
+    assert verdict.signed_distance == distance
+    # prop2_ratio_check reads the same verdict off pi bounds four times as large
+    assert prop2_ratio_check(PiBounds(4 * lo, 4 * hi, 6, P20)) == verdict
+
+
 def test_circle_area_with_archimedes_window():
     area = circle_area_bounds(7, archimedes_window(Precision(15)))
     assert area.hi == 154  # 22/7 * 49
@@ -165,6 +185,31 @@ def test_exhaustion_steps_certify_halving():
             assert s.inscribed_halved and s.circumscribed_halved
             assert s.inscribed_gap_after.hi < s.inscribed_gap_before.lo / 2
             assert s.circumscribed_gap_after.hi < s.circumscribed_gap_before.lo / 2
+
+
+def test_exhaustion_steps_share_each_polygons_gaps():
+    steps = exhaustion_report(6, Precision(25))
+    for s in steps:
+        assert s.sides_after == 2 * s.sides_before
+    for before, after in zip(steps, steps[1:]):
+        assert after.inscribed_gap_before is before.inscribed_gap_after
+        assert after.circumscribed_gap_before is before.circumscribed_gap_after
+
+
+def test_exhaustion_step_reports_a_gap_that_does_not_halve():
+    halves, stays = Interval(Fraction(1, 10), Fraction(1, 9)), Interval(Fraction(1), Fraction(2))
+    step = ExhaustionStep(
+        sides_before=4,
+        inscribed_gap_before=Interval(Fraction(1), Fraction(2)),
+        inscribed_gap_after=stays,
+        circumscribed_gap_before=Interval(Fraction(1), Fraction(2)),
+        circumscribed_gap_after=halves,
+    )
+    assert step.inscribed_halved is False
+    assert step.circumscribed_halved is True
+    # the bound is strict: an after-gap reaching half the before-gap's low end fails
+    edge = ExhaustionStep(4, stays, Interval(0, Fraction(1, 2)), stays, Interval(0, Fraction(1, 3)))
+    assert (edge.inscribed_halved, edge.circumscribed_halved) == (False, True)
 
 
 @pytest.mark.parametrize(

@@ -293,6 +293,28 @@ def test_negative_decimal_digits_is_usage_error(command):
     assert r.stdout == b""
 
 
+@pytest.mark.parametrize("command", ["pi-bounds", "heron", "curve"])
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_nonpositive_precision_is_usage_error(command, precision):
+    flags = {
+        "pi-bounds": ("--sides", "96"),
+        "heron": ("--sides", "3", "4", "5"),
+        "curve": ("--type", "cissoid"),
+    }[command]
+    r = run(command, *flags, f"--precision={precision}")
+    assert r.returncode == 2
+    assert f"argument --precision: must be at least 1, got {precision}" in r.stderr.decode()
+    assert r.stdout == b""
+
+
+@pytest.mark.parametrize("literal", ["inf", "Infinity", "-inf", "-Infinity", "nan", "snan"])
+def test_non_finite_literal_is_usage_error(literal):
+    r = run("meanprops", "--method", "heron", f"--ab={literal}", "--bc", "1")
+    assert r.returncode == 2
+    assert f"argument --ab: not a rational number: {literal!r}" in r.stderr.decode()
+    assert r.stdout == b""
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run("frobnicate").returncode == 2
 

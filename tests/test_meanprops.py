@@ -246,7 +246,6 @@ def test_neusis_vertical_solution_between_parallels():
         line2=(Point2(0, 0), Point2(1, 0)),
         pole=Point2(0, 2),
         intercept_len=Fraction(1),
-        allow_parallel=True,
     )
     sol = solve_neusis(npb, Precision(20))
     dx, dy = sol.direction
@@ -261,7 +260,6 @@ def test_neusis_no_solution_when_intercept_too_short():
         line2=(Point2(0, 0), Point2(1, 0)),
         pole=Point2(0, 2),
         intercept_len=Fraction(1, 2),
-        allow_parallel=True,
     )
     with pytest.raises(NeusisNoSolutionError):
         solve_neusis(npb, Precision(15))
@@ -272,13 +270,6 @@ def test_neusis_problem_validation():
     slanted = (Point2(0, 1), Point2(1, 2))
     with pytest.raises(ValueError):  # pole on a line
         NeusisProblem(line1=horizontal, line2=slanted, pole=Point2(5, 0), intercept_len=Fraction(1))
-    with pytest.raises(ValueError):  # parallel without the flag
-        NeusisProblem(
-            line1=horizontal,
-            line2=(Point2(0, 1), Point2(1, 1)),
-            pole=Point2(0, 2),
-            intercept_len=Fraction(1),
-        )
     with pytest.raises(ValueError):  # degenerate line
         NeusisProblem(
             line1=(Point2(0, 0), Point2(0, 0)),
