@@ -59,12 +59,26 @@ _METHODS = {
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from `p/q` or a decimal literal (1.5, 1e-21, ...)."""
+    """Exact rational from `p/q` or a decimal literal (1.5, 1e-21, ...).
+
+    A decimal literal is refused, before any integer is built, when its
+    numerator or denominator as written (digits times 10**exponent)
+    would have more digits than ``sys.get_int_max_str_digits()``, the
+    limit ``int()`` already puts on `p/q`; a limit of 0 means none."""
     s = text.strip()
     try:
         if "/" in s:
             return Fraction(s)
-        return Fraction(decimal.Decimal(s))
+        d = decimal.Decimal(s)
+        # Pythons before 3.10.7 have no limit and no getter.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and d.is_finite() and d:
+            digits, exponent = d.as_tuple()[1:]
+            if max(len(digits) + exponent, len(digits), 1 - exponent) > limit:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} has more than {limit} digits as an exact fraction"
+                )
+        return Fraction(d)
     except (ValueError, OverflowError, ZeroDivisionError, decimal.InvalidOperation):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 

@@ -5,9 +5,12 @@ one-dimensional root finding: a coarse scan locates a sign change of
 the defect function, bisection with no step budget narrows it, and the
 answers are returned as certified intervals, from which the residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2 follow.
-The defect signs are evaluated as exact rational comparisons (square
-roots are eliminated by squaring before comparing), so bisection never
-accumulates rounding error; enclosures enter only when a bracket is
+The defect signs are exact: each is the sign of an integer polynomial
+in the numerator and denominator of the scan parameter, whose
+coefficients are the route's constants with their denominators cleared
+once per solve (square roots are eliminated by squaring before
+comparing), so bisection never accumulates rounding error and the sign
+tests build no Fraction; enclosures enter only when a bracket is
 converted to coordinate intervals.  Because the signs are exact, each
 scanned bracket's chain of bisection steps is fixed in advance, and the
 one kernel (``_scan_and_bisect``) converts and checks only the brackets
@@ -255,22 +258,27 @@ def _scan_and_bisect(
     """
     for bracket in _sign_changes(sign_at, lo, hi, samples):
         steps = _bisection_chain(sign_at, *bracket)
+        # chain[i] is step start + i; the steps before the last None probe
+        # are dropped, since the search back never reads them.
         chain: list[tuple[Fraction, Fraction]] = []
+        start = 0
         none_at, probe = -1, 0  # last step known to give None; next step to probe
         while True:
-            chain.extend(islice(steps, probe + 1 - len(chain)))
-            probe = min(probe, len(chain) - 1)
+            chain.extend(islice(steps, probe + 1 - start - len(chain)))
+            probe = min(probe, start + len(chain) - 1)
             if probe == none_at:  # the chain ended and no step of it is accepted
                 if chain[-1][0] == chain[-1][1]:  # a point bracket
                     raise PrecisionError("enclosure too wide at an exact root")
                 break
-            verdict = accept(*chain[probe])
+            verdict = accept(*chain[probe - start])
             if verdict is None:
-                none_at, probe = probe, 2 * probe + 1
+                del chain[: probe - start]
+                start = none_at = probe
+                probe = 2 * probe + 1
                 continue
             while probe - none_at > 1:  # the first step not None lies in (none_at, probe]
                 mid = (none_at + probe) // 2
-                mid_verdict = accept(*chain[mid])
+                mid_verdict = accept(*chain[mid - start])
                 if mid_verdict is None:
                     none_at = mid
                 else:
@@ -303,8 +311,14 @@ def _solve_defect(
     return found
 
 
-def _sign(v: Fraction) -> int:
+def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
+
+
+def _cleared(*values: Fraction) -> tuple[int, ...]:
+    """Integers N1, ..., Nk, D with values[i] = Ni / D and D > 0."""
+    d = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (d // v.denominator) for v in values), d)
 
 
 def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
@@ -330,6 +344,53 @@ def _solve_slope(
     return _solve_defect(sign_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
 
 
+def _heron_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+    """Sign of EF**2 - EG**2 at slope u > 0, with E = (c/2, a/2) the
+    diagonal midpoint and F = (-a/u, a), G = (c, -u*c) the cuts.
+
+    Four times the defect is (c + 2a/u)**2 + a**2 - c**2 - (a + 2uc)**2.
+    With a = A/D, c = C/D and u = P/Q, that times (PQD)**2 is
+    Q**2 (CP + 2AQ)**2 + (A**2 - C**2) P**2 Q**2 - P**2 (AQ + 2CP)**2.
+    That factors as 4 (CP + AQ)(AQ**3 - CP**3), so for u > 0 the sign is
+    that of a - c*u**3; the figure's form is kept as the construction."""
+    A, C, _ = _cleared(a, c)
+    diff = A * A - C * C
+
+    def sign_at(u: Fraction) -> int:
+        P, Q = u.numerator, u.denominator
+        ef = Q * (C * P + 2 * A * Q)  # PQD times F's horizontal offset from E, doubled
+        eg = P * (A * Q + 2 * C * P)  # PQD times G's vertical offset from E, doubled
+        return _sign(ef * ef + diff * P * P * Q * Q - eg * eg)
+
+    return sign_at
+
+
+def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+    """Sign of sigma**2 + base - q**2 for sigma > c/2, with
+    base = (a**2 - c**2)/4.  The circle about E through F (AF = sigma - c/2)
+    crosses the vertical through C sqrt(sigma**2 + base) below E's height,
+    and the line from F through B crosses it q = a/2 + a*c/(sigma - c/2)
+    below E's height, so the sign vanishes when F, B, G line up.
+
+    With a = A/D, c = C/D, sigma = P/Q and W = 2PD - CQ (so that
+    2*sigma - c = W/(QD)), four times the defect times (QDW)**2 is
+    4 P**2 D**2 W**2 + (A**2 - C**2) Q**2 W**2 - A**2 Q**2 (W + 4CQ)**2.
+    In x = AF the defect is (x + c)(x**3 - a**2 c) / x**2, so its sign is
+    that of x**3 - a**2 c; the figure's form is kept as the construction."""
+    A, C, D = _cleared(a, c)
+    base4 = A * A - C * C  # 4 * base * D**2
+
+    def sign_at(sigma: Fraction) -> int:
+        P, Q = sigma.numerator, sigma.denominator
+        W = 2 * P * D - C * Q
+        qw = Q * W
+        q = A * Q * (W + 4 * C * Q)  # 2 * q * QDW
+        s = 2 * P * D * W  # 2 * sigma * QDW
+        return _sign(s * s + base4 * qw * qw - q * q)
+
+    return sign_at
+
+
 def solve_heron_apollonius(
     prob: MeanPropProblem, variant: str = "heron"
 ) -> MeanPropResult:
@@ -345,16 +406,9 @@ def solve_heron_apollonius(
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(HERON_APOLLONIUS, prob)
-    e = Point2(c / 2, a / 2)
 
     if variant == "heron":
-        def sign_at(u: Fraction) -> int:
-            # the cuts are F = (-a/u, a) and G = (c, -u*c)
-            ef_sq = (e.x + a / u) ** 2 + (e.y - a) ** 2
-            eg_sq = (e.x - c) ** 2 + (e.y + u * c) ** 2
-            return _sign(ef_sq - eg_sq)
-
-        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, sign_at), prob)
+        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_sign(a, c)), prob)
 
     if variant != "apollonius":
         raise ValueError(f"unknown variant {variant!r}")
@@ -363,12 +417,8 @@ def solve_heron_apollonius(
 
     # sigma is the (signed) distance from E's abscissa to the circle's
     # cut F on the horizontal through A; the matching vertical cut is
-    # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below C.
+    # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below E's height.
     base = (a * a - c * c) / 4
-
-    def sign_at_sigma(sigma: Fraction) -> int:
-        q = a / 2 + a * c / (sigma - c / 2)
-        return _sign(sigma * sigma + base - q * q)
 
     def evaluate_sigma(sl: Fraction, sh: Fraction) -> tuple[Interval, Interval]:
         x_iv = Interval(sl - c / 2, sh - c / 2)
@@ -376,8 +426,32 @@ def solve_heron_apollonius(
         root_hi = rat_sqrt_bounds(sh * sh + base, wp).hi
         return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
 
-    means = _solve_defect(sign_at_sigma, Fraction(c), c / 2 + a, evaluate_sigma, target)
+    means = _solve_defect(
+        _apollonius_sign(a, c), Fraction(c), c / 2 + a, evaluate_sigma, target
+    )
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
+
+
+def _philo_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+    """Sign of BG - OF at slope u > 0, read as abscissa differences along
+    the line through B: G sits at abscissa c, the second circle crossing
+    O at (c - u*a)/(1 + u**2) and the cut F at -a/u.
+
+    With a = A/D, c = C/D, u = P/Q and N = P**2 + Q**2, the defect
+    times D*P*N (positive for u > 0) is C*P*N - (C*Q - A*P)*P*Q - A*Q*N.
+    Expanded, that is C*P**3 - A*Q**3: the sign of c*u**3 - a, the cube
+    test Philo's equality reduces to; the figure's form is kept as the
+    construction."""
+    A, C, _ = _cleared(a, c)
+
+    def sign_at(u: Fraction) -> int:
+        P, Q = u.numerator, u.denominator
+        N = P * P + Q * Q
+        bg = C * P * N
+        of = (C * Q - A * P) * P * Q + A * Q * N  # O's abscissa minus F's
+        return _sign(bg - of)
+
+    return sign_at
 
 
 def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
@@ -392,13 +466,7 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(PHILO, prob)
-
-    def sign_at(u: Fraction) -> int:
-        t_o = (c - u * a) / (1 + u * u)  # second circle crossing
-        t_f = -a / u  # the cut F on y = a
-        return _sign(c - (t_o - t_f))  # sign of BG - OF
-
-    return MeanPropResult(PHILO, *_solve_slope(prob, sign_at), prob)
+    return MeanPropResult(PHILO, *_solve_slope(prob, _philo_sign(a, c)), prob)
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +528,24 @@ def cissoid_arc_defect(
     return dk.square() - kh * kl
 
 
+def _diocles_sign(r: Fraction, k: Fraction) -> Callable[[Fraction], int]:
+    """Sign of r**2 (r - m)**3 - k**2 (r + m)**3 at the chord foot m: the
+    cissoid's height against the secant's, squared exactly.
+
+    With r = R/D, k = K/D and m = P/Q, the defect times D**5 Q**3 is
+    R**2 (RQ - DP)**3 - K**2 (RQ + DP)**3.  Divided by (r + m)**3 it is
+    r**2 q**3 - k**2 with q = (r - m)/(r + m), a cube test in q."""
+    R, K, D = _cleared(r, k)
+    R2, K2 = R * R, K * K
+
+    def sign_at(m: Fraction) -> int:
+        P, Q = m.numerator, m.denominator
+        rq, dp = R * Q, D * P
+        return _sign(R2 * (rq - dp) ** 3 - K2 * (rq + dp) ** 3)
+
+    return sign_at
+
+
 def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
     """Intersect the cissoid with the line joining the diameter endpoint
     A = (-r, 0) to the point (0, bc) on the vertical radius (r = ab).
@@ -474,10 +560,6 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
     target = _width_target(prob)
     wp = Precision(_digits_for(target) + 8)
 
-    def sign_at(m: Fraction) -> int:
-        # cissoid height against the secant height, squared exactly
-        return _sign(r * r * (r - m) ** 3 - k * k * (r + m) ** 3)
-
     def evaluate(ml: Fraction, mh: Fraction) -> tuple[Interval, Interval]:
         q_lo = (r - mh) / (r + mh)
         q_hi = (r - ml) / (r + ml)
@@ -487,7 +569,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         )
         return x_iv, y_iv
 
-    means = _solve_defect(sign_at, Fraction(0), r, evaluate, target)
+    means = _solve_defect(_diocles_sign(r, k), Fraction(0), r, evaluate, target)
     return MeanPropResult(DIOCLES, *means, prob)
 
 
@@ -536,34 +618,45 @@ def conchoid_quartic_residual(point: PointBounds) -> Interval:
 
 def _cut_constants(
     z: Point2, lines: tuple[tuple[Point2, Point2], ...]
-) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+) -> tuple[tuple[int, int, int], ...]:
     """Per line (p0, p1): its direction v = (vx, vy) and the numerator
     (p0 - z) x v of the ray parameter lam = num / (d x v) at which the
-    ray z + lam * d meets it."""
+    ray z + lam * d meets it, scaled to integers.  Scaling one line's
+    triple by a positive number leaves its lam unchanged."""
     constants = []
     for p0, p1 in lines:
         vx, vy = p1.x - p0.x, p1.y - p0.y
-        constants.append((vx, vy, (p0.x - z.x) * vy - (p0.y - z.y) * vx))
+        vx_i, vy_i, num_i, _ = _cleared(vx, vy, (p0.x - z.x) * vy - (p0.y - z.y) * vx)
+        constants.append((vx_i, vy_i, num_i))
     return tuple(constants)
 
 
 def _intercept_sign(
-    t: Fraction, cuts: tuple[tuple[Fraction, Fraction, Fraction], ...], L: Fraction
-) -> int | None:
-    """Exact sign of |q1 - q2|**2 - L**2, where q1, q2 are the cuts of the
-    ray z + lam * (1 - t**2, 2t) with the two lines of ``cuts``; None
-    when the direction is parallel to either line.
+    cuts: tuple[tuple[int, int, int], ...], L: Fraction
+) -> Callable[[Fraction], int | None]:
+    """The exact sign of |q1 - q2|**2 - L**2 as a function of t, where
+    q1, q2 are the cuts of the ray z + lam * (1 - t**2, 2t) with the two
+    lines of ``cuts``; None when the direction is parallel to either line.
 
     Both cuts lie on the ray and (1 - t**2)**2 + (2t)**2 = (1 + t**2)**2,
-    so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built."""
-    dx, dy = 1 - t * t, 2 * t
-    lams = []
-    for vx, vy, num in cuts:
-        den = dx * vy - dy * vx
-        if den == 0:
+    so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built.
+    With t = P/Q, lam_i = n_i * Q**2 / d_i where
+    d_i = (Q**2 - P**2) * vy_i - 2PQ * vx_i, so the sign is that of
+    |n1*d2 - n2*d1| * (P**2 + Q**2) * Lq - Lp * |d1*d2| for L = Lp/Lq."""
+    (vx1, vy1, n1), (vx2, vy2, n2) = cuts
+    Lp, Lq = L.numerator, L.denominator
+
+    def sign_at(t: Fraction) -> int | None:
+        P, Q = t.numerator, t.denominator
+        dx, dy = Q * Q - P * P, 2 * P * Q  # Q**2 times the direction
+        d1 = dx * vy1 - dy * vx1
+        d2 = dx * vy2 - dy * vx2
+        dd = d1 * d2
+        if dd == 0:
             return None
-        lams.append(num / den)
-    return _sign(abs((lams[0] - lams[1]) * (1 + t * t)) - L)
+        return _sign(abs(n1 * d2 - n2 * d1) * (P * P + Q * Q) * Lq - Lp * abs(dd))
+
+    return sign_at
 
 
 def solve_neusis(
@@ -586,10 +679,13 @@ def solve_neusis(
     The sign is exact and builds no point: both cuts lie on the ray
     pole + lam * (1 - t**2, 2t), and (1 - t**2)**2 + (2t)**2 =
     (1 + t**2)**2, so |cut| = |lam1 - lam2| * (1 + t**2) with each lam
-    a ratio of cross products whose line terms are computed once per
-    solve.  Certification is interval arithmetic on exact endpoints,
-    so it is monotone along nested brackets and the kernel certifies
-    only O(log n) of a chain's n brackets (see ``_scan_and_bisect``).
+    a ratio of cross products whose line terms are cleared to integers
+    once per solve; the sign is then that of an integer polynomial in
+    t's numerator and denominator (see ``_intercept_sign``), and the
+    certificate reads the same integer constants.  Certification is
+    interval arithmetic on exact endpoints, so it is monotone along
+    nested brackets and the kernel certifies only O(log n) of a chain's
+    n brackets (see ``_scan_and_bisect``).
 
     ``select``, when given, sees the certified brackets the kernel
     probes and returns what the solve returns, None to keep narrowing,
@@ -602,9 +698,6 @@ def solve_neusis(
     target_sq = Interval(lo_target, (L + tol) ** 2)
     z = npb.pole
     cuts = _cut_constants(z, (npb.line1, npb.line2))
-
-    def g_sign(t: Fraction) -> int | None:
-        return _intercept_sign(t, cuts, L)
 
     def try_certify(tl: Fraction, th: Fraction) -> NeusisSolution | None:
         t_iv = Interval(tl, th)
@@ -630,7 +723,7 @@ def solve_neusis(
             return sol
         return select(sol)
 
-    found = _scan_and_bisect(g_sign, Fraction(-1), Fraction(1), accept)
+    found = _scan_and_bisect(_intercept_sign(cuts, L), Fraction(-1), Fraction(1), accept)
     if found is None:
         raise NeusisNoSolutionError(
             f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"

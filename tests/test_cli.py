@@ -344,3 +344,18 @@ def test_parse_rational_forms():
     assert parse_rational("0.125") == Fraction(1, 8)
     assert parse_rational("1e-21") == Fraction(1, 10 ** 21)
     assert parse_rational("-2.5e2") == -250
+    assert parse_rational("1e4000") == 10 ** 4000  # within the int digit limit
+
+
+@pytest.mark.parametrize("flag, literal", [("--ab", "1e999999999"), ("--tol", "1e-999999999")])
+def test_meanprops_refuses_literals_past_the_int_digit_limit(flag, literal):
+    # Exact, either literal is a billion-digit integer; the parse must
+    # refuse it before building one, so a short timeout catches a hang.
+    args = {"--ab": "2", "--bc": "1", flag: literal}
+    r = subprocess.run(
+        [sys.executable, "-m", "practica", "meanprops", *(x for kv in args.items() for x in kv)],
+        capture_output=True,
+        timeout=30,
+    )
+    assert r.returncode == 2
+    assert f"argument {flag}: '{literal}'" in r.stderr.decode()

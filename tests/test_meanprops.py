@@ -18,8 +18,12 @@ from practica.mean_proportionals import (
     NeusisNoSolutionError,
     NeusisProblem,
     _REJECT,
+    _apollonius_sign,
     _cut_constants,
+    _diocles_sign,
+    _heron_sign,
     _intercept_sign,
+    _philo_sign,
     _scan_and_bisect,
     _sign_changes,
     _width_target,
@@ -422,9 +426,71 @@ def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t,
         L = scale * root or scale
         g = cut_sq - L * L
         expected = (g > 0) - (g < 0)
-    assert _intercept_sign(t, _cut_constants(z, lines), L) == expected
+    assert _intercept_sign(_cut_constants(z, lines), L)(t) == expected
     if parallel:
         assert expected is None
+
+
+def _fraction_defects(a, c):
+    """Each route's defect as its figure states it, over Fraction, with
+    its scan range: the reference for the integer signs."""
+    base = (a * a - c * c) / 4
+
+    def heron(u):  # EF**2 - EG**2, E = (c/2, a/2), F = (-a/u, a), G = (c, -u*c)
+        return (c / 2 + a / u) ** 2 + (a / 2 - a) ** 2 - (c / 2 - c) ** 2 - (a / 2 + u * c) ** 2
+
+    def apollonius(sigma):
+        q = a / 2 + a * c / (sigma - c / 2)
+        return sigma * sigma + base - q * q
+
+    def philo(u):  # BG - OF along the line through B
+        t_o = (c - u * a) / (1 + u * u)
+        return c - (t_o - -a / u)
+
+    def diocles(m):
+        return a * a * (a - m) ** 3 - c * c * (a + m) ** 3
+
+    u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
+    return {
+        "heron": (_heron_sign, heron, Fraction(1, 2), u_hi),
+        "apollonius": (_apollonius_sign, apollonius, c, c / 2 + a),
+        "philo": (_philo_sign, philo, Fraction(1, 2), u_hi),
+        "diocles": (_diocles_sign, diocles, Fraction(0), a),
+    }
+
+
+def _exact_roots(c, w):
+    """Each route's root for a = c * w**3, where the means are c*w**2, c*w."""
+    return {
+        "heron": w,
+        "apollonius": c * w * w + c / 2,
+        "philo": w,
+        "diocles": c * w ** 3 * (w * w - 1) / (w * w + 1),
+    }
+
+
+_big_den = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 15)
+
+
+@given(
+    _big_den,
+    _big_den,
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 18),
+    st.one_of(st.none(), st.fractions(min_value=1, max_value=30, max_denominator=10 ** 6)),
+)
+@settings(max_examples=200, deadline=None)
+def test_route_signs_match_fraction_defects(x, y, s, w):
+    # w, when drawn, sets a = c * w**3 and puts the parameter on each
+    # route's exact root, so the sign must tie.
+    c = min(x, y)
+    a = max(x, y) if w is None else c * w ** 3
+    roots = None if w is None else _exact_roots(c, w)
+    for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
+        t = lo + (hi - lo) * s if roots is None else roots[route]
+        g = defect(t)
+        assert make_sign(a, c)(t) == (g > 0) - (g < 0), route
+        if roots is not None:
+            assert g == 0, route
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=9))
