@@ -4,7 +4,9 @@ other and against a high-precision cube-root oracle.
 For each (ab, bc) pair the table shows every method's midpoint for y,
 the worst pairwise disagreement, and the worst deviation of y/bc from
 (ab/bc)^(1/3).  All four constructions answer the same question through
-unrelated geometry, so agreement here is a strong end-to-end check.
+unrelated geometry, so agreement here is a strong end-to-end check.  A
+method that raises a numerical failure shows ``refused`` in its cell,
+and the two columns are then taken over the methods that returned.
 
 Usage: python scripts/method_agreement.py
 """
@@ -12,7 +14,13 @@ Usage: python scripts/method_agreement.py
 import time
 from fractions import Fraction
 
-from practica import METHODS, MeanPropProblem, int_nth_root_floor
+from practica import (
+    METHODS,
+    BracketNotFoundError,
+    MeanPropProblem,
+    PrecisionError,
+    int_nth_root_floor,
+)
 from practica.cli import format_decimal, format_magnitude_bound
 
 PAIRS = [
@@ -22,6 +30,7 @@ PAIRS = [
     (Fraction(100), Fraction(7)),
     (Fraction(355), Fraction(113)),
     (Fraction(9999), Fraction(2)),
+    (Fraction(101), Fraction(100)),  # nicomedes refuses ratios up to about 1.017
 ]
 
 
@@ -39,14 +48,19 @@ def main() -> None:
     t0 = time.perf_counter()
     for ab, bc in PAIRS:
         prob = MeanPropProblem(ab=ab, bc=bc)
-        mids = []
+        cells, mids = [], []
         for name in names:
-            res = METHODS[name](prob)
-            mids.append(res.y.mid)
+            try:
+                mid = METHODS[name](prob).y.mid
+            except (BracketNotFoundError, PrecisionError):
+                cells.append("refused")
+                continue
+            cells.append(format_decimal(mid, 18))
+            mids.append(mid)
         spread = max(mids) - min(mids)
         oracle = bc * cbrt_oracle(ab / bc)
         dev = max(abs(m - oracle) for m in mids)
-        row = "  ".join(f"{format_decimal(m, 18):<24}" for m in mids)
+        row = "  ".join(f"{cell:<24}" for cell in cells)
         print(f"{str(ab) + '/' + str(bc):<10} {row}"
               f"{format_magnitude_bound(spread):<14} {format_magnitude_bound(dev)}")
     print(f"\n{len(PAIRS)} problems x {len(names)} methods "

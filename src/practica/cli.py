@@ -225,6 +225,8 @@ def _meanprop_row(name: str, res: MeanPropResult, digits: int) -> str:
 
 def cmd_meanprops(args: argparse.Namespace) -> int:
     digits = args.decimal_digits
+    if args.variant is not None and args.method != "heron":
+        raise ValueError("--variant applies only to --method heron")
     prob = MeanPropProblem(ab=args.ab, bc=args.bc, tol=args.tol)
     if args.method == "all":
         # one failing method must not hide the others' rows
@@ -384,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("meanprops", help="two mean proportionals between two lines")
     sp.add_argument("--method", choices=(*_METHODS, "all"), default="all")
-    sp.add_argument("--variant", choices=("heron", "apollonius"), default="heron",
-                    help="equal-cuts criterion used by the heron method")
+    sp.add_argument("--variant", choices=("heron", "apollonius"),
+                    help="equal-cuts criterion used by the heron method (default heron)")
     sp.add_argument("--ab", type=parse_rational, required=True, metavar="A")
     sp.add_argument("--bc", type=parse_rational, required=True, metavar="C")
     sp.add_argument("--tol", type=parse_rational, default=DEFAULT_TOL, metavar="T")

@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
-from .geometry import Point2, PointBounds, orient
+from .geometry import Point2, PointBounds
 from .numerics import (
     DEFAULT_PRECISION,
     Interval,
@@ -49,10 +49,6 @@ NICOMEDES = "nicomedes"
 
 class BracketNotFoundError(RuntimeError):
     """The defect function showed no sign change over the scanned range."""
-
-
-class NeusisNoSolutionError(BracketNotFoundError):
-    """No direction with the requested intercept length was found."""
 
 
 @dataclass(frozen=True)
@@ -102,42 +98,6 @@ class MeanPropResult:
     def residual2(self) -> Interval:
         """Encloses x * bc - y**2."""
         return self.x * self.problem.bc - self.y.square()
-
-
-@dataclass(frozen=True)
-class NeusisProblem:
-    """Place a line through ``pole`` so the segment cut between the two
-    given lines has the prescribed length."""
-
-    line1: tuple[Point2, Point2]
-    line2: tuple[Point2, Point2]
-    pole: Point2
-    intercept_len: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intercept_len", Fraction(self.intercept_len))
-        if self.intercept_len <= 0:
-            raise ValueError("intercept length must be positive")
-        for name, (p, q) in (("line1", self.line1), ("line2", self.line2)):
-            if p == q:
-                raise ValueError(f"{name} needs two distinct points")
-            if orient(p, q, self.pole) == 0:
-                raise ValueError(f"pole lies on {name}")
-
-
-@dataclass(frozen=True)
-class NeusisSolution:
-    """A certified direction bracket and the resulting intercept."""
-
-    t_bracket: Interval  # parameter of the direction (1 - t**2, 2t)
-    q1: PointBounds  # intersection with line1
-    q2: PointBounds  # intersection with line2
-    intercept: Interval
-
-    @property
-    def direction(self) -> tuple[Interval, Interval]:
-        t = self.t_bracket
-        return (Interval.point(1) - t.square(), 2 * t)
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +192,9 @@ def _scan_and_bisect(
     eventually returns something other than None: heron and philo read
     x and y through exact maps; apollonius and diocles go through
     ``rat_sqrt_bounds``, whose error falls as endpoint denominators grow
-    like 2**k; the neusis certificate, interval evaluation, converges at
-    a root since the cut denominators are nonzero there; and nicomedes'
-    ``read_means`` cannot straddle C at a root (K = C means x = 0).
+    like 2**k; and nicomedes' ``accept``, interval evaluation, converges
+    at a root since the cut denominators are nonzero there, and cannot
+    leave K straddling C at a root (K = C means x = 0).
 
     Contract: along nested brackets, "the verdict is not None" is
     monotone; once a bracket's verdict is not None, so is every bracket
@@ -659,80 +619,8 @@ def _intercept_sign(
     return sign_at
 
 
-def solve_neusis(
-    npb: NeusisProblem,
-    p: Precision = DEFAULT_PRECISION,
-    select: Callable[[NeusisSolution], object] | None = None,
-) -> Any:
-    """Find a line through the pole cutting a segment of the given length
-    between the two lines.
-
-    Directions are parametrized as (1 - t**2, 2t) for t in [-1, 1],
-    which covers every line direction with rational arithmetic.  A
-    coarse scan locates sign changes of |cut|**2 - L**2, bisection with
-    no step budget narrows each candidate, and a candidate is accepted
-    only when interval evaluation over the current bracket certifies
-    the intercept within tolerance 10**-digits * max(1, L).  The cut
-    grows without bound toward a direction parallel to either line, so
-    no sign change closes on one.
-
-    The sign is exact and builds no point: both cuts lie on the ray
-    pole + lam * (1 - t**2, 2t), and (1 - t**2)**2 + (2t)**2 =
-    (1 + t**2)**2, so |cut| = |lam1 - lam2| * (1 + t**2) with each lam
-    a ratio of cross products whose line terms are cleared to integers
-    once per solve; the sign is then that of an integer polynomial in
-    t's numerator and denominator (see ``_intercept_sign``), and the
-    certificate reads the same integer constants.  Certification is
-    interval arithmetic on exact endpoints, so it is monotone along
-    nested brackets and the kernel certifies only O(log n) of a chain's
-    n brackets (see ``_scan_and_bisect``).
-
-    ``select``, when given, sees the certified brackets the kernel
-    probes and returns what the solve returns, None to keep narrowing,
-    or ``_REJECT`` to move on to the next candidate.  Its "not None"
-    must be monotone along nested brackets too.
-    """
-    L = npb.intercept_len
-    tol = pow10(-p.decimal_digits) * max(Fraction(1), L)
-    lo_target = (L - tol) ** 2 if L > tol else Fraction(0)
-    target_sq = Interval(lo_target, (L + tol) ** 2)
-    z = npb.pole
-    cuts = _cut_constants(z, (npb.line1, npb.line2))
-
-    def try_certify(tl: Fraction, th: Fraction) -> NeusisSolution | None:
-        t_iv = Interval(tl, th)
-        dx = Interval.point(1) - t_iv.square()
-        dy = 2 * t_iv
-        points = []
-        for vx, vy, num in cuts:
-            den = dx * vy - dy * vx
-            if den.contains(0):
-                return None
-            lam = num / den
-            points.append(PointBounds(z.x + lam * dx, z.y + lam * dy))
-        q1, q2 = points
-        cut_sq = (q1.x - q2.x).square() + (q1.y - q2.y).square()
-        if not target_sq.contains_interval(cut_sq):
-            return None
-        intercept = interval_sqrt(cut_sq, p)
-        return NeusisSolution(t_bracket=t_iv, q1=q1, q2=q2, intercept=intercept)
-
-    def accept(tl: Fraction, th: Fraction) -> object:
-        sol = try_certify(tl, th)
-        if sol is None or select is None:
-            return sol
-        return select(sol)
-
-    found = _scan_and_bisect(_intercept_sign(cuts, L), Fraction(-1), Fraction(1), accept)
-    if found is None:
-        raise NeusisNoSolutionError(
-            f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"
-        )
-    return found
-
-
 def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
-    """The conchoid-compass route, reduced to its neusis kernel.
+    """The conchoid-compass route, reduced to its neusis.
 
     With the given lines at right angles (B at the corner, A above, C
     beside), the classical auxiliary points are D and E (midpoints of
@@ -742,6 +630,24 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     through C parallel to GZ and the base line so that the cut segment
     equals half of AB; where it meets the base line (K) and where KL
     meets the vertical axis (M) read off the means x = CK, y = MA.
+
+    Directions of the sliding line are parametrized as (1 - t**2, 2t)
+    for t in [-1, 1], which covers every line direction with rational
+    arithmetic.  A coarse scan locates sign changes of |cut|**2 - L**2
+    (L = AB/2), exact and building no point (see ``_intercept_sign``),
+    and bisection with no step budget narrows each candidate.  The cut
+    grows without bound toward a direction parallel to either line, so
+    no sign change closes on one.  A bracket is certified when interval
+    evaluation over it puts the cut within 10**-(d + 4) * max(1, L) of
+    L (d the decimal digits of the width target) and puts K beyond C; a
+    K certainly short of C abandons the bracket.  Certification is
+    interval arithmetic on exact endpoints, so it is monotone along
+    nested brackets and the kernel certifies only O(log n) of a chain's
+    n brackets (see ``_scan_and_bisect``).
+
+    Ratios ab/bc up to about 1.017 raise BracketNotFoundError: the root
+    beyond C lies in the scan cell that ends at t = 0, where the line is
+    parallel to the base line and the sign is undefined.
     """
     a, c = prob.ab, prob.bc
     if a == c:
@@ -751,18 +657,31 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
 
     c_pt = Point2(c, Fraction(0))
     z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * base_digits + 12)).mid
-    pole = Point2(c / 2, -z_len)
+    z = Point2(c / 2, -z_len)
     # G = (-c, 0) always: the line through the far corner and the midpoint
-    # of AB meets the base line there.  The neusis line1 runs through C
-    # parallel to G -> pole.
+    # of AB meets the base line there.  The neusis cuts the line through C
+    # parallel to G -> Z, then the base line.
     theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
     base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
-    npb = NeusisProblem(
-        line1=theta_line, line2=base_line, pole=pole, intercept_len=a / 2
-    )
+    cuts = _cut_constants(z, (theta_line, base_line))
+    L = a / 2
+    tol = pow10(-(base_digits + 4)) * max(Fraction(1), L)
+    target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
 
-    def read_means(sol: NeusisSolution) -> object:
-        x_k = sol.q2.x
+    def accept(tl: Fraction, th: Fraction) -> object:
+        t_iv = Interval(tl, th)
+        dx = Interval.point(1) - t_iv.square()
+        dy = 2 * t_iv
+        cut_points = []
+        for vx, vy, num in cuts:
+            den = dx * vy - dy * vx
+            if den.contains(0):
+                return None
+            lam = num / den
+            cut_points.append((z.x + lam * dx, z.y + lam * dy))
+        (x1, y1), (x_k, y_k) = cut_points  # x_k: K's abscissa on the base line
+        if not target_sq.contains_interval((x1 - x_k).square() + (y1 - y_k).square()):
+            return None
         if x_k.hi <= c:
             return _REJECT  # certainly the branch short of C
         if x_k.lo <= c:
@@ -773,7 +692,12 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
             return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
         return None
 
-    return solve_neusis(npb, Precision(base_digits + 4), select=read_means)
+    found = _scan_and_bisect(_intercept_sign(cuts, L), Fraction(-1), Fraction(1), accept)
+    if found is None:
+        raise BracketNotFoundError(
+            f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"
+        )
+    return found
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {

@@ -163,6 +163,12 @@ def test_meanprops_single_method_and_variant():
              "--ab", "2", "--bc", "1")
     assert r2.returncode == 0
     assert "y ~        1.2599210498" in r2.stdout.decode()
+    # only heron has variants; a --variant elsewhere must not be ignored
+    for method in ("philo", "all"):
+        r3 = run("meanprops", "--method", method, "--variant", "apollonius",
+                 "--ab", "2", "--bc", "1")
+        assert r3.returncode == 2
+        assert "--variant" in r3.stderr.decode()
 
 
 def test_meanprops_decimal_input():
