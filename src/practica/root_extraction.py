@@ -10,12 +10,34 @@ and carry the remainder into the next point.  Fractional digits come
 from appending n zeros per requested digit before grouping.
 
 Cost per digit.  With V_k = C(n,k) * 10**(n-k) (and V_n = 1) and r the
-root so far, each step forms r, r**2, ..., r**(n-1) by one chain of n-2
-full-size multiplications and the terms T_k = V_k * r**(n-k).  The
-divisor is T_1 (simplified) or T_1 + ... + T_(n-1) (full), and the
-subtrahend of a candidate digit d is (10r + d)**n - (10r)**n =
-T_1*d + T_2*d**2 + ... + T_n*d**n, evaluated by Horner's rule in d.
-Everything but the power chain multiplies a big number by a small one.
+root so far, each step needs the powers r, r**2, ..., r**(n-1) and the
+terms T_k = V_k * r**(n-k).  The divisor is T_1 (simplified) or
+T_1 + ... + T_(n-1) (full), and the subtrahend of a candidate digit d is
+(10r + d)**n - (10r)**n = T_1*d + T_2*d**2 + ... + T_n*d**n, evaluated
+by Horner's rule in d.  The powers come one of two ways:
+
+* While the root is short, and always for n = 2, one chain of n-2
+  full-size multiplications rebuilds them at every step (`_terms`).
+* For n >= 3, once r has more than _SHIFT_BITS + n**2 = 512 + n**2
+  bits, they are carried from one step to the next and updated by the
+  binomial theorem, (10r + d)**j = sum of C(j,i) * 10**i * d**(j-i) *
+  r**i over i <= j (`_shifted`): about n**2/2 products, each a power of
+  r times a small number.
+
+Everything else multiplies a big number by a small one.  The switch
+reads only n and the size of r.  Its constant comes from the per-step
+crossover, measured as the best of 15 runs over 20 random digits on a
+shared 2-core x86-64 host under CPython 3.11: the update overtakes the
+chain near 950 bits at n = 3 (chain 1.72 us, update 2.04 us at 896
+bits; 2.34 against 1.91 us at 1024), 600 at n = 5 (2.94 against 3.64 us
+at 512; 5.14 against 4.38 at 640), 500 at n = 9 (13.6 against 12.9 us
+at 512), 770 at n = 17 (71.6 against 71.2 us at 768), about 1500 at
+n = 33, 4000-6000 at n = 65 and 16000-32000 at n = 129.  The update's
+small factors grow with n, so the crossover does too, roughly as n**2.
+512 + n**2 bits switches early at n = 3, where the two differ by under
+a microsecond a step, and at n = 129.  The cube root of 2 to 3000
+fractional digits takes 42 ms with the switch and 111 ms without (best
+of 7 on the same host).
 
 Each `TraceStep` stores only what it cannot derive: the remainder
 carried into the point (the same object as the previous step's
@@ -29,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .numerics import _check_int, int_to_decimal
 
@@ -53,6 +76,30 @@ class SpecialNumbers:
             math.comb(degree, k) * 10 ** (degree - k) for k in range(1, degree)
         )
         return cls(degree, values)
+
+
+#: Roots of degree 3 or more update their powers by the binomial theorem
+#: once the root has more than ``_SHIFT_BITS + degree**2`` bits; the
+#: measured crossover is under "Cost per digit" above.
+_SHIFT_BITS = 512
+
+
+@lru_cache(maxsize=64)
+def _shift_rows(degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows C(j,i) * 10**i * d**(j-i), i = 0 .. j, for j = 1 .. degree-1.
+
+    Indexed by the digit d first: (10r + d)**j is row j of digit d dotted
+    with 1, r, ..., r**j.  Built only for degrees whose roots grow past
+    the switch, and kept apart from `SpecialNumbers`, whose rows the
+    ``special-numbers`` command prints.
+    """
+    return tuple(
+        tuple(
+            tuple(math.comb(j, i) * 10 ** i * d ** (j - i) for i in range(j + 1))
+            for j in range(1, degree)
+        )
+        for d in range(10)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +192,11 @@ def _terms(root: int, sp: SpecialNumbers) -> list[int]:
 
     The powers root, root**2, ..., root**(n-1) come from one chain of
     n-2 full-size multiplications; each term is a power times a small
-    special number.
+    special number.  `extract_root` calls this while the root has at
+    most ``_SHIFT_BITS + n**2`` bits, and always for n = 2, where the
+    chain has no full product.  Past that switch it carries the powers
+    from step to step, updates them with `_shifted` (big-by-small
+    products only) and forms the same terms from them.
     """
     terms = [1]
     power = 1
@@ -153,6 +204,23 @@ def _terms(root: int, sp: SpecialNumbers) -> list[int]:
         power *= root
         terms.append(v * power)
     return terms
+
+
+def _powers(root: int, n: int) -> list[int]:
+    """1, root, root**2, ..., root**(n-1), by the same chain."""
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * root)
+    return powers
+
+
+def _shifted(powers: list[int], rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The powers of 10r + d from those of r, given digit d's `_shift_rows`.
+
+    (10r + d)**j = sum of C(j,i) * 10**i * d**(j-i) * r**i over i = 0 .. j,
+    so every product multiplies a power of r by a small number.
+    """
+    return [1, *(sum(map(mul, row, powers)) for row in rows)]
 
 
 def _divisor(terms: list[int], mode: str) -> int:
@@ -193,13 +261,17 @@ def extract_root(
     if divisor_mode not in (FULL, SIMPLIFIED):
         raise ValueError(f"unknown divisor mode {divisor_mode!r}")
 
-    sp = SpecialNumbers.for_degree(n)
     groups = group_points(N, n) + [0] * frac_digits
     base = 10 ** n
+    # Built at the first step that divides: a radicand of one point never
+    # reads it, and a high degree's row is large.
+    sp: SpecialNumbers | None = None
+    shift_bits = _SHIFT_BITS + n * n
 
     steps: list[TraceStep] = []
     root = 0
     remainder = 0
+    powers: list[int] | None = None
     for group in groups:
         point = remainder * base + group
         if root == 0:
@@ -213,7 +285,12 @@ def extract_root(
             trial = digit
             subtrahend = digit ** n
         else:
-            terms = _terms(root, sp)
+            if sp is None:
+                sp = SpecialNumbers.for_degree(n)
+            if powers is None:
+                terms = _terms(root, sp)
+            else:
+                terms = [1, *map(mul, reversed(sp.values), powers[1:])]
             divisor = _divisor(terms, divisor_mode)
             trial = digit = min(9, point // divisor)
             while (subtrahend := _subtrahend(terms, digit)) > point:
@@ -221,6 +298,8 @@ def extract_root(
         after = point - subtrahend
         steps.append(TraceStep(remainder, group, n, divisor, trial, digit, after))
         remainder = after
+        if n > 2 and root.bit_length() > shift_bits:
+            powers = _shifted(powers or _powers(root, n), _shift_rows(n)[digit])
         root = 10 * root + digit
 
     return RootExtraction(

@@ -215,6 +215,19 @@ def test_nth_root_exit_codes():
     assert run("nth-root", "--degree", "2", "--radicand", "-4").returncode == 2
 
 
+def test_nth_root_of_one_point_builds_no_special_numbers():
+    # One point never divides, so the degree-50000 row of special numbers
+    # (over a billion digits in all) must not be built; a short timeout
+    # catches it.
+    r = subprocess.run(
+        [sys.executable, "-m", "practica", "nth-root", "--degree", "50000", "--radicand", "2"],
+        capture_output=True,
+        timeout=30,
+    )
+    assert r.returncode == 0
+    assert r.stdout.decode().splitlines() == ["root       1", "remainder  1"]
+
+
 def test_curve_conchoid_csv_row_count():
     r = run("curve", "--type", "conchoid", "--samples", "100", "--format", "csv")
     assert r.returncode == 0

@@ -3,6 +3,8 @@ divisor bookkeeping, and the digit loop against a pow-based reference."""
 
 import decimal
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from practica.numerics import int_nth_root_floor
 from practica.root_extraction import (
+    _SHIFT_BITS,
     FULL,
     SIMPLIFIED,
     SpecialNumbers,
@@ -257,6 +260,34 @@ def test_digit_loop_matches_pow_reference(case, frac, mode):
 @pytest.mark.parametrize("mode", [FULL, SIMPLIFIED])
 def test_long_cube_root_matches_pow_reference(mode):
     assert_matches_reference(2, 3, 400, mode)
+
+
+@pytest.fixture
+def no_str_digit_limit():
+    # reference_render spells every step's numbers with str(); past the
+    # power switch they outgrow the default 4300 digits at high degrees.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("mode", [FULL, SIMPLIFIED])
+@pytest.mark.parametrize("n", range(3, 18))
+def test_roots_past_the_power_switch_match_pow_reference(n, mode, no_str_digit_limit):
+    # R is the first prefix of the root with more than _SHIFT_BITS + n**2
+    # bits, so the first binomial power update takes the digit after it,
+    # 0 or 9 by turns; len(R) fractional digits follow, so most steps run
+    # on updated powers.
+    tail = 9 * ((n + (mode == SIMPLIFIED)) % 2)
+    rng = random.Random(100 * n + tail)
+    switch = _SHIFT_BITS + n * n
+    R = rng.randrange(2 ** switch, 10 * 2 ** switch)
+    assert (R // 10).bit_length() <= switch < R.bit_length()
+    S = 10 * R + tail
+    N = S ** n + rng.randrange((S + 1) ** n - S ** n)
+    assert_matches_reference(N, n, len(str(R)), mode)
+    assert extract_root(N, n).digits[-1] == tail
 
 
 def test_trace_steps_have_slots():
