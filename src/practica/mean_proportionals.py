@@ -200,7 +200,11 @@ def _scan_and_bisect(
     monotone; once a bracket's verdict is not None, so is every bracket
     inside it.  Interval arithmetic on exact Fraction endpoints is
     inclusion-isotonic, so a certification that succeeds on a bracket
-    succeeds on any sub-bracket.  (Apollonius and diocles read their
+    succeeds on any sub-bracket.  ``_REJECT`` persists the same way:
+    nicomedes rejects a bracket whose enclosure of K's abscissa lies at
+    or below C, and a sub-bracket's enclosure lies inside its parent's;
+    a bracket holding the root beyond C encloses that root's K, so it is
+    never rejected.  (Apollonius and diocles read their
     means through ``rat_sqrt_bounds``, whose endpoints are monotone
     only up to their last-digit rounding; a width within that rounding
     of the target at a skipped step is the one way they could settle
@@ -637,13 +641,15 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     (L = AB/2), exact and building no point (see ``_intercept_sign``),
     and bisection with no step budget narrows each candidate.  The cut
     grows without bound toward a direction parallel to either line, so
-    no sign change closes on one.  A bracket is certified when interval
-    evaluation over it puts the cut within 10**-(d + 4) * max(1, L) of
-    L (d the decimal digits of the width target) and puts K beyond C; a
-    K certainly short of C abandons the bracket.  Certification is
-    interval arithmetic on exact endpoints, so it is monotone along
-    nested brackets and the kernel certifies only O(log n) of a chain's
-    n brackets (see ``_scan_and_bisect``).
+    no sign change closes on one.  Interval evaluation over a bracket
+    checks, in this order: both cut denominators exclude 0; K, read
+    alone, is not certainly short of C (if it is, the bracket is
+    abandoned at once, long before its cut could be certified); the cut
+    lies within 10**-(d + 4) * max(1, L) of L (d the decimal digits of
+    the width target); and K lies beyond C.  Only then are the means
+    read.  Each check is interval arithmetic on exact endpoints, so the
+    verdicts are monotone along nested brackets and the kernel evaluates
+    only O(log n) of a chain's n brackets (see ``_scan_and_bisect``).
 
     Ratios ab/bc up to about 1.017 raise BracketNotFoundError: the root
     beyond C lies in the scan cell that ends at t = 0, where the line is
@@ -668,22 +674,25 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     tol = pow10(-(base_digits + 4)) * max(Fraction(1), L)
     target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
 
+    (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts  # the line through C, then the base line
+
     def accept(tl: Fraction, th: Fraction) -> object:
         t_iv = Interval(tl, th)
-        dx = Interval.point(1) - t_iv.square()
+        dx = 1 - t_iv.square()
         dy = 2 * t_iv
-        cut_points = []
-        for vx, vy, num in cuts:
-            den = dx * vy - dy * vx
-            if den.contains(0):
-                return None
-            lam = num / den
-            cut_points.append((z.x + lam * dx, z.y + lam * dy))
-        (x1, y1), (x_k, y_k) = cut_points  # x_k: K's abscissa on the base line
-        if not target_sq.contains_interval((x1 - x_k).square() + (y1 - y_k).square()):
+        den1 = dx * vy1 - dy * vx1
+        den_k = dx * vy_k - dy * vx_k
+        if den1.contains(0) or den_k.contains(0):
             return None
+        lam_k = n_k / den_k
+        x_k = z.x + lam_k * dx  # K's abscissa on the base line
         if x_k.hi <= c:
             return _REJECT  # certainly the branch short of C
+        lam1 = n1 / den1
+        cut_x = z.x + lam1 * dx - x_k
+        cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
+        if not target_sq.contains_interval(cut_x.square() + cut_y.square()):
+            return None
         if x_k.lo <= c:
             return None  # may still lie beyond C: narrow until it is decided
         x_iv = x_k - c

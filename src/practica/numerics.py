@@ -52,12 +52,15 @@ def _check_int(value: object, what: str) -> None:
         raise TypeError(f"{what} must be an integer")
 
 
-def _to_rational(value: Fraction | int) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value: object) -> Fraction | int:
+    """An exact rational operand as given (an int stays an int)."""
+    if isinstance(value, (Fraction, int)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _to_rational(value: Fraction | int) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(_scalar(value))
 
 
 def pow10(exponent: int) -> Fraction:
@@ -90,6 +93,15 @@ class Interval:
     explicitly compressing endpoints to a decimal grid with
     ``round_outward`` (which can only enlarge the enclosure, never
     shrink it).
+
+    Products and quotients read the operands' signs (off their
+    numerators) to form only the endpoints they need: two, in an order
+    the signs fix, for a scalar operand, for two factors of one sign and
+    for a dividend and divisor of one sign; otherwise the min and max of
+    all four.  Operators build their results with ``_of``, which skips
+    validation because their endpoints are Fractions already in order;
+    the public ``Interval(lo, hi)`` and ``point`` still convert ints and
+    reject anything else or reversed endpoints.
     """
 
     lo: Fraction
@@ -110,6 +122,15 @@ class Interval:
         v = _to_rational(value)
         return cls(v, v)
 
+    @classmethod
+    def _of(cls, lo: Fraction, hi: Fraction) -> "Interval":
+        """[lo, hi] from two Fractions with lo <= hi, unchecked."""
+        iv = object.__new__(cls)
+        fields = iv.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
+        return iv
+
     # -- inspection --------------------------------------------------
 
     @property
@@ -121,7 +142,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def contains(self, value: Fraction | int) -> bool:
-        v = _to_rational(value)
+        v = _scalar(value)
         return self.lo <= v <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
@@ -132,60 +153,91 @@ class Interval:
 
     # -- arithmetic --------------------------------------------------
 
-    @staticmethod
-    def _coerce(other: "Interval | Fraction | int") -> "Interval":
-        if isinstance(other, Interval):
-            return other
-        return Interval.point(other)
-
     def __add__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = self._coerce(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        if isinstance(other, Interval):
+            return Interval._of(self.lo + other.lo, self.hi + other.hi)
+        v = _scalar(other)
+        return Interval._of(self.lo + v, self.hi + v)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval._of(-self.hi, -self.lo)
 
     def __sub__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = self._coerce(other)
-        return Interval(self.lo - o.hi, self.hi - o.lo)
+        if isinstance(other, Interval):
+            return Interval._of(self.lo - other.hi, self.hi - other.lo)
+        v = _scalar(other)
+        return Interval._of(self.lo - v, self.hi - v)
 
-    def __rsub__(self, other: "Interval | Fraction | int") -> "Interval":
-        return self._coerce(other).__sub__(self)
+    def __rsub__(self, other: "Fraction | int") -> "Interval":
+        v = _scalar(other)
+        return Interval._of(v - self.hi, v - self.lo)
 
     def __mul__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = self._coerce(other)
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(products), max(products))
+        a, b = self.lo, self.hi
+        if not isinstance(other, Interval):
+            v = _scalar(other)
+            if v.numerator >= 0:
+                return Interval._of(a * v, b * v)
+            return Interval._of(b * v, a * v)
+        c, d = other.lo, other.hi
+        if a.numerator >= 0 and c.numerator >= 0:
+            return Interval._of(a * c, b * d)
+        if b.numerator <= 0 and d.numerator <= 0:
+            return Interval._of(b * d, a * c)
+        products = (a * c, a * d, b * c, b * d)
+        return Interval._of(min(products), max(products))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Interval | Fraction | int") -> "Interval":
-        o = self._coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError(f"interval division by {o} which contains zero")
-        quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(min(quotients), max(quotients))
+        a, b = self.lo, self.hi
+        if not isinstance(other, Interval):
+            v = _scalar(other)
+            if v.numerator > 0:
+                return Interval._of(a / v, b / v)
+            if v.numerator < 0:
+                return Interval._of(b / v, a / v)
+            raise ZeroDivisionError(f"interval division by {Interval.point(v)} which contains zero")
+        c, d = other.lo, other.hi
+        if c.numerator <= 0 <= d.numerator:
+            raise ZeroDivisionError(f"interval division by {other} which contains zero")
+        if a.numerator >= 0:
+            return Interval._of(a / d, b / c) if c.numerator > 0 else Interval._of(b / d, a / c)
+        if b.numerator <= 0:
+            return Interval._of(a / c, b / d) if c.numerator > 0 else Interval._of(b / c, a / d)
+        quotients = (a / c, a / d, b / c, b / d)
+        return Interval._of(min(quotients), max(quotients))
 
-    def __rtruediv__(self, other: "Interval | Fraction | int") -> "Interval":
-        return self._coerce(other).__truediv__(self)
+    def __rtruediv__(self, other: "Fraction | int") -> "Interval":
+        v = _scalar(other)
+        a, b = self.lo, self.hi
+        if a.numerator <= 0 <= b.numerator:
+            raise ZeroDivisionError(f"interval division by {self} which contains zero")
+        # On either side of 0, v / x falls in x when v > 0 and rises when
+        # v < 0, so the divisor's sign does not change the order.
+        if v.numerator >= 0:
+            return Interval._of(v / b, v / a)
+        return Interval._of(v / a, v / b)
 
     def square(self) -> "Interval":
         """Tight image of x**2 over the interval (tighter than self*self
         when the interval straddles zero)."""
-        a, b = self.lo * self.lo, self.hi * self.hi
-        if self.lo <= 0 <= self.hi:
-            return Interval(_ZERO, max(a, b))
-        return Interval(min(a, b), max(a, b))
+        a, b = self.lo, self.hi
+        if a.numerator >= 0:
+            return Interval._of(a * a, b * b)
+        if b.numerator <= 0:
+            return Interval._of(b * b, a * a)
+        return Interval._of(_ZERO, max(a * a, b * b))
 
     def magnitude(self) -> "Interval":
         """Tight image of |x| over the interval."""
-        if self.lo >= 0:
+        if self.lo.numerator >= 0:
             return self
-        if self.hi <= 0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(_ZERO, max(-self.lo, self.hi))
+        if self.hi.numerator <= 0:
+            return Interval._of(-self.hi, -self.lo)
+        return Interval._of(_ZERO, max(-self.lo, self.hi))
 
     def round_outward(self, digits: int) -> "Interval":
         """Push endpoints outward onto the 10**-digits grid.
@@ -194,7 +246,7 @@ class Interval:
         chain of operations at the cost of at most 2*10**-digits of
         extra width.
         """
-        return Interval(floor_to_grid(self.lo, digits), ceil_to_grid(self.hi, digits))
+        return Interval._of(floor_to_grid(self.lo, digits), ceil_to_grid(self.hi, digits))
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -213,20 +265,20 @@ def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Inte
     if x < 0:
         raise ValueError(f"square root of negative value {x}")
     if x == 0:
-        return Interval(_ZERO, _ZERO)
+        return Interval._of(_ZERO, _ZERO)
     scale = 10 ** (p.decimal_digits + 2)
     num = x.numerator * scale * scale
     den = x.denominator * scale * scale
     lo = Fraction(math.isqrt(num), _isqrt_ceil(den))
     hi = Fraction(_isqrt_ceil(num), math.isqrt(den))
-    return Interval(lo, hi)
+    return Interval._of(lo, hi)
 
 
 def interval_sqrt(iv: Interval, p: Precision = DEFAULT_PRECISION) -> Interval:
     """Enclosure of sqrt over a nonnegative interval."""
     if iv.lo < 0:
         raise ValueError(f"square root of interval {iv} with negative values")
-    return Interval(rat_sqrt_bounds(iv.lo, p).lo, rat_sqrt_bounds(iv.hi, p).hi)
+    return Interval._of(rat_sqrt_bounds(iv.lo, p).lo, rat_sqrt_bounds(iv.hi, p).hi)
 
 
 def int_nth_root_floor(N: int, n: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from practica import mean_proportionals
 from practica.geometry import Point2
 from practica.mean_proportionals import (
     DIOCLES,
@@ -479,3 +480,34 @@ def test_nicomedes_matches_heron_on_random_ratios(num, den):
     her = METHODS[HERON_APOLLONIUS](prob)
     assert abs(nic.y.mid - her.y.mid) <= 2 * prob.tol * prob.ab
 
+
+
+@pytest.mark.parametrize("ab", [Fraction(2), Fraction(10), Fraction(1000), Fraction(103, 100)])
+def test_nicomedes_abandons_the_short_branch_early(monkeypatch, ab):
+    """K's abscissa alone rejects the bracket of the root short of C, on a
+    scan-sized bracket, not one narrowed until its cut certifies (about
+    1e-20 wide at tol 1e-12); the result is the one checking every step
+    of every chain gives."""
+    kernel = mean_proportionals._scan_and_bisect
+    verdicts = []
+
+    def recording(sign_at, lo, hi, accept, *args):
+        def traced(bl, bh):
+            verdict = accept(bl, bh)
+            verdicts.append((verdict, bh - bl))
+            return verdict
+
+        return kernel(sign_at, lo, hi, traced, *args)
+
+    prob = MeanPropProblem(ab=ab, bc=Fraction(1), tol=Fraction(1, 10 ** 12))
+    monkeypatch.setattr(mean_proportionals, "_scan_and_bisect", recording)
+    res = METHODS[NICOMEDES](prob)
+    check_result(res, prob.ab, prob.bc, prob.tol)
+    rejected = [width for verdict, width in verdicts if verdict is _REJECT]
+    assert rejected
+    assert min(rejected) >= Fraction(1, 10 ** 4)
+
+    monkeypatch.setattr(
+        mean_proportionals, "_scan_and_bisect", lambda *args: _stepwise(*args)[1]
+    )
+    assert METHODS[NICOMEDES](prob) == res

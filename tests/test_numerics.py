@@ -1,3 +1,5 @@
+import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,10 +89,113 @@ def test_round_outward_encloses_and_limits_growth(a, b, digits):
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError):
+        Interval(2, 1)
     assert Interval.point(5).width == 0
     values = (Fraction(3), Fraction(-1), Fraction(2))
     hull = Interval(min(values), max(values))
     assert (hull.lo, hull.hi) == (-1, 3)
+    unit = Interval(0, 1)
+    for inexact in (
+        lambda: Interval(0.5, 1),
+        lambda: Interval.point(0.5),
+        lambda: unit * 0.5,
+        lambda: 0.5 * unit,
+        lambda: unit + 0.5,
+        lambda: 0.5 - unit,
+        lambda: unit / 0.5,
+        lambda: 1.0 / Interval(1, 2),
+        lambda: unit.contains(0.5),
+    ):
+        with pytest.raises(TypeError):
+            inexact()
+    for divide, divisor in (
+        (lambda: unit / 0, "[0, 0]"),
+        (lambda: unit / Interval(-1, 1), "[-1, 1]"),
+        (lambda: 1 / unit, "[0, 1]"),
+    ):
+        message = f"interval division by {divisor} which contains zero"
+        with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+            divide()
+
+
+# -- exact endpoints: every operator against the four-endpoint formulas
+
+endpoints = st.one_of(st.just(Fraction(0)), rationals)
+scalars = st.one_of(st.integers(min_value=-1000, max_value=1000), rationals)
+
+
+@st.composite
+def intervals(draw):
+    a = draw(endpoints)
+    if draw(st.booleans()):
+        return Interval.point(a)
+    return make_interval(a, draw(endpoints))
+
+
+def _hull(*values: Fraction) -> tuple[Fraction, Fraction]:
+    return min(values), max(values)
+
+
+def _reference(op: str, x: tuple, y: tuple) -> tuple[Fraction, Fraction] | None:
+    """x op y from all four endpoint combinations (None: division by an
+    interval that holds 0)."""
+    (a, b), (c, d) = x, y
+    if op == "add":
+        return a + c, b + d
+    if op == "sub":
+        return a - d, b - c
+    if op == "mul":
+        return _hull(a * c, a * d, b * c, b * d)
+    if c <= 0 <= d:
+        return None
+    return _hull(a / c, a / d, b / c, b / d)
+
+
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _ends(operand: Interval | Fraction | int) -> tuple[Fraction, Fraction]:
+    if isinstance(operand, Interval):
+        return operand.lo, operand.hi
+    return Fraction(operand), Fraction(operand)
+
+
+def assert_endpoints(got: Interval, expected: tuple[Fraction, Fraction]) -> None:
+    assert (got.lo, got.hi) == expected
+    assert type(got.lo) is Fraction and type(got.hi) is Fraction
+
+
+@given(intervals(), intervals(), scalars)
+def test_interval_ops_match_four_endpoint_reference(x, y, v):
+    """Sign-selected endpoints equal the min and max over all four, for
+    each operator, with interval or scalar operands of either sign on
+    either side."""
+    for op, apply in BINARY.items():
+        for a in (x, Interval(-x.hi, -x.lo)):
+            pairs = [(a, s) for s in (v, -v)] + [(a, b) for b in (y, Interval(-y.hi, -y.lo))]
+            for left, right in pairs + [(r, l) for l, r in pairs]:
+                expected = _reference(op, _ends(left), _ends(right))
+                if expected is None:
+                    with pytest.raises(ZeroDivisionError):
+                        apply(left, right)
+                else:
+                    assert_endpoints(apply(left, right), expected)
+
+
+@given(intervals())
+def test_interval_unary_ops_match_reference(x):
+    a, b = x.lo, x.hi
+    square = (Fraction(0), max(a * a, b * b)) if a <= 0 <= b else _hull(a * a, b * b)
+    if a >= 0:
+        magnitude = (a, b)
+    elif b <= 0:
+        magnitude = (-b, -a)
+    else:
+        magnitude = (Fraction(0), max(-a, b))
+    assert_endpoints(x.square(), square)
+    assert_endpoints(x.magnitude(), magnitude)
+    assert_endpoints(-x, (-b, -a))
 
 
 def test_grid_rounding():
