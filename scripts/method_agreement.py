@@ -30,7 +30,7 @@ PAIRS = [
     (Fraction(100), Fraction(7)),
     (Fraction(355), Fraction(113)),
     (Fraction(9999), Fraction(2)),
-    (Fraction(101), Fraction(100)),  # nicomedes refuses ratios up to about 1.017
+    (Fraction(101), Fraction(100)),  # nicomedes: the root lies next to t = 0
 ]
 
 

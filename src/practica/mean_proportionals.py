@@ -1,22 +1,23 @@
 """Two mean proportionals between given lines, by four classical routes.
 
 Each construction is realized as exact rational geometry plus bracketed
-one-dimensional root finding: a coarse scan locates a sign change of
-the defect function, bisection with no step budget narrows it, and the
+one-dimensional root finding: each route's parameter range holds exactly
+one root of its defect function (the factorizations in the docstrings
+show it), bisection with no step budget narrows that range, and the
 answers are returned as certified intervals, from which the residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2 follow.
 The defect signs are exact: each is the sign of an integer polynomial
-in the numerator and denominator of the scan parameter, whose
+in the numerator and denominator of the route's parameter, whose
 coefficients are the route's constants with their denominators cleared
 once per solve (square roots are eliminated by squaring before
 comparing), so bisection never accumulates rounding error and the sign
 tests build no Fraction; enclosures enter only when a bracket is
-converted to coordinate intervals.  Because the signs are exact, each
-scanned bracket's chain of bisection steps is fixed in advance, and the
-one kernel (``_scan_and_bisect``) converts and checks only the brackets
-at steps 0, 1, 3, 7, ..., then binary-searches back to the first step
-that passes: the checks are monotone along nested brackets, so this
-finds the step that checking every one would.
+converted to coordinate intervals.  Because the signs are exact, the
+chain of bisection steps is fixed in advance, and the one kernel
+(``_bisect``) converts and checks only the brackets at steps 0, 1, 3,
+7, ..., then binary-searches back to the first step that passes: the
+checks are monotone along nested brackets, so this finds the step that
+checking every one would.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ NICOMEDES = "nicomedes"
 
 
 class BracketNotFoundError(RuntimeError):
-    """The defect function showed no sign change over the scanned range."""
+    """The defect function's signs at the ends of its range are not opposite."""
 
 
 @dataclass(frozen=True)
@@ -120,46 +121,18 @@ def _width_target(prob: MeanPropProblem) -> Fraction:
     return prob.tol * min(prob.bc, max(Fraction(1), prob.ab) / 8)
 
 
-#: Verdict of an ``accept`` callback: abandon this bracket, try the next.
-_REJECT = object()
-
-#: Evenly spaced cells a scan splits its parameter range into.
-_SCAN_SAMPLES = 64
-
-
-def _sign_changes(
-    sign_at: Callable[[Fraction], int | None], lo: Fraction, hi: Fraction, samples: int
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """Scan ``samples + 1`` evenly spaced points from lo to hi and yield,
-    left to right, each zero as (t, t) and each sign change as (t0, t1).
-
-    A None sign (defect undefined there) never brackets."""
-    prev_t, prev_s = lo, None
-    for j in range(samples + 1):
-        t = lo + (hi - lo) * Fraction(j, samples)
-        s = sign_at(t)
-        if s == 0:
-            yield t, t
-        elif s is not None and prev_s is not None and s * prev_s < 0:
-            yield prev_t, t
-        prev_t, prev_s = t, s
-
-
 def _bisection_chain(
-    sign_at: Callable[[Fraction], int | None], bl: Fraction, bh: Fraction
+    sign_at: Callable[[Fraction], int], bl: Fraction, bh: Fraction, s_lo: int
 ) -> Iterator[tuple[Fraction, Fraction]]:
     """Yield the nested brackets that bisection on exact signs makes from
-    (bl, bh), starting with (bl, bh) itself, one per step, up to a point
-    bracket or a bracket whose midpoint sign is undefined."""
-    s_lo = sign_at(bl)
+    (bl, bh), whose left end has sign ``s_lo``, starting with (bl, bh)
+    itself, one per step, up to a point bracket."""
     while True:
         yield bl, bh
         if bl == bh:
             return
         mid = (bl + bh) / 2
         s_mid = sign_at(mid)
-        if s_mid is None:
-            return  # the bracket straddles a direction where the defect is undefined
         if s_mid == 0:
             bl = bh = mid
         elif s_mid * s_lo < 0:
@@ -168,43 +141,36 @@ def _bisection_chain(
             bl, s_lo = mid, s_mid
 
 
-def _scan_and_bisect(
-    sign_at: Callable[[Fraction], int | None],
+def _bisect(
+    sign_at: Callable[[Fraction], int],
     lo: Fraction,
     hi: Fraction,
     accept: Callable[[Fraction, Fraction], object],
-    samples: int = _SCAN_SAMPLES,
 ) -> object:
-    """Bisect each scanned bracket on exact signs until ``accept`` takes it.
+    """Bisect [lo, hi] on exact signs until ``accept`` takes a bracket.
 
-    ``accept(lo, hi)`` returns the result, None to keep narrowing, or
-    ``_REJECT`` to abandon the bracket for the next one.  The kernel
-    returns the verdict of the first step of each bracket's bisection
-    chain (see ``_bisection_chain``) whose verdict is not None, moving
-    on when that verdict is ``_REJECT``.  When every step of a chain
-    gives None, its last bracket decides: a point bracket raises
-    PrecisionError, one cut short by an undefined midpoint sign moves
-    on.  Returns None when the scan yields no bracket or every bracket
-    is abandoned.
+    The signs at lo and hi must be nonzero and opposite, or
+    BracketNotFoundError is raised; every route passes a range on which
+    its defect has exactly one root (see each route's factorization).
+    ``accept(lo, hi)`` returns the result, or None to keep narrowing.
+    The kernel returns the verdict of the first step of the bisection
+    chain (see ``_bisection_chain``) whose verdict is not None; when the
+    chain ends at a point bracket (an exact root) that ``accept`` still
+    refuses, it raises PrecisionError.
 
     There is no step budget.  The loop ends because, along any chain
-    that narrows onto a root where the defect is defined, ``accept``
-    eventually returns something other than None: heron and philo read
-    x and y through exact maps; apollonius and diocles go through
-    ``rat_sqrt_bounds``, whose error falls as endpoint denominators grow
-    like 2**k; and nicomedes' ``accept``, interval evaluation, converges
-    at a root since the cut denominators are nonzero there, and cannot
-    leave K straddling C at a root (K = C means x = 0).
+    that narrows onto a root, ``accept`` eventually returns something
+    other than None: heron and philo read x and y through exact maps;
+    apollonius and diocles go through ``rat_sqrt_bounds``, whose error
+    falls as endpoint denominators grow like 2**k; and nicomedes'
+    ``accept``, interval evaluation, converges at its root since the cut
+    denominators are nonzero for t > 0 and K lies beyond C there.
 
     Contract: along nested brackets, "the verdict is not None" is
     monotone; once a bracket's verdict is not None, so is every bracket
     inside it.  Interval arithmetic on exact Fraction endpoints is
     inclusion-isotonic, so a certification that succeeds on a bracket
-    succeeds on any sub-bracket.  ``_REJECT`` persists the same way:
-    nicomedes rejects a bracket whose enclosure of K's abscissa lies at
-    or below C, and a sub-bracket's enclosure lies inside its parent's;
-    a bracket holding the root beyond C encloses that root's K, so it is
-    never rejected.  (Apollonius and diocles read their
+    succeeds on any sub-bracket.  (Apollonius and diocles read their
     means through ``rat_sqrt_bounds``, whose endpoints are monotone
     only up to their last-digit rounding; a width within that rounding
     of the target at a skipped step is the one way they could settle
@@ -220,37 +186,36 @@ def _scan_and_bisect(
     very bracket; only its being the first such step rests on the
     contract.
     """
-    for bracket in _sign_changes(sign_at, lo, hi, samples):
-        steps = _bisection_chain(sign_at, *bracket)
-        # chain[i] is step start + i; the steps before the last None probe
-        # are dropped, since the search back never reads them.
-        chain: list[tuple[Fraction, Fraction]] = []
-        start = 0
-        none_at, probe = -1, 0  # last step known to give None; next step to probe
-        while True:
-            chain.extend(islice(steps, probe + 1 - start - len(chain)))
-            probe = min(probe, start + len(chain) - 1)
-            if probe == none_at:  # the chain ended and no step of it is accepted
-                if chain[-1][0] == chain[-1][1]:  # a point bracket
-                    raise PrecisionError("enclosure too wide at an exact root")
-                break
-            verdict = accept(*chain[probe - start])
-            if verdict is None:
-                del chain[: probe - start]
-                start = none_at = probe
-                probe = 2 * probe + 1
-                continue
-            while probe - none_at > 1:  # the first step not None lies in (none_at, probe]
-                mid = (none_at + probe) // 2
-                mid_verdict = accept(*chain[mid - start])
-                if mid_verdict is None:
-                    none_at = mid
-                else:
-                    probe, verdict = mid, mid_verdict
-            if verdict is _REJECT:
-                break
-            return verdict
-    return None
+    s_lo, s_hi = sign_at(lo), sign_at(hi)
+    if s_lo * s_hi >= 0:
+        raise BracketNotFoundError(
+            f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
+        )
+    steps = _bisection_chain(sign_at, lo, hi, s_lo)
+    # chain[i] is step start + i; the steps before the last None probe
+    # are dropped, since the search back never reads them.
+    chain: list[tuple[Fraction, Fraction]] = []
+    start = 0
+    none_at, probe = -1, 0  # last step known to give None; next step to probe
+    while True:
+        chain.extend(islice(steps, probe + 1 - start - len(chain)))
+        probe = min(probe, start + len(chain) - 1)
+        if probe == none_at:  # the chain ended at a point bracket, never accepted
+            raise PrecisionError("enclosure too wide at an exact root")
+        verdict = accept(*chain[probe - start])
+        if verdict is None:
+            del chain[: probe - start]
+            start = none_at = probe
+            probe = 2 * probe + 1
+            continue
+        while probe - none_at > 1:  # the first step not None lies in (none_at, probe]
+            mid = (none_at + probe) // 2
+            mid_verdict = accept(*chain[mid - start])
+            if mid_verdict is None:
+                none_at = mid
+            else:
+                probe, verdict = mid, mid_verdict
+        return verdict
 
 
 def _solve_defect(
@@ -260,8 +225,8 @@ def _solve_defect(
     evaluate: Callable[[Fraction, Fraction], tuple[Interval, Interval]],
     target: Fraction,
 ) -> tuple[Interval, Interval]:
-    """Narrow the defect's first bracket until the (x, y) intervals that
-    ``evaluate`` reads off it are both no wider than the target."""
+    """Narrow [lo, hi] until the (x, y) intervals that ``evaluate`` reads
+    off the bracket are both no wider than the target."""
 
     def accept(bl: Fraction, bh: Fraction) -> tuple[Interval, Interval] | None:
         x_iv, y_iv = evaluate(bl, bh)
@@ -269,10 +234,7 @@ def _solve_defect(
             return x_iv, y_iv
         return None
 
-    found = _scan_and_bisect(sign_at, lo, hi, accept)
-    if found is None:
-        raise BracketNotFoundError("defect function has no sign change in range")
-    return found
+    return _bisect(sign_at, lo, hi, accept)
 
 
 def _sign(v: int) -> int:
@@ -597,10 +559,11 @@ def _cut_constants(
 
 def _intercept_sign(
     cuts: tuple[tuple[int, int, int], ...], L: Fraction
-) -> Callable[[Fraction], int | None]:
+) -> Callable[[Fraction], int]:
     """The exact sign of |q1 - q2|**2 - L**2 as a function of t, where
     q1, q2 are the cuts of the ray z + lam * (1 - t**2, 2t) with the two
-    lines of ``cuts``; None when the direction is parallel to either line.
+    lines of ``cuts``; +1 when the direction is parallel to either line,
+    since the cut is then unbounded.
 
     Both cuts lie on the ray and (1 - t**2)**2 + (2t)**2 = (1 + t**2)**2,
     so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built.
@@ -610,14 +573,14 @@ def _intercept_sign(
     (vx1, vy1, n1), (vx2, vy2, n2) = cuts
     Lp, Lq = L.numerator, L.denominator
 
-    def sign_at(t: Fraction) -> int | None:
+    def sign_at(t: Fraction) -> int:
         P, Q = t.numerator, t.denominator
         dx, dy = Q * Q - P * P, 2 * P * Q  # Q**2 times the direction
         d1 = dx * vy1 - dy * vx1
         d2 = dx * vy2 - dy * vx2
         dd = d1 * d2
         if dd == 0:
-            return None
+            return 1
         return _sign(abs(n1 * d2 - n2 * d1) * (P * P + Q * Q) * Lq - Lp * abs(dd))
 
     return sign_at
@@ -636,24 +599,24 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     meets the vertical axis (M) read off the means x = CK, y = MA.
 
     Directions of the sliding line are parametrized as (1 - t**2, 2t)
-    for t in [-1, 1], which covers every line direction with rational
-    arithmetic.  A coarse scan locates sign changes of |cut|**2 - L**2
-    (L = AB/2), exact and building no point (see ``_intercept_sign``),
-    and bisection with no step budget narrows each candidate.  The cut
-    grows without bound toward a direction parallel to either line, so
-    no sign change closes on one.  Interval evaluation over a bracket
-    checks, in this order: both cut denominators exclude 0; K, read
-    alone, is not certainly short of C (if it is, the bracket is
-    abandoned at once, long before its cut could be certified); the cut
-    lies within 10**-(d + 4) * max(1, L) of L (d the decimal digits of
-    the width target); and K lies beyond C.  Only then are the means
-    read.  Each check is interval arithmetic on exact endpoints, so the
-    verdicts are monotone along nested brackets and the kernel evaluates
-    only O(log n) of a chain's n brackets (see ``_scan_and_bisect``).
-
-    Ratios ab/bc up to about 1.017 raise BracketNotFoundError: the root
-    beyond C lies in the scan cell that ends at t = 0, where the line is
-    parallel to the base line and the sign is undefined.
+    with t in [0, 1], from the base line's direction (t = 0) to the
+    vertical (t = 1), and bisection with no step budget narrows that
+    range on the exact sign of |cut|**2 - L**2 (L = AB/2), which builds
+    no point (see ``_intercept_sign``).  Over it K runs from infinity
+    down to (c/2, 0), and with x = CK the cut is x/(2c + x) * |ZK|, with
+    |ZK|**2 = x**2 + cx + a**2/4; so (2c + x)**2 times the defect is
+    (x + c)(x**3 - a**2 c), and the range holds one root, the one beyond
+    C.  Both cut denominators are nonzero for t > 0; at t = 0 the line
+    is parallel to the base line and the cut is unbounded (sign +1), and
+    at t = 1 it is a third of Z's depth below the base line, less than
+    a/2 (sign -1).  Interval evaluation over
+    a bracket checks, in this order: both cut denominators exclude 0;
+    the cut lies within 10**-(d + 4) * max(1, L) of L (d the decimal
+    digits of the width target); and K lies beyond C.  Only then are
+    the means read.  Each check is interval arithmetic on exact
+    endpoints, so the verdicts are monotone along nested brackets and
+    the kernel evaluates only O(log n) of a chain's n brackets (see
+    ``_bisect``).
     """
     a, c = prob.ab, prob.bc
     if a == c:
@@ -686,8 +649,6 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
             return None
         lam_k = n_k / den_k
         x_k = z.x + lam_k * dx  # K's abscissa on the base line
-        if x_k.hi <= c:
-            return _REJECT  # certainly the branch short of C
         lam1 = n1 / den1
         cut_x = z.x + lam1 * dx - x_k
         cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
@@ -701,12 +662,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
             return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
         return None
 
-    found = _scan_and_bisect(_intercept_sign(cuts, L), Fraction(-1), Fraction(1), accept)
-    if found is None:
-        raise BracketNotFoundError(
-            f"no direction with intercept {L} certified over {_SCAN_SAMPLES} scanned samples"
-        )
-    return found
+    return _bisect(_intercept_sign(cuts, L), Fraction(0), Fraction(1), accept)
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {

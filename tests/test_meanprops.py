@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +19,13 @@ from practica.mean_proportionals import (
     PHILO,
     BracketNotFoundError,
     MeanPropProblem,
-    _REJECT,
     _apollonius_sign,
+    _bisect,
     _cut_constants,
     _diocles_sign,
     _heron_sign,
     _intercept_sign,
     _philo_sign,
-    _scan_and_bisect,
-    _sign_changes,
     _width_target,
     cissoid_arc_defect,
     cissoid_points,
@@ -144,20 +144,16 @@ def test_tight_tolerances_enclose_the_means(route, ab, bc, k):
 
 @pytest.mark.parametrize("k", range(2, 21), ids=lambda k: f"1+1e-{k}")
 def test_ratios_near_one(k):
-    # Nicomedes refuses every ratio up to about 1.017: the root beyond C
-    # lies in the scan cell that ends at t = 0, where the direction is
-    # parallel to the base line and the sign is undefined.  ROADMAP item 2
-    # (the ruler's-foot defect) turns that case into an enclosure check.
+    # Near 1 nicomedes' root sits next to t = 0, where the sliding line is
+    # parallel to the base line; the sign there is +1, so it still brackets.
     ab, bc = 1 + Fraction(1, 10 ** k), Fraction(1)
     prob = MeanPropProblem(ab=ab, bc=bc)
     target = _width_target(prob)
-    for route in ("heron", "apollonius", "philo", "diocles"):
-        res = _ROUTES[route](prob)
+    for route, solve in _ROUTES.items():
+        res = solve(prob)
         assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3, route
         assert res.y.lo ** 3 <= ab * bc * bc <= res.y.hi ** 3, route
         assert res.x.width <= target and res.y.width <= target, route
-    with pytest.raises(BracketNotFoundError, match="no direction with intercept"):
-        _ROUTES["nicomedes"](prob)
 
 
 def test_ordering_of_means():
@@ -261,37 +257,29 @@ def test_conchoid_validation():
         conchoid_points(Fraction(1), Fraction(0), 5, (Fraction(0), Fraction(21)))
 
 
-def _stepwise(sign_at, lo, hi, accept, samples=64):
-    """Reference for ``_scan_and_bisect``: call ``accept`` on every step
-    of every bracket's bisection chain.  Returns (step, verdict)."""
-    for bl, bh in _sign_changes(sign_at, lo, hi, samples):
-        s_lo = sign_at(bl)
-        for step in itertools.count():
-            verdict = accept(bl, bh)
-            if verdict is _REJECT:
-                break
-            if verdict is not None:
-                return step, verdict
-            if bl == bh:
-                raise PrecisionError("enclosure too wide at an exact root")
-            mid = (bl + bh) / 2
-            s_mid = sign_at(mid)
-            if s_mid is None:
-                break
-            if s_mid == 0:
-                bl = bh = mid
-            elif s_mid * s_lo < 0:
-                bh = mid
-            else:
-                bl, s_lo = mid, s_mid
-    return None
-
-
-def _outcome(call):
-    try:
-        return call()
-    except PrecisionError as exc:
-        return type(exc), str(exc)
+def _stepwise(sign_at, lo, hi, accept):
+    """Reference for ``_bisect``: call ``accept`` on every step of the
+    bisection chain.  Returns (step, verdict)."""
+    s_lo, s_hi = sign_at(lo), sign_at(hi)
+    if s_lo * s_hi >= 0:
+        raise BracketNotFoundError(
+            f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
+        )
+    bl, bh = lo, hi
+    for step in itertools.count():
+        verdict = accept(bl, bh)
+        if verdict is not None:
+            return step, verdict
+        if bl == bh:
+            raise PrecisionError("enclosure too wide at an exact root")
+        mid = (bl + bh) / 2
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            bl = bh = mid
+        elif s_mid * s_lo < 0:
+            bh = mid
+        else:
+            bl, s_lo = mid, s_mid
 
 
 @given(
@@ -300,9 +288,8 @@ def _outcome(call):
     st.integers(min_value=1, max_value=9),
 )
 @settings(max_examples=60, deadline=None)
-def test_scan_and_bisect_accepts_the_first_step_with_few_probes(c, j, m):
-    # Roots at -sqrt(c) and sqrt(c): the negative bracket is rejected
-    # once narrow enough, the positive one accepted.
+def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
+    # One root, sqrt(c), in [0, 2]; accepted once the bracket is narrow enough.
     width = Fraction(m, 2 ** j)
     calls = []
 
@@ -311,54 +298,46 @@ def test_scan_and_bisect_accepts_the_first_step_with_few_probes(c, j, m):
 
     def accept(bl, bh):
         calls.append(bl)
-        if bh - bl > width:
-            return None
-        return _REJECT if bh <= 0 else (bl, bh)
+        return (bl, bh) if bh - bl <= width else None
 
-    found = _scan_and_bisect(sign_at, Fraction(-2), Fraction(2), accept)
-    probes = sum(1 for bl in calls if bl >= 0)  # on the accepted chain
-    step, expected = _stepwise(sign_at, Fraction(-2), Fraction(2), accept)
+    found = _bisect(sign_at, Fraction(0), Fraction(2), accept)
+    probes = len(calls)
+    step, expected = _stepwise(sign_at, Fraction(0), Fraction(2), accept)
     assert found == expected
     assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
 
 
-def _undefined_at_half(t):
-    # Brackets (0, 1) and (2, 3) over the samples 0..4; the first one's
-    # midpoint has no sign.
-    if t == Fraction(1, 2):
-        return None
-    f = (t - Fraction(1, 3)) * (t - Fraction(7, 3))
-    return (f > 0) - (f < 0)
-
-
 @pytest.mark.parametrize(
-    "sign_at, lo, hi, samples, expected",
+    "sign_at, expected, message",
     [
         # an exact zero reached by bisection and never accepted
-        (lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)), 0, 1, 3,
-         (PrecisionError, "enclosure too wide at an exact root")),
-        # an undefined midpoint abandons the first bracket for the second
-        (_undefined_at_half, 0, 4, 4, None),
+        (
+            lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)),
+            PrecisionError,
+            "enclosure too wide at an exact root",
+        ),
+        # the same sign at both ends: no bracket
+        (
+            lambda t: (t > 2) - (t < 2),
+            BracketNotFoundError,
+            "defect signs -1 at 0 and -1 at 1 are not opposite",
+        ),
+        # a zero at an end is not a sign change either
+        (
+            lambda t: (t > 0) - (t < 0),
+            BracketNotFoundError,
+            "defect signs 0 at 0 and 1 at 1 are not opposite",
+        ),
     ],
-    ids=["exact-root", "undefined-midpoint"],
+    ids=["exact-root", "same-end-signs", "zero-at-an-end"],
 )
-def test_scan_and_bisect_chain_ends_as_stepwise(sign_at, lo, hi, samples, expected):
+def test_bisect_chain_ends_as_stepwise(sign_at, expected, message):
     def never(bl, bh):
         return None
 
-    def narrow_second(bl, bh):
-        return (bl, bh) if bl >= 2 and bh - bl <= Fraction(1, 2 ** 10) else None
-
-    accept = narrow_second if expected is None else never
-    args = (sign_at, Fraction(lo), Fraction(hi), accept, samples)
-    found = _outcome(lambda: _scan_and_bisect(*args))
-    reference = _outcome(lambda: _stepwise(*args))
-    if expected is None:
-        _, verdict = reference
-        assert found == verdict
-        assert verdict[0] < Fraction(7, 3) < verdict[1]
-    else:
-        assert found == reference == expected
+    for kernel in (_bisect, _stepwise):
+        with pytest.raises(expected, match=f"^{re.escape(message)}$"):
+            kernel(sign_at, Fraction(0), Fraction(1), never)
 
 
 _coord = st.fractions(min_value=-10, max_value=10, max_denominator=60)
@@ -390,8 +369,8 @@ def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t,
             break
         lam = ((p0.x - z.x) * vy - (p0.y - z.y) * vx) / den
         cuts.append(Point2(z.x + lam * dx, z.y + lam * dy))
-    if len(cuts) < 2:
-        L, expected = scale, None
+    if len(cuts) < 2:  # parallel to a line: the cut is unbounded
+        L, expected = scale, 1
     else:
         q1, q2 = cuts
         cut_sq = (q1.x - q2.x) ** 2 + (q1.y - q2.y) ** 2
@@ -404,7 +383,7 @@ def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t,
         expected = (g > 0) - (g < 0)
     assert _intercept_sign(_cut_constants(z, lines), L)(t) == expected
     if parallel:
-        assert expected is None
+        assert expected == 1
 
 
 def _fraction_defects(a, c):
@@ -462,9 +441,12 @@ def test_route_signs_match_fraction_defects(x, y, s, w):
     a = max(x, y) if w is None else c * w ** 3
     roots = None if w is None else _exact_roots(c, w)
     for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
+        sign_at = make_sign(a, c)
+        if a > c:  # the precondition of ``_bisect``; a == c never reaches it
+            assert sign_at(lo) * sign_at(hi) == -1, route
         t = lo + (hi - lo) * s if roots is None else roots[route]
         g = defect(t)
-        assert make_sign(a, c)(t) == (g > 0) - (g < 0), route
+        assert sign_at(t) == (g > 0) - (g < 0), route
         if roots is not None:
             assert g == 0, route
 
@@ -481,33 +463,36 @@ def test_nicomedes_matches_heron_on_random_ratios(num, den):
     assert abs(nic.y.mid - her.y.mid) <= 2 * prob.tol * prob.ab
 
 
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
+    st.one_of(
+        st.fractions(min_value=1, max_value=10 ** 6, max_denominator=10 ** 6),
+        st.integers(min_value=1, max_value=30).map(lambda k: 1 + Fraction(1, 10 ** k)),
+    ).filter(lambda ratio: ratio > 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_nicomedes_signs_are_opposite_at_the_range_ends(c, ratio):
+    # On the figure solve_nicomedes builds: +1 at t = 0 (the line is
+    # parallel to the base line, so the cut is unbounded), -1 at t = 1.
+    ends = []
+
+    def record(sign_at, lo, hi, accept):
+        ends.append((lo, sign_at(lo), hi, sign_at(hi)))
+
+    with mock.patch.object(mean_proportionals, "_bisect", record):
+        METHODS[NICOMEDES](MeanPropProblem(ab=c * ratio, bc=c))
+    assert ends == [(0, 1, 1, -1)]
+
 
 @pytest.mark.parametrize("ab", [Fraction(2), Fraction(10), Fraction(1000), Fraction(103, 100)])
 def test_nicomedes_abandons_the_short_branch_early(monkeypatch, ab):
-    """K's abscissa alone rejects the bracket of the root short of C, on a
-    scan-sized bracket, not one narrowed until its cut certifies (about
-    1e-20 wide at tol 1e-12); the result is the one checking every step
-    of every chain gives."""
-    kernel = mean_proportionals._scan_and_bisect
-    verdicts = []
-
-    def recording(sign_at, lo, hi, accept, *args):
-        def traced(bl, bh):
-            verdict = accept(bl, bh)
-            verdicts.append((verdict, bh - bl))
-            return verdict
-
-        return kernel(sign_at, lo, hi, traced, *args)
-
+    """The root short of C lies at t < 0, so the range t in [0, 1] leaves
+    that branch before any bracket is checked (the range ends are pinned
+    by ``test_nicomedes_signs_are_opposite_at_the_range_ends``).  The
+    result is the one checking every step of the chain gives."""
     prob = MeanPropProblem(ab=ab, bc=Fraction(1), tol=Fraction(1, 10 ** 12))
-    monkeypatch.setattr(mean_proportionals, "_scan_and_bisect", recording)
     res = METHODS[NICOMEDES](prob)
     check_result(res, prob.ab, prob.bc, prob.tol)
-    rejected = [width for verdict, width in verdicts if verdict is _REJECT]
-    assert rejected
-    assert min(rejected) >= Fraction(1, 10 ** 4)
 
-    monkeypatch.setattr(
-        mean_proportionals, "_scan_and_bisect", lambda *args: _stepwise(*args)[1]
-    )
+    monkeypatch.setattr(mean_proportionals, "_bisect", lambda *args: _stepwise(*args)[1])
     assert METHODS[NICOMEDES](prob) == res
