@@ -13,9 +13,13 @@ areas (unit radius) are derived where they are read, by an independent
 route: the circumscribed n-gon area equals its perimeter ratio, and the
 inscribed n-gon area is i_n * sqrt(1 - (i_n/n)**2) via the apothem, so
 area-based identities are genuine checks rather than restatements of
-the recurrence.  Endpoints are compressed outward onto a decimal grid
-after every step, which keeps denominators bounded while preserving
-the enclosure.
+the recurrence.  Every endpoint lies on the 10**-D grid of the working
+digits D, which keeps denominators bounded while preserving the
+enclosure.  A doubling computes each new endpoint straight from the
+integer numerators and denominators of the old ones, rounded outward
+onto that grid (see `double_polygon`): the same Fractions as evaluating
+the recurrences in interval arithmetic and rounding afterwards, without
+building the intermediate Fractions.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .numerics import (
     Precision,
     PrecisionError,
     _check_int,
+    _isqrt_quotient,
+    _on_grid,
     interval_sqrt,
     rat_sqrt_bounds,
 )
@@ -59,6 +65,10 @@ class PolygonBounds:
     def __post_init__(self) -> None:
         if self.sides < 3:
             raise ValueError(f"a polygon needs at least 3 sides, got {self.sides}")
+        for name in ("per_inscribed", "per_circumscribed"):
+            lo = getattr(self, name).lo
+            if lo <= 0:
+                raise ValueError(f"{name}.lo must be positive, got {lo}")
         if not self.per_inscribed.lo < self.per_circumscribed.hi:
             raise ValueError("inscribed/circumscribed bounds are inconsistent")
 
@@ -88,7 +98,7 @@ def _working_digits(p: Precision) -> int:
 def _inscribed_area(b: PolygonBounds, p: Precision) -> Interval:
     # apothem route: A_in(n) = i_n * sqrt(1 - (i_n / n)**2)
     digits = _working_digits(p)
-    cos_sq = Interval.point(1) - (b.per_inscribed / b.sides).square()
+    cos_sq = 1 - (b.per_inscribed / b.sides).square()
     return (b.per_inscribed * interval_sqrt(cos_sq, Precision(digits))).round_outward(digits)
 
 
@@ -111,14 +121,54 @@ def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
 
 
+def _sqrt_on_grid(x: Fraction, digits: int, up: bool) -> Fraction:
+    """rat_sqrt_bounds(x, Precision(digits)).lo (or .hi) rounded outward
+    onto the 10**-digits grid."""
+    num, den = _isqrt_quotient(x.numerator, x.denominator, digits, up)
+    return _on_grid(num, den, digits, up)
+
+
 def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
-    """Bounds at 2n sides from bounds at n sides."""
+    """Bounds at 2n sides from bounds at n sides.
+
+    With i = [a1/b1, a2/b2] and c = [a3/b3, a4/b4] the (positive, reduced)
+    perimeter bounds at n sides and S = 10**D, D the working digits:
+
+        c2.lo = floor(2*a1*a3*b2*b4*S / (b1*b3*(a2*b4 + a4*b2))) / S
+        c2.hi = ceil(2*a2*a4*b1*b3*S / (b2*b4*(a1*b3 + a3*b1))) / S
+        i2.lo = floor(S * isqrt(n*s*s) / isqrt_ceil(d*s*s)) / S,  n/d = c2.lo*i.lo
+        i2.hi = ceil(S * isqrt_ceil(n*s*s) / isqrt(d*s*s)) / S,   n/d = c2.hi*i.hi
+
+    with s = 10**(D + 2) and n/d reduced.  These are exactly the endpoints
+    of ``((2*i*c)/(i + c)).round_outward(D)`` and
+    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  On positive
+    intervals 2*i*c is [2*i.lo*c.lo, 2*i.hi*c.hi] and i + c is
+    [i.lo + c.lo, i.hi + c.hi], so their quotient is the low product over
+    the high sum and the high product over the low sum, which the c2
+    lines write on integers.  interval_sqrt reads `rat_sqrt_bounds`' lower
+    quotient of the reduced c2.lo*i.lo and its upper quotient of
+    c2.hi*i.hi, the same `_isqrt_quotient` used here.  The floor or
+    ceiling of a rational does not depend on how it is written, so
+    rounding the integer quotients onto the grid gives the same
+    Fractions.
+
+    Once the bounds have widened past the grid's reach (at 1 digit, after
+    about 34 doublings), i2.lo rounds to 0; that raises `PrecisionError`.
+    """
     digits = _working_digits(p)
-    wp = Precision(digits)
     i, c = b.per_inscribed, b.per_circumscribed
-    c2 = ((2 * i * c) / (i + c)).round_outward(digits)
-    i2 = interval_sqrt(c2 * i, wp).round_outward(digits)
-    return PolygonBounds(2 * b.sides, i2, c2)
+    a1, b1, a2, b2 = i.lo.numerator, i.lo.denominator, i.hi.numerator, i.hi.denominator
+    a3, b3, a4, b4 = c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator
+    c2_lo = _on_grid(2 * a1 * a3 * b2 * b4, b1 * b3 * (a2 * b4 + a4 * b2), digits, up=False)
+    c2_hi = _on_grid(2 * a2 * a4 * b1 * b3, b2 * b4 * (a1 * b3 + a3 * b1), digits, up=True)
+    i2_lo = _sqrt_on_grid(c2_lo * i.lo, digits, up=False)
+    if i2_lo == 0:
+        raise PrecisionError(
+            f"cannot double {b.sides} sides at {p.decimal_digits} digits: "
+            f"the inscribed bound rounds to 0"
+        )
+    i2 = Interval._of(i2_lo, _sqrt_on_grid(c2_hi * i.hi, digits, up=True))
+    return PolygonBounds(2 * b.sides, i2, Interval._of(c2_lo, c2_hi))
 
 
 def _chain_seed_for(n: int) -> int:

@@ -104,8 +104,8 @@ class HeronIdentityReport:
 
 def _point_on_segment(p1: Point2, p2: Point2, t: Interval) -> PointBounds:
     return PointBounds(
-        Interval.point(p1.x) + t * (p2.x - p1.x),
-        Interval.point(p1.y) + t * (p2.y - p1.y),
+        t * (p2.x - p1.x) + p1.x,
+        t * (p2.y - p1.y) + p1.y,
     )
 
 

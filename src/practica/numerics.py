@@ -70,16 +70,21 @@ def pow10(exponent: int) -> Fraction:
     return Fraction(1, 10 ** (-exponent))
 
 
+def _on_grid(num: int, den: int, digits: int, up: bool) -> Fraction:
+    """num/den (den > 0) rounded down, or up when ``up``, to a multiple
+    of 10**-digits."""
+    scale = 10 ** digits
+    return Fraction(-(-num * scale // den) if up else num * scale // den, scale)
+
+
 def floor_to_grid(x: Fraction, digits: int) -> Fraction:
     """Largest multiple of 10**-digits that is <= x."""
-    scale = 10 ** digits
-    return Fraction(math.floor(x * scale), scale)
+    return _on_grid(x.numerator, x.denominator, digits, up=False)
 
 
 def ceil_to_grid(x: Fraction, digits: int) -> Fraction:
     """Smallest multiple of 10**-digits that is >= x."""
-    scale = 10 ** digits
-    return Fraction(math.ceil(x * scale), scale)
+    return _on_grid(x.numerator, x.denominator, digits, up=True)
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,21 @@ def _isqrt_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
+def _isqrt_quotient(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
+    """A directed bound on sqrt(n/d), for integers n >= 0 and d > 0, as an
+    (unreduced) numerator and denominator.
+
+    With s = 10**(digits + 2) the bound is isqrt(n*s*s) / isqrt_ceil(d*s*s)
+    from below, or isqrt_ceil(n*s*s) / isqrt(d*s*s) from above when ``up``.
+    The quotient depends on how n/d is written: `rat_sqrt_bounds` passes
+    the reduced fraction.
+    """
+    sq = 10 ** (2 * digits + 4)
+    if up:
+        return _isqrt_ceil(n * sq), math.isqrt(d * sq)
+    return math.isqrt(n * sq), _isqrt_ceil(d * sq)
+
+
 def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Interval:
     """Directed-rounding enclosure of sqrt(x) for a nonnegative rational.
 
@@ -264,13 +284,9 @@ def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Inte
     x = _to_rational(x)
     if x < 0:
         raise ValueError(f"square root of negative value {x}")
-    if x == 0:
-        return Interval._of(_ZERO, _ZERO)
-    scale = 10 ** (p.decimal_digits + 2)
-    num = x.numerator * scale * scale
-    den = x.denominator * scale * scale
-    lo = Fraction(math.isqrt(num), _isqrt_ceil(den))
-    hi = Fraction(_isqrt_ceil(num), math.isqrt(den))
+    n, d, digits = x.numerator, x.denominator, p.decimal_digits
+    lo = Fraction(*_isqrt_quotient(n, d, digits, up=False))
+    hi = Fraction(*_isqrt_quotient(n, d, digits, up=True))
     return Interval._of(lo, hi)
 
 

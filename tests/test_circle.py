@@ -4,15 +4,21 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from practica.circle_measurement import (
     ExhaustionStep,
     PiBounds,
+    PolygonBounds,
     RatioVerdict,
+    _chain,
     _chain_from,
     _inscribed_area,
+    _working_digits,
     archimedes_window,
     circle_area_bounds,
     double_polygon,
@@ -22,7 +28,7 @@ from practica.circle_measurement import (
     polygon_seed,
     prop2_ratio_check,
 )
-from practica.numerics import Interval, Precision, PrecisionError
+from practica.numerics import Interval, Precision, PrecisionError, interval_sqrt
 
 P20 = Precision(20)
 
@@ -64,6 +70,81 @@ def test_perimeter_ordering_invariant():
         assert nxt.per_circumscribed.hi <= b.per_circumscribed.hi
         assert nxt.per_inscribed.hi <= nxt.per_circumscribed.hi
         b = nxt
+
+
+@pytest.mark.parametrize("lo", [0, -1, Fraction(-1, 10 ** 30)])
+@pytest.mark.parametrize("field", ["per_inscribed", "per_circumscribed"])
+def test_polygon_bounds_need_positive_lower_ends(field, lo):
+    # a perimeter ratio is positive; the message names the field
+    fields = {"per_inscribed": Interval(3, 3), "per_circumscribed": Interval(4, 4)}
+    fields[field] = Interval(lo, 5)
+    with pytest.raises(ValueError, match=rf"^{field}\.lo must be positive, got {lo}$"):
+        PolygonBounds(6, **fields)
+
+
+def _doubled_by_intervals(b, p):
+    """The reference: one doubling as interval expressions, rounded afterwards."""
+    digits = _working_digits(p)
+    i, c = b.per_inscribed, b.per_circumscribed
+    c2 = ((2 * i * c) / (i + c)).round_outward(digits)
+    i2 = interval_sqrt(c2 * i, Precision(digits)).round_outward(digits)
+    return PolygonBounds(2 * b.sides, i2, c2)
+
+
+def _outcome(double, b, p):
+    try:
+        return double(b, p)
+    except ValueError as e:  # a result whose bounds are not a polygon's
+        return str(e)
+    except PrecisionError:  # raised where the reference's i2.lo is 0
+        return "per_inscribed.lo must be positive, got 0"
+
+
+@st.composite
+def doubling_inputs(draw):
+    p = Precision(draw(st.integers(min_value=1, max_value=70)))
+    scale = 10 ** _working_digits(p)
+    on_grid = st.integers(min_value=1, max_value=10 * scale).map(lambda k: Fraction(k, scale))
+    off_grid = st.fractions(min_value=Fraction(1, 10 ** 15), max_value=10, max_denominator=10 ** 40)
+    ends = st.one_of(on_grid, off_grid)
+    i = sorted((draw(ends), draw(ends)))
+    c = sorted((draw(ends), draw(ends)))
+    assume(i[0] < c[1])
+    sides = draw(st.sampled_from([3, 4, 6])) * 2 ** draw(st.integers(min_value=0, max_value=40))
+    return PolygonBounds(sides, Interval(*i), Interval(*c)), p
+
+
+@given(doubling_inputs())
+def test_doubling_equals_the_rounded_interval_expression(case):
+    b, p = case
+    assert _outcome(double_polygon, b, p) == _outcome(_doubled_by_intervals, b, p)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 6])
+@pytest.mark.parametrize("digits", [5, 30, 70])
+def test_doubling_chain_equals_the_interval_chain(seed, digits):
+    p = Precision(digits)
+    b = ref = polygon_seed(seed, p)
+    for _ in range(40):
+        b, ref = double_polygon(b, p), _doubled_by_intervals(ref, p)
+        assert b == ref
+
+
+@pytest.mark.parametrize("seed", [3, 4, 6])
+def test_doubling_raises_where_the_inscribed_bound_rounds_to_zero(seed):
+    # at 1 digit the widths grow past the grid after 33 doublings, and the
+    # interval expression's next inscribed bound rounds to 0
+    p = Precision(1)
+    b = next(islice(_chain(seed, p), 33, None))
+    assert b.per_inscribed.lo > 0
+    with pytest.raises(ValueError, match=r"^per_inscribed\.lo must be positive, got 0$"):
+        _doubled_by_intervals(b, p)
+    message = rf"^cannot double {b.sides} sides at 1 digits: the inscribed bound rounds to 0$"
+    with pytest.raises(PrecisionError, match=message):
+        double_polygon(b, p)
+    if seed == 6:
+        with pytest.raises(PrecisionError, match=message):
+            pi_bounds(target_sides=2 * b.sides, p=p)
 
 
 def test_bounds_nest_as_sides_double():
@@ -253,7 +334,15 @@ def test_fibonacci_identity_rejects_bad_sides():
 
 
 def test_interval_endpoints_are_on_decimal_grid():
-    # round_outward keeps denominators from exploding along the chain
-    b = pi_bounds(target_sides=6 * 2 ** 20, p=Precision(25))
-    assert b.lower.denominator <= 10 ** 40
-    assert b.upper.denominator <= 10 ** 40
+    # every endpoint of the chain lies on the 10**-(p + 10) grid, so
+    # denominators stay bounded however many doublings are taken
+    p = Precision(25)
+    grid = 10 ** (25 + 10)
+    polygons = list(islice(_chain(6, p), 21))
+    assert polygons[-1].sides == 6 * 2 ** 20
+    for b in polygons:
+        for iv in (b.per_inscribed, b.per_circumscribed):
+            assert grid % iv.lo.denominator == 0 and grid % iv.hi.denominator == 0, b.sides
+    bounds = pi_bounds(target_sides=6 * 2 ** 20, p=p)
+    last = polygons[-1]
+    assert (bounds.lower, bounds.upper) == (last.per_inscribed.lo, last.per_circumscribed.hi)
