@@ -10,14 +10,18 @@ The defect signs are exact: each is the sign of an integer polynomial
 in the numerator and denominator of the route's parameter, whose
 coefficients are the route's constants with their denominators cleared
 once per solve (square roots are eliminated by squaring before
-comparing), so bisection never accumulates rounding error and the sign
-tests build no Fraction; enclosures enter only when a bracket is
-converted to coordinate intervals.  Because the signs are exact, the
-chain of bisection steps is fixed in advance, and the one kernel
-(``_bisect``) converts and checks only the brackets at steps 0, 1, 3,
-7, ..., then binary-searches back to the first step that passes: the
-checks are monotone along nested brackets, so this finds the step that
-checking every one would.
+comparing), so bisection never accumulates rounding error.  Each
+polynomial is homogeneous, so its sign does not change when numerator
+and denominator share a factor, and the chain of bisection steps runs on
+integers: brackets are held over one denominator that doubles at each
+step, with no Fraction and no gcd.  Because the signs are exact, the
+chain is fixed in advance, and the one kernel (``_bisect``) converts to
+Fractions and checks only some of its brackets, then searches back to
+the first step that passes.  A check that fails may estimate how many
+more halvings the bracket needs, and the kernel places its next probe
+there; an estimate changes only which steps are probed, never the
+result, since the checks are monotone along nested brackets and the
+kernel finds the step that checking every one would.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
+    _sqrt_bound,
     int_nth_root_floor,
     interval_sqrt,
     pow10,
@@ -121,118 +126,152 @@ def _width_target(prob: MeanPropProblem) -> Fraction:
     return prob.tol * min(prob.bc, max(Fraction(1), prob.ab) / 8)
 
 
+def _halvings(width: Fraction, target: Fraction) -> int:
+    """The bit length of ceil(width / target): about how many halvings
+    bring ``width`` down to ``target``, from integers alone."""
+    return (-(-width // target)).bit_length()
+
+
 def _bisection_chain(
-    sign_at: Callable[[Fraction], int], bl: Fraction, bh: Fraction, s_lo: int
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """Yield the nested brackets that bisection on exact signs makes from
-    (bl, bh), whose left end has sign ``s_lo``, starting with (bl, bh)
-    itself, one per step, up to a point bracket."""
+    sign_at: Callable[[int, int], int], L: int, H: int, Q: int, s_lo: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield the nested brackets [L/Q, H/Q] that bisection on exact signs
+    makes from the given one, whose left end has sign ``s_lo``, starting
+    with it, one per step, up to a point bracket.  Each step doubles Q and
+    tests the midpoint (L + H)/2Q as it stands: no Fraction, no gcd."""
     while True:
-        yield bl, bh
-        if bl == bh:
+        yield L, H, Q
+        if L == H:
             return
-        mid = (bl + bh) / 2
-        s_mid = sign_at(mid)
+        M, Q = L + H, 2 * Q
+        s_mid = sign_at(M, Q)
         if s_mid == 0:
-            bl = bh = mid
+            L = H = M
         elif s_mid * s_lo < 0:
-            bh = mid
+            L, H = 2 * L, M
         else:
-            bl, s_lo = mid, s_mid
+            L, H, s_lo = M, 2 * H, s_mid
 
 
 def _bisect(
-    sign_at: Callable[[Fraction], int],
+    sign_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
     accept: Callable[[Fraction, Fraction], object],
 ) -> object:
     """Bisect [lo, hi] on exact signs until ``accept`` takes a bracket.
 
-    The signs at lo and hi must be nonzero and opposite, or
-    BracketNotFoundError is raised; every route passes a range on which
-    its defect has exactly one root (see each route's factorization).
-    ``accept(lo, hi)`` returns the result, or None to keep narrowing.
-    The kernel returns the verdict of the first step of the bisection
-    chain (see ``_bisection_chain``) whose verdict is not None; when the
-    chain ends at a point bracket (an exact root) that ``accept`` still
-    refuses, it raises PrecisionError.
+    ``sign_at(P, Q)`` is the defect's sign at P/Q for integers P and
+    Q > 0, whether or not P/Q is reduced.  The signs at lo and hi must be
+    nonzero and opposite, or BracketNotFoundError is raised; every route
+    passes a range on which its defect has exactly one root (see each
+    route's factorization).  ``accept(lo, hi)`` returns the result; to
+    keep narrowing it returns None, or an int: its estimate of how many
+    more halvings the bracket needs.  The kernel returns the verdict of
+    the first step of the bisection chain (see ``_bisection_chain``)
+    that ``accept`` does not refuse; when the chain ends at a point
+    bracket (an exact root) that ``accept`` still refuses, it raises
+    PrecisionError.
+
+    The chain runs on integers: the brackets are held as L/Q and H/Q
+    over one denominator, from ``_cleared(lo, hi)``, and only the
+    brackets handed to ``accept`` are built as Fractions.
 
     There is no step budget.  The loop ends because, along any chain
-    that narrows onto a root, ``accept`` eventually returns something
-    other than None: heron and philo read x and y through exact maps;
-    apollonius and diocles go through ``rat_sqrt_bounds``, whose error
-    falls as endpoint denominators grow like 2**k; and nicomedes'
-    ``accept``, interval evaluation, converges at its root since the cut
+    that narrows onto a root, ``accept`` eventually stops refusing:
+    heron and philo read x and y through exact maps; apollonius and
+    diocles go through directed square-root bounds, whose error falls as
+    endpoint denominators grow like 2**k; and nicomedes' ``accept``,
+    interval evaluation, converges at its root since the cut
     denominators are nonzero for t > 0 and K lies beyond C there.
 
-    Contract: along nested brackets, "the verdict is not None" is
-    monotone; once a bracket's verdict is not None, so is every bracket
-    inside it.  Interval arithmetic on exact Fraction endpoints is
+    Contract: along nested brackets, "accept does not refuse" is
+    monotone; once a bracket is not refused, no bracket inside it is.
+    Interval arithmetic on exact Fraction endpoints is
     inclusion-isotonic, so a certification that succeeds on a bracket
     succeeds on any sub-bracket.  (Apollonius and diocles read their
-    means through ``rat_sqrt_bounds``, whose endpoints are monotone
-    only up to their last-digit rounding; a width within that rounding
-    of the target at a skipped step is the one way they could settle
-    on another step than the step-by-step loop.)
+    means through directed square-root bounds, whose endpoints are
+    monotone only up to their last-digit rounding; a width within that
+    rounding of the target at a skipped step is the one way they could
+    settle on another step than the step-by-step loop.)
 
     The chain depends on the signs alone, so ``accept`` is called only
-    at steps 0, 1, 3, 7, 15, ... (the gap doubles), and at the chain's
-    last step when the chain ends first; at the first probe whose
-    verdict is not None a binary search back to the last None probe
-    finds the first such step.  For a chain settled at step k that is
-    at most 2*ceil(log2(k + 2)) + 2 calls instead of k + 1.  Whatever
-    the kernel returns is still the verdict ``accept`` gave on that
-    very bracket; only its being the first such step rests on the
-    contract.
+    at some of its steps.  After a refusal at step s the next probe is
+    step s + max(estimate, jump): the minimum jump is 1 at first and
+    doubles at each refusal, so refusals without an estimate probe steps
+    0, 1, 3, 7, 15, ..., and the chain's last step is probed when the
+    chain ends first.  Once a probe is accepted, the first accepted step
+    lies between the last refused probe and the first accepted one, and
+    later probes stay there: after an accepted probe that an estimate
+    placed, the step just before it; after a refusal with an estimate,
+    s + max(estimate, jump) as before, or the step just before the
+    accepted probe when that is nearer; otherwise the middle step.
+    Without estimates a chain settled at step k costs at most
+    2*ceil(log2(k + 2)) + 2 calls instead of k + 1, and an exact
+    estimate settles it in 3.  Because the jumps at least double, any
+    estimates cost O(log n) calls, n the furthest step they send the
+    kernel to; a too large one also costs the sign evaluations up to
+    that step.  An estimate moves only which steps are probed: whatever
+    the kernel returns is still the verdict ``accept`` gave on that very
+    bracket, and its being the first such step rests on the contract
+    alone.
     """
-    s_lo, s_hi = sign_at(lo), sign_at(hi)
+    L, H, Q = _cleared(lo, hi)
+    s_lo, s_hi = sign_at(L, Q), sign_at(H, Q)
     if s_lo * s_hi >= 0:
         raise BracketNotFoundError(
             f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
         )
-    steps = _bisection_chain(sign_at, lo, hi, s_lo)
-    # chain[i] is step start + i; the steps before the last None probe
-    # are dropped, since the search back never reads them.
-    chain: list[tuple[Fraction, Fraction]] = []
+    steps = _bisection_chain(sign_at, L, H, Q, s_lo)
+    # chain[i] is step start + i; the steps before the last refused probe
+    # are dropped, since no later probe reads them.
+    chain: list[tuple[int, int, int]] = []
     start = 0
-    none_at, probe = -1, 0  # last step known to give None; next step to probe
+    none_at, ok_at = -1, None  # last step known refused; first step known accepted
+    probe, jump, guessed = 0, 1, False  # next step; minimum jump; placed by an estimate
     while True:
-        chain.extend(islice(steps, probe + 1 - start - len(chain)))
+        chain.extend(islice(steps, max(0, probe + 1 - start - len(chain))))
         probe = min(probe, start + len(chain) - 1)
         if probe == none_at:  # the chain ended at a point bracket, never accepted
             raise PrecisionError("enclosure too wide at an exact root")
-        verdict = accept(*chain[probe - start])
-        if verdict is None:
+        bl, bh, q = chain[probe - start]
+        verdict = accept(Fraction(bl, q), Fraction(bh, q))
+        if verdict is not None and not isinstance(verdict, int):  # accepted
+            ok_at, found = probe, verdict
+            probe = probe - 1 if guessed else (none_at + probe) // 2
+            guessed = False
+        elif verdict is None and ok_at is not None:
+            none_at = probe
+            probe = (none_at + ok_at) // 2
+        else:
             del chain[: probe - start]
             start = none_at = probe
-            probe = 2 * probe + 1
-            continue
-        while probe - none_at > 1:  # the first step not None lies in (none_at, probe]
-            mid = (none_at + probe) // 2
-            mid_verdict = accept(*chain[mid - start])
-            if mid_verdict is None:
-                none_at = mid
-            else:
-                probe, verdict = mid, mid_verdict
-        return verdict
+            guessed = verdict is not None and verdict >= jump
+            probe += max(verdict or 0, jump)
+            jump *= 2
+        if ok_at is not None:  # the first step accepted lies in (none_at, ok_at]
+            if ok_at - none_at == 1:
+                return found
+            probe = min(probe, ok_at - 1)
 
 
 def _solve_defect(
-    sign_at: Callable[[Fraction], int],
+    sign_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
     evaluate: Callable[[Fraction, Fraction], tuple[Interval, Interval]],
     target: Fraction,
 ) -> tuple[Interval, Interval]:
     """Narrow [lo, hi] until the (x, y) intervals that ``evaluate`` reads
-    off the bracket are both no wider than the target."""
+    off the bracket are both no wider than the target.  A refusal
+    estimates the halvings still lacking from the wider of the two."""
 
-    def accept(bl: Fraction, bh: Fraction) -> tuple[Interval, Interval] | None:
+    def accept(bl: Fraction, bh: Fraction) -> tuple[Interval, Interval] | int:
         x_iv, y_iv = evaluate(bl, bh)
-        if x_iv.width <= target and y_iv.width <= target:
+        width = max(x_iv.width, y_iv.width)
+        if width <= target:
             return x_iv, y_iv
-        return None
+        return _halvings(width, target)
 
     return _bisect(sign_at, lo, hi, accept)
 
@@ -257,7 +296,7 @@ def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
 
 
 def _solve_slope(
-    prob: MeanPropProblem, sign_at: Callable[[Fraction], int]
+    prob: MeanPropProblem, sign_at: Callable[[int, int], int]
 ) -> tuple[Interval, Interval]:
     """Rotate a line through B with slope u from 1/2 to past cbrt(a/c) until
     ``sign_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c."""
@@ -270,7 +309,7 @@ def _solve_slope(
     return _solve_defect(sign_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
 
 
-def _heron_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+def _heron_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     """Sign of EF**2 - EG**2 at slope u > 0, with E = (c/2, a/2) the
     diagonal midpoint and F = (-a/u, a), G = (c, -u*c) the cuts.
 
@@ -278,12 +317,13 @@ def _heron_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
     With a = A/D, c = C/D and u = P/Q, that times (PQD)**2 is
     Q**2 (CP + 2AQ)**2 + (A**2 - C**2) P**2 Q**2 - P**2 (AQ + 2CP)**2.
     That factors as 4 (CP + AQ)(AQ**3 - CP**3), so for u > 0 the sign is
-    that of a - c*u**3; the figure's form is kept as the construction."""
+    that of a - c*u**3; the figure's form is kept as the construction.
+    The form is homogeneous of degree 4 in (P, Q), so ``sign_at(P, Q)``
+    (Q > 0) gives the same sign whether or not P/Q is reduced."""
     A, C, _ = _cleared(a, c)
     diff = A * A - C * C
 
-    def sign_at(u: Fraction) -> int:
-        P, Q = u.numerator, u.denominator
+    def sign_at(P: int, Q: int) -> int:
         ef = Q * (C * P + 2 * A * Q)  # PQD times F's horizontal offset from E, doubled
         eg = P * (A * Q + 2 * C * P)  # PQD times G's vertical offset from E, doubled
         return _sign(ef * ef + diff * P * P * Q * Q - eg * eg)
@@ -291,7 +331,7 @@ def _heron_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
     return sign_at
 
 
-def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     """Sign of sigma**2 + base - q**2 for sigma > c/2, with
     base = (a**2 - c**2)/4.  The circle about E through F (AF = sigma - c/2)
     crosses the vertical through C sqrt(sigma**2 + base) below E's height,
@@ -302,12 +342,13 @@ def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
     2*sigma - c = W/(QD)), four times the defect times (QDW)**2 is
     4 P**2 D**2 W**2 + (A**2 - C**2) Q**2 W**2 - A**2 Q**2 (W + 4CQ)**2.
     In x = AF the defect is (x + c)(x**3 - a**2 c) / x**2, so its sign is
-    that of x**3 - a**2 c; the figure's form is kept as the construction."""
+    that of x**3 - a**2 c; the figure's form is kept as the construction.
+    The form is homogeneous of degree 4 in (P, Q), so ``sign_at(P, Q)``
+    (Q > 0) gives the same sign whether or not P/Q is reduced."""
     A, C, D = _cleared(a, c)
     base4 = A * A - C * C  # 4 * base * D**2
 
-    def sign_at(sigma: Fraction) -> int:
-        P, Q = sigma.numerator, sigma.denominator
+    def sign_at(P: int, Q: int) -> int:
         W = 2 * P * D - C * Q
         qw = Q * W
         q = A * Q * (W + 4 * C * Q)  # 2 * q * QDW
@@ -348,8 +389,8 @@ def solve_heron_apollonius(
 
     def evaluate_sigma(sl: Fraction, sh: Fraction) -> tuple[Interval, Interval]:
         x_iv = Interval(sl - c / 2, sh - c / 2)
-        root_lo = rat_sqrt_bounds(sl * sl + base, wp).lo
-        root_hi = rat_sqrt_bounds(sh * sh + base, wp).hi
+        root_lo = _sqrt_bound(sl * sl + base, wp, up=False)
+        root_hi = _sqrt_bound(sh * sh + base, wp, up=True)
         return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
 
     means = _solve_defect(
@@ -358,7 +399,7 @@ def solve_heron_apollonius(
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
 
 
-def _philo_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
+def _philo_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     """Sign of BG - OF at slope u > 0, read as abscissa differences along
     the line through B: G sits at abscissa c, the second circle crossing
     O at (c - u*a)/(1 + u**2) and the cut F at -a/u.
@@ -367,11 +408,12 @@ def _philo_sign(a: Fraction, c: Fraction) -> Callable[[Fraction], int]:
     times D*P*N (positive for u > 0) is C*P*N - (C*Q - A*P)*P*Q - A*Q*N.
     Expanded, that is C*P**3 - A*Q**3: the sign of c*u**3 - a, the cube
     test Philo's equality reduces to; the figure's form is kept as the
-    construction."""
+    construction.  The form is homogeneous of degree 3 in (P, Q), so
+    ``sign_at(P, Q)`` (Q > 0) gives the same sign whether or not P/Q is
+    reduced."""
     A, C, _ = _cleared(a, c)
 
-    def sign_at(u: Fraction) -> int:
-        P, Q = u.numerator, u.denominator
+    def sign_at(P: int, Q: int) -> int:
         N = P * P + Q * Q
         bg = C * P * N
         of = (C * Q - A * P) * P * Q + A * Q * N  # O's abscissa minus F's
@@ -454,18 +496,19 @@ def cissoid_arc_defect(
     return dk.square() - kh * kl
 
 
-def _diocles_sign(r: Fraction, k: Fraction) -> Callable[[Fraction], int]:
+def _diocles_sign(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
     """Sign of r**2 (r - m)**3 - k**2 (r + m)**3 at the chord foot m: the
     cissoid's height against the secant's, squared exactly.
 
     With r = R/D, k = K/D and m = P/Q, the defect times D**5 Q**3 is
     R**2 (RQ - DP)**3 - K**2 (RQ + DP)**3.  Divided by (r + m)**3 it is
-    r**2 q**3 - k**2 with q = (r - m)/(r + m), a cube test in q."""
+    r**2 q**3 - k**2 with q = (r - m)/(r + m), a cube test in q.  The
+    form is homogeneous of degree 3 in (P, Q), so ``sign_at(P, Q)``
+    (Q > 0) gives the same sign whether or not P/Q is reduced."""
     R, K, D = _cleared(r, k)
     R2, K2 = R * R, K * K
 
-    def sign_at(m: Fraction) -> int:
-        P, Q = m.numerator, m.denominator
+    def sign_at(P: int, Q: int) -> int:
         rq, dp = R * Q, D * P
         return _sign(R2 * (rq - dp) ** 3 - K2 * (rq + dp) ** 3)
 
@@ -491,7 +534,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         q_hi = (r - ml) / (r + ml)
         y_iv = Interval(r * q_lo, r * q_hi)
         x_iv = Interval(
-            r * rat_sqrt_bounds(q_lo, wp).lo, r * rat_sqrt_bounds(q_hi, wp).hi
+            r * _sqrt_bound(q_lo, wp, up=False), r * _sqrt_bound(q_hi, wp, up=True)
         )
         return x_iv, y_iv
 
@@ -559,7 +602,7 @@ def _cut_constants(
 
 def _intercept_sign(
     cuts: tuple[tuple[int, int, int], ...], L: Fraction
-) -> Callable[[Fraction], int]:
+) -> Callable[[int, int], int]:
     """The exact sign of |q1 - q2|**2 - L**2 as a function of t, where
     q1, q2 are the cuts of the ray z + lam * (1 - t**2, 2t) with the two
     lines of ``cuts``; +1 when the direction is parallel to either line,
@@ -569,12 +612,14 @@ def _intercept_sign(
     so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built.
     With t = P/Q, lam_i = n_i * Q**2 / d_i where
     d_i = (Q**2 - P**2) * vy_i - 2PQ * vx_i, so the sign is that of
-    |n1*d2 - n2*d1| * (P**2 + Q**2) * Lq - Lp * |d1*d2| for L = Lp/Lq."""
+    |n1*d2 - n2*d1| * (P**2 + Q**2) * Lq - Lp * |d1*d2| for L = Lp/Lq.
+    Each d_i is homogeneous of degree 2 in (P, Q) and both sides of the
+    difference of degree 4, so ``sign_at(P, Q)`` (Q > 0) gives the same
+    sign, and the same test d1*d2 == 0, whether or not P/Q is reduced."""
     (vx1, vy1, n1), (vx2, vy2, n2) = cuts
     Lp, Lq = L.numerator, L.denominator
 
-    def sign_at(t: Fraction) -> int:
-        P, Q = t.numerator, t.denominator
+    def sign_at(P: int, Q: int) -> int:
         dx, dy = Q * Q - P * P, 2 * P * Q  # Q**2 times the direction
         d1 = dx * vy1 - dy * vx1
         d2 = dx * vy2 - dy * vx2
@@ -652,15 +697,17 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         lam1 = n1 / den1
         cut_x = z.x + lam1 * dx - x_k
         cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
-        if not target_sq.contains_interval(cut_x.square() + cut_y.square()):
-            return None
+        cut_sq = cut_x.square() + cut_y.square()
+        if not target_sq.contains_interval(cut_sq):
+            return _halvings(cut_sq.width, target_sq.width)
         if x_k.lo <= c:
             return None  # may still lie beyond C: narrow until it is decided
         x_iv = x_k - c
         y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
-        if x_iv.width <= target and y_iv.width <= target:
+        width = max(x_iv.width, y_iv.width)
+        if width <= target:
             return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
-        return None
+        return _halvings(width, target)
 
     return _bisect(_intercept_sign(cuts, L), Fraction(0), Fraction(1), accept)
 

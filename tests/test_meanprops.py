@@ -257,10 +257,17 @@ def test_conchoid_validation():
         conchoid_points(Fraction(1), Fraction(0), 5, (Fraction(0), Fraction(21)))
 
 
+def _sign_of(sign_at, t):
+    """``sign_at(P, Q)`` at a Fraction t, reduced."""
+    return sign_at(t.numerator, t.denominator)
+
+
 def _stepwise(sign_at, lo, hi, accept):
     """Reference for ``_bisect``: call ``accept`` on every step of the
-    bisection chain.  Returns (step, verdict)."""
-    s_lo, s_hi = sign_at(lo), sign_at(hi)
+    bisection chain, built on Fractions.  A verdict of None or an int (an
+    estimate of the halvings still lacking) is a refusal.  Returns
+    (step, verdict)."""
+    s_lo, s_hi = _sign_of(sign_at, lo), _sign_of(sign_at, hi)
     if s_lo * s_hi >= 0:
         raise BracketNotFoundError(
             f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
@@ -268,18 +275,28 @@ def _stepwise(sign_at, lo, hi, accept):
     bl, bh = lo, hi
     for step in itertools.count():
         verdict = accept(bl, bh)
-        if verdict is not None:
+        if verdict is not None and not isinstance(verdict, int):
             return step, verdict
         if bl == bh:
             raise PrecisionError("enclosure too wide at an exact root")
         mid = (bl + bh) / 2
-        s_mid = sign_at(mid)
+        s_mid = _sign_of(sign_at, mid)
         if s_mid == 0:
             bl = bh = mid
         elif s_mid * s_lo < 0:
             bh = mid
         else:
             bl, s_lo = mid, s_mid
+
+
+def _square_minus(c):
+    """The sign of t*t - c at t = P/Q, as ``sign_at(P, Q)``."""
+
+    def sign_at(P, Q):
+        g = P * P * c.denominator - c.numerator * Q * Q  # (t*t - c) * Q**2 * c.denominator
+        return (g > 0) - (g < 0)
+
+    return sign_at
 
 
 @given(
@@ -292,9 +309,7 @@ def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
     # One root, sqrt(c), in [0, 2]; accepted once the bracket is narrow enough.
     width = Fraction(m, 2 ** j)
     calls = []
-
-    def sign_at(t):
-        return (t * t > c) - (t * t < c)
+    sign_at = _square_minus(c)
 
     def accept(bl, bh):
         calls.append(bl)
@@ -307,24 +322,102 @@ def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
     assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
 
 
+#: What an ``accept`` may estimate when it refuses a bracket of width w
+#: that must narrow to ``target``: the exact count of halvings still
+#: lacking, none, always one, always far too many, that count off by a
+#: few, or noise.
+_ESTIMATES = {
+    "exact": lambda w, target, rnd: (-(-w // target) - 1).bit_length(),
+    "none": lambda w, target, rnd: None,
+    "one": lambda w, target, rnd: 1,
+    "huge": lambda w, target, rnd: 1000,
+    "off": lambda w, target, rnd: (-(-w // target) - 1).bit_length() + rnd.randint(-3, 3),
+    "random": lambda w, target, rnd: rnd.randint(-3, 150),
+}
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(399, 100), max_denominator=10**6),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(sorted(_ESTIMATES)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=120, deadline=None)
+def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kind, rnd):
+    # The root sqrt(c) of test_bisect_accepts_the_first_step_with_few_probes,
+    # with accepts that estimate the halvings they still lack.
+    width = Fraction(m, 2 ** j)
+    estimate = _ESTIMATES[kind]
+    calls, estimates = [], [0]
+    sign_at = _square_minus(c)
+
+    def accept(bl, bh):
+        calls.append(bl)
+        if bh - bl <= width:
+            return bl, bh
+        e = estimate(bh - bl, width, rnd)
+        estimates.append(e or 0)
+        return e
+
+    found = _bisect(sign_at, Fraction(0), Fraction(2), accept)
+    probes, reach = len(calls), max(estimates)
+    step, expected = _stepwise(sign_at, Fraction(0), Fraction(2), accept)
+    assert found == expected
+    if kind == "exact":
+        assert probes <= 3  # the estimate, the step it names, the step before
+    elif kind == "none":
+        assert probes <= 2 * (step + 1).bit_length() + 2
+    else:
+        # The jumps at least double, so even a hostile estimate costs
+        # O(log n) calls, n the furthest step it can send the kernel to.
+        assert probes <= 3 * (max(step, reach) + 2).bit_length() + 3
+
+
+def test_routes_settle_in_few_accept_calls(monkeypatch):
+    # The estimates place the probes: on 25 criterion-07 problems every
+    # route settles in at most 8 accept calls per solve, and the four
+    # in at most 6 on average (12 to 13 with probes at 0, 1, 3, 7, ...).
+    rng = random.Random(1462)
+    problems = []
+    for _ in range(25):
+        den = rng.randint(1, 100)
+        bc = Fraction(rng.randint(1, 1000), rng.randint(1, 100))
+        problems.append(MeanPropProblem(ab=bc * Fraction(rng.randint(den, 10 ** 4 * den), den), bc=bc))
+    kernel, calls = _bisect, []
+
+    def counting(sign_at, lo, hi, accept):
+        return kernel(sign_at, lo, hi, lambda bl, bh: calls.append(bl) or accept(bl, bh))
+
+    monkeypatch.setattr(mean_proportionals, "_bisect", counting)
+    per_solve = {}
+    for name, solve in METHODS.items():
+        calls.clear()
+        for prob in problems:
+            solve(prob)
+        per_solve[name] = len(calls) / len(problems)
+    assert max(per_solve.values()) <= 8, per_solve
+    assert sum(per_solve.values()) / len(per_solve) <= 6, per_solve
+
+
 @pytest.mark.parametrize(
     "sign_at, expected, message",
     [
         # an exact zero reached by bisection and never accepted
         (
-            lambda t: (t > Fraction(1, 2)) - (t < Fraction(1, 2)),
+            lambda P, Q: (2 * P > Q) - (2 * P < Q),
             PrecisionError,
             "enclosure too wide at an exact root",
         ),
         # the same sign at both ends: no bracket
         (
-            lambda t: (t > 2) - (t < 2),
+            lambda P, Q: (P > 2 * Q) - (P < 2 * Q),
             BracketNotFoundError,
             "defect signs -1 at 0 and -1 at 1 are not opposite",
         ),
         # a zero at an end is not a sign change either
         (
-            lambda t: (t > 0) - (t < 0),
+            lambda P, Q: (P > 0) - (P < 0),
             BracketNotFoundError,
             "defect signs 0 at 0 and 1 at 1 are not opposite",
         ),
@@ -344,7 +437,9 @@ _coord = st.fractions(min_value=-10, max_value=10, max_denominator=60)
 _point = st.builds(Point2, _coord, _coord)
 
 
-@given(
+#: A figure for ``_intercept_sign``: two lines, a pole, a scale for L, a
+#: direction parameter t, and whether line 1 runs along that direction.
+_intercept_figure = (
     _point, _point, _point, _point, _point,
     st.one_of(
         st.just(Fraction(1)),
@@ -353,13 +448,16 @@ _point = st.builds(Point2, _coord, _coord)
     st.fractions(min_value=-1, max_value=1, max_denominator=2 ** 20),
     st.booleans(),
 )
-@settings(max_examples=150, deadline=None)
-def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t, parallel):
+
+
+def _intercept_case(a0, a1, b0, b1, z, scale, t, parallel):
+    """The figure's integer sign function and the sign that explicit cut
+    points give at t, or None when a line is degenerate."""
     dx, dy = 1 - t * t, 2 * t
     if parallel:  # line1 along the direction itself
         a1 = Point2(a0.x + 3 * dx, a0.y + 3 * dy)
     if a0 == a1 or b0 == b1:
-        return
+        return None
     lines = ((a0, a1), (b0, b1))
     cuts = []
     for p0, p1 in lines:
@@ -381,9 +479,18 @@ def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t,
         L = scale * root or scale
         g = cut_sq - L * L
         expected = (g > 0) - (g < 0)
-    assert _intercept_sign(_cut_constants(z, lines), L)(t) == expected
     if parallel:
         assert expected == 1
+    return _intercept_sign(_cut_constants(z, lines), L), expected
+
+
+@given(*_intercept_figure)
+@settings(max_examples=150, deadline=None)
+def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t, parallel):
+    case = _intercept_case(a0, a1, b0, b1, z, scale, t, parallel)
+    if case is not None:
+        sign_at, expected = case
+        assert _sign_of(sign_at, t) == expected
 
 
 def _fraction_defects(a, c):
@@ -443,12 +550,44 @@ def test_route_signs_match_fraction_defects(x, y, s, w):
     for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
         sign_at = make_sign(a, c)
         if a > c:  # the precondition of ``_bisect``; a == c never reaches it
-            assert sign_at(lo) * sign_at(hi) == -1, route
+            assert _sign_of(sign_at, lo) * _sign_of(sign_at, hi) == -1, route
         t = lo + (hi - lo) * s if roots is None else roots[route]
         g = defect(t)
-        assert sign_at(t) == (g > 0) - (g < 0), route
+        assert _sign_of(sign_at, t) == (g > 0) - (g < 0), route
         if roots is not None:
             assert g == 0, route
+
+
+@given(
+    _big_den,
+    _big_den,
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 18),
+    st.one_of(st.none(), st.fractions(min_value=1, max_value=30, max_denominator=10 ** 6)),
+    st.integers(min_value=1, max_value=10 ** 30),
+)
+@settings(max_examples=100, deadline=None)
+def test_route_signs_ignore_a_common_factor(x, y, s, w, k):
+    # The bisection chain hands each sign function an unreduced P/Q.
+    c = min(x, y)
+    a = max(x, y) if w is None else c * w ** 3
+    roots = None if w is None else _exact_roots(c, w)
+    for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
+        sign_at = make_sign(a, c)
+        t = lo + (hi - lo) * s if roots is None else roots[route]
+        g = defect(t)
+        P, Q = t.numerator, t.denominator
+        assert sign_at(k * P, k * Q) == sign_at(P, Q) == (g > 0) - (g < 0), route
+
+
+@given(*_intercept_figure, st.integers(min_value=1, max_value=10 ** 30))
+@settings(max_examples=100, deadline=None)
+def test_intercept_sign_ignores_a_common_factor(a0, a1, b0, b1, z, scale, t, parallel, k):
+    # Nicomedes' sign, at an unreduced P/Q, ties and parallel directions included.
+    case = _intercept_case(a0, a1, b0, b1, z, scale, t, parallel)
+    if case is not None:
+        sign_at, expected = case
+        P, Q = t.numerator, t.denominator
+        assert sign_at(k * P, k * Q) == sign_at(P, Q) == expected
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=9))
@@ -477,7 +616,7 @@ def test_nicomedes_signs_are_opposite_at_the_range_ends(c, ratio):
     ends = []
 
     def record(sign_at, lo, hi, accept):
-        ends.append((lo, sign_at(lo), hi, sign_at(hi)))
+        ends.append((lo, _sign_of(sign_at, lo), hi, _sign_of(sign_at, hi)))
 
     with mock.patch.object(mean_proportionals, "_bisect", record):
         METHODS[NICOMEDES](MeanPropProblem(ab=c * ratio, bc=c))

@@ -18,3 +18,19 @@ def test_script_runs(script):
     r = subprocess.run([sys.executable, str(script)], capture_output=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr.decode()
     assert r.stdout.strip()
+
+
+def test_result_sweep_slice_passes_the_oracles():
+    # The meanprops and heron sets: every call returns, and the integer
+    # oracles accept every result.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    script = ROOT / "scripts" / "result_sweep.py"
+    r = subprocess.run(
+        [sys.executable, str(script), "meanprops", "heron"], capture_output=True, env=env, timeout=60
+    )
+    assert r.returncode == 0, r.stderr.decode()
+    lines = r.stdout.decode().splitlines()
+    assert len(lines) == 1452 + 150
+    rejected = [line for line in lines if not line.endswith(" :: ok")]
+    assert not rejected, rejected[:3]
