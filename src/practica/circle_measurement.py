@@ -15,15 +15,16 @@ inscribed n-gon area is i_n * sqrt(1 - (i_n/n)**2) via the apothem, so
 area-based identities are genuine checks rather than restatements of
 the recurrence.  Every endpoint lies on the 10**-D grid of the working
 digits D, which keeps denominators bounded while preserving the
-enclosure.  A doubling computes each new endpoint straight from the
-integer numerators and denominators of the old ones, rounded outward
-onto that grid (see `double_polygon`): the same Fractions as evaluating
-the recurrences in interval arithmetic and rounding afterwards, without
-building the intermediate Fractions.
+enclosure.  The chain carries each endpoint as an integer numerator
+over 10**D from one doubling to the next (see `double_polygon`) and
+builds Fractions only for the bounds it returns: the same Fractions as
+evaluating the recurrences in interval arithmetic and rounding
+afterwards.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .numerics import (
     PrecisionError,
     _check_int,
     _isqrt_quotient,
-    _on_grid,
     interval_sqrt,
     rat_sqrt_bounds,
 )
@@ -121,18 +121,46 @@ def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
 
 
-def _sqrt_on_grid(x: Fraction, digits: int, up: bool) -> Fraction:
-    """rat_sqrt_bounds(x, Precision(digits)).lo (or .hi) rounded outward
-    onto the 10**-digits grid."""
-    num, den = _isqrt_quotient(x.numerator, x.denominator, digits, up)
-    return _on_grid(num, den, digits, up)
+def _doubled(sides: int, p: Precision, *ends: tuple[int, int]) -> tuple[int, int, int, int]:
+    """One doubling of the n-gon bounds i.lo, i.hi, c.lo, c.hi, given as
+    positive (numerator, denominator) pairs: the numerators over 10**D of
+    i2.lo, i2.hi, c2.lo and c2.hi (see `double_polygon`)."""
+    digits = _working_digits(p)
+    S = 10 ** digits
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = ends
+    c2_lo = 2 * a1 * a3 * b2 * b4 * S // (b1 * b3 * (a2 * b4 + a4 * b2))
+    c2_hi = -(-2 * a2 * a4 * b1 * b3 * S // (b2 * b4 * (a1 * b3 + a3 * b1)))
+    n, d = c2_lo * a1, S * b1
+    g = math.gcd(n, d)
+    num, den = _isqrt_quotient(n // g, d // g, digits, up=False)
+    i2_lo = num * S // den
+    if i2_lo == 0:
+        raise PrecisionError(
+            f"cannot double {sides} sides at {p.decimal_digits} digits: "
+            f"the inscribed bound rounds to 0"
+        )
+    # i2.lo > 0 needs c2.lo > 0, so both lower ends are positive; what is
+    # left of PolygonBounds' checks is the order of i2.lo and c2.hi.
+    if not i2_lo < c2_hi:
+        raise ValueError("inscribed/circumscribed bounds are inconsistent")
+    n, d = c2_hi * a2, S * b2
+    g = math.gcd(n, d)
+    num, den = _isqrt_quotient(n // g, d // g, digits, up=True)
+    return i2_lo, -(-num * S // den), c2_lo, c2_hi
+
+
+def _polygon(p: Precision, sides: int, *ends: int) -> PolygonBounds:
+    """The bounds whose endpoints have these numerators over 10**D."""
+    S = 10 ** _working_digits(p)
+    i_lo, i_hi, c_lo, c_hi = (Fraction(e, S) for e in ends)
+    return PolygonBounds(sides, Interval._of(i_lo, i_hi), Interval._of(c_lo, c_hi))
 
 
 def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     """Bounds at 2n sides from bounds at n sides.
 
-    With i = [a1/b1, a2/b2] and c = [a3/b3, a4/b4] the (positive, reduced)
-    perimeter bounds at n sides and S = 10**D, D the working digits:
+    With i = [a1/b1, a2/b2] and c = [a3/b3, a4/b4] the (positive) perimeter
+    bounds at n sides and S = 10**D, D the working digits:
 
         c2.lo = floor(2*a1*a3*b2*b4*S / (b1*b3*(a2*b4 + a4*b2))) / S
         c2.hi = ceil(2*a2*a4*b1*b3*S / (b2*b4*(a1*b3 + a3*b1))) / S
@@ -146,29 +174,19 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
     [i.lo + c.lo, i.hi + c.hi], so their quotient is the low product over
     the high sum and the high product over the low sum, which the c2
     lines write on integers.  interval_sqrt reads `rat_sqrt_bounds`' lower
-    quotient of the reduced c2.lo*i.lo and its upper quotient of
-    c2.hi*i.hi, the same `_isqrt_quotient` used here.  The floor or
-    ceiling of a rational does not depend on how it is written, so
-    rounding the integer quotients onto the grid gives the same
-    Fractions.
+    quotient of the reduced c2.lo*i.lo and its upper one of c2.hi*i.hi,
+    the same `_isqrt_quotient` used here; a floor or ceiling does not
+    depend on how a rational is written, so only n/d is reduced.  The
+    chain carries the numerators over S from step to step and builds
+    Fractions only for the bounds it returns; this function passes
+    ``b``'s reduced endpoints, so bounds off the grid double too.
 
     Once the bounds have widened past the grid's reach (at 1 digit, after
     about 34 doublings), i2.lo rounds to 0; that raises `PrecisionError`.
     """
-    digits = _working_digits(p)
     i, c = b.per_inscribed, b.per_circumscribed
-    a1, b1, a2, b2 = i.lo.numerator, i.lo.denominator, i.hi.numerator, i.hi.denominator
-    a3, b3, a4, b4 = c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator
-    c2_lo = _on_grid(2 * a1 * a3 * b2 * b4, b1 * b3 * (a2 * b4 + a4 * b2), digits, up=False)
-    c2_hi = _on_grid(2 * a2 * a4 * b1 * b3, b2 * b4 * (a1 * b3 + a3 * b1), digits, up=True)
-    i2_lo = _sqrt_on_grid(c2_lo * i.lo, digits, up=False)
-    if i2_lo == 0:
-        raise PrecisionError(
-            f"cannot double {b.sides} sides at {p.decimal_digits} digits: "
-            f"the inscribed bound rounds to 0"
-        )
-    i2 = Interval._of(i2_lo, _sqrt_on_grid(c2_hi * i.hi, digits, up=True))
-    return PolygonBounds(2 * b.sides, i2, Interval._of(c2_lo, c2_hi))
+    ends = [(x.numerator, x.denominator) for x in (i.lo, i.hi, c.lo, c.hi)]
+    return _polygon(p, 2 * b.sides, *_doubled(b.sides, p, *ends))
 
 
 def _chain_seed_for(n: int) -> int:
@@ -179,13 +197,22 @@ def _chain_seed_for(n: int) -> int:
     return n
 
 
-def _chain(seed: int, p: Precision) -> Iterator[PolygonBounds]:
-    """Bounds at seed, 2*seed, 4*seed, ... sides, each doubled on demand
-    (the one caller of polygon_seed and double_polygon)."""
+def _grid_chain(seed: int, p: Precision) -> Iterator[tuple[int, int, int, int, int]]:
+    """The side counts seed, 2*seed, 4*seed, ..., each with its bounds'
+    four numerators over 10**D (see `_doubled`), doubled on demand."""
+    S = 10 ** _working_digits(p)
     b = polygon_seed(seed, p)
+    i, c, sides = b.per_inscribed, b.per_circumscribed, seed
+    i_lo, i_hi, c_lo, c_hi = (x.numerator * S // x.denominator for x in (i.lo, i.hi, c.lo, c.hi))
     while True:
-        yield b
-        b = double_polygon(b, p)
+        yield sides, i_lo, i_hi, c_lo, c_hi
+        i_lo, i_hi, c_lo, c_hi = _doubled(sides, p, (i_lo, S), (i_hi, S), (c_lo, S), (c_hi, S))
+        sides *= 2
+
+
+def _chain(seed: int, p: Precision) -> Iterator[PolygonBounds]:
+    """Bounds at seed, 2*seed, 4*seed, ... sides, each doubled on demand."""
+    return (_polygon(p, *ends) for ends in _grid_chain(seed, p))
 
 
 def _chain_from(n: int, p: Precision) -> Iterator[PolygonBounds]:
@@ -195,7 +222,7 @@ def _chain_from(n: int, p: Precision) -> Iterator[PolygonBounds]:
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
     if seed not in (3, 4, 6):
         raise ValueError(f"{n} sides is not reachable by doubling from a 3-, 4-, or 6-gon")
-    return dropwhile(lambda b: b.sides < n, _chain(seed, p))
+    return (_polygon(p, *ends) for ends in dropwhile(lambda t: t[0] < n, _grid_chain(seed, p)))
 
 
 def _with_retry(run: Callable[[Precision], _T], p: Precision) -> _T:
@@ -206,25 +233,22 @@ def _with_retry(run: Callable[[Precision], _T], p: Precision) -> _T:
         return run(Precision(2 * p.decimal_digits))
 
 
-def _enclosure(b: PolygonBounds, p: Precision) -> PiBounds:
-    return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, p)
-
-
 def _pi_to_width(width: Fraction, p: Precision) -> PiBounds:
-    # Every endpoint lies on the 10**-(working digits) grid, so each width
-    # is a positive multiple of that step.  The loop goes on only while
-    # the width strictly falls, so it ends: at the target or at a stall.
-    chain = _chain(6, p)
-    narrowest: Fraction | None = None
+    # Every endpoint is a numerator over S = 10**(working digits), so each
+    # width is a positive integer w standing for w/S.  The loop goes on
+    # only while w strictly falls, so it ends: at the target or at a stall.
+    S = 10 ** _working_digits(p)
+    chain = _grid_chain(6, p)
+    narrowest: int | None = None
     while True:
-        b = next(chain)
-        w = b.per_circumscribed.hi - b.per_inscribed.lo
-        if w <= width:
-            return _enclosure(b, p)
+        sides, i_lo, _, _, c_hi = next(chain)
+        w = c_hi - i_lo
+        if w * width.denominator <= width.numerator * S:
+            return PiBounds(Fraction(i_lo, S), Fraction(c_hi, S), sides, p)
         if narrowest is not None and w >= narrowest:
             raise PrecisionError(
                 f"cannot reach width {width} at {p.decimal_digits} digits: "
-                f"the bounds stopped narrowing at {b.sides // 2} sides"
+                f"the bounds stopped narrowing at {sides // 2} sides"
             )
         narrowest = w
 
@@ -250,7 +274,8 @@ def pi_bounds(
         _check_int(target_sides, "target_sides")
         if _chain_seed_for(target_sides) != 6:
             raise ValueError(f"target_sides must be 6 * 2**k, got {target_sides}")
-        return _enclosure(next(_chain_from(target_sides, p)), p)
+        b = next(_chain_from(target_sides, p))
+        return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, p)
 
     width = Fraction(target_width)
     if width <= 0:

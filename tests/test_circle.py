@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from practica.circle_measurement import (
@@ -17,6 +17,7 @@ from practica.circle_measurement import (
     RatioVerdict,
     _chain,
     _chain_from,
+    _doubled,
     _inscribed_area,
     _working_digits,
     archimedes_window,
@@ -147,6 +148,40 @@ def test_doubling_raises_where_the_inscribed_bound_rounds_to_zero(seed):
             pi_bounds(target_sides=2 * b.sides, p=p)
 
 
+def _raised(f, *args):
+    """f(*args), or the type and message of the refusal it raised."""
+    try:
+        return f(*args)
+    except (ValueError, PrecisionError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 4, 6]), st.integers(min_value=1, max_value=70), st.integers(0, 45))
+@example(3, 1, 45)  # at 1 digit the inscribed bound rounds to 0 at the 34th doubling
+@example(4, 1, 45)
+@example(6, 1, 45)
+def test_chain_equals_iterated_double_polygon(seed, digits, doublings):
+    # the chain carries integers between steps; the public step fed its
+    # own output gives the same bounds and the same refusal
+    p = Precision(digits)
+    chain, b = _chain(seed, p), polygon_seed(seed, p)
+    assert next(chain) == b
+    for _ in range(doublings):
+        expected = _raised(double_polygon, b, p)
+        assert _raised(next, chain) == expected
+        if not isinstance(expected, PolygonBounds):
+            break
+        b = expected
+
+
+def test_integer_step_checks_the_order_of_its_bounds():
+    # the chain builds no PolygonBounds between the bounds it returns, so
+    # the integer step makes its check itself, with the same message
+    with pytest.raises(ValueError, match=r"^inscribed/circumscribed bounds are inconsistent$"):
+        _doubled(6, P20, (100, 1), (100, 1), (1, 1), (1, 1))
+
+
 def test_bounds_nest_as_sides_double():
     prev = pi_bounds(target_sides=6, p=P20)
     for k in range(1, 7):
@@ -200,6 +235,52 @@ def test_width_driver_has_no_doubling_cap():
 def test_width_mode_agrees_with_side_mode(exponent):
     b = pi_bounds(target_width=Fraction(1, 10 ** exponent), p=Precision(30))
     assert pi_bounds(target_sides=b.sides, p=b.precision) == b
+
+
+def _pi_by_public_steps(width, p):
+    """pi_bounds(target_width=width, p=p) from polygon_seed and
+    double_polygon alone: double the hexagon until the width is reached
+    or stops falling, and after a stall search once more at twice the
+    digits."""
+
+    def search(q):
+        b, narrowest = polygon_seed(6, q), None
+        while True:
+            w = b.per_circumscribed.hi - b.per_inscribed.lo
+            if w <= width:
+                return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, q)
+            if narrowest is not None and w >= narrowest:
+                raise PrecisionError(
+                    f"cannot reach width {width} at {q.decimal_digits} digits: "
+                    f"the bounds stopped narrowing at {b.sides // 2} sides"
+                )
+            narrowest = w
+            b = double_polygon(b, q)
+
+    try:
+        return search(p)
+    except PrecisionError:
+        return search(Precision(2 * p.decimal_digits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=80),
+    st.sampled_from([1, 5, 30, 52, 60]),
+)
+@example(1, 80, 1)  # refused after the retry
+@example(3, 42, 52)  # reached after the retry
+@example(7, 1, 60)  # reached at the hexagon
+def test_width_search_equals_the_public_steps(m, k, digits):
+    # m = 2, 4, 5, 6 and 8 reduce to denominators that are not powers of
+    # ten, so the integer width comparison reads both parts of the width
+    width, p = Fraction(m, 10 ** k), Precision(digits)
+    found = _raised(pi_bounds, None, width, p)
+    assert found == _raised(_pi_by_public_steps, width, p)
+    if isinstance(found, PiBounds):
+        # a width met with equality stops the search where it was reached
+        assert pi_bounds(target_width=found.width, p=found.precision) == found
 
 
 def test_pi_bounds_validation():
