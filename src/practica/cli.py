@@ -4,7 +4,8 @@ Every number crosses the CLI boundary exactly: arguments parse as
 fractions (``p/q`` or decimal literals), and decimal output is produced
 by integer arithmetic, truncated toward zero, so identical flags give
 byte-identical output on any platform.  Exit codes: 0 success, 2 usage
-or domain error, 3 numerical failure (exact root, no bracket, pi stall).
+or domain error, 3 numerical failure (exact root, no bracket, a pi chain
+doubled past its precision).
 """
 
 from __future__ import annotations
@@ -352,10 +353,11 @@ def _add_decimal_digits(sub: argparse.ArgumentParser, default: int | None = 15) 
                      help="decimal places in printed values")
 
 
-def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15) -> None:
+def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15,
+                precision_help: str = "working precision in decimal digits") -> None:
     sub.add_argument("--precision", type=int_at_least(1),
                      default=DEFAULT_PRECISION.decimal_digits,
-                     metavar="P", help="working precision in decimal digits (default %(default)s)")
+                     metavar="P", help=f"{precision_help} (default %(default)s)")
     _add_decimal_digits(sub, decimal_default)
 
 
@@ -373,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--width", type=parse_rational, metavar="W",
                         help="double until upper - lower <= W")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
-    _add_common(sp, decimal_default=None)
+    _add_common(sp, decimal_default=None, precision_help="working precision in decimal "
+                "digits; with --width, a floor under the digits the width needs")
     sp.set_defaults(func=cmd_pi_bounds)
 
     sp = sub.add_parser("heron", help="triangle area from sides or vertices")

@@ -17,14 +17,15 @@ T_1 + ... + T_(n-1) (full), and the subtrahend of a candidate digit d is
 by Horner's rule in d.  The powers come one of two ways:
 
 * While the root is short, and always for n = 2, one chain of n-2
-  full-size multiplications rebuilds them at every step (`_terms`).
+  full-size multiplications rebuilds them at every step (`_powers`).
 * For n >= 3, once r has more than _SHIFT_BITS + n**2 = 512 + n**2
   bits, they are carried from one step to the next and updated by the
   binomial theorem, (10r + d)**j = sum of C(j,i) * 10**i * d**(j-i) *
   r**i over i <= j (`_shifted`): about n**2/2 products, each a power of
   r times a small number.
 
-Everything else multiplies a big number by a small one.  The switch
+Either way each term is a power times a small special number, and
+everything else multiplies a big number by a small one.  The switch
 reads only n and the size of r.  Its constant comes from the per-step
 crossover, measured as the best of 15 runs over 20 random digits on a
 shared 2-core x86-64 host under CPython 3.11: the update overtakes the
@@ -187,30 +188,13 @@ def group_points(N: int, n: int) -> list[int]:
     return [int(s[:first])] + [int(s[i : i + n]) for i in range(first, len(s), n)]
 
 
-def _terms(root: int, sp: SpecialNumbers) -> list[int]:
-    """T_n, T_(n-1), ..., T_1 with T_k = V_k * root**(n-k) and V_n = 1.
-
-    The powers root, root**2, ..., root**(n-1) come from one chain of
-    n-2 full-size multiplications; each term is a power times a small
-    special number.  `extract_root` calls this while the root has at
-    most ``_SHIFT_BITS + n**2`` bits, and always for n = 2, where the
-    chain has no full product.  Past that switch it carries the powers
-    from step to step, updates them with `_shifted` (big-by-small
-    products only) and forms the same terms from them.
-    """
-    terms = [1]
-    power = 1
-    for v in reversed(sp.values):
-        power *= root
-        terms.append(v * power)
-    return terms
-
-
 def _powers(root: int, n: int) -> list[int]:
-    """1, root, root**2, ..., root**(n-1), by the same chain."""
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * root)
+    """1, root, root**2, ..., root**(n-1), by one chain of n-2 full-size
+    multiplications (none for n = 2)."""
+    power, powers = root, [1, root]
+    for _ in range(n - 2):
+        power *= root
+        powers.append(power)
     return powers
 
 
@@ -221,11 +205,6 @@ def _shifted(powers: list[int], rows: tuple[tuple[int, ...], ...]) -> list[int]:
     so every product multiplies a power of r by a small number.
     """
     return [1, *(sum(map(mul, row, powers)) for row in rows)]
-
-
-def _divisor(terms: list[int], mode: str) -> int:
-    """T_1 in simplified mode, T_1 + ... + T_(n-1) in full mode."""
-    return terms[-1] if mode == SIMPLIFIED else sum(terms[1:])
 
 
 def _subtrahend(terms: list[int], d: int) -> int:
@@ -267,6 +246,7 @@ def extract_root(
     # reads it, and a high degree's row is large.
     sp: SpecialNumbers | None = None
     shift_bits = _SHIFT_BITS + n * n
+    simplified = divisor_mode == SIMPLIFIED
 
     steps: list[TraceStep] = []
     root = 0
@@ -287,11 +267,11 @@ def extract_root(
         else:
             if sp is None:
                 sp = SpecialNumbers.for_degree(n)
-            if powers is None:
-                terms = _terms(root, sp)
-            else:
-                terms = [1, *map(mul, reversed(sp.values), powers[1:])]
-            divisor = _divisor(terms, divisor_mode)
+                # V_n = 1, V_(n-1), ..., V_1, times 1, r, ..., r**(n-1)
+                coefficients = (1, *reversed(sp.values))
+            step_powers = powers or _powers(root, n)
+            terms = [*map(mul, coefficients, step_powers)]
+            divisor = terms[-1] if simplified else sum(terms[1:])
             trial = digit = min(9, point // divisor)
             while (subtrahend := _subtrahend(terms, digit)) > point:
                 digit -= 1
@@ -299,7 +279,8 @@ def extract_root(
         steps.append(TraceStep(remainder, group, n, divisor, trial, digit, after))
         remainder = after
         if n > 2 and root.bit_length() > shift_bits:
-            powers = _shifted(powers or _powers(root, n), _shift_rows(n)[digit])
+            # a root this long is not 0, so this step formed step_powers
+            powers = _shifted(step_powers, _shift_rows(n)[digit])
         root = 10 * root + digit
 
     return RootExtraction(

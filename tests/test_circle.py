@@ -15,10 +15,10 @@ from practica.circle_measurement import (
     PiBounds,
     PolygonBounds,
     RatioVerdict,
-    _chain,
     _chain_from,
     _doubled,
     _inscribed_area,
+    _pi_to_width,
     _working_digits,
     archimedes_window,
     circle_area_bounds,
@@ -36,6 +36,30 @@ P20 = Precision(20)
 # the circle ratio to 60 decimals, truncated, and one unit in the last place above
 PI_60 = Fraction(3141592653589793238462643383279502884197169399375105820974944, 10 ** 60)
 PI_60_UP = PI_60 + Fraction(1, 10 ** 60)
+
+
+def _machin_pi(digits):
+    """Fractions lo < hi, 2e-(digits + 6) apart, around the circle ratio,
+    from Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) on integers."""
+    scale = 10 ** (digits + 10)
+
+    def arctan_inv(x):
+        # each term, floor(scale / x**(2k+1)) // (2k+1), is under 2 units
+        # off, and the first term dropped is under 1 unit
+        total, power, k = 0, scale // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    # about (digits + 10)/1.4 terms for 1/5 and (digits + 10)/4.7 for
+    # 1/239, so for digits up to 300 the error is under 10**4 units
+    pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
+    return Fraction(pi - 10 ** 4, scale), Fraction(pi + 10 ** 4, scale)
+
+
+PI_LO, PI_HI = _machin_pi(260)
 
 
 def test_seed_values_are_exact_where_possible():
@@ -136,7 +160,7 @@ def test_doubling_raises_where_the_inscribed_bound_rounds_to_zero(seed):
     # at 1 digit the widths grow past the grid after 33 doublings, and the
     # interval expression's next inscribed bound rounds to 0
     p = Precision(1)
-    b = next(islice(_chain(seed, p), 33, None))
+    b = next(islice(_chain_from(seed, p), 33, None))
     assert b.per_inscribed.lo > 0
     with pytest.raises(ValueError, match=r"^per_inscribed\.lo must be positive, got 0$"):
         _doubled_by_intervals(b, p)
@@ -165,7 +189,7 @@ def test_chain_equals_iterated_double_polygon(seed, digits, doublings):
     # the chain carries integers between steps; the public step fed its
     # own output gives the same bounds and the same refusal
     p = Precision(digits)
-    chain, b = _chain(seed, p), polygon_seed(seed, p)
+    chain, b = _chain_from(seed, p), polygon_seed(seed, p)
     assert next(chain) == b
     for _ in range(doublings):
         expected = _raised(double_polygon, b, p)
@@ -210,18 +234,45 @@ def test_width_driver_reaches_requested_width():
     assert b.sides % 6 == 0
 
 
-def test_width_driver_raises_when_precision_cannot_deliver():
-    # after the retry at 6 digits the chain stalls; the error says where
-    with pytest.raises(PrecisionError, match=r"at 6 digits: .* stopped narrowing at \d+ sides"):
-        pi_bounds(target_width=Fraction(1, 10 ** 21), p=Precision(3))
+def test_machin_pi_agrees_with_the_60_digit_constant():
+    assert PI_60 < PI_LO < PI_HI < PI_60_UP
+    assert PI_HI - PI_LO <= Fraction(2, 10 ** 266)
+
+
+def _assert_reached(width, p):
+    # no PrecisionError, the width met, and the circle ratio strictly inside
+    b = pi_bounds(target_width=width, p=p)
+    assert b.width <= width, (width, p)
+    assert b.lower < PI_LO and PI_HI < b.upper, (width, p)
+
+
+def test_width_driver_never_stalls_at_one_digit():
+    # the working digits come from the width alone here, 11 to 337 of
+    # them.  Each decade 10**-(k+1) < width <= 10**-k runs at one digit
+    # count, so its narrowest width, just above 10**-(k+1), lies nearest
+    # the floor: where it is reached, 10**-k is reached no later.
+    for k in range(1, 201):
+        _assert_reached(Fraction(10 ** 9 + 1, 10 ** (k + 10)), Precision(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from([1, 3, 5, 10, 30, 52, 60]),
+)
+@example(1, 200, 1)  # the deepest width, from the rule's digits
+@example(1, 21, 3)  # refused before, when the retry at 6 digits stalled
+def test_width_driver_never_stalls(m, k, digits):
+    _assert_reached(Fraction(m, 10 ** k), Precision(digits))
 
 
 def test_width_driver_has_no_doubling_cap():
-    # 62 working digits stall near 4e-38; the retry at 104 digits reaches
+    # the rule gives 1e-42 74 working digits (precision 64), which reach
     # the width at 6 * 2**70 sides, 70 doublings from the hexagon
     b = pi_bounds(target_width=Fraction(1, 10 ** 42), p=Precision(52))
     assert b.width <= Fraction(1, 10 ** 42)
-    assert (b.sides, b.precision) == (6 * 2 ** 70, Precision(104))
+    assert (b.sides, b.precision) == (6 * 2 ** 70, Precision(64))
     assert b.lower < PI_60 and PI_60_UP < b.upper
     r = subprocess.run(
         [sys.executable, "-m", "practica", "pi-bounds", "--width", "1e-42", "--precision", "52"],
@@ -237,30 +288,26 @@ def test_width_mode_agrees_with_side_mode(exponent):
     assert pi_bounds(target_sides=b.sides, p=b.precision) == b
 
 
-def _pi_by_public_steps(width, p):
-    """pi_bounds(target_width=width, p=p) from polygon_seed and
-    double_polygon alone: double the hexagon until the width is reached
-    or stops falling, and after a stall search once more at twice the
-    digits."""
-
-    def search(q):
-        b, narrowest = polygon_seed(6, q), None
-        while True:
-            w = b.per_circumscribed.hi - b.per_inscribed.lo
-            if w <= width:
-                return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, q)
-            if narrowest is not None and w >= narrowest:
-                raise PrecisionError(
-                    f"cannot reach width {width} at {q.decimal_digits} digits: "
-                    f"the bounds stopped narrowing at {b.sides // 2} sides"
-                )
-            narrowest = w
-            b = double_polygon(b, q)
-
-    try:
-        return search(p)
-    except PrecisionError:
-        return search(Precision(2 * p.decimal_digits))
+def _pi_by_public_steps(m, k, p):
+    """pi_bounds(target_width=m/10**k, p=p), for 1 <= m <= 9, from
+    polygon_seed and double_polygon alone: double the hexagon once, at
+    ceil(5*(j + 2)/3) working digits for the decade 10**-(j+1) < width
+    <= 10**-j if that is more than p's, until the width is reached or
+    stops falling."""
+    width, j = Fraction(m, 10 ** k), k if m == 1 else k - 1
+    q = Precision(max(p.decimal_digits, math.ceil(5 * (j + 2) / 3) - 10))
+    b, narrowest = polygon_seed(6, q), None
+    while True:
+        w = b.per_circumscribed.hi - b.per_inscribed.lo
+        if w <= width:
+            return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, q)
+        if narrowest is not None and w >= narrowest:
+            raise PrecisionError(
+                f"cannot reach width {width} at {q.decimal_digits} digits: "
+                f"the bounds stopped narrowing at {b.sides // 2} sides"
+            )
+        narrowest = w
+        b = double_polygon(b, q)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,18 +316,18 @@ def _pi_by_public_steps(width, p):
     st.integers(min_value=1, max_value=80),
     st.sampled_from([1, 5, 30, 52, 60]),
 )
-@example(1, 80, 1)  # refused after the retry
-@example(3, 42, 52)  # reached after the retry
+@example(1, 80, 1)  # reached at the rule's 137 working digits; refused before
+@example(3, 42, 52)  # reached at the rule's 72 working digits
 @example(7, 1, 60)  # reached at the hexagon
 def test_width_search_equals_the_public_steps(m, k, digits):
     # m = 2, 4, 5, 6 and 8 reduce to denominators that are not powers of
     # ten, so the integer width comparison reads both parts of the width
     width, p = Fraction(m, 10 ** k), Precision(digits)
     found = _raised(pi_bounds, None, width, p)
-    assert found == _raised(_pi_by_public_steps, width, p)
+    assert found == _raised(_pi_by_public_steps, m, k, p)
     if isinstance(found, PiBounds):
         # a width met with equality stops the search where it was reached
-        assert pi_bounds(target_width=found.width, p=found.precision) == found
+        assert _pi_to_width(found.width, found.precision) == found
 
 
 def test_pi_bounds_validation():
@@ -339,7 +386,7 @@ def test_circle_area_with_archimedes_window():
 
 
 def test_exhaustion_steps_certify_halving():
-    # 10 digits cannot certify 20 halvings: that report is rebuilt at 20
+    # 20 working digits cannot certify 20 halvings: that report runs at 22
     for doublings, digits in ((5, 25), (20, 10)):
         steps = exhaustion_report(doublings, Precision(digits))
         assert [s.sides_before for s in steps] == [4 * 2 ** k for k in range(doublings)]
@@ -347,6 +394,16 @@ def test_exhaustion_steps_certify_halving():
             assert s.inscribed_halved and s.circumscribed_halved
             assert s.inscribed_gap_after.hi < s.inscribed_gap_before.lo / 2
             assert s.circumscribed_gap_after.hi < s.circumscribed_gap_before.lo / 2
+
+
+@pytest.mark.parametrize("digits", [1, 10, 30])
+def test_exhaustion_report_never_raises(digits):
+    # the square chain runs at max_doublings + 2 working digits or more
+    p = Precision(digits)
+    for doublings in range(1, 81):
+        steps = exhaustion_report(doublings, p)
+        assert len(steps) == doublings
+        assert all(s.inscribed_halved and s.circumscribed_halved for s in steps), doublings
 
 
 def test_exhaustion_steps_share_each_polygons_gaps():
@@ -419,7 +476,7 @@ def test_interval_endpoints_are_on_decimal_grid():
     # denominators stay bounded however many doublings are taken
     p = Precision(25)
     grid = 10 ** (25 + 10)
-    polygons = list(islice(_chain(6, p), 21))
+    polygons = list(islice(_chain_from(6, p), 21))
     assert polygons[-1].sides == 6 * 2 ** 20
     for b in polygons:
         for iv in (b.per_inscribed, b.per_circumscribed):

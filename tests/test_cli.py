@@ -73,8 +73,15 @@ def test_pi_bounds_exit_codes():
     assert run("pi-bounds", "--sides", "17").returncode == 2
     assert run("pi-bounds").returncode == 2
     assert run("pi-bounds", "--sides", "96", "--width", "1e-3").returncode == 2
-    # precision too small to ever reach the width: numerical failure
-    assert run("pi-bounds", "--width", "1e-21", "--precision", "3").returncode == 3
+    # a width takes the digits it needs, however small the precision
+    r = run("pi-bounds", "--width", "1e-21", "--precision", "3")
+    assert r.returncode == 0, r.stderr
+    lines = dict(line.split(None, 1) for line in r.stdout.decode().splitlines()[:3])
+    assert Fraction(lines["upper"]) - Fraction(lines["lower"]) <= Fraction(1, 10 ** 21)
+    # too many doublings for the precision: numerical failure
+    r = run("pi-bounds", "--sides", str(6 * 2 ** 34), "--precision", "1")
+    assert r.returncode == 3
+    assert "the inscribed bound rounds to 0" in r.stderr.decode()
 
 
 def test_heron_sides():
