@@ -257,7 +257,19 @@ def cmd_meanprops(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The largest ``nth-root --degree`` and ``special-numbers --max-degree``.
+#: A degree-n row of special numbers has O(n**2) digits, and an
+#: extraction builds it as soon as a step divides.
+MAX_DEGREE = 1000
+
+
+def _check_degree(flag: str, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{flag} must be at most {MAX_DEGREE}, got {degree}")
+
+
 def cmd_nth_root(args: argparse.Namespace) -> int:
+    _check_degree("--degree", args.degree)
     mode = FULL if args.divisor == "full" else SIMPLIFIED
     rx = extract_root(args.radicand, args.degree, frac_digits=args.frac_digits, divisor_mode=mode)
     lines = [f"root       {rx.root_string()}", f"remainder  {int_to_decimal(rx.remainder)}"]
@@ -290,11 +302,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_special_numbers(args: argparse.Namespace) -> int:
     if args.max_degree < 2:
         raise ValueError("--max-degree must be at least 2")
-    lines = []
+    _check_degree("--max-degree", args.max_degree)
+    # one row at a time: all rows up to MAX_DEGREE run to about 240 MB
     for n in range(2, args.max_degree + 1):
         sp = SpecialNumbers.for_degree(n)
-        lines.append(f"degree {n:>2d}: " + ", ".join(str(v) for v in sp.values))
-    _emit(lines)
+        _emit([f"degree {n:>2d}: " + ", ".join(str(v) for v in sp.values)])
     return 0
 
 

@@ -21,7 +21,9 @@ the first step that passes.  A check that fails may estimate how many
 more halvings the bracket needs, and the kernel places its next probe
 there; an estimate changes only which steps are probed, never the
 result, since the checks are monotone along nested brackets and the
-kernel finds the step that checking every one would.
+kernel finds the step that checking every one would.  Nicomedes'
+check is interval evaluation of its cut, computed on integers over two
+common denominators; it builds Fractions only once the cut passes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .numerics import (
     PrecisionError,
     _sqrt_bound,
     int_nth_root_floor,
+    int_to_decimal,
     interval_sqrt,
     pow10,
     rat_sqrt_bounds,
@@ -111,13 +114,11 @@ class MeanPropResult:
 
 
 def _digits_for(x: Fraction) -> int:
-    """Smallest d >= 1 with 10**-d <= x."""
+    """Smallest d >= 1 with 10**-d <= x.  For x = n/m that is
+    10**d >= ceil(m/n), so d is the number of digits of ceil(m/n) - 1."""
     if x <= 0:
         raise ValueError("width target must be positive")
-    d = 1
-    while pow10(-d) > x:
-        d += 1
-    return d
+    return len(int_to_decimal(-(-x.denominator // x.numerator) - 1))
 
 
 def _width_target(prob: MeanPropProblem) -> Fraction:
@@ -181,9 +182,10 @@ def _bisect(
     that narrows onto a root, ``accept`` eventually stops refusing:
     heron and philo read x and y through exact maps; apollonius and
     diocles go through directed square-root bounds, whose error falls as
-    endpoint denominators grow like 2**k; and nicomedes' ``accept``,
-    interval evaluation, converges at its root since the cut
-    denominators are nonzero for t > 0 and K lies beyond C there.
+    endpoint denominators grow like 2**k; and nicomedes' ``accept``, the
+    interval expressions of its cut computed on integers (see
+    ``_cut_check``), converges at its root since the cut denominators
+    are nonzero for t > 0 and K lies beyond C there.
 
     Contract: along nested brackets, "accept does not refuse" is
     monotone; once a bracket is not refused, no bracket inside it is.
@@ -631,6 +633,127 @@ def _intercept_sign(
     return sign_at
 
 
+def _neusis_figure(
+    prob: MeanPropProblem, digits: int
+) -> tuple[Point2, tuple[tuple[int, int, int], ...], Interval]:
+    """Nicomedes' figure for ``prob`` (ab > bc): the pole Z, the cut
+    constants (see ``_cut_constants``) of the line through C parallel to
+    GZ and of the base line, and the band [(L - e)**2, (L + e)**2] that
+    the squared cut must lie in, with L = AB/2 and e = 10**-(digits + 4)
+    * max(1, L) (``digits``: the decimal digits of the width target)."""
+    a, c = prob.ab, prob.bc
+    c_pt = Point2(c, Fraction(0))
+    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * digits + 12)).mid
+    z = Point2(c / 2, -z_len)
+    # G = (-c, 0) always: the line through the far corner and the midpoint
+    # of AB meets the base line there.  The neusis cuts the line through C
+    # parallel to G -> Z, then the base line.
+    theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
+    base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
+    L = a / 2
+    tol = pow10(-(digits + 4)) * max(Fraction(1), L)
+    target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
+    return z, _cut_constants(z, (theta_line, base_line)), target_sq
+
+
+def _square_ends(
+    u: int, p2: int, v: int, r2: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of [u/p, v/r]**2 (p, r > 0; p2 = p**2, r2 = r**2) as
+    (numerator, denominator) pairs, with the three cases of
+    ``Interval.square``."""
+    if u >= 0:
+        return (u * u, p2), (v * v, r2)
+    if v <= 0:
+        return (v * v, r2), (u * u, p2)
+    uu, vv = u * u, v * v
+    return (0, 1), ((uu, p2) if uu * r2 >= vv * p2 else (vv, r2))
+
+
+def _pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for (numerator, denominator) pairs with positive denominators."""
+    (xn, xd), (yn, yd) = x, y
+    if xd == yd:
+        return xn + yn, xd
+    return xn * yd + yn * xd, xd * yd
+
+
+def _cut_check(
+    prob: MeanPropProblem,
+    zx: Fraction,
+    cuts: tuple[tuple[int, int, int], ...],
+    target_sq: Interval,
+    target: Fraction,
+) -> Callable[[Fraction, Fraction], object]:
+    """Nicomedes' ``accept`` for brackets [tl, th] inside [0, 1], from the
+    figure of ``_neusis_figure`` (``zx``: the pole's abscissa).
+
+    It is interval evaluation of the cut over the bracket, done on
+    integers: every quantity below is the value that the ``Interval``
+    operators give.  For a > c the cut constants have fixed signs
+    (vx1 > 0, vy1 < 0, n1 < 0 for the line through C; vx_k > 0,
+    vy_k = 0, n_k < 0 for the base line), and on [0, 1] the direction
+    (1 - t**2, 2t) has both coordinates >= 0, so every product and
+    quotient takes the branch that pairs two endpoints.  With the
+    bracket over one denominator Q, the direction's ends are integers
+    over Q**2, and so are the cut denominators: -Q**2 * den1 runs over
+    [e1h, e1l] and -Q**2 * den_k over [ekh, ekl], all >= 0, so each
+    denominator excludes 0 unless its smaller end is 0.  The low ends of
+    both cut coordinates are then integers over e1l * ekh, the high ends
+    over e1h * ekl; only their squares need a sign case.  The band test and the halvings estimate
+    are cross-multiplications, and K's abscissa is built as Fractions
+    only once the band test passes.  The checks, in this order: both
+    denominators exclude 0; the squared cut lies in the band; K lies
+    beyond C; the means are no wider than the target."""
+    a, c = prob.ab, prob.bc
+    # the line through C, then the base line
+    (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
+    N1, Nk = -n1, -n_k
+    band_lo, band_hi, band_w = target_sq.lo, target_sq.hi, target_sq.width
+    zn, zd = zx.numerator, zx.denominator
+
+    def accept(tl: Fraction, th: Fraction) -> object:
+        L, H, Q = _cleared(tl, th)
+        QQ = Q * Q
+        dxl, dxh = QQ - H * H, QQ - L * L  # Q**2 (1 - t**2) at th, at tl
+        dyl, dyh = 2 * L * Q, 2 * H * Q  # Q**2 * 2t at tl, at th
+        e1l, e1h = dyh * vx1 - dxh * vy1, dyl * vx1 - dxl * vy1
+        ekl, ekh = dyh * vx_k - dxh * vy_k, dyl * vx_k - dxl * vy_k
+        if e1h == 0 or ekh == 0:
+            return None
+        # cut_x = lam1 * dx - lam_k * dx over [lo/(e1l*ekh), hi/(e1h*ekl)],
+        # with lam1 = n1/den1 = N1*Q**2/E1 and lam_k = Nk*Q**2/Ek; likewise cut_y.
+        p2, r2 = (e1l * ekh) ** 2, (e1h * ekl) ** 2
+        x_lo, x_hi = _square_ends(
+            N1 * dxl * ekh - Nk * dxh * e1l, p2, N1 * dxh * ekl - Nk * dxl * e1h, r2
+        )
+        y_lo, y_hi = _square_ends(
+            N1 * dyl * ekh - Nk * dyh * e1l, p2, N1 * dyh * ekl - Nk * dyl * e1h, r2
+        )
+        (lo_n, lo_d), (hi_n, hi_d) = _pair_sum(x_lo, y_lo), _pair_sum(x_hi, y_hi)
+        if not (
+            band_lo.numerator * lo_d <= lo_n * band_lo.denominator
+            and hi_n * band_hi.denominator <= band_hi.numerator * hi_d
+        ):
+            # _halvings(cut_sq.width, target_sq.width)
+            num = (hi_n * lo_d - lo_n * hi_d) * band_w.denominator
+            return (-(-num // (hi_d * lo_d * band_w.numerator))).bit_length()
+        x_k = Interval._of(  # K's abscissa on the base line: zx + lam_k * dx
+            Fraction(zn * ekl + zd * Nk * dxl, zd * ekl),
+            Fraction(zn * ekh + zd * Nk * dxh, zd * ekh),
+        )
+        if x_k.lo <= c:
+            return None  # may still lie beyond C: narrow until it is decided
+        x_iv = x_k - c
+        y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
+        width = max(x_iv.width, y_iv.width)
+        if width <= target:
+            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
+        return _halvings(width, target)
+
+    return accept
+
+
 def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     """The conchoid-compass route, reduced to its neusis.
 
@@ -654,62 +777,23 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     C.  Both cut denominators are nonzero for t > 0; at t = 0 the line
     is parallel to the base line and the cut is unbounded (sign +1), and
     at t = 1 it is a third of Z's depth below the base line, less than
-    a/2 (sign -1).  Interval evaluation over
-    a bracket checks, in this order: both cut denominators exclude 0;
-    the cut lies within 10**-(d + 4) * max(1, L) of L (d the decimal
-    digits of the width target); and K lies beyond C.  Only then are
-    the means read.  Each check is interval arithmetic on exact
-    endpoints, so the verdicts are monotone along nested brackets and
-    the kernel evaluates only O(log n) of a chain's n brackets (see
-    ``_bisect``).
+    a/2 (sign -1).  A bracket is checked (see ``_cut_check``) by the
+    interval expressions of the cut, computed on integers over two
+    common denominators: both cut denominators exclude 0; the cut lies
+    within 10**-(d + 4) * max(1, L) of L (d the decimal digits of the
+    width target); and K lies beyond C.  Fractions are built only once
+    the cut passes, and only then are the means read.  The verdicts are
+    those of interval arithmetic on exact endpoints, so they are
+    monotone along nested brackets and the kernel evaluates only
+    O(log n) of a chain's n brackets (see ``_bisect``).
     """
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(NICOMEDES, prob)
     target = _width_target(prob)
-    base_digits = _digits_for(target)
-
-    c_pt = Point2(c, Fraction(0))
-    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * base_digits + 12)).mid
-    z = Point2(c / 2, -z_len)
-    # G = (-c, 0) always: the line through the far corner and the midpoint
-    # of AB meets the base line there.  The neusis cuts the line through C
-    # parallel to G -> Z, then the base line.
-    theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
-    base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
-    cuts = _cut_constants(z, (theta_line, base_line))
-    L = a / 2
-    tol = pow10(-(base_digits + 4)) * max(Fraction(1), L)
-    target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
-
-    (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts  # the line through C, then the base line
-
-    def accept(tl: Fraction, th: Fraction) -> object:
-        t_iv = Interval(tl, th)
-        dx = 1 - t_iv.square()
-        dy = 2 * t_iv
-        den1 = dx * vy1 - dy * vx1
-        den_k = dx * vy_k - dy * vx_k
-        if den1.contains(0) or den_k.contains(0):
-            return None
-        lam_k = n_k / den_k
-        x_k = z.x + lam_k * dx  # K's abscissa on the base line
-        lam1 = n1 / den1
-        cut_x = z.x + lam1 * dx - x_k
-        cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
-        cut_sq = cut_x.square() + cut_y.square()
-        if not target_sq.contains_interval(cut_sq):
-            return _halvings(cut_sq.width, target_sq.width)
-        if x_k.lo <= c:
-            return None  # may still lie beyond C: narrow until it is decided
-        x_iv = x_k - c
-        y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
-        width = max(x_iv.width, y_iv.width)
-        if width <= target:
-            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
-        return _halvings(width, target)
-
-    return _bisect(_intercept_sign(cuts, L), Fraction(0), Fraction(1), accept)
+    z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
+    accept = _cut_check(prob, z.x, cuts, target_sq, target)
+    return _bisect(_intercept_sign(cuts, a / 2), Fraction(0), Fraction(1), accept)
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {

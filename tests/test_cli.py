@@ -242,17 +242,28 @@ def test_nth_root_exit_codes():
     assert run("nth-root", "--degree", "2", "--radicand", "-4").returncode == 2
 
 
-def test_nth_root_of_one_point_builds_no_special_numbers():
-    # One point never divides, so the degree-50000 row of special numbers
-    # (over a billion digits in all) must not be built; a short timeout
-    # catches it.
-    r = subprocess.run(
-        [sys.executable, "-m", "practica", "nth-root", "--degree", "50000", "--radicand", "2"],
-        capture_output=True,
-        timeout=30,
-    )
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("nth-root", "--degree", "1001", "--radicand", "2"), "--degree"),
+        (("special-numbers", "--max-degree", "1001"), "--max-degree"),
+    ],
+)
+def test_degree_flags_are_bounded(args, flag):
+    # A degree-n row of special numbers has O(n**2) digits, so both flags
+    # stop at 1000; the library functions take any degree.
+    r = run(*args)
+    assert r.returncode == 2
+    assert r.stdout == b""
+    assert r.stderr.decode() == f"practica: error: {flag} must be at most 1000, got 1001\n"
+
+
+def test_nth_root_degree_at_the_bound():
+    # A second digit group, so a step divides and builds the degree-1000 row;
+    # the remainder is 2 * 10**1000 - 10**1000 (the root 1.0 read as 10).
+    r = run("nth-root", "--degree", "1000", "--radicand", "2", "--frac-digits", "1")
     assert r.returncode == 0
-    assert r.stdout.decode().splitlines() == ["root       1", "remainder  1"]
+    assert r.stdout.decode().splitlines() == ["root       1.0", f"remainder  {10 ** 1000}"]
 
 
 def test_curve_conchoid_csv_row_count():

@@ -3,10 +3,11 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from practica import mean_proportionals
@@ -19,12 +20,18 @@ from practica.mean_proportionals import (
     PHILO,
     BracketNotFoundError,
     MeanPropProblem,
+    MeanPropResult,
     _apollonius_sign,
     _bisect,
+    _bisection_chain,
+    _cut_check,
     _cut_constants,
+    _digits_for,
     _diocles_sign,
+    _halvings,
     _heron_sign,
     _intercept_sign,
+    _neusis_figure,
     _philo_sign,
     _width_target,
     cissoid_arc_defect,
@@ -35,7 +42,7 @@ from practica.mean_proportionals import (
     solve_heron_apollonius,
     solve_philo,
 )
-from practica.numerics import PrecisionError, int_nth_root_floor
+from practica.numerics import Interval, PrecisionError, int_nth_root_floor, pow10
 
 
 def cbrt(x: Fraction, digits: int = 30) -> Fraction:
@@ -635,3 +642,195 @@ def test_nicomedes_abandons_the_short_branch_early(monkeypatch, ab):
 
     monkeypatch.setattr(mean_proportionals, "_bisect", lambda *args: _stepwise(*args)[1])
     assert METHODS[NICOMEDES](prob) == res
+
+
+def _digits_by_loop(x):
+    """The reference for ``_digits_for``: try d = 1, 2, ... on Fractions."""
+    d = 1
+    while pow10(-d) > x:
+        d += 1
+    return d
+
+
+@given(
+    st.one_of(
+        # exact powers of ten, and values just either side of them
+        st.builds(
+            lambda k, e: pow10(-k) + e * Fraction(1, 10 ** (k + 40)),
+            st.integers(min_value=-5, max_value=60),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        st.fractions(min_value=1, max_value=10 ** 12),
+        st.fractions(min_value=Fraction(1, 10 ** 70), max_value=2, max_denominator=10 ** 80),
+    )
+)
+def test_digits_for_matches_the_loop(x):
+    assert _digits_for(x) == _digits_by_loop(x)
+
+
+def test_digits_for_rejects_nonpositive_targets():
+    for x in (Fraction(0), Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="^width target must be positive$"):
+            _digits_for(x)
+
+
+def _interval_cut(z, cuts, tl, th):
+    """K's abscissa and the squared cut over [tl, th] as ``Interval``
+    expressions, or None where a cut denominator contains 0."""
+    (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
+    t_iv = Interval(tl, th)
+    dx = 1 - t_iv.square()
+    dy = 2 * t_iv
+    den1 = dx * vy1 - dy * vx1
+    den_k = dx * vy_k - dy * vx_k
+    if den1.contains(0) or den_k.contains(0):
+        return None
+    lam_k = n_k / den_k
+    x_k = z.x + lam_k * dx  # K's abscissa on the base line
+    lam1 = n1 / den1
+    cut_x = z.x + lam1 * dx - x_k
+    cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
+    return x_k, cut_x.square() + cut_y.square()
+
+
+def _interval_cut_check(prob, z, cuts, target_sq, target):
+    """The reference for ``_cut_check``: nicomedes' check on a bracket as
+    ``Interval`` expressions."""
+    a, c = prob.ab, prob.bc
+
+    def accept(tl, th):
+        cut = _interval_cut(z, cuts, tl, th)
+        if cut is None:
+            return None
+        x_k, cut_sq = cut
+        if not target_sq.contains_interval(cut_sq):
+            return _halvings(cut_sq.width, target_sq.width)
+        if x_k.lo <= c:
+            return None
+        x_iv = x_k - c
+        y_iv = (x_k * a) / x_iv - a
+        width = max(x_iv.width, y_iv.width)
+        if width <= target:
+            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
+        return _halvings(width, target)
+
+    return accept
+
+
+def _both_checks(prob):
+    """The integer check and the interval reference on one figure, and
+    the figure's sign function."""
+    target = _width_target(prob)
+    z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
+    return (
+        _cut_check(prob, z.x, cuts, target_sq, target),
+        _interval_cut_check(prob, z, cuts, target_sq, target),
+        _intercept_sign(cuts, prob.ab / 2),
+    )
+
+
+def _verdict(accept, tl, th):
+    got = accept(tl, th)
+    return type(got), got
+
+
+#: Problems with ab/bc from 1 + 1e-15 to 1e30 and tol from 1e-6 to 1e-40.
+_neusis_problems = st.builds(
+    lambda c, ratio, tol: MeanPropProblem(ab=c * ratio, bc=c, tol=tol),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.one_of(
+        st.integers(min_value=1, max_value=15).map(lambda k: 1 + Fraction(1, 10 ** k)),
+        st.fractions(min_value=Fraction(10001, 10000), max_value=10 ** 4, max_denominator=10 ** 4),
+        st.integers(min_value=1, max_value=30).map(lambda k: Fraction(10 ** k)),
+    ),
+    st.integers(min_value=6, max_value=40).map(lambda k: Fraction(1, 10 ** k)),
+)
+
+
+@st.composite
+def _neusis_brackets(draw, sign_at):
+    """A bracket [tl, th] inside [0, 1]: a step of the figure's bisection
+    chain (these pass the cut test once they are narrow), or one drawn
+    over any denominator, with its ends at 0, at 1 or equal."""
+    kind = draw(st.sampled_from(["chain", "chain-point", "any"]))
+    if kind != "any":
+        step = draw(st.integers(min_value=0, max_value=250))
+        for L, H, Q in islice(_bisection_chain(sign_at, 0, 1, 1, 1), step + 1):
+            pass
+        tl, th = Fraction(L, Q), Fraction(H, Q)
+        if kind == "chain-point":
+            tl = th = draw(st.sampled_from([tl, th]))
+        return tl, th
+    Q = draw(st.one_of(
+        st.integers(min_value=1, max_value=10 ** 6), st.integers(0, 200).map(lambda k: 2 ** k)
+    ))
+    ends = st.one_of(st.just(0), st.just(Q), st.integers(min_value=0, max_value=Q))
+    L, H = sorted((draw(ends), draw(ends)))
+    if draw(st.booleans()):
+        L = H
+    return Fraction(L, Q), Fraction(H, Q)
+
+
+@given(_neusis_problems, st.data())
+@settings(max_examples=300, deadline=None)
+def test_cut_check_equals_the_interval_check(prob, data):
+    check, reference, sign_at = _both_checks(prob)
+    tl, th = data.draw(_neusis_brackets(sign_at))
+    verdict = _verdict(check, tl, th)
+    event(verdict[0].__name__)
+    assert verdict == _verdict(reference, tl, th)
+
+
+@given(_neusis_problems, st.data())
+@settings(max_examples=100, deadline=None)
+def test_cut_check_band_is_closed(prob, data):
+    # A band that ends exactly at the squared cut's ends holds it.
+    target = _width_target(prob)
+    z, cuts, _ = _neusis_figure(prob, _digits_for(target))
+    tl, th = data.draw(_neusis_brackets(_intercept_sign(cuts, prob.ab / 2)))
+    cut = _interval_cut(z, cuts, tl, th)
+    assume(cut is not None)
+    cut_sq = cut[1]
+    for band in (cut_sq, Interval(cut_sq.lo, cut_sq.hi + 1), Interval(cut_sq.lo / 2, cut_sq.hi)):
+        check = _cut_check(prob, z.x, cuts, band, target)
+        reference = _interval_cut_check(prob, z, cuts, band, target)
+        assert _verdict(check, tl, th) == _verdict(reference, tl, th)
+
+
+@pytest.mark.parametrize(
+    "ab, bc, tol",
+    [
+        (Fraction(2), Fraction(1), Fraction(1, 10 ** 12)),
+        (Fraction(10 ** 30), Fraction(1), Fraction(1, 10 ** 12)),
+        (1 + Fraction(1, 10 ** 15), Fraction(1), Fraction(1, 10 ** 12)),
+        (Fraction(2), Fraction(1), Fraction(1, 10 ** 40)),
+        (Fraction(7, 3), Fraction(5, 11), Fraction(1, 10 ** 6)),
+    ],
+)
+def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
+    # Every step of the chain up to a few past the first accepted one,
+    # so that each of the check's verdicts is reached.
+    prob = MeanPropProblem(ab=ab, bc=bc, tol=tol)
+    check, reference, sign_at = _both_checks(prob)
+    kinds, past = set(), None
+    for step, (L, H, Q) in enumerate(_bisection_chain(sign_at, 0, 1, 1, 1)):
+        tl, th = Fraction(L, Q), Fraction(H, Q)
+        verdict = _verdict(check, tl, th)
+        assert verdict == _verdict(reference, tl, th), step
+        kinds.add(verdict[0])
+        if verdict[0] is MeanPropResult and past is None:
+            past = step + 5
+        if step == past:
+            break
+    assert kinds >= {type(None), int, MeanPropResult}
+
+
+@given(_neusis_problems)
+@settings(max_examples=100, deadline=None)
+def test_neusis_cut_constants_have_fixed_signs(prob):
+    # The signs the integer check relies on, for every ab > bc: the line
+    # through C runs right and down with n1 < 0; the base line runs right.
+    _, cuts, _ = _neusis_figure(prob, _digits_for(_width_target(prob)))
+    (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
+    assert vx1 > 0 and vy1 < 0 and n1 < 0
+    assert vx_k > 0 and vy_k == 0 and n_k < 0

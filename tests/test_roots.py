@@ -4,6 +4,7 @@ divisor bookkeeping, and the digit loop against a pow-based reference."""
 import decimal
 import math
 import random
+import subprocess
 import sys
 
 import pytest
@@ -294,6 +295,20 @@ def test_trace_steps_have_slots():
     step = extract_root(239483190, 3).steps[1]
     assert not hasattr(step, "__dict__")
     assert (step.carried, step.group, step.degree) == (23, 483, 3)
+
+
+def test_root_of_one_point_builds_no_special_numbers():
+    # One point never divides, so the degree-50000 row of special numbers
+    # (over a billion digits in all) must not be built; a short timeout
+    # catches it.
+    code = (
+        "from practica.root_extraction import extract_root\n"
+        "rx = extract_root(2, 50000)\n"
+        "print(rx.root_string(), rx.remainder)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+    assert r.returncode == 0
+    assert r.stdout.decode() == "1 1\n"
 
 
 def test_special_numbers_are_cached():
