@@ -6,24 +6,30 @@ one root of its defect function (the factorizations in the docstrings
 show it), bisection with no step budget narrows that range, and the
 answers are returned as certified intervals, from which the residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2 follow.
-The defect signs are exact: each is the sign of an integer polynomial
-in the numerator and denominator of the route's parameter, whose
-coefficients are the route's constants with their denominators cleared
-once per solve (square roots are eliminated by squaring before
-comparing), so bisection never accumulates rounding error.  Each
-polynomial is homogeneous, so its sign does not change when numerator
-and denominator share a factor, and the chain of bisection steps runs on
-integers: brackets are held over one denominator that doubles at each
-step, with no Fraction and no gcd.  Because the signs are exact, the
-chain is fixed in advance, and the one kernel (``_bisect``) converts to
-Fractions and checks only some of its brackets, then searches back to
-the first step that passes.  A check that fails may estimate how many
-more halvings the bracket needs, and the kernel places its next probe
-there; an estimate changes only which steps are probed, never the
-result, since the checks are monotone along nested brackets and the
-kernel finds the step that checking every one would.  Nicomedes'
-check is interval evaluation of its cut, computed on integers over two
-common denominators; it builds Fractions only once the cut passes.
+Each defect is an integer polynomial in the numerator and denominator of
+the route's parameter, whose coefficients are the route's constants with
+their denominators cleared once per solve (square roots are eliminated
+by squaring before comparing), so its signs are exact and bisection
+never accumulates rounding error.  Each polynomial is homogeneous, so
+its sign does not change when numerator and denominator share a factor,
+and the chain of bisection steps lives on integers: step k is a cell of
+the range's level-k dyadic grid, over one denominator that doubles at
+each step, with no Fraction and no gcd.  Because the signs are exact,
+the chain is fixed in advance, and the one kernel (``_bisect``) checks
+only some of its brackets, then searches back to the first step that
+passes.  It never walks the chain: ``_chain`` finds each step it asks
+for by regula falsi on the polynomial's values at that step's
+denominator and proves it by the exact signs at the cell's two ends.  A
+check that fails may estimate how many more halvings the bracket needs,
+and the kernel places its next probe there; an estimate changes only
+which steps are probed, never the result, since the checks are monotone
+along nested brackets and the kernel finds the step that checking every
+one would.  The checks take the bracket's integer ends: heron, philo,
+apollonius and diocles compare the widths of the means as integer
+fractions and build Intervals only for the bracket they accept;
+nicomedes' check is interval evaluation of its cut, computed on integers
+over two common denominators, and it builds Fractions only once the cut
+passes.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .geometry import Point2, PointBounds
 from .numerics import (
@@ -40,7 +45,8 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
-    _sqrt_bound,
+    _isqrt_quotient,
+    _to_rational,
     int_nth_root_floor,
     int_to_decimal,
     interval_sqrt,
@@ -75,10 +81,10 @@ class MeanPropProblem:
     swapped: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        ab, bc = Fraction(self.ab), Fraction(self.bc)
+        ab, bc = _to_rational(self.ab), _to_rational(self.bc)
         if ab <= 0 or bc <= 0:
             raise ValueError("line lengths must be positive")
-        tol = Fraction(self.tol)
+        tol = _to_rational(self.tol)
         if tol <= 0:
             raise ValueError("tol must be positive")
         if bc > ab:
@@ -133,50 +139,132 @@ def _halvings(width: Fraction, target: Fraction) -> int:
     return (-(-width // target)).bit_length()
 
 
-def _bisection_chain(
-    sign_at: Callable[[int, int], int], L: int, H: int, Q: int, s_lo: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield the nested brackets [L/Q, H/Q] that bisection on exact signs
-    makes from the given one, whose left end has sign ``s_lo``, starting
-    with it, one per step, up to a point bracket.  Each step doubles Q and
-    tests the midpoint (L + H)/2Q as it stands: no Fraction, no gcd."""
-    while True:
-        yield L, H, Q
-        if L == H:
-            return
-        M, Q = L + H, 2 * Q
-        s_mid = sign_at(M, Q)
-        if s_mid == 0:
-            L = H = M
-        elif s_mid * s_lo < 0:
-            L, H = 2 * L, M
-        else:
-            L, H, s_lo = M, 2 * H, s_mid
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _chain(
+    value_at: Callable[[int, int], int], lo: Fraction, hi: Fraction
+) -> Callable[[int], tuple[int, int, int, int]]:
+    """Random access to the chain of nested brackets that bisection on
+    the signs of ``value_at`` makes from [lo, hi].
+
+    ``value_at(P, Q)`` is the defect's value at P/Q for integers P and
+    Q > 0; only its sign decides anything, and that sign must not depend
+    on how P/Q is written.  The signs at lo and hi must be nonzero and
+    opposite, or BracketNotFoundError is raised, and the sign must change
+    once on [lo, hi]: every route passes a range on which its defect has
+    exactly one root (see each route's factorization).
+
+    Returns ``step(k)``, which gives (s, L, H, Q): s = min(k, e) with e
+    the chain's last step (infinite unless the chain ends), and
+    [L/Q, H/Q] the bracket at step s.  With [lo, hi] = [L0/Q0, H0/Q0]
+    over one denominator and W = H0 - L0, step k is a cell [i, i + 1] of
+    the level-k dyadic grid, with ends (L0*2**k + i*W) / (Q0*2**k) and
+    (L0*2**k + (i + 1)*W) / (Q0*2**k): the integers that bisecting each
+    bracket at (L + H)/2Q, as it stands, gives.  When the root is a grid
+    point, first on the grid at level e (so at an odd index g), the chain
+    ends at step e on the point bracket L = H = L0*2**e + g*W.
+
+    A step at or above the deepest cell known is that cell's ancestor,
+    found by a shift.  A deeper step is searched for among the known
+    cell's descendants at its level, by regula falsi on the values there:
+    the estimate splits the index range [a, b] in the ratio
+    |value(a)| : |value(b)|.  After n estimates in a row have moved the
+    same end, the other end's value counts 2**-(n - 1) (the Illinois
+    rule), and an estimate that fails to halve the range is followed by
+    one bisection, so a search takes at most about twice the evaluations
+    of bisection.  It ends on two adjacent indices, whose exact signs
+    prove the cell.  An exact zero at grid index g of level k ends the
+    chain at step k - v2(g), v2(g) the number of times 2 divides g.
+    Values taken at two levels are put on one scale by the degree d of
+    ``value_at``, found once from value_at(2*L0, 2*Q0) =
+    2**d * value_at(L0, Q0); a function that is not homogeneous, such as
+    a bare sign, is taken as degree 0.  The degree, the Illinois rule and
+    the bisections move only where the values are taken, never the cell,
+    which the signs fix.
+    """
+    L0, H0, Q0 = _cleared(lo, hi)
+    v_lo, v_hi = value_at(L0, Q0), value_at(H0, Q0)
+    s_lo, s_hi = _sign(v_lo), _sign(v_hi)
+    if s_lo * s_hi >= 0:
+        raise BracketNotFoundError(
+            f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
+        )
+    W = H0 - L0
+    r, rem = divmod(value_at(2 * L0, 2 * Q0), v_lo)
+    deg = r.bit_length() - 1 if rem == 0 and r > 0 and r & (r - 1) == 0 else 0
+    # The deepest cell known: index i at level j (a point bracket when
+    # ``point``), and the values at its two ends with the levels they
+    # were taken at.
+    j, i, point = 0, 0, False
+    va, la, vb, lb = v_lo, 0, v_hi, 0
+
+    def descend(k: int) -> None:
+        nonlocal j, i, point, va, la, vb, lb
+        a, b = i << (k - j), (i + 1) << (k - j)
+        base, Qk = L0 << k, Q0 << k
+        run = 0  # estimates in a row that moved the low end (> 0) or the high end (< 0)
+        bisect = False
+        while b - a > 1:
+            w = b - a
+            if bisect:
+                g = (a + b) >> 1
+            else:
+                # |v| * 2**e at level k, the far end halved once per
+                # estimate in a row after the first
+                ea = (k - la) * deg - max(-run - 1, 0)
+                eb = (k - lb) * deg - max(run - 1, 0)
+                e = min(ea, eb)
+                wa, wb = abs(va) << (ea - e), abs(vb) << (eb - e)
+                g = min(max(a + w * wa // (wa + wb), a + 1), b - 1)
+            v = value_at(base + g * W, Qk)
+            s = _sign(v)
+            if s == 0:
+                t = (g & -g).bit_length() - 1
+                j, i, point = k - t, g >> t, True
+                return
+            if s == s_lo:
+                a, va, la = g, v, k
+            else:
+                b, vb, lb = g, v, k
+            if bisect:
+                bisect = False
+            else:
+                run = max(run, 0) + 1 if s == s_lo else min(run, 0) - 1
+                bisect = 2 * (b - a) > w
+        j, i = k, a
+
+    def step(k: int) -> tuple[int, int, int, int]:
+        if k > j and not point:
+            descend(k)
+        if point and k >= j:
+            P = (L0 << j) + i * W
+            return j, P, P, Q0 << j
+        L = (L0 << k) + (i >> (j - k)) * W
+        return k, L, L + W, Q0 << k
+
+    return step
 
 
 def _bisect(
-    sign_at: Callable[[int, int], int],
+    value_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
-    accept: Callable[[Fraction, Fraction], object],
+    accept: Callable[[int, int, int], object],
 ) -> object:
     """Bisect [lo, hi] on exact signs until ``accept`` takes a bracket.
 
-    ``sign_at(P, Q)`` is the defect's sign at P/Q for integers P and
-    Q > 0, whether or not P/Q is reduced.  The signs at lo and hi must be
-    nonzero and opposite, or BracketNotFoundError is raised; every route
-    passes a range on which its defect has exactly one root (see each
-    route's factorization).  ``accept(lo, hi)`` returns the result; to
-    keep narrowing it returns None, or an int: its estimate of how many
-    more halvings the bracket needs.  The kernel returns the verdict of
-    the first step of the bisection chain (see ``_bisection_chain``)
-    that ``accept`` does not refuse; when the chain ends at a point
+    ``value_at`` and [lo, hi] are as ``_chain`` takes them.  ``accept(L,
+    H, Q)`` judges the bracket [L/Q, H/Q] (Q > 0, the fraction not
+    reduced) and returns the result; to keep narrowing it returns None,
+    or an int: its estimate of how many more halvings the bracket needs.
+    The kernel returns the verdict of the first step of the bisection
+    chain that ``accept`` does not refuse; when the chain ends at a point
     bracket (an exact root) that ``accept`` still refuses, it raises
-    PrecisionError.
-
-    The chain runs on integers: the brackets are held as L/Q and H/Q
-    over one denominator, from ``_cleared(lo, hi)``, and only the
-    brackets handed to ``accept`` are built as Fractions.
+    PrecisionError.  Nothing is kept of the chain but its deepest known
+    cell (see ``_chain``), so the kernel's memory is linear in the
+    digits of the brackets.
 
     There is no step budget.  The loop ends because, along any chain
     that narrows onto a root, ``accept`` eventually stops refusing:
@@ -189,55 +277,43 @@ def _bisect(
 
     Contract: along nested brackets, "accept does not refuse" is
     monotone; once a bracket is not refused, no bracket inside it is.
-    Interval arithmetic on exact Fraction endpoints is
-    inclusion-isotonic, so a certification that succeeds on a bracket
-    succeeds on any sub-bracket.  (Apollonius and diocles read their
-    means through directed square-root bounds, whose endpoints are
-    monotone only up to their last-digit rounding; a width within that
-    rounding of the target at a skipped step is the one way they could
-    settle on another step than the step-by-step loop.)
+    Interval arithmetic on exact endpoints is inclusion-isotonic, so a
+    certification that succeeds on a bracket succeeds on any
+    sub-bracket.  (Apollonius and diocles read their means through
+    directed square-root bounds, whose endpoints are monotone only up to
+    their last-digit rounding; a width within that rounding of the
+    target at a skipped step is the one way they could settle on another
+    step than the step-by-step loop.)
 
     The chain depends on the signs alone, so ``accept`` is called only
-    at some of its steps.  After a refusal at step s the next probe is
-    step s + max(estimate, jump): the minimum jump is 1 at first and
-    doubles at each refusal, so refusals without an estimate probe steps
-    0, 1, 3, 7, 15, ..., and the chain's last step is probed when the
-    chain ends first.  Once a probe is accepted, the first accepted step
-    lies between the last refused probe and the first accepted one, and
-    later probes stay there: after an accepted probe that an estimate
-    placed, the step just before it; after a refusal with an estimate,
+    at some of its steps, and ``_chain`` evaluates signs only where the
+    probes reach.  After a refusal at step s the next probe is step
+    s + max(estimate, jump): the minimum jump is 1 at first and doubles
+    at each refusal, so refusals without an estimate probe steps 0, 1,
+    3, 7, 15, ..., and the chain's last step is probed when the chain
+    ends first.  Once a probe is accepted, the first accepted step lies
+    between the last refused probe and the first accepted one, and later
+    probes stay there: after an accepted probe that an estimate placed,
+    the step just before it; after a refusal with an estimate,
     s + max(estimate, jump) as before, or the step just before the
     accepted probe when that is nearer; otherwise the middle step.
     Without estimates a chain settled at step k costs at most
     2*ceil(log2(k + 2)) + 2 calls instead of k + 1, and an exact
     estimate settles it in 3.  Because the jumps at least double, any
     estimates cost O(log n) calls, n the furthest step they send the
-    kernel to; a too large one also costs the sign evaluations up to
-    that step.  An estimate moves only which steps are probed: whatever
+    kernel to.  An estimate moves only which steps are probed: whatever
     the kernel returns is still the verdict ``accept`` gave on that very
     bracket, and its being the first such step rests on the contract
     alone.
     """
-    L, H, Q = _cleared(lo, hi)
-    s_lo, s_hi = sign_at(L, Q), sign_at(H, Q)
-    if s_lo * s_hi >= 0:
-        raise BracketNotFoundError(
-            f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
-        )
-    steps = _bisection_chain(sign_at, L, H, Q, s_lo)
-    # chain[i] is step start + i; the steps before the last refused probe
-    # are dropped, since no later probe reads them.
-    chain: list[tuple[int, int, int]] = []
-    start = 0
+    step = _chain(value_at, lo, hi)
     none_at, ok_at = -1, None  # last step known refused; first step known accepted
     probe, jump, guessed = 0, 1, False  # next step; minimum jump; placed by an estimate
     while True:
-        chain.extend(islice(steps, max(0, probe + 1 - start - len(chain))))
-        probe = min(probe, start + len(chain) - 1)
+        probe, L, H, Q = step(probe)
         if probe == none_at:  # the chain ended at a point bracket, never accepted
             raise PrecisionError("enclosure too wide at an exact root")
-        bl, bh, q = chain[probe - start]
-        verdict = accept(Fraction(bl, q), Fraction(bh, q))
+        verdict = accept(L, H, Q)
         if verdict is not None and not isinstance(verdict, int):  # accepted
             ok_at, found = probe, verdict
             probe = probe - 1 if guessed else (none_at + probe) // 2
@@ -246,8 +322,7 @@ def _bisect(
             none_at = probe
             probe = (none_at + ok_at) // 2
         else:
-            del chain[: probe - start]
-            start = none_at = probe
+            none_at = probe
             guessed = verdict is not None and verdict >= jump
             probe += max(verdict or 0, jump)
             jump *= 2
@@ -257,35 +332,55 @@ def _bisect(
             probe = min(probe, ok_at - 1)
 
 
+#: A mean's ends over a bracket as integers (lo_num, lo_den, hi_num,
+#: hi_den), denominators positive.
+Ends = tuple[int, int, int, int]
+
+
 def _solve_defect(
-    sign_at: Callable[[int, int], int],
+    value_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
-    evaluate: Callable[[Fraction, Fraction], tuple[Interval, Interval]],
+    evaluate: Callable[[int, int, int], tuple[Ends, Ends]],
     target: Fraction,
 ) -> tuple[Interval, Interval]:
-    """Narrow [lo, hi] until the (x, y) intervals that ``evaluate`` reads
-    off the bracket are both no wider than the target.  A refusal
-    estimates the halvings still lacking from the wider of the two."""
+    """Narrow [lo, hi] until the means x and y that ``evaluate(L, H, Q)``
+    reads off the bracket [L/Q, H/Q] are both no wider than the target.
+    The widths are compared as integer cross-products, a refusal
+    estimates the halvings still lacking from the wider of the two (the
+    value ``_halvings`` gives), and the Intervals are built only for the
+    bracket that is accepted."""
+    tn, td = target.numerator, target.denominator
 
-    def accept(bl: Fraction, bh: Fraction) -> tuple[Interval, Interval] | int:
-        x_iv, y_iv = evaluate(bl, bh)
-        width = max(x_iv.width, y_iv.width)
-        if width <= target:
-            return x_iv, y_iv
-        return _halvings(width, target)
+    def accept(L: int, H: int, Q: int) -> tuple[Interval, Interval] | int:
+        (xln, xld, xhn, xhd), (yln, yld, yhn, yhd) = evaluate(L, H, Q)
+        n, d = xhn * xld - xln * xhd, xhd * xld
+        yn, yd = yhn * yld - yln * yhd, yhd * yld
+        if yn * d > n * yd:
+            n, d = yn, yd
+        if n * td <= tn * d:
+            return (
+                Interval._of(Fraction(xln, xld), Fraction(xhn, xhd)),
+                Interval._of(Fraction(yln, yld), Fraction(yhn, yhd)),
+            )
+        return (-(-n * td // (d * tn))).bit_length()
 
-    return _bisect(sign_at, lo, hi, accept)
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+    return _bisect(value_at, lo, hi, accept)
 
 
 def _cleared(*values: Fraction) -> tuple[int, ...]:
     """Integers N1, ..., Nk, D with values[i] = Ni / D and D > 0."""
     d = math.lcm(*(v.denominator for v in values))
     return (*(v.numerator * (d // v.denominator) for v in values), d)
+
+
+def _root_bound(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
+    """One end of ``rat_sqrt_bounds(n/d, Precision(digits))``, for integers
+    n >= 0 and d > 0, as a numerator and a denominator: n/d is reduced
+    first, as a Fraction would be, since the bound depends on how n/d is
+    written."""
+    g = math.gcd(n, d)
+    return _isqrt_quotient(n // g, d // g, digits, up)
 
 
 def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
@@ -298,21 +393,24 @@ def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
 
 
 def _solve_slope(
-    prob: MeanPropProblem, sign_at: Callable[[int, int], int]
+    prob: MeanPropProblem, value_at: Callable[[int, int], int]
 ) -> tuple[Interval, Interval]:
     """Rotate a line through B with slope u from 1/2 to past cbrt(a/c) until
-    ``sign_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c."""
+    ``value_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c."""
     a, c = prob.ab, prob.bc
     u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
+    A, C, D = _cleared(a, c)
 
-    def evaluate(ul: Fraction, uh: Fraction) -> tuple[Interval, Interval]:
-        return Interval(a / uh, a / ul), Interval(ul * c, uh * c)
+    def evaluate(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
+        # u in [L/Q, H/Q]: x in [AQ/DH, AQ/DL], y in [CL/QD, CH/QD]
+        AQ, QD = A * Q, Q * D
+        return (AQ, D * H, AQ, D * L), (C * L, QD, C * H, QD)
 
-    return _solve_defect(sign_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
+    return _solve_defect(value_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
 
 
-def _heron_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
-    """Sign of EF**2 - EG**2 at slope u > 0, with E = (c/2, a/2) the
+def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+    """EF**2 - EG**2 at slope u > 0 as an integer polynomial, with E = (c/2, a/2) the
     diagonal midpoint and F = (-a/u, a), G = (c, -u*c) the cuts.
 
     Four times the defect is (c + 2a/u)**2 + a**2 - c**2 - (a + 2uc)**2.
@@ -320,21 +418,23 @@ def _heron_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     Q**2 (CP + 2AQ)**2 + (A**2 - C**2) P**2 Q**2 - P**2 (AQ + 2CP)**2.
     That factors as 4 (CP + AQ)(AQ**3 - CP**3), so for u > 0 the sign is
     that of a - c*u**3; the figure's form is kept as the construction.
-    The form is homogeneous of degree 4 in (P, Q), so ``sign_at(P, Q)``
-    (Q > 0) gives the same sign whether or not P/Q is reduced."""
+    The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
+    (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
+    on whether P/Q is reduced, and values at one Q compare as the defect
+    does."""
     A, C, _ = _cleared(a, c)
     diff = A * A - C * C
 
-    def sign_at(P: int, Q: int) -> int:
+    def value_at(P: int, Q: int) -> int:
         ef = Q * (C * P + 2 * A * Q)  # PQD times F's horizontal offset from E, doubled
         eg = P * (A * Q + 2 * C * P)  # PQD times G's vertical offset from E, doubled
-        return _sign(ef * ef + diff * P * P * Q * Q - eg * eg)
+        return ef * ef + diff * P * P * Q * Q - eg * eg
 
-    return sign_at
+    return value_at
 
 
-def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
-    """Sign of sigma**2 + base - q**2 for sigma > c/2, with
+def _apollonius_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+    """sigma**2 + base - q**2 for sigma > c/2 as an integer polynomial, with
     base = (a**2 - c**2)/4.  The circle about E through F (AF = sigma - c/2)
     crosses the vertical through C sqrt(sigma**2 + base) below E's height,
     and the line from F through B crosses it q = a/2 + a*c/(sigma - c/2)
@@ -345,19 +445,21 @@ def _apollonius_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     4 P**2 D**2 W**2 + (A**2 - C**2) Q**2 W**2 - A**2 Q**2 (W + 4CQ)**2.
     In x = AF the defect is (x + c)(x**3 - a**2 c) / x**2, so its sign is
     that of x**3 - a**2 c; the figure's form is kept as the construction.
-    The form is homogeneous of degree 4 in (P, Q), so ``sign_at(P, Q)``
-    (Q > 0) gives the same sign whether or not P/Q is reduced."""
+    The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
+    (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
+    on whether P/Q is reduced, and values at one Q compare as the defect
+    does."""
     A, C, D = _cleared(a, c)
     base4 = A * A - C * C  # 4 * base * D**2
 
-    def sign_at(P: int, Q: int) -> int:
+    def value_at(P: int, Q: int) -> int:
         W = 2 * P * D - C * Q
         qw = Q * W
         q = A * Q * (W + 4 * C * Q)  # 2 * q * QDW
         s = 2 * P * D * W  # 2 * sigma * QDW
-        return _sign(s * s + base4 * qw * qw - q * q)
+        return s * s + base4 * qw * qw - q * q
 
-    return sign_at
+    return value_at
 
 
 def solve_heron_apollonius(
@@ -377,51 +479,59 @@ def solve_heron_apollonius(
         return _trivial(HERON_APOLLONIUS, prob)
 
     if variant == "heron":
-        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_sign(a, c)), prob)
+        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_defect(a, c)), prob)
 
     if variant != "apollonius":
         raise ValueError(f"unknown variant {variant!r}")
     target = _width_target(prob)
-    wp = Precision(_digits_for(target) + 8)
+    digits = _digits_for(target) + 8
 
     # sigma is the (signed) distance from E's abscissa to the circle's
     # cut F on the horizontal through A; the matching vertical cut is
-    # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below E's height.
-    base = (a * a - c * c) / 4
+    # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below E's height.  With
+    # a = A/D, c = C/D and sigma = S/Q, sigma**2 + (a**2 - c**2)/4 is
+    # (4 D**2 S**2 + (A**2 - C**2) Q**2) / (4 D**2 Q**2).
+    A, C, D = _cleared(a, c)
+    D2, DD4, base4 = 2 * D, 4 * D * D, A * A - C * C
 
-    def evaluate_sigma(sl: Fraction, sh: Fraction) -> tuple[Interval, Interval]:
-        x_iv = Interval(sl - c / 2, sh - c / 2)
-        root_lo = _sqrt_bound(sl * sl + base, wp, up=False)
-        root_hi = _sqrt_bound(sh * sh + base, wp, up=True)
-        return x_iv, Interval(root_lo - a / 2, root_hi - a / 2)
+    def evaluate_sigma(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
+        QD2, CQ, QQ = Q * D2, C * Q, Q * Q
+        rln, rld = _root_bound(DD4 * L * L + base4 * QQ, DD4 * QQ, digits, up=False)
+        rhn, rhd = _root_bound(DD4 * H * H + base4 * QQ, DD4 * QQ, digits, up=True)
+        return (  # x = sigma - c/2, y = s_c - a/2
+            (D2 * L - CQ, QD2, D2 * H - CQ, QD2),
+            (D2 * rln - A * rld, D2 * rld, D2 * rhn - A * rhd, D2 * rhd),
+        )
 
     means = _solve_defect(
-        _apollonius_sign(a, c), Fraction(c), c / 2 + a, evaluate_sigma, target
+        _apollonius_defect(a, c), Fraction(c), c / 2 + a, evaluate_sigma, target
     )
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
 
 
-def _philo_sign(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
-    """Sign of BG - OF at slope u > 0, read as abscissa differences along
-    the line through B: G sits at abscissa c, the second circle crossing
-    O at (c - u*a)/(1 + u**2) and the cut F at -a/u.
+def _philo_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+    """BG - OF at slope u > 0 as an integer polynomial, read as abscissa
+    differences along the line through B: G sits at abscissa c, the
+    second circle crossing O at (c - u*a)/(1 + u**2) and the cut F at
+    -a/u.
 
     With a = A/D, c = C/D, u = P/Q and N = P**2 + Q**2, the defect
     times D*P*N (positive for u > 0) is C*P*N - (C*Q - A*P)*P*Q - A*Q*N.
     Expanded, that is C*P**3 - A*Q**3: the sign of c*u**3 - a, the cube
     test Philo's equality reduces to; the figure's form is kept as the
-    construction.  The form is homogeneous of degree 3 in (P, Q), so
-    ``sign_at(P, Q)`` (Q > 0) gives the same sign whether or not P/Q is
-    reduced."""
+    construction.  The form is homogeneous of degree 3 in (P, Q):
+    ``value_at(P, Q)`` (Q > 0) is Q**3 times a function of P/Q, so its
+    sign does not depend on whether P/Q is reduced, and values at one Q
+    compare as the defect does."""
     A, C, _ = _cleared(a, c)
 
-    def sign_at(P: int, Q: int) -> int:
+    def value_at(P: int, Q: int) -> int:
         N = P * P + Q * Q
         bg = C * P * N
         of = (C * Q - A * P) * P * Q + A * Q * N  # O's abscissa minus F's
-        return _sign(bg - of)
+        return bg - of
 
-    return sign_at
+    return value_at
 
 
 def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
@@ -436,7 +546,7 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(PHILO, prob)
-    return MeanPropResult(PHILO, *_solve_slope(prob, _philo_sign(a, c)), prob)
+    return MeanPropResult(PHILO, *_solve_slope(prob, _philo_defect(a, c)), prob)
 
 
 # ----------------------------------------------------------------------
@@ -498,23 +608,26 @@ def cissoid_arc_defect(
     return dk.square() - kh * kl
 
 
-def _diocles_sign(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
-    """Sign of r**2 (r - m)**3 - k**2 (r + m)**3 at the chord foot m: the
-    cissoid's height against the secant's, squared exactly.
+def _diocles_defect(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
+    """r**2 (r - m)**3 - k**2 (r + m)**3 at the chord foot m as an integer
+    polynomial: the cissoid's height against the secant's, squared
+    exactly.
 
     With r = R/D, k = K/D and m = P/Q, the defect times D**5 Q**3 is
     R**2 (RQ - DP)**3 - K**2 (RQ + DP)**3.  Divided by (r + m)**3 it is
     r**2 q**3 - k**2 with q = (r - m)/(r + m), a cube test in q.  The
-    form is homogeneous of degree 3 in (P, Q), so ``sign_at(P, Q)``
-    (Q > 0) gives the same sign whether or not P/Q is reduced."""
+    form is homogeneous of degree 3 in (P, Q): ``value_at(P, Q)`` (Q > 0)
+    is Q**3 times a function of P/Q, so its sign does not depend on
+    whether P/Q is reduced, and values at one Q compare as the defect
+    does."""
     R, K, D = _cleared(r, k)
     R2, K2 = R * R, K * K
 
-    def sign_at(P: int, Q: int) -> int:
+    def value_at(P: int, Q: int) -> int:
         rq, dp = R * Q, D * P
-        return _sign(R2 * (rq - dp) ** 3 - K2 * (rq + dp) ** 3)
+        return R2 * (rq - dp) ** 3 - K2 * (rq + dp) ** 3
 
-    return sign_at
+    return value_at
 
 
 def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
@@ -529,18 +642,19 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
     if r == k:
         return _trivial(DIOCLES, prob)
     target = _width_target(prob)
-    wp = Precision(_digits_for(target) + 8)
+    digits = _digits_for(target) + 8
+    R, _, D = _cleared(r, k)
 
-    def evaluate(ml: Fraction, mh: Fraction) -> tuple[Interval, Interval]:
-        q_lo = (r - mh) / (r + mh)
-        q_hi = (r - ml) / (r + ml)
-        y_iv = Interval(r * q_lo, r * q_hi)
-        x_iv = Interval(
-            r * _sqrt_bound(q_lo, wp, up=False), r * _sqrt_bound(q_hi, wp, up=True)
-        )
-        return x_iv, y_iv
+    def evaluate(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
+        # q = (r - m)/(r + m) = (RQ - DM)/(RQ + DM) at m = M/Q, which
+        # falls in m; y = r*q and x = r*sqrt(q)
+        rq, dl, dh = R * Q, D * L, D * H
+        qln, qld, qhn, qhd = rq - dh, rq + dh, rq - dl, rq + dl
+        sln, sld = _root_bound(qln, qld, digits, up=False)
+        shn, shd = _root_bound(qhn, qhd, digits, up=True)
+        return (R * sln, D * sld, R * shn, D * shd), (R * qln, D * qld, R * qhn, D * qhd)
 
-    means = _solve_defect(_diocles_sign(r, k), Fraction(0), r, evaluate, target)
+    means = _solve_defect(_diocles_defect(r, k), Fraction(0), r, evaluate, target)
     return MeanPropResult(DIOCLES, *means, prob)
 
 
@@ -602,35 +716,39 @@ def _cut_constants(
     return tuple(constants)
 
 
-def _intercept_sign(
+def _intercept_defect(
     cuts: tuple[tuple[int, int, int], ...], L: Fraction
 ) -> Callable[[int, int], int]:
-    """The exact sign of |q1 - q2|**2 - L**2 as a function of t, where
-    q1, q2 are the cuts of the ray z + lam * (1 - t**2, 2t) with the two
-    lines of ``cuts``; +1 when the direction is parallel to either line,
-    since the cut is then unbounded.
+    """An integer polynomial with the sign of |q1 - q2|**2 - L**2 as a
+    function of t, where q1, q2 are the cuts of the ray
+    z + lam * (1 - t**2, 2t) with the two lines of ``cuts``; positive
+    when the direction is parallel to either line, since the cut is then
+    unbounded.
 
     Both cuts lie on the ray and (1 - t**2)**2 + (2t)**2 = (1 + t**2)**2,
     so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built.
     With t = P/Q, lam_i = n_i * Q**2 / d_i where
     d_i = (Q**2 - P**2) * vy_i - 2PQ * vx_i, so the sign is that of
-    |n1*d2 - n2*d1| * (P**2 + Q**2) * Lq - Lp * |d1*d2| for L = Lp/Lq.
-    Each d_i is homogeneous of degree 2 in (P, Q) and both sides of the
-    difference of degree 4, so ``sign_at(P, Q)`` (Q > 0) gives the same
-    sign, and the same test d1*d2 == 0, whether or not P/Q is reduced."""
+    |n1*d2 - n2*d1| * (P**2 + Q**2) * Lq - Lp * |d1*d2| for L = Lp/Lq,
+    which is the value.  Where d1*d2 = 0 that is |n1*d2 - n2*d1| *
+    (P**2 + Q**2) * Lq >= 0, and the value is Q**4 where it is 0 too (the
+    pole on the parallel line).  Each d_i is homogeneous of degree 2 in
+    (P, Q) and the value of degree 4: ``value_at(P, Q)`` (Q > 0) is Q**4
+    times a function of P/Q, so its sign, and the test d1*d2 == 0, do
+    not depend on whether P/Q is reduced, and values at one Q compare as
+    the defect does."""
     (vx1, vy1, n1), (vx2, vy2, n2) = cuts
     Lp, Lq = L.numerator, L.denominator
 
-    def sign_at(P: int, Q: int) -> int:
+    def value_at(P: int, Q: int) -> int:
         dx, dy = Q * Q - P * P, 2 * P * Q  # Q**2 times the direction
         d1 = dx * vy1 - dy * vx1
         d2 = dx * vy2 - dy * vx2
         dd = d1 * d2
-        if dd == 0:
-            return 1
-        return _sign(abs(n1 * d2 - n2 * d1) * (P * P + Q * Q) * Lq - Lp * abs(dd))
+        v = abs(n1 * d2 - n2 * d1) * (P * P + Q * Q) * Lq - Lp * abs(dd)
+        return v if dd else v or Q ** 4
 
-    return sign_at
+    return value_at
 
 
 def _neusis_figure(
@@ -684,9 +802,9 @@ def _cut_check(
     cuts: tuple[tuple[int, int, int], ...],
     target_sq: Interval,
     target: Fraction,
-) -> Callable[[Fraction, Fraction], object]:
-    """Nicomedes' ``accept`` for brackets [tl, th] inside [0, 1], from the
-    figure of ``_neusis_figure`` (``zx``: the pole's abscissa).
+) -> Callable[[int, int, int], object]:
+    """Nicomedes' ``accept`` for brackets [L/Q, H/Q] inside [0, 1], from
+    the figure of ``_neusis_figure`` (``zx``: the pole's abscissa).
 
     It is interval evaluation of the cut over the bracket, done on
     integers: every quantity below is the value that the ``Interval``
@@ -694,15 +812,15 @@ def _cut_check(
     (vx1 > 0, vy1 < 0, n1 < 0 for the line through C; vx_k > 0,
     vy_k = 0, n_k < 0 for the base line), and on [0, 1] the direction
     (1 - t**2, 2t) has both coordinates >= 0, so every product and
-    quotient takes the branch that pairs two endpoints.  With the
-    bracket over one denominator Q, the direction's ends are integers
-    over Q**2, and so are the cut denominators: -Q**2 * den1 runs over
-    [e1h, e1l] and -Q**2 * den_k over [ekh, ekl], all >= 0, so each
-    denominator excludes 0 unless its smaller end is 0.  The low ends of
-    both cut coordinates are then integers over e1l * ekh, the high ends
-    over e1h * ekl; only their squares need a sign case.  The band test and the halvings estimate
-    are cross-multiplications, and K's abscissa is built as Fractions
-    only once the band test passes.  The checks, in this order: both
+    quotient takes the branch that pairs two endpoints.  The kernel hands
+    the bracket over one denominator Q, so the direction's ends are
+    integers over Q**2, and so are the cut denominators: -Q**2 * den1
+    runs over [e1h, e1l] and -Q**2 * den_k over [ekh, ekl], all >= 0, so
+    each denominator excludes 0 unless its smaller end is 0.  The low
+    ends of both cut coordinates are then integers over e1l * ekh, the
+    high ends over e1h * ekl; only their squares need a sign case.  The
+    band test and the halvings estimate are cross-multiplications, and
+    K's abscissa is built as Fractions only once the band test passes.  The checks, in this order: both
     denominators exclude 0; the squared cut lies in the band; K lies
     beyond C; the means are no wider than the target."""
     a, c = prob.ab, prob.bc
@@ -712,8 +830,7 @@ def _cut_check(
     band_lo, band_hi, band_w = target_sq.lo, target_sq.hi, target_sq.width
     zn, zd = zx.numerator, zx.denominator
 
-    def accept(tl: Fraction, th: Fraction) -> object:
-        L, H, Q = _cleared(tl, th)
+    def accept(L: int, H: int, Q: int) -> object:
         QQ = Q * Q
         dxl, dxh = QQ - H * H, QQ - L * L  # Q**2 (1 - t**2) at th, at tl
         dyl, dyh = 2 * L * Q, 2 * H * Q  # Q**2 * 2t at tl, at th
@@ -770,7 +887,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     with t in [0, 1], from the base line's direction (t = 0) to the
     vertical (t = 1), and bisection with no step budget narrows that
     range on the exact sign of |cut|**2 - L**2 (L = AB/2), which builds
-    no point (see ``_intercept_sign``).  Over it K runs from infinity
+    no point (see ``_intercept_defect``).  Over it K runs from infinity
     down to (c/2, 0), and with x = CK the cut is x/(2c + x) * |ZK|, with
     |ZK|**2 = x**2 + cx + a**2/4; so (2c + x)**2 times the defect is
     (x + c)(x**3 - a**2 c), and the range holds one root, the one beyond
@@ -784,8 +901,8 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     width target); and K lies beyond C.  Fractions are built only once
     the cut passes, and only then are the means read.  The verdicts are
     those of interval arithmetic on exact endpoints, so they are
-    monotone along nested brackets and the kernel evaluates only
-    O(log n) of a chain's n brackets (see ``_bisect``).
+    monotone along nested brackets and the kernel checks only O(log n)
+    of a chain's n brackets (see ``_bisect``).
     """
     a, c = prob.ab, prob.bc
     if a == c:
@@ -793,7 +910,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     target = _width_target(prob)
     z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
     accept = _cut_check(prob, z.x, cuts, target_sq, target)
-    return _bisect(_intercept_sign(cuts, a / 2), Fraction(0), Fraction(1), accept)
+    return _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), accept)
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {
@@ -812,7 +929,7 @@ def scale_solid_ratio(
 ) -> Interval:
     """Edge of the solid scaled in volume by ``ratio``: edge times the
     cube root of the ratio, read off the second mean proportional."""
-    edge, ratio = Fraction(edge), Fraction(ratio)
+    edge, ratio = _to_rational(edge), _to_rational(ratio)
     if edge <= 0 or ratio <= 0:
         raise ValueError("edge and ratio must be positive")
     if method not in METHODS:

@@ -2,8 +2,8 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
-from itertools import islice
 from unittest import mock
 
 import pytest
@@ -21,18 +21,20 @@ from practica.mean_proportionals import (
     BracketNotFoundError,
     MeanPropProblem,
     MeanPropResult,
-    _apollonius_sign,
+    _apollonius_defect,
     _bisect,
-    _bisection_chain,
+    _chain,
+    _cleared,
     _cut_check,
     _cut_constants,
     _digits_for,
-    _diocles_sign,
+    _diocles_defect,
     _halvings,
-    _heron_sign,
-    _intercept_sign,
+    _heron_defect,
+    _intercept_defect,
     _neusis_figure,
-    _philo_sign,
+    _philo_defect,
+    _sign,
     _width_target,
     cissoid_arc_defect,
     cissoid_points,
@@ -179,6 +181,36 @@ def test_problem_validation():
         MeanPropProblem(ab=Fraction(2), bc=Fraction(1), tol=Fraction(0))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"ab": 2.1, "bc": 1},
+        {"ab": 2, "bc": 1.0},
+        {"ab": 2, "bc": 1, "tol": 1e-12},
+        {"ab": "2.1", "bc": 1},
+    ],
+    ids=["ab", "bc", "tol", "string"],
+)
+def test_problem_refuses_inexact_numbers(kwargs):
+    # A float would be stored as its binary value: 2.1 as 4728779608739021/2**51.
+    with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
+        MeanPropProblem(**kwargs)
+
+
+def test_problem_takes_ints_and_fractions():
+    prob = MeanPropProblem(ab=2, bc=Fraction(1, 3), tol=Fraction(1, 10 ** 12))
+    assert (prob.ab, prob.bc, prob.tol) == (Fraction(2), Fraction(1, 3), Fraction(1, 10 ** 12))
+    assert all(type(v) is Fraction for v in (prob.ab, prob.bc, prob.tol))
+
+
+@pytest.mark.parametrize(
+    "args", [(1.5, 2), (1, 2.0), (1, 2, HERON_APOLLONIUS, 1e-12)], ids=["edge", "ratio", "tol"]
+)
+def test_scale_solid_ratio_refuses_floats(args):
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        scale_solid_ratio(*args)
+
+
 def test_scale_solid_ratio():
     doubled = scale_solid_ratio(Fraction(1), Fraction(2))
     assert abs(doubled.mid - cbrt(Fraction(2))) < Fraction(1, 10 ** 11)
@@ -264,30 +296,27 @@ def test_conchoid_validation():
         conchoid_points(Fraction(1), Fraction(0), 5, (Fraction(0), Fraction(21)))
 
 
-def _sign_of(sign_at, t):
-    """``sign_at(P, Q)`` at a Fraction t, reduced."""
-    return sign_at(t.numerator, t.denominator)
+def _sign_of(value_at, t):
+    """The sign of ``value_at(P, Q)`` at a Fraction t, reduced."""
+    return _sign(value_at(t.numerator, t.denominator))
 
 
-def _stepwise(sign_at, lo, hi, accept):
-    """Reference for ``_bisect``: call ``accept`` on every step of the
-    bisection chain, built on Fractions.  A verdict of None or an int (an
-    estimate of the halvings still lacking) is a refusal.  Returns
-    (step, verdict)."""
-    s_lo, s_hi = _sign_of(sign_at, lo), _sign_of(sign_at, hi)
+def _stepwise_chain(value_at, lo, hi):
+    """Reference for ``_chain``: yield the brackets (bl, bh) of the
+    bisection chain, one per step, built on Fractions by testing every
+    midpoint, up to a point bracket."""
+    s_lo, s_hi = _sign_of(value_at, lo), _sign_of(value_at, hi)
     if s_lo * s_hi >= 0:
         raise BracketNotFoundError(
             f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
         )
     bl, bh = lo, hi
-    for step in itertools.count():
-        verdict = accept(bl, bh)
-        if verdict is not None and not isinstance(verdict, int):
-            return step, verdict
+    while True:
+        yield bl, bh
         if bl == bh:
-            raise PrecisionError("enclosure too wide at an exact root")
+            return
         mid = (bl + bh) / 2
-        s_mid = _sign_of(sign_at, mid)
+        s_mid = _sign_of(value_at, mid)
         if s_mid == 0:
             bl = bh = mid
         elif s_mid * s_lo < 0:
@@ -296,14 +325,83 @@ def _stepwise(sign_at, lo, hi, accept):
             bl, s_lo = mid, s_mid
 
 
+def _stepwise(value_at, lo, hi, accept):
+    """Reference for ``_bisect``: call ``accept`` on every step of the
+    bisection chain of ``_stepwise_chain``, over one denominator.  A
+    verdict of None or an int (an estimate of the halvings still lacking)
+    is a refusal.  Returns (step, verdict)."""
+    for step, (bl, bh) in enumerate(_stepwise_chain(value_at, lo, hi)):
+        verdict = accept(*_cleared(bl, bh))
+        if verdict is not None and not isinstance(verdict, int):
+            return step, verdict
+        if bl == bh:
+            raise PrecisionError("enclosure too wide at an exact root")
+
+
+#: Value functions of one sign change at the root n/d, each homogeneous in
+#: (P, Q): the linear defect, its sign alone, the defect made 10**30 times
+#: steeper on one side of the root, and a cubic.
+_VALUE_SHAPES = {
+    "linear": lambda n, d: lambda P, Q: P * d - n * Q,
+    "sign": lambda n, d: lambda P, Q: _sign(P * d - n * Q),
+    "steep": lambda n, d: lambda P, Q: (P * d - n * Q) * (10 ** 30 if P * d > n * Q else 1),
+    "cubic": lambda n, d: lambda P, Q: (P * d - n * Q) * (P * P + P * Q + Q * Q),
+}
+
+
+@st.composite
+def _rooted_ranges(draw):
+    """A range [lo, hi], a value function with one root in it, and the
+    function's orientation.  The root is a point of the range's dyadic
+    grid at a level from 1 to 90, or anywhere inside."""
+    lo = draw(st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
+    hi = lo + draw(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=100, max_denominator=10 ** 6))
+    if draw(st.booleans()):
+        level = draw(st.integers(min_value=1, max_value=90))
+        index = 2 * draw(st.integers(min_value=0, max_value=2 ** (level - 1) - 1)) + 1
+        root = lo + (hi - lo) * index / 2 ** level
+    else:
+        den = draw(st.integers(min_value=2, max_value=10 ** 30))
+        root = lo + (hi - lo) * Fraction(draw(st.integers(min_value=1, max_value=den - 1)), den)
+    value = _VALUE_SHAPES[draw(st.sampled_from(sorted(_VALUE_SHAPES)))](root.numerator, root.denominator)
+    if draw(st.booleans()):
+        value_at = value
+    else:
+        def value_at(P, Q, value=value):
+            return -value(P, Q)
+    return lo, hi, value_at
+
+
+@given(_rooted_ranges(), st.permutations(range(81)))
+@settings(max_examples=300, deadline=None)
+def test_chain_steps_match_stepwise(case, order):
+    # Every step up to 80, asked for in any order, is the step-by-step
+    # chain's bracket over the denominator Q0 * 2**step, or its end.
+    lo, hi, value_at = case
+    expected = list(itertools.islice(_stepwise_chain(value_at, lo, hi), 81))
+    end = len(expected) - 1
+    event("ends at a point" if expected[-1][0] == expected[-1][1] else "runs past step 80")
+    Q0 = _cleared(lo, hi)[2]
+    step = _chain(value_at, lo, hi)
+    for k in order:
+        s, L, H, Q = step(k)
+        assert s == min(k, end)
+        assert Q == Q0 << s
+        assert (Fraction(L, Q), Fraction(H, Q)) == expected[s]
+
+
 def _square_minus(c):
-    """The sign of t*t - c at t = P/Q, as ``sign_at(P, Q)``."""
+    """t*t - c at t = P/Q, times Q**2 * c.denominator, as ``value_at(P, Q)``."""
 
-    def sign_at(P, Q):
-        g = P * P * c.denominator - c.numerator * Q * Q  # (t*t - c) * Q**2 * c.denominator
-        return (g > 0) - (g < 0)
+    def value_at(P, Q):
+        return P * P * c.denominator - c.numerator * Q * Q
 
-    return sign_at
+    return value_at
+
+
+def _fractions(accept):
+    """An ``accept`` on Fraction ends as the kernel's ``accept(L, H, Q)``."""
+    return lambda L, H, Q: accept(Fraction(L, Q), Fraction(H, Q))
 
 
 @given(
@@ -316,15 +414,16 @@ def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
     # One root, sqrt(c), in [0, 2]; accepted once the bracket is narrow enough.
     width = Fraction(m, 2 ** j)
     calls = []
-    sign_at = _square_minus(c)
+    value_at = _square_minus(c)
 
+    @_fractions
     def accept(bl, bh):
         calls.append(bl)
         return (bl, bh) if bh - bl <= width else None
 
-    found = _bisect(sign_at, Fraction(0), Fraction(2), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), accept)
     probes = len(calls)
-    step, expected = _stepwise(sign_at, Fraction(0), Fraction(2), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), accept)
     assert found == expected
     assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
 
@@ -357,8 +456,9 @@ def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kin
     width = Fraction(m, 2 ** j)
     estimate = _ESTIMATES[kind]
     calls, estimates = [], [0]
-    sign_at = _square_minus(c)
+    value_at = _square_minus(c)
 
+    @_fractions
     def accept(bl, bh):
         calls.append(bl)
         if bh - bl <= width:
@@ -367,9 +467,9 @@ def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kin
         estimates.append(e or 0)
         return e
 
-    found = _bisect(sign_at, Fraction(0), Fraction(2), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), accept)
     probes, reach = len(calls), max(estimates)
-    step, expected = _stepwise(sign_at, Fraction(0), Fraction(2), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), accept)
     assert found == expected
     if kind == "exact":
         assert probes <= 3  # the estimate, the step it names, the step before
@@ -381,34 +481,101 @@ def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kin
         assert probes <= 3 * (max(step, reach) + 2).bit_length() + 3
 
 
-def test_routes_settle_in_few_accept_calls(monkeypatch):
-    # The estimates place the probes: on 25 criterion-07 problems every
-    # route settles in at most 8 accept calls per solve, and the four
-    # in at most 6 on average (12 to 13 with probes at 0, 1, 3, 7, ...).
+def _criterion07_problems():
+    """The 25 problems the count tests share (ratios from 1 to 1e4)."""
     rng = random.Random(1462)
     problems = []
     for _ in range(25):
         den = rng.randint(1, 100)
         bc = Fraction(rng.randint(1, 1000), rng.randint(1, 100))
         problems.append(MeanPropProblem(ab=bc * Fraction(rng.randint(den, 10 ** 4 * den), den), bc=bc))
-    kernel, calls = _bisect, []
+    return problems
 
-    def counting(sign_at, lo, hi, accept):
-        return kernel(sign_at, lo, hi, lambda bl, bh: calls.append(bl) or accept(bl, bh))
+
+def _counting_kernel(monkeypatch):
+    """Count the sign evaluations and ``accept`` calls of every solve."""
+    kernel, counts = _bisect, {"values": 0, "accepts": 0}
+
+    def counting(value_at, lo, hi, accept):
+        def value(P, Q):
+            counts["values"] += 1
+            return value_at(P, Q)
+
+        def judged(L, H, Q):
+            counts["accepts"] += 1
+            return accept(L, H, Q)
+
+        return kernel(value, lo, hi, judged)
 
     monkeypatch.setattr(mean_proportionals, "_bisect", counting)
+    return counts
+
+
+def test_routes_settle_in_few_accept_calls(monkeypatch):
+    # The estimates place the probes: on 25 criterion-07 problems every
+    # route settles in at most 8 accept calls per solve, and the four
+    # in at most 6 on average (12 to 13 with probes at 0, 1, 3, 7, ...).
+    problems = _criterion07_problems()
+    counts = _counting_kernel(monkeypatch)
     per_solve = {}
     for name, solve in METHODS.items():
-        calls.clear()
+        counts["accepts"] = 0
         for prob in problems:
             solve(prob)
-        per_solve[name] = len(calls) / len(problems)
+        per_solve[name] = counts["accepts"] / len(problems)
     assert max(per_solve.values()) <= 8, per_solve
     assert sum(per_solve.values()) / len(per_solve) <= 6, per_solve
 
 
+#: Sign evaluations per solve on the 25 problems at tol 1e-12: 12.9 for
+#: heron and philo, 29.3 for diocles and 22.7 for nicomedes.  Without the
+#: Illinois rule heron and philo take 18.2, and 16.0 without the degree.
+_VALUES_PER_SOLVE = {HERON_APOLLONIUS: 15, PHILO: 15, DIOCLES: 35, NICOMEDES: 30}
+
+
+def test_routes_settle_in_few_sign_evaluations(monkeypatch):
+    problems = _criterion07_problems()
+    counts = _counting_kernel(monkeypatch)
+    per_solve = {}
+    for name, solve in METHODS.items():
+        counts["values"] = 0
+        for prob in problems:
+            solve(prob)
+        per_solve[name] = counts["values"] / len(problems)
+    assert all(per_solve[name] <= bound for name, bound in _VALUES_PER_SOLVE.items()), per_solve
+
+
 @pytest.mark.parametrize(
-    "sign_at, expected, message",
+    "route, accepts",
+    [("heron", 3), ("apollonius", 3), ("philo", 3), ("diocles", 3), ("nicomedes", 7)],
+)
+def test_deep_tolerances_take_few_sign_evaluations(monkeypatch, route, accepts):
+    # 2/1 at tol 1e-600 settles near step 2000: 26 to 30 sign evaluations,
+    # where bisection takes about 2000 and regula falsi without the
+    # Illinois rule 128 to 132.
+    counts = _counting_kernel(monkeypatch)
+    prob = MeanPropProblem(ab=Fraction(2), bc=Fraction(1), tol=Fraction(1, 10 ** 600))
+    res = _ROUTES[route](prob)
+    assert res.x.lo ** 3 <= 4 <= res.x.hi ** 3 and res.y.lo ** 3 <= 2 <= res.y.hi ** 3
+    assert counts["values"] <= 60, counts
+    assert counts["accepts"] == accepts, counts
+
+
+def test_kernel_memory_is_linear_in_the_digits():
+    # The kernel keeps one cell of the chain: about 26 KiB here, twice
+    # that at 1e-2400.
+    prob = MeanPropProblem(ab=Fraction(2), bc=Fraction(1), tol=Fraction(1, 10 ** 1200))
+    tracemalloc.start()
+    try:
+        solve_heron_apollonius(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+
+
+@pytest.mark.parametrize(
+    "value_at, expected, message",
     [
         # an exact zero reached by bisection and never accepted
         (
@@ -431,20 +598,20 @@ def test_routes_settle_in_few_accept_calls(monkeypatch):
     ],
     ids=["exact-root", "same-end-signs", "zero-at-an-end"],
 )
-def test_bisect_chain_ends_as_stepwise(sign_at, expected, message):
-    def never(bl, bh):
+def test_bisect_chain_ends_as_stepwise(value_at, expected, message):
+    def never(L, H, Q):
         return None
 
     for kernel in (_bisect, _stepwise):
         with pytest.raises(expected, match=f"^{re.escape(message)}$"):
-            kernel(sign_at, Fraction(0), Fraction(1), never)
+            kernel(value_at, Fraction(0), Fraction(1), never)
 
 
 _coord = st.fractions(min_value=-10, max_value=10, max_denominator=60)
 _point = st.builds(Point2, _coord, _coord)
 
 
-#: A figure for ``_intercept_sign``: two lines, a pole, a scale for L, a
+#: A figure for ``_intercept_defect``: two lines, a pole, a scale for L, a
 #: direction parameter t, and whether line 1 runs along that direction.
 _intercept_figure = (
     _point, _point, _point, _point, _point,
@@ -458,7 +625,7 @@ _intercept_figure = (
 
 
 def _intercept_case(a0, a1, b0, b1, z, scale, t, parallel):
-    """The figure's integer sign function and the sign that explicit cut
+    """The figure's integer value function and the sign that explicit cut
     points give at t, or None when a line is degenerate."""
     dx, dy = 1 - t * t, 2 * t
     if parallel:  # line1 along the direction itself
@@ -488,7 +655,7 @@ def _intercept_case(a0, a1, b0, b1, z, scale, t, parallel):
         expected = (g > 0) - (g < 0)
     if parallel:
         assert expected == 1
-    return _intercept_sign(_cut_constants(z, lines), L), expected
+    return _intercept_defect(_cut_constants(z, lines), L), expected
 
 
 @given(*_intercept_figure)
@@ -496,13 +663,13 @@ def _intercept_case(a0, a1, b0, b1, z, scale, t, parallel):
 def test_intercept_sign_matches_explicit_cut_points(a0, a1, b0, b1, z, scale, t, parallel):
     case = _intercept_case(a0, a1, b0, b1, z, scale, t, parallel)
     if case is not None:
-        sign_at, expected = case
-        assert _sign_of(sign_at, t) == expected
+        value_at, expected = case
+        assert _sign_of(value_at, t) == expected
 
 
 def _fraction_defects(a, c):
     """Each route's defect as its figure states it, over Fraction, with
-    its scan range: the reference for the integer signs."""
+    its scan range: the reference for the signs of the integer values."""
     base = (a * a - c * c) / 4
 
     def heron(u):  # EF**2 - EG**2, E = (c/2, a/2), F = (-a/u, a), G = (c, -u*c)
@@ -521,11 +688,15 @@ def _fraction_defects(a, c):
 
     u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
     return {
-        "heron": (_heron_sign, heron, Fraction(1, 2), u_hi),
-        "apollonius": (_apollonius_sign, apollonius, c, c / 2 + a),
-        "philo": (_philo_sign, philo, Fraction(1, 2), u_hi),
-        "diocles": (_diocles_sign, diocles, Fraction(0), a),
+        "heron": (_heron_defect, heron, Fraction(1, 2), u_hi),
+        "apollonius": (_apollonius_defect, apollonius, c, c / 2 + a),
+        "philo": (_philo_defect, philo, Fraction(1, 2), u_hi),
+        "diocles": (_diocles_defect, diocles, Fraction(0), a),
     }
+
+
+#: The degree of each route's homogeneous value in (P, Q); nicomedes' is 4.
+_DEGREES = {"heron": 4, "apollonius": 4, "philo": 3, "diocles": 3}
 
 
 def _exact_roots(c, w):
@@ -554,13 +725,13 @@ def test_route_signs_match_fraction_defects(x, y, s, w):
     c = min(x, y)
     a = max(x, y) if w is None else c * w ** 3
     roots = None if w is None else _exact_roots(c, w)
-    for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
-        sign_at = make_sign(a, c)
+    for route, (make_value, defect, lo, hi) in _fraction_defects(a, c).items():
+        value_at = make_value(a, c)
         if a > c:  # the precondition of ``_bisect``; a == c never reaches it
-            assert _sign_of(sign_at, lo) * _sign_of(sign_at, hi) == -1, route
+            assert _sign_of(value_at, lo) * _sign_of(value_at, hi) == -1, route
         t = lo + (hi - lo) * s if roots is None else roots[route]
         g = defect(t)
-        assert _sign_of(sign_at, t) == (g > 0) - (g < 0), route
+        assert _sign_of(value_at, t) == (g > 0) - (g < 0), route
         if roots is not None:
             assert g == 0, route
 
@@ -574,27 +745,32 @@ def test_route_signs_match_fraction_defects(x, y, s, w):
 )
 @settings(max_examples=100, deadline=None)
 def test_route_signs_ignore_a_common_factor(x, y, s, w, k):
-    # The bisection chain hands each sign function an unreduced P/Q.
+    # The bisection chain hands each value function an unreduced P/Q, and
+    # the kernel compares values at one denominator, so each value must
+    # scale as k**degree.
     c = min(x, y)
     a = max(x, y) if w is None else c * w ** 3
     roots = None if w is None else _exact_roots(c, w)
-    for route, (make_sign, defect, lo, hi) in _fraction_defects(a, c).items():
-        sign_at = make_sign(a, c)
+    for route, (make_value, defect, lo, hi) in _fraction_defects(a, c).items():
+        value_at = make_value(a, c)
         t = lo + (hi - lo) * s if roots is None else roots[route]
         g = defect(t)
         P, Q = t.numerator, t.denominator
-        assert sign_at(k * P, k * Q) == sign_at(P, Q) == (g > 0) - (g < 0), route
+        assert value_at(k * P, k * Q) == k ** _DEGREES[route] * value_at(P, Q), route
+        assert _sign(value_at(P, Q)) == (g > 0) - (g < 0), route
 
 
 @given(*_intercept_figure, st.integers(min_value=1, max_value=10 ** 30))
 @settings(max_examples=100, deadline=None)
 def test_intercept_sign_ignores_a_common_factor(a0, a1, b0, b1, z, scale, t, parallel, k):
-    # Nicomedes' sign, at an unreduced P/Q, ties and parallel directions included.
+    # Nicomedes' value, at an unreduced P/Q, ties and parallel directions
+    # included: it scales as k**4, so its sign does not move.
     case = _intercept_case(a0, a1, b0, b1, z, scale, t, parallel)
     if case is not None:
-        sign_at, expected = case
+        value_at, expected = case
         P, Q = t.numerator, t.denominator
-        assert sign_at(k * P, k * Q) == sign_at(P, Q) == expected
+        assert value_at(k * P, k * Q) == k ** 4 * value_at(P, Q)
+        assert _sign(value_at(P, Q)) == expected
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=9))
@@ -622,8 +798,8 @@ def test_nicomedes_signs_are_opposite_at_the_range_ends(c, ratio):
     # parallel to the base line, so the cut is unbounded), -1 at t = 1.
     ends = []
 
-    def record(sign_at, lo, hi, accept):
-        ends.append((lo, _sign_of(sign_at, lo), hi, _sign_of(sign_at, hi)))
+    def record(value_at, lo, hi, accept):
+        ends.append((lo, _sign_of(value_at, lo), hi, _sign_of(value_at, hi)))
 
     with mock.patch.object(mean_proportionals, "_bisect", record):
         METHODS[NICOMEDES](MeanPropProblem(ab=c * ratio, bc=c))
@@ -719,19 +895,25 @@ def _interval_cut_check(prob, z, cuts, target_sq, target):
 
 def _both_checks(prob):
     """The integer check and the interval reference on one figure, and
-    the figure's sign function."""
+    the figure's value function."""
     target = _width_target(prob)
     z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
     return (
         _cut_check(prob, z.x, cuts, target_sq, target),
         _interval_cut_check(prob, z, cuts, target_sq, target),
-        _intercept_sign(cuts, prob.ab / 2),
+        _intercept_defect(cuts, prob.ab / 2),
     )
 
 
-def _verdict(accept, tl, th):
-    got = accept(tl, th)
+def _verdict(accept, *bracket):
+    got = accept(*bracket)
     return type(got), got
+
+
+def _verdicts(check, reference, L, H, Q):
+    """The integer check's verdict on [L/Q, H/Q] and the interval
+    reference's on the same bracket as Fractions."""
+    return _verdict(check, L, H, Q), _verdict(reference, Fraction(L, Q), Fraction(H, Q))
 
 
 #: Problems with ab/bc from 1 + 1e-15 to 1e30 and tol from 1e-6 to 1e-40.
@@ -748,19 +930,18 @@ _neusis_problems = st.builds(
 
 
 @st.composite
-def _neusis_brackets(draw, sign_at):
-    """A bracket [tl, th] inside [0, 1]: a step of the figure's bisection
-    chain (these pass the cut test once they are narrow), or one drawn
-    over any denominator, with its ends at 0, at 1 or equal."""
+def _neusis_brackets(draw, value_at):
+    """A bracket (L, H, Q) inside [0, 1]: a step of the figure's
+    bisection chain as the kernel hands it over (these pass the cut test
+    once they are narrow), or one drawn over any denominator, not
+    reduced, with its ends at 0, at 1 or equal."""
     kind = draw(st.sampled_from(["chain", "chain-point", "any"]))
     if kind != "any":
         step = draw(st.integers(min_value=0, max_value=250))
-        for L, H, Q in islice(_bisection_chain(sign_at, 0, 1, 1, 1), step + 1):
-            pass
-        tl, th = Fraction(L, Q), Fraction(H, Q)
+        _, L, H, Q = _chain(value_at, Fraction(0), Fraction(1))(step)
         if kind == "chain-point":
-            tl = th = draw(st.sampled_from([tl, th]))
-        return tl, th
+            L = H = draw(st.sampled_from([L, H]))
+        return L, H, Q
     Q = draw(st.one_of(
         st.integers(min_value=1, max_value=10 ** 6), st.integers(0, 200).map(lambda k: 2 ** k)
     ))
@@ -768,17 +949,16 @@ def _neusis_brackets(draw, sign_at):
     L, H = sorted((draw(ends), draw(ends)))
     if draw(st.booleans()):
         L = H
-    return Fraction(L, Q), Fraction(H, Q)
+    return L, H, Q
 
 
 @given(_neusis_problems, st.data())
 @settings(max_examples=300, deadline=None)
 def test_cut_check_equals_the_interval_check(prob, data):
-    check, reference, sign_at = _both_checks(prob)
-    tl, th = data.draw(_neusis_brackets(sign_at))
-    verdict = _verdict(check, tl, th)
+    check, reference, value_at = _both_checks(prob)
+    verdict, expected = _verdicts(check, reference, *data.draw(_neusis_brackets(value_at)))
     event(verdict[0].__name__)
-    assert verdict == _verdict(reference, tl, th)
+    assert verdict == expected
 
 
 @given(_neusis_problems, st.data())
@@ -787,14 +967,15 @@ def test_cut_check_band_is_closed(prob, data):
     # A band that ends exactly at the squared cut's ends holds it.
     target = _width_target(prob)
     z, cuts, _ = _neusis_figure(prob, _digits_for(target))
-    tl, th = data.draw(_neusis_brackets(_intercept_sign(cuts, prob.ab / 2)))
-    cut = _interval_cut(z, cuts, tl, th)
+    L, H, Q = data.draw(_neusis_brackets(_intercept_defect(cuts, prob.ab / 2)))
+    cut = _interval_cut(z, cuts, Fraction(L, Q), Fraction(H, Q))
     assume(cut is not None)
     cut_sq = cut[1]
     for band in (cut_sq, Interval(cut_sq.lo, cut_sq.hi + 1), Interval(cut_sq.lo / 2, cut_sq.hi)):
         check = _cut_check(prob, z.x, cuts, band, target)
         reference = _interval_cut_check(prob, z, cuts, band, target)
-        assert _verdict(check, tl, th) == _verdict(reference, tl, th)
+        verdict, expected = _verdicts(check, reference, L, H, Q)
+        assert verdict == expected
 
 
 @pytest.mark.parametrize(
@@ -811,12 +992,14 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
     # Every step of the chain up to a few past the first accepted one,
     # so that each of the check's verdicts is reached.
     prob = MeanPropProblem(ab=ab, bc=bc, tol=tol)
-    check, reference, sign_at = _both_checks(prob)
+    check, reference, value_at = _both_checks(prob)
+    chain = _chain(value_at, Fraction(0), Fraction(1))
     kinds, past = set(), None
-    for step, (L, H, Q) in enumerate(_bisection_chain(sign_at, 0, 1, 1, 1)):
-        tl, th = Fraction(L, Q), Fraction(H, Q)
-        verdict = _verdict(check, tl, th)
-        assert verdict == _verdict(reference, tl, th), step
+    for step in itertools.count():
+        reached, L, H, Q = chain(step)
+        assert reached == step  # the root is irrational: the chain never ends
+        verdict, expected = _verdicts(check, reference, L, H, Q)
+        assert verdict == expected, step
         kinds.add(verdict[0])
         if verdict[0] is MeanPropResult and past is None:
             past = step + 5
