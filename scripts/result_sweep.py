@@ -14,8 +14,9 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
   widths 1e-1 to 1e-79 and at 6 * 2**k sides (k <= 11),
   ``exhaustion_report``, ``fibonacci_identity_check`` and 40 doublings
   from each of the 3-, 4- and 6-gon;
-* heron: 150 ``verify_heron_identity`` reports (75 triangles, 10 and 30
-  digits);
+* heron: 158 ``verify_heron_identity`` reports at 10 and 30 digits, of 75
+  random triangles and four figures: the README's, 3-4-5, an isosceles
+  triangle and one whose squared sides A, B have a square product;
 * roots: 932 ``extract_root`` calls (the first roots block of seed 1,
   the short extractions of seeds 2 and 3, and the square root of 2 to
   degrees 3-17 at 200 and 1000 fractional digits in both divisor modes).
@@ -222,12 +223,18 @@ def circle() -> Iterator[str]:
 
 HERON_SEED = 8
 HERON_TRIANGLES = 75
+HERON_FIGURES = (
+    ((0, 0), (5, 0), (1, 2)),
+    ((0, 0), (3, 0), (0, 4)),
+    ((0, 0), (4, 0), (2, 5)),
+    ((0, 0), (2, 8), (1, 1)),  # A = 50, B = 2
+)
 
 
 def heron() -> Iterator[str]:
     rng = random.Random(HERON_SEED)
-    for _ in range(HERON_TRIANGLES):
-        vertices = workloads._criterion08_vertices(rng)
+    triangles = [workloads._criterion08_vertices(rng) for _ in range(HERON_TRIANGLES)]
+    for vertices in [*triangles, *HERON_FIGURES]:
         tri = TriangleVertices(*(Point2(x, y) for x, y in vertices))
         spelled = " ".join(f"({x}, {y})" for x, y in vertices)
         for digits in (10, 30):

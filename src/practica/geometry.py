@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import Interval
+from .numerics import Interval, _to_rational
 
 
 @dataclass(frozen=True)
@@ -16,8 +16,8 @@ class Point2:
     y: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "x", _to_rational(self.x))
+        object.__setattr__(self, "y", _to_rational(self.y))
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,25 @@
-"""Triangle area by the semiperimeter rule, exactly and with certificates.
+"""Triangle area by the semiperimeter rule, exactly, with its proof decided.
 
 Two routes are kept deliberately separate so they can check each other:
 the product s(s-a)(s-b)(s-c) evaluated from side lengths, and the
 squared-area symmetric polynomial evaluated from vertex coordinates
 (which stays exact even when the side lengths themselves are
 irrational).  ``verify_heron_identity`` rebuilds the incenter
-configuration behind the rule's classical proof and certifies its key
-identity numerically.
+configuration behind the rule's classical proof (Heron, *Metrica* I.8)
+and decides its key identity as an element of Z[√A, √B, √C] (A, B, C
+the squared sides): evaluation into the reals is a ring homomorphism,
+so a zero element proves it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
-from .numerics import DEFAULT_PRECISION, Interval, Precision, interval_sqrt, rat_sqrt_bounds
+from .numerics import DEFAULT_PRECISION, Interval, Precision, rat_sqrt_bounds
+from .numerics import _isqrt_ceil, _to_rational
 
 
 @dataclass(frozen=True)
@@ -27,16 +31,13 @@ class TriangleSides:
     c: Fraction
 
     def __post_init__(self) -> None:
-        a, b, c = Fraction(self.a), Fraction(self.b), Fraction(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name in "abc":
+            object.__setattr__(self, name, _to_rational(getattr(self, name)))
+        a, b, c = self.a, self.b, self.c
         if min(a, b, c) <= 0:
             raise ValueError("side lengths must be positive")
         if a + b <= c or b + c <= a or a + c <= b:
-            raise ValueError(
-                f"sides {a}, {b}, {c} violate the strict triangle inequality"
-            )
+            raise ValueError(f"sides {a}, {b}, {c} violate the strict triangle inequality")
 
     @property
     def semiperimeter(self) -> Fraction:
@@ -76,19 +77,20 @@ def heron_area_sq_from_vertices(t: TriangleVertices) -> Fraction:
     a2 = dist_sq(t.p2, t.p3)
     b2 = dist_sq(t.p1, t.p3)
     c2 = dist_sq(t.p1, t.p2)
-    sixteen_area_sq = (
-        2 * a2 * b2 + 2 * b2 * c2 + 2 * c2 * a2 - a2 * a2 - b2 * b2 - c2 * c2
-    )
+    sixteen_area_sq = 2 * a2 * b2 + 2 * b2 * c2 + 2 * c2 * a2 - a2 * a2 - b2 * b2 - c2 * c2
     return sixteen_area_sq / 16
 
 
 @dataclass(frozen=True)
 class HeronIdentityReport:
-    """Certified residuals from the incenter construction.
+    """The incenter construction, in the triangle's own units.
 
-    identity_residual encloses (DE)**2 (AH)**2 - (AH)(EB)(BH)(AE) and must
-    contain zero; perp_sq are the squared distances from the incenter to
-    the three sides; perp_residuals are their pairwise differences.
+    identity_residual encloses DE**4 AH**2 - EB**2 BH**2 AE**2, the
+    squared form of the proof's DE**2 AH**2 = AH EB BH AE (equivalent,
+    as AH > 0 and every length is >= 0).  perp_sq are the squared
+    distances from the incenter to the three sides, and perp_residuals
+    their pairwise differences.  A residual is exactly [0, 0] when its
+    ring element is 0, which proves its identity.
     """
 
     incenter: PointBounds
@@ -102,91 +104,127 @@ class HeronIdentityReport:
     perp_residuals: tuple[Interval, Interval, Interval]
 
 
-def _point_on_segment(p1: Point2, p2: Point2, t: Interval) -> PointBounds:
-    return PointBounds(
-        t * (p2.x - p1.x) + p1.x,
-        t * (p2.y - p1.y) + p1.y,
+# Z[√A, √B, √C] for integer radicands: an element is 8 integer
+# coefficients, coefficient m (a bitmask, 1: A, 2: B, 4: C) being that of
+# the product of the square roots of the radicands in m.
+_ONE, _SQRT_B, _SQRT_C = ([int(m == k) for m in range(8)] for k in (0, 2, 4))
+_PERIMETER = [0, 1, 1, 0, 1, 0, 0, 0]  # P = √A + √B + √C
+_GUARD_DIGITS = 10
+
+
+def _lin(*terms: tuple[int, list[int]]) -> list[int]:
+    """The integer combination of elements sum(k * x) over (k, x) terms."""
+    out = [0] * 8
+    for k, x in terms:
+        out = [o + k * xm for o, xm in zip(out, x)]
+    return out
+
+
+class _Ring:
+    """Z[√A, √B, √C], each monomial enclosed on the grid 1/scale."""
+
+    def __init__(self, a: int, b: int, c: int, scale: int) -> None:
+        self.radicands = [(a if m & 1 else 1) * (b if m & 2 else 1) * (c if m & 4 else 1)
+                          for m in range(8)]
+        self.roots = [(math.isqrt(r * scale * scale), _isqrt_ceil(r * scale * scale))
+                      for r in self.radicands]
+
+    def mul(self, x: list[int], y: list[int]) -> list[int]:
+        # √X·√X = X: monomials i and j multiply to i ^ j times the radicands of i & j.
+        out = [0] * 8
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        out[i ^ j] += xi * yj * self.radicands[i & j]
+        return out
+
+    def enclose(self, x: list[int]) -> tuple[int, int]:
+        """Integer ends lo, hi with x in [lo, hi] / scale."""
+        lo = hi = 0
+        for k, (root_lo, root_hi) in zip(x, self.roots):
+            lo += k * (root_lo if k > 0 else root_hi)
+            hi += k * (root_hi if k > 0 else root_lo)
+        return lo, hi
+
+    def quotient(self, x: list[int], den: tuple[int, int], k: int) -> Interval:
+        """x / (y·k), for an int k > 0 and a y > 0 in [den[0], den[1]] / scale."""
+        lo, hi = self.enclose(x)
+        return Interval._of(Fraction(lo, (den[1] if lo >= 0 else den[0]) * k),
+                            Fraction(hi, (den[0] if hi >= 0 else den[1]) * k))
+
+
+def _identity(ring: _Ring, d: list[list[int]], v: tuple[int, int], h2: list[int]):
+    """The proof's elements on the side from the origin to v, C = |v|**2:
+    (P·C)**2 DE**2, P·C·AE, P·C·EB, 2C·AH, 2C·BH and the residual times
+    4 P**4 C**6.  E = tau·v is the foot from D, with T = P·C·tau = P·D·v."""
+    c_sq = v[0] * v[0] + v[1] * v[1]
+    tee = _lin((v[0], d[0]), (v[1], d[1]))
+    de = [_lin((c_sq, d[i]), (-v[i], tee)) for i in (0, 1)]
+    de_sq = _lin((1, ring.mul(de[0], de[0])), (1, ring.mul(de[1], de[1])))
+    ae, eb, ah, bh = (
+        ring.mul(x, _SQRT_C)
+        for x in (tee, _lin((c_sq, _PERIMETER), (-1, tee)), h2, _lin((1, h2), (-2 * c_sq, _ONE)))
     )
-
-
-def _dist_sq_bounds(a: PointBounds, b: PointBounds) -> Interval:
-    return (a.x - b.x).square() + (a.y - b.y).square()
-
-
-def _perp_dist_sq(d: PointBounds, p: Point2, q: Point2) -> Interval:
-    # squared distance from d to line (p, q): cross(q-p, d-p)**2 / |q-p|**2
-    vx, vy = q.x - p.x, q.y - p.y
-    cross = (d.y - p.y) * vx - (d.x - p.x) * vy
-    return cross.square() / dist_sq(p, q)
+    lhs = ring.mul(ring.mul(de_sq, de_sq), ring.mul(ah, ah))
+    rhs = ring.mul(ring.mul(ring.mul(eb, eb), ring.mul(bh, bh)), ring.mul(ae, ae))
+    return de_sq, ae, eb, ah, bh, _lin((1, lhs), (-1, rhs))
 
 
 def verify_heron_identity(
     t: TriangleVertices, p: Precision = DEFAULT_PRECISION
 ) -> HeronIdentityReport:
-    """Rebuild the incenter configuration and certify its area identity.
+    """Rebuild the incenter configuration and decide its area identity.
 
-    D is the intersection of the interior angle bisectors (computed from
-    the side-length weights; exactly when all three sides are rational,
-    otherwise through interval enclosures of the lengths).  E is the
-    foot of the perpendicular from D on side p1p2, and H extends that
-    side beyond p2 by the tangent length s - c.  The report encloses
-    (DE)**2 (AH)**2 - (AH)(EB)(BH)(AE), which the classical proof shows is
-    zero, and the pairwise differences of the three perpendicular
-    distances from D to the sides, which are all the inradius.
+    D is the intersection of the interior angle bisectors, weighted by
+    the side lengths.  E is the foot of the perpendicular from D on side
+    p1p2, and H extends that side beyond p2 by the tangent length s - c.
+    The classical proof shows DE**2 AH**2 = AH EB BH AE, and that D is
+    equally far from the three sides.
+
+    The vertices are scaled to integers by the lcm of their
+    denominators, and each division is cleared by multiplying through by
+    P = a + b + c, C = c**2 or 2C, so both identities become elements of
+    Z[√A, √B, √C] (A, B, C the squared sides), on integers.  Evaluation
+    into the reals is a ring homomorphism, so an element that is 0
+    proves its identity, whatever the radicands are, and its residual
+    is exactly [0, 0].  Every field is enclosed from the monomials'
+    square roots on the grid 10**-(p + 10).
     """
-    p1, p2, p3 = t.p1, t.p2, t.p3
-    a = rat_sqrt_bounds(dist_sq(p2, p3), p)  # opposite p1
-    b = rat_sqrt_bounds(dist_sq(p1, p3), p)  # opposite p2
-    c = rat_sqrt_bounds(dist_sq(p1, p2), p)  # opposite p3
-    perimeter = a + b + c
-    s = perimeter / 2
-
-    incenter = PointBounds(
-        (a * p1.x + b * p2.x + c * p3.x) / perimeter,
-        (a * p1.y + b * p2.y + c * p3.y) / perimeter,
-    )
-
-    # Foot of the perpendicular from the incenter on side p1p2.
-    c_sq = dist_sq(p1, p2)
-    tau = (
-        (incenter.x - p1.x) * (p2.x - p1.x) + (incenter.y - p1.y) * (p2.y - p1.y)
-    ) / c_sq
-    foot = _point_on_segment(p1, p2, tau)
-    # H on ray p1->p2, beyond p2 by the tangent length s - c.
-    h_param = (c + (s - c)) / c  # = s/c, kept in construction form
-    h_point = _point_on_segment(p1, p2, h_param)
-
-    de_sq = _dist_sq_bounds(incenter, foot)
-    ae = interval_len(foot, p1, p)
-    eb = interval_len(foot, p2, p)
-    bh = interval_len(h_point, p2, p)
-    ah = interval_len(h_point, p1, p)
-
-    identity_residual = de_sq * ah.square() - ah * eb * bh * ae
-
-    perp_sq = (
-        _perp_dist_sq(incenter, p1, p2),
-        _perp_dist_sq(incenter, p2, p3),
-        _perp_dist_sq(incenter, p3, p1),
-    )
-    perp_residuals = (
-        perp_sq[0] - perp_sq[1],
-        perp_sq[1] - perp_sq[2],
-        perp_sq[2] - perp_sq[0],
-    )
+    p1 = t.p1
+    scale = math.lcm(*(q.denominator for pt in (p1, t.p2, t.p3) for q in (pt.x, pt.y)))
+    # p1 at the origin; the sides p1p2, p2p3 and p3p1, of squared lengths C, A and B.
+    v, u = ((int((q.x - p1.x) * scale), int((q.y - p1.y) * scale)) for q in (t.p2, t.p3))
+    sides = (((0, 0), v), (v, u), (u, (0, 0)))
+    sides_sq = [(x1 - x0) ** 2 + (y1 - y0) ** 2 for (x0, y0), (x1, y1) in sides]
+    ring = _Ring(sides_sq[1], sides_sq[2], sides_sq[0], 10 ** (p.decimal_digits + _GUARD_DIGITS))
+    # P·D = b·p2 + c·p3, and H = h·p2 with 2C·h = 2·AH·c, AH = c + (s - c).
+    d = [_lin((v[i], _SQRT_B), (u[i], _SQRT_C)) for i in (0, 1)]
+    h2 = ring.mul(_lin((2, _SQRT_C), (1, _PERIMETER), (-2, _SQRT_C)), _SQRT_C)
+    de_sq, ae, eb, ah, bh, identity = _identity(ring, d, v, h2)
+    # P·(D - p_i) x side i, squared: perp_sq[i] times P**2 |side i|**2.
+    cross = [_lin((x1 - x0, d[1]), (y0 - y1, d[0]), (x0 * y1 - y0 * x1, _PERIMETER))
+             for (x0, y0), (x1, y1) in sides]
+    cross_sq = [ring.mul(x, x) for x in cross]
+    p_sq = ring.mul(_PERIMETER, _PERIMETER)
+    per, per_sq, one = ring.enclose(_PERIMETER), ring.enclose(p_sq), ring.enclose(_ONE)
+    length = scale * sides_sq[0]  # P·C·AE / (P·length) is AE in the triangle's units
     return HeronIdentityReport(
-        incenter=incenter,
-        de_sq=de_sq,
-        ae=ae,
-        eb=eb,
-        bh=bh,
-        ah=ah,
-        identity_residual=identity_residual,
-        perp_sq=perp_sq,
-        perp_residuals=perp_residuals,
+        incenter=PointBounds(*(ring.quotient(x, per, scale) + q for x, q in zip(d, (p1.x, p1.y)))),
+        de_sq=ring.quotient(de_sq, per_sq, length * length),
+        ae=ring.quotient(ae, per, length),
+        eb=ring.quotient(eb, per, length),
+        ah=ring.quotient(ah, one, 2 * length),
+        bh=ring.quotient(bh, one, 2 * length),
+        identity_residual=ring.quotient(
+            identity, ring.enclose(ring.mul(p_sq, p_sq)), 4 * length ** 6
+        ),
+        perp_sq=tuple(
+            ring.quotient(x, per_sq, n * scale * scale) for x, n in zip(cross_sq, sides_sq)
+        ),
+        perp_residuals=tuple(
+            ring.quotient(_lin((sides_sq[j], cross_sq[i]), (-sides_sq[i], cross_sq[j])), per_sq,
+                          sides_sq[i] * sides_sq[j] * scale * scale)
+            for i, j in ((0, 1), (1, 2), (2, 0))
+        ),
     )
-
-
-def interval_len(a: PointBounds, b: Point2, p: Precision = DEFAULT_PRECISION) -> Interval:
-    """Enclosure of the distance between an interval point and an exact point."""
-    return interval_sqrt((a.x - b.x).square() + (a.y - b.y).square(), p)

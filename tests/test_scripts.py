@@ -31,6 +31,6 @@ def test_result_sweep_slice_passes_the_oracles():
     )
     assert r.returncode == 0, r.stderr.decode()
     lines = r.stdout.decode().splitlines()
-    assert len(lines) == 1452 + 150
+    assert len(lines) == 1452 + 158
     rejected = [line for line in lines if not line.endswith(" :: ok")]
     assert not rejected, rejected[:3]
