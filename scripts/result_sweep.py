@@ -13,7 +13,8 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
 * circle: at 5, 10, 20, 30, 40, 52 and 60 digits, ``pi_bounds`` at
   widths 1e-1 to 1e-79 and at 6 * 2**k sides (k <= 11),
   ``exhaustion_report``, ``fibonacci_identity_check`` and 40 doublings
-  from each of the 3-, 4- and 6-gon;
+  from each of the 3-, 4- and 6-gon, which also run at 1 digit, where
+  the 34th doubling refuses;
 * heron: 158 ``verify_heron_identity`` reports at 10 and 30 digits, of 75
   random triangles and four figures: the README's, 3-4-5, an isosceles
   triangle and one whose squared sides A, B have a square product;
@@ -190,7 +191,20 @@ def _check_polygon(b) -> str | None:
     return oracles.check_pi_bounds(lo, hi, hi - lo)
 
 
+def _doublings(digits: int) -> Iterator[str]:
+    p = Precision(digits)
+    for seed in (3, 4, 6):
+        b, exc = run(partial(polygon_seed, seed, p))
+        for j in range(CHAIN_DOUBLINGS + 1):
+            yield spell(f"polygon {seed}-gon doubled {j} times p={digits}", b, exc, _check_polygon)
+            if exc is not None:
+                break
+            b, exc = run(partial(double_polygon, b, p))
+
+
 def circle() -> Iterator[str]:
+    # At 1 digit each chain widens past the grid and refuses.
+    yield from _doublings(1)
     for digits in PRECISIONS:
         p = Precision(digits)
         for k in range(1, 80):
@@ -209,13 +223,7 @@ def circle() -> Iterator[str]:
             yield line(f"fibonacci_identity_check {n} p={digits}",
                        partial(fibonacci_identity_check, n, p),
                        partial(oracles.check_fibonacci, max_width=Fraction(1, 10 ** digits)))
-        for seed in (3, 4, 6):
-            b, exc = run(partial(polygon_seed, seed, p))
-            for j in range(CHAIN_DOUBLINGS + 1):
-                yield spell(f"polygon {seed}-gon doubled {j} times p={digits}", b, exc, _check_polygon)
-                if exc is not None:
-                    break
-                b, exc = run(partial(double_polygon, b, p))
+        yield from _doublings(digits)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,11 @@ the recurrence.  Every endpoint lies on the 10**-D grid of the working
 digits D, which keeps denominators bounded while preserving the
 enclosure.  The chain carries each endpoint as an integer numerator
 over 10**D from one doubling to the next (see `double_polygon`) and
-builds Fractions only for the bounds it returns: the same Fractions as
-evaluating the recurrences in interval arithmetic and rounding
-afterwards.  Each call runs its chain once, at the caller's precision
-or at the digits its target width or doubling count needs, if more.
+builds Fractions only for the bounds it returns; each new endpoint is
+the exact mean floored or ceiled onto the grid, the square root by an
+integer square root.  Each call runs its chain once, at the caller's
+precision or at the digits its target width or doubling count needs,
+if more.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .numerics import (
     Precision,
     PrecisionError,
     _check_int,
-    _isqrt_quotient,
+    _cleared,
+    _isqrt_ceil,
+    _to_rational,
     int_to_decimal,
     interval_sqrt,
     rat_sqrt_bounds,
@@ -126,19 +129,16 @@ def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
 
 
-def _doubled(sides: int, p: Precision, *ends: tuple[int, int]) -> tuple[int, int, int, int]:
+def _doubled(
+    sides: int, p: Precision, B: int, i_lo: int, i_hi: int, c_lo: int, c_hi: int
+) -> tuple[int, int, int, int]:
     """One doubling of the n-gon bounds i.lo, i.hi, c.lo, c.hi, given as
-    positive (numerator, denominator) pairs: the numerators over 10**D of
-    i2.lo, i2.hi, c2.lo and c2.hi (see `double_polygon`)."""
-    digits = _working_digits(p)
-    S = 10 ** digits
-    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = ends
-    c2_lo = 2 * a1 * a3 * b2 * b4 * S // (b1 * b3 * (a2 * b4 + a4 * b2))
-    c2_hi = -(-2 * a2 * a4 * b1 * b3 * S // (b2 * b4 * (a1 * b3 + a3 * b1)))
-    n, d = c2_lo * a1, S * b1
-    g = math.gcd(n, d)
-    num, den = _isqrt_quotient(n // g, d // g, digits, up=False)
-    i2_lo = num * S // den
+    positive numerators over B: the numerators over S = 10**D of i2.lo,
+    i2.hi, c2.lo and c2.hi (see `double_polygon`)."""
+    S = 10 ** _working_digits(p)
+    c2_lo = 2 * S * i_lo * c_lo // (B * (i_hi + c_hi))
+    c2_hi = -(-2 * S * i_hi * c_hi // (B * (i_lo + c_lo)))
+    i2_lo = math.isqrt(S * c2_lo * i_lo // B)
     if i2_lo == 0:
         raise PrecisionError(
             f"cannot double {sides} sides at {p.decimal_digits} digits: "
@@ -148,10 +148,7 @@ def _doubled(sides: int, p: Precision, *ends: tuple[int, int]) -> tuple[int, int
     # left of PolygonBounds' checks is the order of i2.lo and c2.hi.
     if not i2_lo < c2_hi:
         raise ValueError("inscribed/circumscribed bounds are inconsistent")
-    n, d = c2_hi * a2, S * b2
-    g = math.gcd(n, d)
-    num, den = _isqrt_quotient(n // g, d // g, digits, up=True)
-    return i2_lo, -(-num * S // den), c2_lo, c2_hi
+    return i2_lo, _isqrt_ceil(-(-S * c2_hi * i_hi // B)), c2_lo, c2_hi
 
 
 def _polygon(p: Precision, sides: int, *ends: int) -> PolygonBounds:
@@ -164,34 +161,32 @@ def _polygon(p: Precision, sides: int, *ends: int) -> PolygonBounds:
 def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     """Bounds at 2n sides from bounds at n sides.
 
-    With i = [a1/b1, a2/b2] and c = [a3/b3, a4/b4] the (positive) perimeter
-    bounds at n sides and S = 10**D, D the working digits:
+    With i = [I1/B, I2/B] and c = [C1/B, C2/B] the (positive) perimeter
+    bounds at n sides over one denominator B, S = 10**D (D the working
+    digits), and c2.lo, c2.hi below their numerators over S:
 
-        c2.lo = floor(2*a1*a3*b2*b4*S / (b1*b3*(a2*b4 + a4*b2))) / S
-        c2.hi = ceil(2*a2*a4*b1*b3*S / (b2*b4*(a1*b3 + a3*b1))) / S
-        i2.lo = floor(S * isqrt(n*s*s) / isqrt_ceil(d*s*s)) / S,  n/d = c2.lo*i.lo
-        i2.hi = ceil(S * isqrt_ceil(n*s*s) / isqrt(d*s*s)) / S,   n/d = c2.hi*i.hi
+        c2.lo = floor(2*S*I1*C1 / (B*(I2 + C2))) / S
+        c2.hi = ceil(2*S*I2*C2 / (B*(I1 + C1))) / S
+        i2.lo = isqrt(floor(S*c2.lo*I1 / B)) / S
+        i2.hi = isqrt_ceil(ceil(S*c2.hi*I2 / B)) / S
 
-    with s = 10**(D + 2) and n/d reduced.  These are exactly the endpoints
-    of ``((2*i*c)/(i + c)).round_outward(D)`` and
-    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  On positive
-    intervals 2*i*c is [2*i.lo*c.lo, 2*i.hi*c.hi] and i + c is
-    [i.lo + c.lo, i.hi + c.hi], so their quotient is the low product over
-    the high sum and the high product over the low sum, which the c2
-    lines write on integers.  interval_sqrt reads `rat_sqrt_bounds`' lower
-    quotient of the reduced c2.lo*i.lo and its upper one of c2.hi*i.hi,
-    the same `_isqrt_quotient` used here; a floor or ceiling does not
-    depend on how a rational is written, so only n/d is reduced.  The
-    chain carries the numerators over S from step to step and builds
-    Fractions only for the bounds it returns; this function passes
-    ``b``'s reduced endpoints, so bounds off the grid double too.
+    On positive intervals 2*i*c is [2*i.lo*c.lo, 2*i.hi*c.hi] and i + c
+    is [i.lo + c.lo, i.hi + c.hi], so the c2 lines are exactly the ends
+    of ``((2*i*c)/(i + c)).round_outward(D)``.  S*sqrt(c2.lo*i.lo) is the
+    square root of S*c2.lo*I1/B, and a real's root floored is the isqrt
+    of its floor (ceilings likewise), so the i2 lines are the tightest
+    enclosure of sqrt(c2*i) on the grid, never wider than
+    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  The chain
+    carries the numerators over S from step to step (B = S); this
+    function clears ``b``'s ends to one denominator, so bounds off the
+    grid double too.
 
     Once the bounds have widened past the grid's reach (at 1 digit, after
     about 34 doublings), i2.lo rounds to 0; that raises `PrecisionError`.
     """
     i, c = b.per_inscribed, b.per_circumscribed
-    ends = [(x.numerator, x.denominator) for x in (i.lo, i.hi, c.lo, c.hi)]
-    return _polygon(p, 2 * b.sides, *_doubled(b.sides, p, *ends))
+    *ends, B = _cleared(i.lo, i.hi, c.lo, c.hi)
+    return _polygon(p, 2 * b.sides, *_doubled(b.sides, p, B, *ends))
 
 
 def _chain_seed_for(n: int) -> int:
@@ -211,7 +206,7 @@ def _grid_chain(seed: int, p: Precision) -> Iterator[tuple[int, int, int, int, i
     i_lo, i_hi, c_lo, c_hi = (x.numerator * S // x.denominator for x in (i.lo, i.hi, c.lo, c.hi))
     while True:
         yield sides, i_lo, i_hi, c_lo, c_hi
-        i_lo, i_hi, c_lo, c_hi = _doubled(sides, p, (i_lo, S), (i_hi, S), (c_lo, S), (c_hi, S))
+        i_lo, i_hi, c_lo, c_hi = _doubled(sides, p, S, i_lo, i_hi, c_lo, c_hi)
         sides *= 2
 
 
@@ -279,7 +274,7 @@ def pi_bounds(
         b = next(_chain_from(target_sides, p))
         return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, p)
 
-    width = Fraction(target_width)
+    width = _to_rational(target_width)
     if width <= 0:
         raise ValueError("target_width must be positive")
     return _pi_to_width(width, _at_least(p, _digits_for_width(width)))
@@ -301,7 +296,7 @@ def archimedes_window(p: Precision = DEFAULT_PRECISION) -> PiBounds:
 
 def circle_area_bounds(radius: Fraction, pi_b: PiBounds) -> Interval:
     """Exact rational scaling of the ratio bounds: area in r**2 * [lower, upper]."""
-    r = Fraction(radius)
+    r = _to_rational(radius)
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     return Interval(r * r * pi_b.lower, r * r * pi_b.upper)

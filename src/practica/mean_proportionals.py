@@ -45,6 +45,7 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
+    _cleared,
     _isqrt_quotient,
     _to_rational,
     int_nth_root_floor,
@@ -368,21 +369,6 @@ def _solve_defect(
     return _bisect(value_at, lo, hi, accept)
 
 
-def _cleared(*values: Fraction) -> tuple[int, ...]:
-    """Integers N1, ..., Nk, D with values[i] = Ni / D and D > 0."""
-    d = math.lcm(*(v.denominator for v in values))
-    return (*(v.numerator * (d // v.denominator) for v in values), d)
-
-
-def _root_bound(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
-    """One end of ``rat_sqrt_bounds(n/d, Precision(digits))``, for integers
-    n >= 0 and d > 0, as a numerator and a denominator: n/d is reduced
-    first, as a Fraction would be, since the bound depends on how n/d is
-    written."""
-    g = math.gcd(n, d)
-    return _isqrt_quotient(n // g, d // g, digits, up)
-
-
 def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
     point = Interval.point(prob.ab)
     return MeanPropResult(method, point, point, prob)
@@ -496,8 +482,8 @@ def solve_heron_apollonius(
 
     def evaluate_sigma(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
         QD2, CQ, QQ = Q * D2, C * Q, Q * Q
-        rln, rld = _root_bound(DD4 * L * L + base4 * QQ, DD4 * QQ, digits, up=False)
-        rhn, rhd = _root_bound(DD4 * H * H + base4 * QQ, DD4 * QQ, digits, up=True)
+        rln, rld = _isqrt_quotient(DD4 * L * L + base4 * QQ, DD4 * QQ, digits, up=False)
+        rhn, rhd = _isqrt_quotient(DD4 * H * H + base4 * QQ, DD4 * QQ, digits, up=True)
         return (  # x = sigma - c/2, y = s_c - a/2
             (D2 * L - CQ, QD2, D2 * H - CQ, QD2),
             (D2 * rln - A * rld, D2 * rld, D2 * rhn - A * rhd, D2 * rhd),
@@ -575,12 +561,12 @@ def cissoid_points(
     selects the side, so mirrored parameters give points mirrored
     across the vertical diameter.
     """
-    r = Fraction(radius)
+    r = _to_rational(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    s0, s1 = Fraction(span[0]), Fraction(span[1])
+    s0, s1 = _to_rational(span[0]), _to_rational(span[1])
     if not (-1 <= s0 < s1 <= 1):
         raise ValueError("span must be an ordered pair inside [-1, 1]")
     points = []
@@ -600,7 +586,7 @@ def cissoid_arc_defect(
 ) -> Interval:
     """Re-check a sampled point against the defining mean-proportion
     property DK**2 = KH * KL; the enclosure must contain zero."""
-    r = Fraction(radius)
+    r = _to_rational(radius)
     x, y = point.x, point.y
     dk = y + r  # cusp D = (0, -r) up to the foot K = (0, y)
     kh = interval_sqrt(Interval.point(r * r) - y.square(), p)
@@ -650,8 +636,8 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         # falls in m; y = r*q and x = r*sqrt(q)
         rq, dl, dh = R * Q, D * L, D * H
         qln, qld, qhn, qhd = rq - dh, rq + dh, rq - dl, rq + dl
-        sln, sld = _root_bound(qln, qld, digits, up=False)
-        shn, shd = _root_bound(qhn, qhd, digits, up=True)
+        sln, sld = _isqrt_quotient(qln, qld, digits, up=False)
+        shn, shd = _isqrt_quotient(qhn, qhd, digits, up=True)
         return (R * sln, D * sld, R * shn, D * shd), (R * qln, D * qld, R * qhn, D * qhd)
 
     means = _solve_defect(_diocles_defect(r, k), Fraction(0), r, evaluate, target)
@@ -674,12 +660,12 @@ def conchoid_points(
     The base line is y = 0 and the pole sits below it at (0, -d); each
     sampled base point S = (s, 0) is pushed away from the pole by the
     offset e along the ray pole -> S, landing on the upper branch."""
-    d, e = Fraction(pole_distance), Fraction(offset)
+    d, e = _to_rational(pole_distance), _to_rational(offset)
     if d <= 0 or e <= 0:
         raise ValueError("pole distance and offset must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    x0, x1 = Fraction(x_range[0]), Fraction(x_range[1])
+    x0, x1 = _to_rational(x_range[0]), _to_rational(x_range[1])
     if not x0 < x1:
         raise ValueError("x_range must be an ordered pair")
     points = []

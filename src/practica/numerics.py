@@ -63,6 +63,12 @@ def _to_rational(value: Fraction | int) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(_scalar(value))
 
 
+def _cleared(*values: Fraction) -> tuple[int, ...]:
+    """Integers N1, ..., Nk, D with values[i] = Ni / D and D > 0."""
+    d = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (d // v.denominator) for v in values), d)
+
+
 def pow10(exponent: int) -> Fraction:
     """Exact power of ten, usable for negative exponents."""
     if exponent >= 0:
@@ -263,11 +269,13 @@ def _isqrt_quotient(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
     """A directed bound on sqrt(n/d), for integers n >= 0 and d > 0, as an
     (unreduced) numerator and denominator.
 
-    With s = 10**(digits + 2) the bound is isqrt(n*s*s) / isqrt_ceil(d*s*s)
-    from below, or isqrt_ceil(n*s*s) / isqrt(d*s*s) from above when ``up``.
-    The quotient depends on how n/d is written: `rat_sqrt_bounds` passes
-    the reduced fraction.
+    With n/d reduced to lowest terms and s = 10**(digits + 2), the bound
+    is isqrt(n*s*s) / isqrt_ceil(d*s*s) from below, or
+    isqrt_ceil(n*s*s) / isqrt(d*s*s) from above when ``up``: it depends
+    only on the rational n/d, not on how it is written.
     """
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
     sq = 10 ** (2 * digits + 4)
     if up:
         return _isqrt_ceil(n * sq), math.isqrt(d * sq)

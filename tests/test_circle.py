@@ -107,13 +107,17 @@ def test_polygon_bounds_need_positive_lower_ends(field, lo):
         PolygonBounds(6, **fields)
 
 
-def _doubled_by_intervals(b, p):
-    """The reference: one doubling as interval expressions, rounded afterwards."""
+def _means_by_intervals(b, p):
+    """The reference's i2 and c2: the interval expressions, rounded afterwards."""
     digits = _working_digits(p)
     i, c = b.per_inscribed, b.per_circumscribed
     c2 = ((2 * i * c) / (i + c)).round_outward(digits)
-    i2 = interval_sqrt(c2 * i, Precision(digits)).round_outward(digits)
-    return PolygonBounds(2 * b.sides, i2, c2)
+    return interval_sqrt(c2 * i, Precision(digits)).round_outward(digits), c2
+
+
+def _doubled_by_intervals(b, p):
+    """The reference: one doubling as interval expressions, rounded afterwards."""
+    return PolygonBounds(2 * b.sides, *_means_by_intervals(b, p))
 
 
 def _outcome(double, b, p):
@@ -121,7 +125,7 @@ def _outcome(double, b, p):
         return double(b, p)
     except ValueError as e:  # a result whose bounds are not a polygon's
         return str(e)
-    except PrecisionError:  # raised where the reference's i2.lo is 0
+    except PrecisionError:  # raised where i2.lo rounds to 0
         return "per_inscribed.lo must be positive, got 0"
 
 
@@ -139,10 +143,52 @@ def doubling_inputs(draw):
     return PolygonBounds(sides, Interval(*i), Interval(*c)), p
 
 
+def _tightest_root(x, up):
+    """floor(sqrt(x)), or ceil(sqrt(x)) when ``up``, for a Fraction x >= 0
+    (x > 0 when ``up``), checked against its defining inequalities."""
+    k = math.isqrt(math.floor(x))
+    if up:
+        k += k * k < x
+        assert (k - 1) ** 2 < x <= k ** 2
+    else:
+        assert k ** 2 <= x < (k + 1) ** 2
+    return k
+
+
+# Roots just above and just below a grid point, where the interval
+# reference's i2.lo, then its i2.hi, is one grid step wider than the tightest.
+_NEAR_GRID_FROM_ABOVE = PolygonBounds(
+    6,
+    Interval(Fraction(654573571016600838023200, 218191190338638000713277), Fraction(31, 10)),
+    Interval(Fraction(801, 250), Fraction(33, 10)),
+)
+_NEAR_GRID_FROM_BELOW = PolygonBounds(
+    6,
+    Interval(3, Fraction(756854740926001707538550, 244146690617305545218457)),
+    Interval(
+        Fraction(16, 5),
+        Fraction(24976206450142788728439014628098227833, 7568547409260017075385500000000000000),
+    ),
+)
+
+
 @given(doubling_inputs())
-def test_doubling_equals_the_rounded_interval_expression(case):
+@example((_NEAR_GRID_FROM_ABOVE, Precision(1)))
+@example((_NEAR_GRID_FROM_BELOW, Precision(1)))
+def test_doubling_is_the_tightest_grid_enclosure(case):
+    # c2 is exactly the reference's; i2 is floor(S*sqrt(c2.lo*i.lo)) and
+    # ceil(S*sqrt(c2.hi*i.hi)) over S, which lies inside the reference's
+    # i2; the step refuses as the bounds it would return demand
     b, p = case
-    assert _outcome(double_polygon, b, p) == _outcome(_doubled_by_intervals, b, p)
+    S = 10 ** _working_digits(p)
+    i = b.per_inscribed
+    ref_i2, c2 = _means_by_intervals(b, p)
+    i2_lo = _tightest_root(S * S * c2.lo * i.lo, up=False)
+    i2_hi = _tightest_root(S * S * c2.hi * i.hi, up=True)
+    i2 = Interval(Fraction(i2_lo, S), Fraction(i2_hi, S))
+    assert ref_i2.contains_interval(i2)
+    expected = _outcome(lambda *_: PolygonBounds(2 * b.sides, i2, c2), b, p)
+    assert _outcome(double_polygon, b, p) == expected
 
 
 @pytest.mark.parametrize("seed", [3, 4, 6])
@@ -203,7 +249,7 @@ def test_integer_step_checks_the_order_of_its_bounds():
     # the chain builds no PolygonBounds between the bounds it returns, so
     # the integer step makes its check itself, with the same message
     with pytest.raises(ValueError, match=r"^inscribed/circumscribed bounds are inconsistent$"):
-        _doubled(6, P20, (100, 1), (100, 1), (1, 1), (1, 1))
+        _doubled(6, P20, 1, 100, 100, 1, 1)
 
 
 def test_bounds_nest_as_sides_double():

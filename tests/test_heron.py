@@ -97,9 +97,10 @@ def _decided_zero(report) -> bool:
 def test_identity_exact_for_right_triangle():
     # (0,0)-(5,0)-(1,2) has its right angle at (1,2) and sides 5, sqrt(5)
     # and sqrt(20): the ring decides the identity although two sides are
-    # irrational.
-    report = verify_heron_identity(TriangleVertices(Point2(0, 0), Point2(5, 0), Point2(1, 2)))
-    assert _decided_zero(report)
+    # irrational, at the default precision and at 30 digits.
+    tri = TriangleVertices(Point2(0, 0), Point2(5, 0), Point2(1, 2))
+    assert _decided_zero(verify_heron_identity(tri))
+    assert _decided_zero(verify_heron_identity(tri, Precision(30)))
 
 
 def test_identity_exact_zero_for_rational_sides():
@@ -112,20 +113,14 @@ def test_identity_exact_zero_for_rational_sides():
         assert r.lo == 0 and r.hi == 0
 
 
-def test_identity_interval_for_irrational_sides():
-    tri = TriangleVertices(Point2(0, 0), Point2(5, 0), Point2(1, 2))
-    report = verify_heron_identity(tri, Precision(30))
-    assert report.identity_residual.contains(0)
-    assert report.identity_residual.width < Fraction(1, 10 ** 15)
-    for r in report.perp_residuals:
-        assert r.contains(0)
-
-
-def test_incenter_equidistance_certified():
+def test_identity_exact_for_a_scalene_triangle():
+    # (-3,1)-(4,2)-(1,7) has sides sqrt(50), sqrt(34) and sqrt(52), no two
+    # of them in a rational ratio: the identity and the incenter's
+    # equidistance from the sides are still decided exactly, and the
+    # incenter itself is enclosed to the working precision
     tri = TriangleVertices(Point2(-3, 1), Point2(4, 2), Point2(1, 7))
     report = verify_heron_identity(tri, Precision(25))
-    assert all(r.contains(0) for r in report.perp_residuals)
-    # the incenter itself must be strictly inside: all barycentric signs equal
+    assert _decided_zero(report)
     assert report.incenter.x.width < Fraction(1, 10 ** 20)
 
 

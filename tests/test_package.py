@@ -1,10 +1,22 @@
 """The package's public surface and the README's library example."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import practica
-from practica import Interval
+from practica import (
+    Interval,
+    PiBounds,
+    Precision,
+    circle_area_bounds,
+    cissoid_arc_defect,
+    cissoid_points,
+    conchoid_points,
+    pi_bounds,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +50,29 @@ def test_readme_library_block_does_what_its_comments_say():
     assert values["heron_area_bounds(TriangleSides(3, 4, 5))"] == Interval(6, 6)
     assert values["res.residual1"].contains(0)
     assert values["extract_root(80621568000, 3, divisor_mode='simplified').root_string()"] == "4320"
+
+
+_WINDOW = PiBounds(Fraction(223, 71), Fraction(22, 7), 96, Precision(1))
+_CISSOID_POINT = cissoid_points(1, 2)[0]
+
+_RATIONAL_ARGUMENTS = {
+    "pi_bounds-target_width": lambda v: pi_bounds(target_width=v),
+    "circle_area_bounds-radius": lambda v: circle_area_bounds(v, _WINDOW),
+    "cissoid_points-radius": lambda v: cissoid_points(v, 2),
+    "cissoid_points-span0": lambda v: cissoid_points(1, 2, span=(v, 1)),
+    "cissoid_points-span1": lambda v: cissoid_points(1, 2, span=(0, v)),
+    "cissoid_arc_defect-radius": lambda v: cissoid_arc_defect(_CISSOID_POINT, v),
+    "conchoid_points-pole_distance": lambda v: conchoid_points(v, 1, 2, (0, 1)),
+    "conchoid_points-offset": lambda v: conchoid_points(1, v, 2, (0, 1)),
+    "conchoid_points-x_range0": lambda v: conchoid_points(1, 1, 2, (v, 1)),
+    "conchoid_points-x_range1": lambda v: conchoid_points(1, 1, 2, (0, v)),
+}
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/10"], ids=["float", "string"])
+@pytest.mark.parametrize("call", _RATIONAL_ARGUMENTS.values(), ids=_RATIONAL_ARGUMENTS.keys())
+def test_circle_and_curve_arguments_refuse_inexact_numbers(call, inexact):
+    # A float would be taken at its binary value: 0.1 as a 2**-55 multiple
+    # whose square carries a 110-bit denominator into every bound.
+    with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
+        call(inexact)
