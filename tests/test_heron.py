@@ -97,10 +97,9 @@ def _decided_zero(report) -> bool:
 def test_identity_exact_for_right_triangle():
     # (0,0)-(5,0)-(1,2) has its right angle at (1,2) and sides 5, sqrt(5)
     # and sqrt(20): the ring decides the identity although two sides are
-    # irrational, at the default precision and at 30 digits.
+    # irrational
     tri = TriangleVertices(Point2(0, 0), Point2(5, 0), Point2(1, 2))
     assert _decided_zero(verify_heron_identity(tri))
-    assert _decided_zero(verify_heron_identity(tri, Precision(30)))
 
 
 def test_identity_exact_zero_for_rational_sides():
@@ -111,6 +110,16 @@ def test_identity_exact_zero_for_rational_sides():
     assert report.identity_residual.hi == 0
     for r in report.perp_residuals:
         assert r.lo == 0 and r.hi == 0
+
+
+def test_identity_interval_for_irrational_sides():
+    # the same triangle at 30 digits: the residuals are still exactly zero,
+    # so the enclosures are degenerate, not merely narrow
+    tri = TriangleVertices(Point2(0, 0), Point2(5, 0), Point2(1, 2))
+    report = verify_heron_identity(tri, Precision(30))
+    assert report.identity_residual.contains(0)
+    assert report.identity_residual.width < Fraction(1, 10 ** 15)
+    assert _decided_zero(report)
 
 
 def test_identity_exact_for_a_scalene_triangle():
