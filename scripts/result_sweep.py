@@ -20,7 +20,14 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
   triangle and one whose squared sides A, B have a square product;
 * roots: 932 ``extract_root`` calls (the first roots block of seed 1,
   the short extractions of seeds 2 and 3, and the square root of 2 to
-  degrees 3-17 at 200 and 1000 fractional digits in both divisor modes).
+  degrees 3-17 at 200 and 1000 fractional digits in both divisor modes);
+* curves: one line per sampled point, each checked by its defining
+  property (``cissoid_arc_defect`` or, with pole distance and offset 1,
+  ``conchoid_quartic_residual`` contains 0): the README's 200-sample
+  conchoid over [0, 21] at 30 digits, 21-sample conchoids over
+  [-5, 5] and [0, 1000] at 10 and 60 digits, and 9-sample cissoids of
+  radius 1 and 3/2 over the spans [-1, 1] and [1/10, 9/10] at 10, 30
+  and 60 digits.
 
 Usage: PYTHONPATH=<tree>/src python scripts/result_sweep.py [SET ...]
 
@@ -56,6 +63,10 @@ from practica import (  # noqa: E402
     Precision,
     PrecisionError,
     TriangleVertices,
+    cissoid_arc_defect,
+    cissoid_points,
+    conchoid_points,
+    conchoid_quartic_residual,
     double_polygon,
     exhaustion_report,
     extract_root,
@@ -280,7 +291,56 @@ def roots() -> Iterator[str]:
                 yield _root_line(2, degree, frac, mode)
 
 
-SETS = {"meanprops": meanprops, "circle": circle, "heron": heron, "roots": roots}
+# ----------------------------------------------------------------------
+# curves
+
+#: (samples, x_range, digits) of the conchoids with pole distance and offset 1.
+CONCHOIDS = (
+    (200, (Fraction(0), Fraction(21)), 30),  # the README's curve
+    (21, (Fraction(-5), Fraction(5)), 10),
+    (21, (Fraction(-5), Fraction(5)), 60),
+    (21, (Fraction(0), Fraction(1000)), 10),
+    (21, (Fraction(0), Fraction(1000)), 60),
+)
+CISSOID_SAMPLES = 9
+CISSOID_RADII = (Fraction(1), Fraction(3, 2))
+CISSOID_SPANS = ((Fraction(-1), Fraction(1)), (Fraction(1, 10), Fraction(9, 10)))
+
+
+def _contains_zero(what: str, iv) -> str | None:
+    return None if iv.contains(0) else f"the {what} excludes 0"
+
+
+def _sampled(label: str, sample: Callable[[], list], check: Check) -> Iterator[str]:
+    """One line per sampled point, or one line for a sampler that raised."""
+    points, exc = run(sample)
+    if exc is not None:
+        yield spell(label, None, exc, check)
+        return
+    for j, point in enumerate(points):
+        yield spell(f"{label} #{j}", point, None, check)
+
+
+def curves() -> Iterator[str]:
+    one = Fraction(1)
+    for samples, (x0, x1), digits in CONCHOIDS:
+        yield from _sampled(
+            f"conchoid_points d=1 e=1 samples={samples} x_range=[{x0}, {x1}] p={digits}",
+            partial(conchoid_points, one, one, samples, (x0, x1), Precision(digits)),
+            lambda pt: _contains_zero("quartic residual", conchoid_quartic_residual(pt)),
+        )
+    for r in CISSOID_RADII:
+        for s0, s1 in CISSOID_SPANS:
+            for digits in (10, 30, 60):
+                p = Precision(digits)
+                yield from _sampled(
+                    f"cissoid_points r={r} samples={CISSOID_SAMPLES} span=[{s0}, {s1}] p={digits}",
+                    partial(cissoid_points, r, CISSOID_SAMPLES, p, (s0, s1)),
+                    lambda pt, r=r, p=p: _contains_zero("arc defect", cissoid_arc_defect(pt, r, p)),
+                )
+
+
+SETS = {"meanprops": meanprops, "circle": circle, "heron": heron, "roots": roots, "curves": curves}
 
 
 def main(argv: list[str]) -> None:

@@ -45,7 +45,6 @@ from .numerics import (
     Precision,
     PrecisionError,
     int_to_decimal,
-    pow10,
     rat_sqrt_bounds,
 )
 from .root_extraction import FULL, SIMPLIFIED, SpecialNumbers, extract_root, render_trace
@@ -122,7 +121,7 @@ def render_value(iv: Interval, digits: int) -> str:
     """Midpoint rendering; the full interval is shown alongside whenever
     the width exceeds one unit in the last printed place."""
     s = format_decimal(iv.mid, digits)
-    if iv.width > pow10(-digits):
+    if iv.width > Fraction(1, 10 ** digits):
         s += f" [{format_decimal(iv.lo, digits)}, {format_decimal(iv.hi, digits)}]"
     return s
 

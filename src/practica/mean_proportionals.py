@@ -51,7 +51,6 @@ from .numerics import (
     int_nth_root_floor,
     int_to_decimal,
     interval_sqrt,
-    pow10,
     rat_sqrt_bounds,
 )
 
@@ -134,9 +133,10 @@ def _width_target(prob: MeanPropProblem) -> Fraction:
     return prob.tol * min(prob.bc, max(Fraction(1), prob.ab) / 8)
 
 
-def _halvings(width: Fraction, target: Fraction) -> int:
-    """The bit length of ceil(width / target): about how many halvings
-    bring ``width`` down to ``target``, from integers alone."""
+def _halvings(width: Fraction | int, target: Fraction | int) -> int:
+    """The bit length of ceil(width / target), for Fractions or for a
+    cross-multiplied ratio of integers: about how many halvings bring
+    ``width`` down to ``target``."""
     return (-(-width // target)).bit_length()
 
 
@@ -364,7 +364,7 @@ def _solve_defect(
                 Interval._of(Fraction(xln, xld), Fraction(xhn, xhd)),
                 Interval._of(Fraction(yln, yld), Fraction(yhn, yhd)),
             )
-        return (-(-n * td // (d * tn))).bit_length()
+        return _halvings(n * td, d * tn)
 
     return _bisect(value_at, lo, hi, accept)
 
@@ -460,6 +460,8 @@ def solve_heron_apollonius(
     the horizontal through A, and drives the collinearity of F, B, G;
     both land on the same line and read off x = AF, y = CG.
     """
+    if variant not in ("heron", "apollonius"):
+        raise ValueError(f"unknown variant {variant!r}")
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(HERON_APOLLONIUS, prob)
@@ -467,8 +469,6 @@ def solve_heron_apollonius(
     if variant == "heron":
         return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_defect(a, c)), prob)
 
-    if variant != "apollonius":
-        raise ValueError(f"unknown variant {variant!r}")
     target = _width_target(prob)
     digits = _digits_for(target) + 8
 
@@ -755,7 +755,7 @@ def _neusis_figure(
     theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
     base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
     L = a / 2
-    tol = pow10(-(digits + 4)) * max(Fraction(1), L)
+    tol = Fraction(1, 10 ** (digits + 4)) * max(Fraction(1), L)
     target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
     return z, _cut_constants(z, (theta_line, base_line)), target_sq
 
@@ -797,9 +797,10 @@ def _cut_check(
     operators give.  For a > c the cut constants have fixed signs
     (vx1 > 0, vy1 < 0, n1 < 0 for the line through C; vx_k > 0,
     vy_k = 0, n_k < 0 for the base line), and on [0, 1] the direction
-    (1 - t**2, 2t) has both coordinates >= 0, so every product and
-    quotient takes the branch that pairs two endpoints.  The kernel hands
-    the bracket over one denominator Q, so the direction's ends are
+    (1 - t**2, 2t) has both coordinates >= 0, so the signs fix which
+    two of each product's or quotient's four endpoint values are its
+    min and max.  The kernel hands the bracket over one denominator Q,
+    so the direction's ends are
     integers over Q**2, and so are the cut denominators: -Q**2 * den1
     runs over [e1h, e1l] and -Q**2 * den_k over [ekh, ekl], all >= 0, so
     each denominator excludes 0 unless its smaller end is 0.  The low
@@ -838,9 +839,9 @@ def _cut_check(
             band_lo.numerator * lo_d <= lo_n * band_lo.denominator
             and hi_n * band_hi.denominator <= band_hi.numerator * hi_d
         ):
-            # _halvings(cut_sq.width, target_sq.width)
+            # _halvings(cut_sq.width, target_sq.width), cross-multiplied
             num = (hi_n * lo_d - lo_n * hi_d) * band_w.denominator
-            return (-(-num // (hi_d * lo_d * band_w.numerator))).bit_length()
+            return _halvings(num, hi_d * lo_d * band_w.numerator)
         x_k = Interval._of(  # K's abscissa on the base line: zx + lam_k * dx
             Fraction(zn * ekl + zd * Nk * dxl, zd * ekl),
             Fraction(zn * ekh + zd * Nk * dxh, zd * ekh),
@@ -848,7 +849,9 @@ def _cut_check(
         if x_k.lo <= c:
             return None  # may still lie beyond C: narrow until it is decided
         x_iv = x_k - c
-        y_iv = (x_k * a) / x_iv - a  # MA, with M = (0, x_k * a / (x_k - c))
+        # MA, with M = (0, x_k * a / (x_k - c)); x_k > c > 0 and a > 0, so
+        # the quotient pairs each end of x_k * a with the far end of x_iv
+        y_iv = Interval._of(x_k.lo * a / x_iv.hi - a, x_k.hi * a / x_iv.lo - a)
         width = max(x_iv.width, y_iv.width)
         if width <= target:
             return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)

@@ -3,12 +3,14 @@ rational intervals, and big-integer nth roots.
 
 Every quantity in this package is either an exact `Fraction` or an
 `Interval` with exact rational endpoints that is guaranteed to contain
-the true (possibly irrational) value.  Nothing here ever touches a
-float: square roots are bounded by integer square roots of scaled
-numerators/denominators, with the numerator root rounded down and the
-denominator root rounded up for the lower endpoint (and the opposite
-for the upper endpoint), so the enclosure is bit-exact on every
-platform.
+the true (possibly irrational) value.  Interval products and quotients
+take one rule, the min and max over the four endpoint products or
+quotients, and are exact because the endpoints are.  Nothing here ever
+touches a float: square roots are bounded by integer square roots of
+scaled numerators/denominators, with the numerator root rounded down
+and the denominator root rounded up for the lower endpoint (and the
+opposite for the upper endpoint), so the enclosure is bit-exact on
+every platform.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class Precision:
     decimal_digits: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.decimal_digits, int) or self.decimal_digits < 1:
+        digits = self.decimal_digits
+        if not isinstance(digits, int) or isinstance(digits, bool) or digits < 1:
             raise ValueError("decimal_digits must be a positive integer")
 
 
@@ -69,30 +72,6 @@ def _cleared(*values: Fraction) -> tuple[int, ...]:
     return (*(v.numerator * (d // v.denominator) for v in values), d)
 
 
-def pow10(exponent: int) -> Fraction:
-    """Exact power of ten, usable for negative exponents."""
-    if exponent >= 0:
-        return Fraction(10 ** exponent)
-    return Fraction(1, 10 ** (-exponent))
-
-
-def _on_grid(num: int, den: int, digits: int, up: bool) -> Fraction:
-    """num/den (den > 0) rounded down, or up when ``up``, to a multiple
-    of 10**-digits."""
-    scale = 10 ** digits
-    return Fraction(-(-num * scale // den) if up else num * scale // den, scale)
-
-
-def floor_to_grid(x: Fraction, digits: int) -> Fraction:
-    """Largest multiple of 10**-digits that is <= x."""
-    return _on_grid(x.numerator, x.denominator, digits, up=False)
-
-
-def ceil_to_grid(x: Fraction, digits: int) -> Fraction:
-    """Smallest multiple of 10**-digits that is >= x."""
-    return _on_grid(x.numerator, x.denominator, digits, up=True)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [lo, hi] with exact rational endpoints.
@@ -105,14 +84,14 @@ class Interval:
     ``round_outward`` (which can only enlarge the enclosure, never
     shrink it).
 
-    Products and quotients read the operands' signs (off their
-    numerators) to form only the endpoints they need: two, in an order
-    the signs fix, for a scalar operand, for two factors of one sign and
-    for a dividend and divisor of one sign; otherwise the min and max of
-    all four.  Operators build their results with ``_of``, which skips
-    validation because their endpoints are Fractions already in order;
-    the public ``Interval(lo, hi)`` and ``point`` still convert ints and
-    reject anything else or reversed endpoints.
+    A product or quotient is the min and max of the four endpoint
+    products or quotients (Moore's rule), with a scalar operand taken
+    as ``point(v)``; a divisor that contains 0 is refused.  ``square``
+    and ``magnitude`` give the tighter image of one operand.  Operators
+    build their results with ``_of``, which skips validation because
+    their endpoints are Fractions already in order; the public
+    ``Interval(lo, hi)`` and ``point`` still convert ints and reject
+    anything else or reversed endpoints.
     """
 
     lo: Fraction
@@ -186,51 +165,25 @@ class Interval:
         return Interval._of(v - self.hi, v - self.lo)
 
     def __mul__(self, other: "Interval | Fraction | int") -> "Interval":
-        a, b = self.lo, self.hi
         if not isinstance(other, Interval):
-            v = _scalar(other)
-            if v.numerator >= 0:
-                return Interval._of(a * v, b * v)
-            return Interval._of(b * v, a * v)
-        c, d = other.lo, other.hi
-        if a.numerator >= 0 and c.numerator >= 0:
-            return Interval._of(a * c, b * d)
-        if b.numerator <= 0 and d.numerator <= 0:
-            return Interval._of(b * d, a * c)
+            other = Interval.point(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         products = (a * c, a * d, b * c, b * d)
         return Interval._of(min(products), max(products))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Interval | Fraction | int") -> "Interval":
-        a, b = self.lo, self.hi
         if not isinstance(other, Interval):
-            v = _scalar(other)
-            if v.numerator > 0:
-                return Interval._of(a / v, b / v)
-            if v.numerator < 0:
-                return Interval._of(b / v, a / v)
-            raise ZeroDivisionError(f"interval division by {Interval.point(v)} which contains zero")
-        c, d = other.lo, other.hi
-        if c.numerator <= 0 <= d.numerator:
+            other = Interval.point(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c <= 0 <= d:
             raise ZeroDivisionError(f"interval division by {other} which contains zero")
-        if a.numerator >= 0:
-            return Interval._of(a / d, b / c) if c.numerator > 0 else Interval._of(b / d, a / c)
-        if b.numerator <= 0:
-            return Interval._of(a / c, b / d) if c.numerator > 0 else Interval._of(b / c, a / d)
         quotients = (a / c, a / d, b / c, b / d)
         return Interval._of(min(quotients), max(quotients))
 
     def __rtruediv__(self, other: "Fraction | int") -> "Interval":
-        v = _scalar(other)
-        a, b = self.lo, self.hi
-        if a.numerator <= 0 <= b.numerator:
-            raise ZeroDivisionError(f"interval division by {self} which contains zero")
-        # On either side of 0, v / x falls in x when v > 0 and rises when
-        # v < 0, so the divisor's sign does not change the order.
-        if v.numerator >= 0:
-            return Interval._of(v / b, v / a)
-        return Interval._of(v / a, v / b)
+        return Interval.point(other) / self
 
     def square(self) -> "Interval":
         """Tight image of x**2 over the interval (tighter than self*self
@@ -257,7 +210,12 @@ class Interval:
         chain of operations at the cost of at most 2*10**-digits of
         extra width.
         """
-        return Interval._of(floor_to_grid(self.lo, digits), ceil_to_grid(self.hi, digits))
+        scale = 10 ** digits
+        lo, hi = self.lo, self.hi
+        return Interval._of(
+            Fraction(lo.numerator * scale // lo.denominator, scale),
+            Fraction(-(-hi.numerator * scale // hi.denominator), scale),
+        )
 
 
 def _isqrt_ceil(n: int) -> int:

@@ -179,10 +179,12 @@ def group_points(N: int, n: int) -> list[int]:
     The leftmost group carries 1..n digits; concatenating all groups
     (with zero padding on the inner ones) reproduces N.
     """
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
+    _check_int(N, "radicand")
+    _check_int(n, "root degree")
     if N < 0:
         raise ValueError(f"radicand must be nonnegative, got {N}")
+    if n < 2:
+        raise ValueError(f"degree must be at least 2, got {n}")
     s = int_to_decimal(N)
     first = len(s) % n or n
     return [int(s[:first])] + [int(s[i : i + n]) for i in range(first, len(s), n)]
@@ -228,19 +230,14 @@ def extract_root(
     min(9, point // divisor) and is decremented until the subtrahend
     (10r + d)**n - (10r)**n no longer exceeds the point.
     """
-    _check_int(N, "radicand")
-    _check_int(n, "root degree")
+    groups = group_points(N, n)  # checks N and n
     _check_int(frac_digits, "frac_digits")
-    if N < 0:
-        raise ValueError(f"radicand must be nonnegative, got {N}")
-    if n < 2:
-        raise ValueError(f"degree must be at least 2, got {n}")
     if frac_digits < 0:
         raise ValueError(f"frac_digits must be nonnegative, got {frac_digits}")
     if divisor_mode not in (FULL, SIMPLIFIED):
         raise ValueError(f"unknown divisor mode {divisor_mode!r}")
 
-    groups = group_points(N, n) + [0] * frac_digits
+    groups += [0] * frac_digits
     base = 10 ** n
     # Built at the first step that divides: a radicand of one point never
     # reads it, and a high degree's row is large.

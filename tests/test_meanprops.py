@@ -44,7 +44,7 @@ from practica.mean_proportionals import (
     solve_heron_apollonius,
     solve_philo,
 )
-from practica.numerics import Interval, PrecisionError, int_nth_root_floor, pow10
+from practica.numerics import Interval, PrecisionError, int_nth_root_floor
 
 
 def cbrt(x: Fraction, digits: int = 30) -> Fraction:
@@ -104,6 +104,9 @@ def test_apollonius_variant_matches_heron():
     assert abs(h.y.mid - ap.y.mid) < 2 * prob.tol * prob.ab
     with pytest.raises(ValueError):
         solve_heron_apollonius(prob, variant="pappus")
+    # the variant is checked before the equal-sides shortcut
+    with pytest.raises(ValueError, match="unknown variant 'pappus'"):
+        solve_heron_apollonius(MeanPropProblem(Fraction(5), Fraction(5)), variant="pappus")
 
 
 def test_methods_pairwise_agreement_random():
@@ -823,7 +826,7 @@ def test_nicomedes_abandons_the_short_branch_early(monkeypatch, ab):
 def _digits_by_loop(x):
     """The reference for ``_digits_for``: try d = 1, 2, ... on Fractions."""
     d = 1
-    while pow10(-d) > x:
+    while Fraction(1, 10 ** d) > x:
         d += 1
     return d
 
@@ -832,7 +835,7 @@ def _digits_by_loop(x):
     st.one_of(
         # exact powers of ten, and values just either side of them
         st.builds(
-            lambda k, e: pow10(-k) + e * Fraction(1, 10 ** (k + 40)),
+            lambda k, e: Fraction(10) ** -k + e * Fraction(1, 10 ** (k + 40)),
             st.integers(min_value=-5, max_value=60),
             st.sampled_from([-1, 0, 1]),
         ),

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from practica.numerics import (
     Interval,
     Precision,
-    ceil_to_grid,
-    floor_to_grid,
     int_nth_root_floor,
     interval_sqrt,
-    pow10,
     rat_sqrt_bounds,
 )
 
@@ -81,7 +78,7 @@ def test_round_outward_encloses_and_limits_growth(a, b, digits):
     iv = make_interval(a, b)
     out = iv.round_outward(digits)
     assert out.contains_interval(iv)
-    assert out.width <= iv.width + 2 * pow10(-digits)
+    assert out.width <= iv.width + 2 * Fraction(1, 10 ** digits)
     assert (out.lo * 10 ** digits).denominator == 1
     assert (out.hi * 10 ** digits).denominator == 1
 
@@ -168,9 +165,8 @@ def assert_endpoints(got: Interval, expected: tuple[Fraction, Fraction]) -> None
 
 @given(intervals(), intervals(), scalars)
 def test_interval_ops_match_four_endpoint_reference(x, y, v):
-    """Sign-selected endpoints equal the min and max over all four, for
-    each operator, with interval or scalar operands of either sign on
-    either side."""
+    """Endpoints equal the min and max over all four, for each operator,
+    with interval or scalar operands of either sign on either side."""
     for op, apply in BINARY.items():
         for a in (x, Interval(-x.hi, -x.lo)):
             pairs = [(a, s) for s in (v, -v)] + [(a, b) for b in (y, Interval(-y.hi, -y.lo))]
@@ -199,11 +195,12 @@ def test_interval_unary_ops_match_reference(x):
 
 
 def test_grid_rounding():
-    assert floor_to_grid(Fraction(1, 3), 2) == Fraction(33, 100)
-    assert ceil_to_grid(Fraction(1, 3), 2) == Fraction(34, 100)
-    assert floor_to_grid(Fraction(-1, 3), 2) == Fraction(-34, 100)
+    third = Interval.point(Fraction(1, 3)).round_outward(2)
+    assert (third.lo, third.hi) == (Fraction(33, 100), Fraction(34, 100))
+    assert Interval.point(Fraction(-1, 3)).round_outward(2).lo == Fraction(-34, 100)
     # already on the grid: unchanged in both directions
-    assert floor_to_grid(Fraction(41, 100), 2) == ceil_to_grid(Fraction(41, 100), 2)
+    on_grid = Interval.point(Fraction(41, 100)).round_outward(2)
+    assert on_grid.lo == on_grid.hi == Fraction(41, 100)
 
 
 @given(small_rationals, st.integers(min_value=1, max_value=40))
@@ -212,7 +209,7 @@ def test_rat_sqrt_bounds_postcondition(x, digits):
     iv = rat_sqrt_bounds(x, p)
     assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
     assert iv.lo >= 0
-    assert iv.width <= pow10(-digits) * max(1, iv.hi)
+    assert iv.width <= Fraction(1, 10 ** digits) * max(1, iv.hi)
 
 
 @given(st.fractions(min_value=0, max_value=100, max_denominator=50))
@@ -262,5 +259,8 @@ def test_precision_validation():
         Precision(0)
     with pytest.raises(ValueError):
         Precision(-3)
+    for flag in (True, False):  # bools are not digit counts
+        with pytest.raises(ValueError, match="decimal_digits must be a positive integer"):
+            Precision(flag)
     assert Precision(7).decimal_digits == 7
 

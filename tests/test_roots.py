@@ -79,6 +79,21 @@ def test_group_points():
     assert group_points(0, 5) == [0]
 
 
+def test_group_points_checks_its_arguments():
+    # the checks extract_root relies on, with its messages
+    for args, error, message in (
+        ((1e20, 2), TypeError, "radicand must be an integer"),
+        ((10.5, 2), TypeError, "radicand must be an integer"),
+        ((True, 2), TypeError, "radicand must be an integer"),
+        ((100, 2.0), TypeError, "root degree must be an integer"),
+        ((100, True), TypeError, "root degree must be an integer"),
+        ((-1, 2), ValueError, "radicand must be nonnegative, got -1"),
+        ((100, 1), ValueError, "degree must be at least 2, got 1"),
+    ):
+        with pytest.raises(error, match=message):
+            group_points(*args)
+
+
 def test_special_numbers_rows():
     assert SpecialNumbers.for_degree(2).values == (20,)
     assert SpecialNumbers.for_degree(3).values == (300, 30)

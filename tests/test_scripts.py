@@ -21,16 +21,18 @@ def test_script_runs(script):
 
 
 def test_result_sweep_slice_passes_the_oracles():
-    # The meanprops and heron sets: every call returns, and the integer
-    # oracles accept every result.
+    # The meanprops, heron and curves sets: every call returns, and the
+    # integer oracles and the curves' defining properties accept every
+    # result.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     script = ROOT / "scripts" / "result_sweep.py"
     r = subprocess.run(
-        [sys.executable, str(script), "meanprops", "heron"], capture_output=True, env=env, timeout=60
+        [sys.executable, str(script), "meanprops", "heron", "curves"],
+        capture_output=True, env=env, timeout=60,
     )
     assert r.returncode == 0, r.stderr.decode()
     lines = r.stdout.decode().splitlines()
-    assert len(lines) == 1452 + 158
+    assert len(lines) == 1452 + 158 + 392
     rejected = [line for line in lines if not line.endswith(" :: ok")]
     assert not rejected, rejected[:3]
