@@ -14,7 +14,7 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
   widths 1e-1 to 1e-79 and at 6 * 2**k sides (k <= 11),
   ``exhaustion_report``, ``fibonacci_identity_check`` and 40 doublings
   from each of the 3-, 4- and 6-gon, which also run at 1 digit, where
-  the 34th doubling refuses;
+  the 34th doubling refuses, and at 24 and 57 digits;
 * heron: 158 ``verify_heron_identity`` reports at 10 and 30 digits, of 75
   random triangles and four figures: the README's, 3-4-5, an isosceles
   triangle and one whose squared sides A, B have a square product;
@@ -235,6 +235,10 @@ def circle() -> Iterator[str]:
                        partial(fibonacci_identity_check, n, p),
                        partial(oracles.check_fibonacci, max_width=Fraction(1, 10 ** digits)))
         yield from _doublings(digits)
+    # 34 and 67 working digits, where a 3-gon seed taken as the tightest
+    # grid enclosure of (k/q) * sqrt(r) would move.
+    yield from _doublings(24)
+    yield from _doublings(57)
 
 
 # ----------------------------------------------------------------------

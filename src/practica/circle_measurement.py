@@ -13,15 +13,12 @@ areas (unit radius) are derived where they are read, by an independent
 route: the circumscribed n-gon area equals its perimeter ratio, and the
 inscribed n-gon area is i_n * sqrt(1 - (i_n/n)**2) via the apothem, so
 area-based identities are genuine checks rather than restatements of
-the recurrence.  Every endpoint lies on the 10**-D grid of the working
-digits D, which keeps denominators bounded while preserving the
-enclosure.  The chain carries each endpoint as an integer numerator
-over 10**D from one doubling to the next (see `double_polygon`) and
-builds Fractions only for the bounds it returns; each new endpoint is
-the exact mean floored or ceiled onto the grid, the square root by an
-integer square root.  Each call runs its chain once, at the caller's
-precision or at the digits its target width or doubling count needs,
-if more.
+the recurrence.  Every bound is an integer numerator over 10**D, D the
+working digits: the seeds, each doubling and the apothem areas floor
+and ceil exact values onto that grid, square roots by integer square
+roots, and only the bounds returned become Fractions.  Each call runs
+its chain once, at the caller's precision or at the digits its target
+width or doubling count needs, if more.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import dropwhile, islice, pairwise
+from itertools import islice, pairwise
 from typing import ClassVar
 
 from .numerics import (
@@ -41,10 +38,9 @@ from .numerics import (
     _check_int,
     _cleared,
     _isqrt_ceil,
+    _isqrt_quotient,
     _to_rational,
     int_to_decimal,
-    interval_sqrt,
-    rat_sqrt_bounds,
 )
 
 #: Extra decimal digits carried internally beyond the requested precision.
@@ -57,8 +53,8 @@ class PolygonBounds:
     circumscribed regular n-gons.
 
     Areas are not stored: the exhaustion and identity checks derive them
-    from these fields where they read them.  By construction the true
-    circle ratio lies between per_inscribed.lo and per_circumscribed.hi.
+    from the chain's perimeter bounds.  By construction the true circle
+    ratio lies between per_inscribed.lo and per_circumscribed.hi.
     """
 
     sides: int
@@ -66,6 +62,7 @@ class PolygonBounds:
     per_circumscribed: Interval
 
     def __post_init__(self) -> None:
+        _check_int(self.sides, "sides")
         if self.sides < 3:
             raise ValueError(f"a polygon needs at least 3 sides, got {self.sides}")
         for name in ("per_inscribed", "per_circumscribed"):
@@ -103,30 +100,41 @@ def _at_least(p: Precision, digits: int) -> Precision:
     return Precision(max(p.decimal_digits, digits - _GUARD_DIGITS))
 
 
-def _inscribed_area(b: PolygonBounds, p: Precision) -> Interval:
-    # apothem route: A_in(n) = i_n * sqrt(1 - (i_n / n)**2)
-    digits = _working_digits(p)
-    cos_sq = 1 - (b.per_inscribed / b.sides).square()
-    return (b.per_inscribed * interval_sqrt(cos_sq, Precision(digits))).round_outward(digits)
+def _times_root(a: int, n: int, d: int, digits: int, up: bool) -> int:
+    """a * sqrt(n/d), its root bounded by `_isqrt_quotient`, floored or, when
+    ``up``, ceiled: for a >= 0, the end ``round_outward`` gives the product."""
+    rn, rd = _isqrt_quotient(n, d, digits, up)
+    return -(-a * rn // rd) if up else a * rn // rd
+
+
+#: Each seed's inscribed and circumscribed perimeter ratios as (k/q) * sqrt(r), q | 10**D.
+_SEEDS = {6: ((3, 1, 1), (2, 1, 3)), 4: ((2, 1, 2), (4, 1, 1)), 3: ((3, 2, 3), (3, 1, 3))}
+
+
+def _seed_ends(sides: int, p: Precision) -> tuple[int, ...]:
+    """The numerators over S = 10**D of the seed's i.lo, i.hi, c.lo, c.hi."""
+    if sides not in _SEEDS:
+        raise ValueError(f"no exact seed for {sides} sides (use 3, 4, or 6)")
+    D = _working_digits(p)
+    S = 10 ** D
+    return tuple(
+        _times_root(k * S // q, r, 1, D, up) for k, q, r in _SEEDS[sides] for up in (False, True)
+    )
+
+
+def _inscribed_area(sides: int, p: Precision, i_lo: int, i_hi: int) -> tuple[int, int]:
+    """The numerators over S = 10**D of the ends of the inscribed n-gon's area
+    from those of i.lo and i.hi, by the apothem: i_n * sqrt(1 - (i_n/n)**2)."""
+    D = _working_digits(p)
+    nS_sq = (sides * 10 ** D) ** 2
+    lo = _times_root(i_lo, nS_sq - i_hi * i_hi, nS_sq, D, up=False)
+    return lo, _times_root(i_hi, nS_sq - i_lo * i_lo, nS_sq, D, up=True)
 
 
 def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
     """Exact-seed bounds for the 3-, 4-, or 6-gon (doubling handles the rest)."""
-    digits = _working_digits(p)
-    wp = Precision(digits)
-    if sides == 6:
-        per_in = Interval.point(3)
-        per_circ = 2 * rat_sqrt_bounds(Fraction(3), wp)
-    elif sides == 4:
-        per_in = 2 * rat_sqrt_bounds(Fraction(2), wp)
-        per_circ = Interval.point(4)
-    elif sides == 3:
-        sqrt3 = rat_sqrt_bounds(Fraction(3), wp)
-        per_in = Fraction(3, 2) * sqrt3
-        per_circ = 3 * sqrt3
-    else:
-        raise ValueError(f"no exact seed for {sides} sides (use 3, 4, or 6)")
-    return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
+    _check_int(sides, "sides")
+    return _polygon(p, sides, *_seed_ends(sides, p))
 
 
 def _doubled(
@@ -151,11 +159,15 @@ def _doubled(
     return i2_lo, _isqrt_ceil(-(-S * c2_hi * i_hi // B)), c2_lo, c2_hi
 
 
-def _polygon(p: Precision, sides: int, *ends: int) -> PolygonBounds:
+def _on_grid(S: int, lo: int, hi: int) -> Interval:
+    """[lo/S, hi/S], for integers lo <= hi."""
+    return Interval._of(Fraction(lo, S), Fraction(hi, S))
+
+
+def _polygon(p: Precision, sides: int, i_lo: int, i_hi: int, c_lo: int, c_hi: int) -> PolygonBounds:
     """The bounds whose endpoints have these numerators over 10**D."""
     S = 10 ** _working_digits(p)
-    i_lo, i_hi, c_lo, c_hi = (Fraction(e, S) for e in ends)
-    return PolygonBounds(sides, Interval._of(i_lo, i_hi), Interval._of(c_lo, c_hi))
+    return PolygonBounds(sides, _on_grid(S, i_lo, i_hi), _on_grid(S, c_lo, c_hi))
 
 
 def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
@@ -172,17 +184,15 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
 
     On positive intervals 2*i*c is [2*i.lo*c.lo, 2*i.hi*c.hi] and i + c
     is [i.lo + c.lo, i.hi + c.hi], so the c2 lines are exactly the ends
-    of ``((2*i*c)/(i + c)).round_outward(D)``.  S*sqrt(c2.lo*i.lo) is the
-    square root of S*c2.lo*I1/B, and a real's root floored is the isqrt
-    of its floor (ceilings likewise), so the i2 lines are the tightest
-    enclosure of sqrt(c2*i) on the grid, never wider than
+    of ``((2*i*c)/(i + c)).round_outward(D)``.  A real's root floored is
+    the isqrt of its floor (ceilings likewise), so the i2 lines are the
+    tightest enclosure of sqrt(c2*i) on the grid, never wider than
     ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  The chain
     carries the numerators over S from step to step (B = S); this
     function clears ``b``'s ends to one denominator, so bounds off the
-    grid double too.
-
-    Once the bounds have widened past the grid's reach (at 1 digit, after
-    about 34 doublings), i2.lo rounds to 0; that raises `PrecisionError`.
+    grid double too.  Once the bounds have widened past the grid's reach
+    (at 1 digit, after about 34 doublings), i2.lo rounds to 0; that
+    raises `PrecisionError`.
     """
     i, c = b.per_inscribed, b.per_circumscribed
     *ends, B = _cleared(i.lo, i.hi, c.lo, c.hi)
@@ -197,27 +207,21 @@ def _chain_seed_for(n: int) -> int:
     return n
 
 
-def _grid_chain(seed: int, p: Precision) -> Iterator[tuple[int, int, int, int, int]]:
-    """The side counts seed, 2*seed, 4*seed, ..., each with its bounds'
-    four numerators over 10**D (see `_doubled`), doubled on demand."""
-    S = 10 ** _working_digits(p)
-    b = polygon_seed(seed, p)
-    i, c, sides = b.per_inscribed, b.per_circumscribed, seed
-    i_lo, i_hi, c_lo, c_hi = (x.numerator * S // x.denominator for x in (i.lo, i.hi, c.lo, c.hi))
-    while True:
-        yield sides, i_lo, i_hi, c_lo, c_hi
-        i_lo, i_hi, c_lo, c_hi = _doubled(sides, p, S, i_lo, i_hi, c_lo, c_hi)
-        sides *= 2
-
-
-def _chain_from(n: int, p: Precision) -> Iterator[PolygonBounds]:
-    """The chain from n sides on, for n = 3, 4 or 6 times a power of two."""
+def _chain_from(n: int, p: Precision) -> Iterator[tuple[int, int, int, int, int]]:
+    """The side counts n, 2n, 4n, ... (n = 3, 4 or 6 times a power of two),
+    each with its bounds' four numerators over 10**D, doubled on demand."""
     seed = _chain_seed_for(n)
     if n < 3:
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-    if seed not in (3, 4, 6):
+    if seed not in _SEEDS:
         raise ValueError(f"{n} sides is not reachable by doubling from a 3-, 4-, or 6-gon")
-    return (_polygon(p, *ends) for ends in dropwhile(lambda t: t[0] < n, _grid_chain(seed, p)))
+    S = 10 ** _working_digits(p)
+    sides, ends = seed, _seed_ends(seed, p)
+    while True:
+        if sides >= n:
+            yield sides, *ends
+        ends = _doubled(sides, p, S, *ends)
+        sides *= 2
 
 
 def _digits_for_width(width: Fraction) -> int:
@@ -234,10 +238,8 @@ def _pi_to_width(width: Fraction, p: Precision) -> PiBounds:
     # width is a positive integer w standing for w/S.  The loop goes on
     # only while w strictly falls, so it ends: at the target or at a stall.
     S = 10 ** _working_digits(p)
-    chain = _grid_chain(6, p)
     narrowest: int | None = None
-    while True:
-        sides, i_lo, _, _, c_hi = next(chain)
+    for sides, i_lo, _, _, c_hi in _chain_from(6, p):
         w = c_hi - i_lo
         if w * width.denominator <= width.numerator * S:
             return PiBounds(Fraction(i_lo, S), Fraction(c_hi, S), sides, p)
@@ -271,8 +273,9 @@ def pi_bounds(
         _check_int(target_sides, "target_sides")
         if _chain_seed_for(target_sides) != 6:
             raise ValueError(f"target_sides must be 6 * 2**k, got {target_sides}")
-        b = next(_chain_from(target_sides, p))
-        return PiBounds(b.per_inscribed.lo, b.per_circumscribed.hi, b.sides, p)
+        S = 10 ** _working_digits(p)
+        sides, i_lo, _, _, c_hi = next(_chain_from(target_sides, p))
+        return PiBounds(Fraction(i_lo, S), Fraction(c_hi, S), sides, p)
 
     width = _to_rational(target_width)
     if width <= 0:
@@ -287,8 +290,7 @@ def archimedes_window(p: Precision = DEFAULT_PRECISION) -> PiBounds:
     inside the window, which certifies the window itself.
     """
     computed = pi_bounds(target_sides=96, p=p)
-    lower = Fraction(3) + Fraction(10, 71)
-    upper = Fraction(3) + Fraction(1, 7)
+    lower, upper = Fraction(3) + Fraction(10, 71), Fraction(3) + Fraction(1, 7)
     if not (lower <= computed.lower and computed.upper <= upper):
         raise PrecisionError("96-gon bounds failed to certify the classical window")
     return PiBounds(lower=lower, upper=upper, sides=96, precision=p)
@@ -360,9 +362,7 @@ class ExhaustionStep:
         return self.circumscribed_gap_after.hi < self.circumscribed_gap_before.lo / 2
 
 
-def exhaustion_report(
-    max_doublings: int, p: Precision = DEFAULT_PRECISION
-) -> list[ExhaustionStep]:
+def exhaustion_report(max_doublings: int, p: Precision = DEFAULT_PRECISION) -> list[ExhaustionStep]:
     """Certify, step by step, that doubling more than halves both area gaps.
 
     Starting from the square, each step n -> 2n certifies on interval
@@ -383,17 +383,16 @@ def exhaustion_report(
     circle = Interval(pi_b.lower, pi_b.upper)
 
     # For unit radius the circumscribed n-gon's area equals its perimeter/diameter ratio.
+    S = 10 ** _working_digits(p)
     gaps = (
-        (b.sides, circle - _inscribed_area(b, p), b.per_circumscribed - circle)
-        for b in islice(_chain_from(4, p), max_doublings + 1)
+        (n, circle - _on_grid(S, *_inscribed_area(n, p, lo, hi)), _on_grid(S, c_lo, c_hi) - circle)
+        for n, lo, hi, c_lo, c_hi in islice(_chain_from(4, p), max_doublings + 1)
     )
     steps: list[ExhaustionStep] = []
     for (n, in_before, circ_before), (_, in_after, circ_after) in pairwise(gaps):
         step = ExhaustionStep(n, in_before, in_after, circ_before, circ_after)
         if not (step.inscribed_halved and step.circumscribed_halved):
-            raise PrecisionError(
-                f"halving not certifiable at {n} -> {step.sides_after} sides"
-            )
+            raise PrecisionError(f"halving not certifiable at {n} -> {step.sides_after} sides")
         steps.append(step)
     return steps
 
@@ -407,6 +406,6 @@ def fibonacci_identity_check(n: int, p: Precision = DEFAULT_PRECISION) -> Interv
     certificate that the two quantities agree; it must contain zero.
     """
     _check_int(n, "n")
-    chain = _chain_from(n, p)
-    b = next(chain)
-    return b.per_inscribed - _inscribed_area(next(chain), p)
+    (_, i_lo, i_hi, _, _), (sides, j_lo, j_hi, _, _) = islice(_chain_from(n, p), 2)
+    a_lo, a_hi = _inscribed_area(sides, p, j_lo, j_hi)
+    return _on_grid(10 ** _working_digits(p), i_lo - a_hi, i_hi - a_lo)

@@ -45,6 +45,7 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
+    _check_int,
     _cleared,
     _isqrt_quotient,
     _to_rational,
@@ -564,6 +565,7 @@ def cissoid_points(
     r = _to_rational(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
+    _check_int(samples, "samples")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     s0, s1 = _to_rational(span[0]), _to_rational(span[1])
@@ -663,6 +665,7 @@ def conchoid_points(
     d, e = _to_rational(pole_distance), _to_rational(offset)
     if d <= 0 or e <= 0:
         raise ValueError("pole distance and offset must be positive")
+    _check_int(samples, "samples")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     x0, x1 = _to_rational(x_range[0]), _to_rational(x_range[1])

@@ -10,7 +10,10 @@ touches a float: square roots are bounded by integer square roots of
 scaled numerators/denominators, with the numerator root rounded down
 and the denominator root rounded up for the lower endpoint (and the
 opposite for the upper endpoint), so the enclosure is bit-exact on
-every platform.
+every platform.  Long derivations keep their denominators bounded on a
+decimal grid: the polygon chain of `circle_measurement` floors and
+ceils its ends onto the grid as integer numerators itself, as
+``Interval.round_outward`` would, which stays as public API.
 """
 
 from __future__ import annotations
@@ -79,10 +82,11 @@ class Interval:
     Arithmetic is outward-directed: the exact +, -, *, / on Fractions
     introduces no rounding at all, so the result of combining intervals
     always contains every value obtainable by combining members of the
-    operands.  Width growth along long derivations is controlled by
-    explicitly compressing endpoints to a decimal grid with
-    ``round_outward`` (which can only enlarge the enclosure, never
-    shrink it).
+    operands.  ``round_outward`` compresses endpoints to a decimal grid,
+    which bounds denominators and can only enlarge the enclosure, never
+    shrink it.  No library chain calls it: the polygon chain floors and
+    ceils its ends onto the grid on integers, as it would.  It stays as
+    public API and as the reference the tests hold those ends to.
 
     A product or quotient is the min and max of the four endpoint
     products or quotients (Moore's rule), with a scalar operand taken

@@ -19,6 +19,7 @@ from practica.circle_measurement import (
     _doubled,
     _inscribed_area,
     _pi_to_width,
+    _polygon,
     _working_digits,
     archimedes_window,
     circle_area_bounds,
@@ -29,7 +30,8 @@ from practica.circle_measurement import (
     polygon_seed,
     prop2_ratio_check,
 )
-from practica.numerics import Interval, Precision, PrecisionError, interval_sqrt
+from practica.mean_proportionals import cissoid_points, conchoid_points
+from practica.numerics import Interval, Precision, PrecisionError, interval_sqrt, rat_sqrt_bounds
 
 P20 = Precision(20)
 
@@ -120,6 +122,45 @@ def _doubled_by_intervals(b, p):
     return PolygonBounds(2 * b.sides, *_means_by_intervals(b, p))
 
 
+def _seed_by_intervals(sides, p):
+    """The reference seed: exact multiples of rat_sqrt_bounds, rounded afterwards."""
+    digits = _working_digits(p)
+    wp = Precision(digits)
+    if sides == 6:
+        per_in = Interval.point(3)
+        per_circ = 2 * rat_sqrt_bounds(Fraction(3), wp)
+    elif sides == 4:
+        per_in = 2 * rat_sqrt_bounds(Fraction(2), wp)
+        per_circ = Interval.point(4)
+    else:
+        sqrt3 = rat_sqrt_bounds(Fraction(3), wp)
+        per_in = Fraction(3, 2) * sqrt3
+        per_circ = 3 * sqrt3
+    return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
+
+
+def _area_by_intervals(b, p):
+    """The reference apothem area i_n * sqrt(1 - (i_n/n)**2), rounded afterwards."""
+    digits = _working_digits(p)
+    cos_sq = 1 - (b.per_inscribed / b.sides).square()
+    return (b.per_inscribed * interval_sqrt(cos_sq, Precision(digits))).round_outward(digits)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([3, 4, 6]), st.integers(min_value=1, max_value=410), st.integers(0, 30))
+@example(3, 24, 0)  # the 3-gon seed at 34 and 67 working digits, where the
+@example(3, 57, 0)  # tightest grid enclosure of (k/q) * sqrt(r) would differ
+def test_seeds_and_apothem_areas_equal_the_interval_reference(seed, digits, doublings):
+    p = Precision(digits)
+    assert polygon_seed(seed, p) == _seed_by_intervals(seed, p)
+    ends = next(islice(_chain_from(seed, p), doublings, None))
+    n, i_lo, i_hi, _, _ = ends
+    S = 10 ** _working_digits(p)
+    lo, hi = _inscribed_area(n, p, i_lo, i_hi)
+    expected = _area_by_intervals(_polygon(p, *ends), p)
+    assert (Fraction(lo, S), Fraction(hi, S)) == (expected.lo, expected.hi)
+
+
 def _outcome(double, b, p):
     try:
         return double(b, p)
@@ -206,7 +247,7 @@ def test_doubling_raises_where_the_inscribed_bound_rounds_to_zero(seed):
     # at 1 digit the widths grow past the grid after 33 doublings, and the
     # interval expression's next inscribed bound rounds to 0
     p = Precision(1)
-    b = next(islice(_chain_from(seed, p), 33, None))
+    b = _polygon(p, *next(islice(_chain_from(seed, p), 33, None)))
     assert b.per_inscribed.lo > 0
     with pytest.raises(ValueError, match=r"^per_inscribed\.lo must be positive, got 0$"):
         _doubled_by_intervals(b, p)
@@ -235,7 +276,8 @@ def test_chain_equals_iterated_double_polygon(seed, digits, doublings):
     # the chain carries integers between steps; the public step fed its
     # own output gives the same bounds and the same refusal
     p = Precision(digits)
-    chain, b = _chain_from(seed, p), polygon_seed(seed, p)
+    chain = (_polygon(p, *ends) for ends in _chain_from(seed, p))
+    b = polygon_seed(seed, p)
     assert next(chain) == b
     for _ in range(doublings):
         expected = _raised(double_polygon, b, p)
@@ -485,6 +527,13 @@ def test_exhaustion_step_reports_a_gap_that_does_not_halve():
         (lambda: fibonacci_identity_check(12.0, P20), "n"),
         (lambda: exhaustion_report(2.5, P20), "max_doublings"),
         (lambda: exhaustion_report(True, P20), "max_doublings"),
+        (lambda: polygon_seed(6.0, P20), "sides"),
+        (lambda: polygon_seed(True, P20), "sides"),
+        (lambda: PolygonBounds(6.5, Interval(3, 3), Interval(4, 4)), "sides"),
+        (lambda: cissoid_points(Fraction(1), 3.0), "samples"),
+        (lambda: cissoid_points(Fraction(1), True), "samples"),
+        (lambda: conchoid_points(Fraction(1), Fraction(1), 3.0, (0, 1)), "samples"),
+        (lambda: conchoid_points(Fraction(1), Fraction(1), True, (0, 1)), "samples"),
     ],
 )
 def test_counts_must_be_integers(call, name):
@@ -503,9 +552,10 @@ def test_fibonacci_identity_small_and_large():
 def test_derived_inscribed_areas_contain_exact_values(digits):
     # unit-radius areas squared: square 4, octagon 8, hexagon 27/4, 12-gon 9
     p = Precision(digits)
+    S = 10 ** _working_digits(p)
     for sides, num, den in ((4, 4, 1), (8, 8, 1), (6, 27, 4), (12, 9, 1)):
-        area = _inscribed_area(next(_chain_from(sides, p)), p)
-        lo, hi = area.lo, area.hi
+        n, i_lo, i_hi, _, _ = next(_chain_from(sides, p))
+        lo, hi = (Fraction(e, S) for e in _inscribed_area(n, p, i_lo, i_hi))
         assert 0 < lo, sides
         # lo**2 <= num/den <= hi**2, cross-multiplied on integers
         assert lo.numerator ** 2 * den <= num * lo.denominator ** 2, sides
@@ -522,7 +572,7 @@ def test_interval_endpoints_are_on_decimal_grid():
     # denominators stay bounded however many doublings are taken
     p = Precision(25)
     grid = 10 ** (25 + 10)
-    polygons = list(islice(_chain_from(6, p), 21))
+    polygons = [_polygon(p, *ends) for ends in islice(_chain_from(6, p), 21)]
     assert polygons[-1].sides == 6 * 2 ** 20
     for b in polygons:
         for iv in (b.per_inscribed, b.per_circumscribed):
