@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
 from .numerics import DEFAULT_PRECISION, Interval, Precision, rat_sqrt_bounds
-from .numerics import _isqrt_ceil, _to_rational
+from .numerics import _to_rational
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,11 @@ class _Ring:
     def __init__(self, a: int, b: int, c: int, scale: int) -> None:
         self.radicands = [(a if m & 1 else 1) * (b if m & 2 else 1) * (c if m & 4 else 1)
                           for m in range(8)]
-        self.roots = [(math.isqrt(r * scale * scale), _isqrt_ceil(r * scale * scale))
-                      for r in self.radicands]
+        self.roots = []
+        for r in self.radicands:
+            n = r * scale * scale
+            root = math.isqrt(n)
+            self.roots.append((root, root + (root * root != n)))
 
     def mul(self, x: list[int], y: list[int]) -> list[int]:
         # √X·√X = X: monomials i and j multiply to i ^ j times the radicands of i & j.
@@ -166,9 +169,9 @@ def _identity(ring: _Ring, d: list[list[int]], v: tuple[int, int], h2: list[int]
         ring.mul(x, _SQRT_C)
         for x in (tee, _lin((c_sq, _PERIMETER), (-1, tee)), h2, _lin((1, h2), (-2 * c_sq, _ONE)))
     )
-    lhs = ring.mul(ring.mul(de_sq, de_sq), ring.mul(ah, ah))
-    rhs = ring.mul(ring.mul(ring.mul(eb, eb), ring.mul(bh, bh)), ring.mul(ae, ae))
-    return de_sq, ae, eb, ah, bh, _lin((1, lhs), (-1, rhs))
+    # DE**4 AH**2 - EB**2 BH**2 AE**2 = (l - r)(l + r), l = DE**2 AH, r = EB BH AE
+    lhs, rhs = ring.mul(de_sq, ah), ring.mul(ring.mul(eb, bh), ae)
+    return de_sq, ae, eb, ah, bh, ring.mul(_lin((1, lhs), (-1, rhs)), _lin((1, lhs), (1, rhs)))
 
 
 def verify_heron_identity(

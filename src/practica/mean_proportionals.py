@@ -28,8 +28,8 @@ one would.  The checks take the bracket's integer ends: heron, philo,
 apollonius and diocles compare the widths of the means as integer
 fractions and build Intervals only for the bracket they accept;
 nicomedes' check is interval evaluation of its cut, computed on integers
-over two common denominators, and it builds Fractions only once the cut
-passes.
+over two common denominators, and it reads its means on integers too,
+building Fractions only for the bracket it accepts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import Point2, PointBounds
+from .geometry import PointBounds
 from .numerics import (
     DEFAULT_PRECISION,
     Interval,
@@ -273,9 +273,9 @@ def _bisect(
     heron and philo read x and y through exact maps; apollonius and
     diocles go through directed square-root bounds, whose error falls as
     endpoint denominators grow like 2**k; and nicomedes' ``accept``, the
-    interval expressions of its cut computed on integers (see
-    ``_cut_check``), converges at its root since the cut denominators
-    are nonzero for t > 0 and K lies beyond C there.
+    interval expressions of its cut and of its means computed on integers
+    (see ``_cut_check``), converges at its root since the cut
+    denominators are nonzero for t > 0 and K lies beyond C there.
 
     Contract: along nested brackets, "accept does not refuse" is
     monotone; once a bracket is not refused, no bracket inside it is.
@@ -690,21 +690,6 @@ def conchoid_quartic_residual(point: PointBounds) -> Interval:
     return (x.square() + y1.square()) * y.square() - y1.square()
 
 
-def _cut_constants(
-    z: Point2, lines: tuple[tuple[Point2, Point2], ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """Per line (p0, p1): its direction v = (vx, vy) and the numerator
-    (p0 - z) x v of the ray parameter lam = num / (d x v) at which the
-    ray z + lam * d meets it, scaled to integers.  Scaling one line's
-    triple by a positive number leaves its lam unchanged."""
-    constants = []
-    for p0, p1 in lines:
-        vx, vy = p1.x - p0.x, p1.y - p0.y
-        vx_i, vy_i, num_i, _ = _cleared(vx, vy, (p0.x - z.x) * vy - (p0.y - z.y) * vx)
-        constants.append((vx_i, vy_i, num_i))
-    return tuple(constants)
-
-
 def _intercept_defect(
     cuts: tuple[tuple[int, int, int], ...], L: Fraction
 ) -> Callable[[int, int], int]:
@@ -712,7 +697,11 @@ def _intercept_defect(
     function of t, where q1, q2 are the cuts of the ray
     z + lam * (1 - t**2, 2t) with the two lines of ``cuts``; positive
     when the direction is parallel to either line, since the cut is then
-    unbounded.
+    unbounded.  Per line, ``cuts`` holds its direction v = (vx, vy) and
+    the numerator n = (p0 - z) x v (p0 on the line) of the ray parameter
+    lam = n / (d x v) at which the ray z + lam * d meets it, scaled to
+    integers; scaling a line's triple by a positive number leaves its lam
+    unchanged.
 
     Both cuts lie on the ray and (1 - t**2)**2 + (2t)**2 = (1 + t**2)**2,
     so |q1 - q2| = |lam1 - lam2| * (1 + t**2) and no point is built.
@@ -742,25 +731,29 @@ def _intercept_defect(
 
 def _neusis_figure(
     prob: MeanPropProblem, digits: int
-) -> tuple[Point2, tuple[tuple[int, int, int], ...], Interval]:
-    """Nicomedes' figure for ``prob`` (ab > bc): the pole Z, the cut
-    constants (see ``_cut_constants``) of the line through C parallel to
-    GZ and of the base line, and the band [(L - e)**2, (L + e)**2] that
-    the squared cut must lie in, with L = AB/2 and e = 10**-(digits + 4)
-    * max(1, L) (``digits``: the decimal digits of the width target)."""
+) -> tuple[tuple[tuple[int, int, int], ...], Interval]:
+    """Nicomedes' figure for ``prob`` (ab > bc): the cut constants (see
+    ``_intercept_defect``) of the line through C parallel to GZ and of the
+    base line, and the band [(L - e)**2, (L + e)**2] that the squared cut
+    must lie in, with L = AB/2 and e = 10**-(digits + 4) * max(1, L)
+    (``digits``: the decimal digits of the width target).
+
+    The pole is Z = (c/2, -z), z the midpoint of the directed bounds on
+    sqrt((a**2 - c**2)/4) at 2*digits + 12 digits.  G = (-c, 0) always
+    (the line through the far corner and the midpoint of AB meets the
+    base line there), so the line through C parallel to GZ runs along
+    (3c/2, -z) with (C - Z) x v = -2cz, and the base line along (c, 0)
+    with (B - Z) x v = -cz, whose triple gives z back as -n/vx."""
     a, c = prob.ab, prob.bc
-    c_pt = Point2(c, Fraction(0))
-    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * digits + 12)).mid
-    z = Point2(c / 2, -z_len)
-    # G = (-c, 0) always: the line through the far corner and the midpoint
-    # of AB meets the base line there.  The neusis cuts the line through C
-    # parallel to G -> Z, then the base line.
-    theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
-    base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
+    A, C, D = _cleared(a, c)
+    n, d = A * A - C * C, 4 * D * D  # z**2 = (a**2 - c**2)/4 = n/d
+    ln, ld = _isqrt_quotient(n, d, 2 * digits + 12, up=False)
+    hn, hd = _isqrt_quotient(n, d, 2 * digits + 12, up=True)
+    z = Fraction(ln * hd + hn * ld, 2 * ld * hd)
+    cuts = (_cleared(3 * c / 2, -z, -2 * c * z)[:3], _cleared(c, 0, -c * z)[:3])
     L = a / 2
     tol = Fraction(1, 10 ** (digits + 4)) * max(Fraction(1), L)
-    target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
-    return z, _cut_constants(z, (theta_line, base_line)), target_sq
+    return cuts, Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
 
 
 def _square_ends(
@@ -787,13 +780,12 @@ def _pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 def _cut_check(
     prob: MeanPropProblem,
-    zx: Fraction,
     cuts: tuple[tuple[int, int, int], ...],
     target_sq: Interval,
     target: Fraction,
 ) -> Callable[[int, int, int], object]:
     """Nicomedes' ``accept`` for brackets [L/Q, H/Q] inside [0, 1], from
-    the figure of ``_neusis_figure`` (``zx``: the pole's abscissa).
+    the figure of ``_neusis_figure`` (the pole's abscissa is c/2).
 
     It is interval evaluation of the cut over the bracket, done on
     integers: every quantity below is the value that the ``Interval``
@@ -803,22 +795,28 @@ def _cut_check(
     (1 - t**2, 2t) has both coordinates >= 0, so the signs fix which
     two of each product's or quotient's four endpoint values are its
     min and max.  The kernel hands the bracket over one denominator Q,
-    so the direction's ends are
-    integers over Q**2, and so are the cut denominators: -Q**2 * den1
-    runs over [e1h, e1l] and -Q**2 * den_k over [ekh, ekl], all >= 0, so
-    each denominator excludes 0 unless its smaller end is 0.  The low
-    ends of both cut coordinates are then integers over e1l * ekh, the
-    high ends over e1h * ekl; only their squares need a sign case.  The
-    band test and the halvings estimate are cross-multiplications, and
-    K's abscissa is built as Fractions only once the band test passes.  The checks, in this order: both
-    denominators exclude 0; the squared cut lies in the band; K lies
-    beyond C; the means are no wider than the target."""
+    so the direction's ends are integers over Q**2, and so are the cut
+    denominators: -Q**2 * den1 runs over [e1h, e1l] and -Q**2 * den_k
+    over [ekh, ekl], all >= 0, so each denominator excludes 0 unless its
+    smaller end is 0.  The low ends of both cut coordinates are then
+    integers over e1l * ekh, the high ends over e1h * ekl; only their
+    squares need a sign case.  The means are read on integers too: x =
+    CK runs over [p, q] with K = c/2 + lam_k * dx, and y = a*K/x - a over
+    [a(c - w)/q, a(c + w)/p], w = q - p, so y's width is w times
+    a(c + p + q)/(pq).  Every comparison and the halvings estimate are
+    cross-multiplications, and Fractions are built only for the bracket
+    that is accepted.  The checks, in this order: both denominators
+    exclude 0; the squared cut lies in the band; K lies beyond C; the
+    means are no wider than the target."""
     a, c = prob.ab, prob.bc
+    an, ad, cn, cd2 = a.numerator, a.denominator, c.numerator, 2 * c.denominator
+    tn, td = target.numerator, target.denominator
     # the line through C, then the base line
     (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
     N1, Nk = -n1, -n_k
-    band_lo, band_hi, band_w = target_sq.lo, target_sq.hi, target_sq.width
-    zn, zd = zx.numerator, zx.denominator
+    bln, bld = target_sq.lo.numerator, target_sq.lo.denominator
+    bhn, bhd = target_sq.hi.numerator, target_sq.hi.denominator
+    bwn, bwd = target_sq.width.numerator, target_sq.width.denominator
 
     def accept(L: int, H: int, Q: int) -> object:
         QQ = Q * Q
@@ -838,27 +836,26 @@ def _cut_check(
             N1 * dyl * ekh - Nk * dyh * e1l, p2, N1 * dyh * ekl - Nk * dyl * e1h, r2
         )
         (lo_n, lo_d), (hi_n, hi_d) = _pair_sum(x_lo, y_lo), _pair_sum(x_hi, y_hi)
-        if not (
-            band_lo.numerator * lo_d <= lo_n * band_lo.denominator
-            and hi_n * band_hi.denominator <= band_hi.numerator * hi_d
-        ):
+        if not (bln * lo_d <= lo_n * bld and hi_n * bhd <= bhn * hi_d):
             # _halvings(cut_sq.width, target_sq.width), cross-multiplied
-            num = (hi_n * lo_d - lo_n * hi_d) * band_w.denominator
-            return _halvings(num, hi_d * lo_d * band_w.numerator)
-        x_k = Interval._of(  # K's abscissa on the base line: zx + lam_k * dx
-            Fraction(zn * ekl + zd * Nk * dxl, zd * ekl),
-            Fraction(zn * ekh + zd * Nk * dxh, zd * ekh),
-        )
-        if x_k.lo <= c:
-            return None  # may still lie beyond C: narrow until it is decided
-        x_iv = x_k - c
-        # MA, with M = (0, x_k * a / (x_k - c)); x_k > c > 0 and a > 0, so
-        # the quotient pairs each end of x_k * a with the far end of x_iv
-        y_iv = Interval._of(x_k.lo * a / x_iv.hi - a, x_k.hi * a / x_iv.lo - a)
-        width = max(x_iv.width, y_iv.width)
-        if width <= target:
-            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
-        return _halvings(width, target)
+            return _halvings((hi_n * lo_d - lo_n * hi_d) * bwd, hi_d * lo_d * bwn)
+        # x = K - c over [pn/pd, qn/qd]: Nk*dx/ek - c/2 at th, at tl
+        pn, pd = cd2 * Nk * dxl - cn * ekl, cd2 * ekl
+        if pn <= 0:
+            return None  # K may still lie beyond C: narrow until it is decided
+        qn, qd = cd2 * Nk * dxh - cn * ekh, cd2 * ekh
+        wn, wd = qn * pd - pn * qd, pd * qd  # x's width
+        # y's width over x's, a(c + p + q)/(pq), with c = cn*2/cd2
+        rn, rd = an * (2 * cn * wd + cd2 * (pn * qd + qn * pd)), ad * cd2 * pn * qn
+        if rn > rd:
+            wn, wd = wn * rn, wd * rd
+        if wn * td <= tn * wd:
+            x = Interval._of(Fraction(pn, pd), Fraction(qn, qd))
+            # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the
+            # quotient pairs each end of K * a with the far end of x
+            y = Interval._of((x.lo + c) * a / x.hi - a, (x.hi + c) * a / x.lo - a)
+            return MeanPropResult(NICOMEDES, x, y, prob)
+        return _halvings(wn * td, wd * tn)
 
     return accept
 
@@ -890,8 +887,10 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     interval expressions of the cut, computed on integers over two
     common denominators: both cut denominators exclude 0; the cut lies
     within 10**-(d + 4) * max(1, L) of L (d the decimal digits of the
-    width target); and K lies beyond C.  Fractions are built only once
-    the cut passes, and only then are the means read.  The verdicts are
+    width target); and K lies beyond C.  The means' widths are then
+    compared with the target on integers, and Fractions are built only
+    for the bracket that is accepted.  The figure (see ``_neusis_figure``)
+    takes Z's depth from two integer square roots.  The verdicts are
     those of interval arithmetic on exact endpoints, so they are
     monotone along nested brackets and the kernel checks only O(log n)
     of a chain's n brackets (see ``_bisect``).
@@ -900,8 +899,8 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     if a == c:
         return _trivial(NICOMEDES, prob)
     target = _width_target(prob)
-    z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
-    accept = _cut_check(prob, z.x, cuts, target_sq, target)
+    cuts, target_sq = _neusis_figure(prob, _digits_for(target))
+    accept = _cut_check(prob, cuts, target_sq, target)
     return _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), accept)
 
 

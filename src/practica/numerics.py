@@ -69,7 +69,7 @@ def _to_rational(value: Fraction | int) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(_scalar(value))
 
 
-def _cleared(*values: Fraction) -> tuple[int, ...]:
+def _cleared(*values: Fraction | int) -> tuple[int, ...]:
     """Integers N1, ..., Nk, D with values[i] = Ni / D and D > 0."""
     d = math.lcm(*(v.denominator for v in values))
     return (*(v.numerator * (d // v.denominator) for v in values), d)

@@ -207,6 +207,8 @@ def test_ring_product_matches_fraction_evaluation(x, y, roots):
         return total
 
     assert value(ring.mul(x, y)) == value(x) * value(y)
+    # and is enclosed exactly: each monomial's ceiling root is its floor root
+    assert ring.enclose(x) == (10 * value(x), 10 * value(x))
 
 
 @given(
@@ -291,6 +293,32 @@ def test_mutated_constructions_give_nonzero_elements(monkeypatch, mutant):
         verify_heron_identity(tri, Precision(10))
     assert len(elements) == len(triangles)
     assert all(any(e) for e in elements)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_identity_element_is_the_squared_form(monkeypatch, mutant):
+    # (l - r)(l + r), l = DE**2 AH and r = EB BH AE, is the ring element
+    # DE**4 AH**2 - EB**2 BH**2 AE**2; compared where it is not 0, on the
+    # mutated constructions.
+    real = heron._identity
+    pairs = []
+
+    def mutated(*args):
+        ring = args[0]
+        de_sq, ae, eb, ah, bh, element = real(*MUTANTS[mutant](*args))
+        sq = [ring.mul(x, x) for x in (de_sq, ah, eb, bh, ae)]
+        squared = heron._lin(
+            (1, ring.mul(sq[0], sq[1])),
+            (-1, ring.mul(ring.mul(sq[2], sq[3]), sq[4])),
+        )
+        pairs.append((element, squared))
+        return real(*args)
+
+    monkeypatch.setattr(heron, "_identity", mutated)
+    for tri in _generator_triangles(5) + FIGURES:
+        verify_heron_identity(tri, Precision(10))
+    assert len(pairs) == 9
+    assert all(any(element) and element == squared for element, squared in pairs)
 
 
 def _overlap(x: Interval, y: Interval) -> bool:

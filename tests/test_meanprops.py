@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from practica import mean_proportionals
@@ -26,7 +26,6 @@ from practica.mean_proportionals import (
     _chain,
     _cleared,
     _cut_check,
-    _cut_constants,
     _digits_for,
     _diocles_defect,
     _halvings,
@@ -44,7 +43,7 @@ from practica.mean_proportionals import (
     solve_heron_apollonius,
     solve_philo,
 )
-from practica.numerics import Interval, PrecisionError, int_nth_root_floor
+from practica.numerics import Interval, Precision, PrecisionError, int_nth_root_floor, rat_sqrt_bounds
 
 
 def cbrt(x: Fraction, digits: int = 30) -> Fraction:
@@ -610,6 +609,37 @@ def test_bisect_chain_ends_as_stepwise(value_at, expected, message):
             kernel(value_at, Fraction(0), Fraction(1), never)
 
 
+def _cut_constants(z, lines):
+    """The reference cut constants: per line (p0, p1), its direction
+    v = (vx, vy) and the numerator (p0 - z) x v of the ray parameter at
+    which the ray from z meets it, built from Fraction points and scaled
+    to integers."""
+    constants = []
+    for p0, p1 in lines:
+        vx, vy = p1.x - p0.x, p1.y - p0.y
+        vx_i, vy_i, num_i, _ = _cleared(vx, vy, (p0.x - z.x) * vy - (p0.y - z.y) * vx)
+        constants.append((vx_i, vy_i, num_i))
+    return tuple(constants)
+
+
+def _figure_by_points(prob, digits):
+    """The reference for ``_neusis_figure``: the pole Z as the midpoint of
+    ``rat_sqrt_bounds``, the two lines as Fraction points, their cut
+    constants and the band, with the pole itself."""
+    a, c = prob.ab, prob.bc
+    c_pt = Point2(c, Fraction(0))
+    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * digits + 12)).mid
+    z = Point2(c / 2, -z_len)
+    # G = (-c, 0): the neusis cuts the line through C parallel to G -> Z,
+    # then the base line.
+    theta_line = (c_pt, Point2(c_pt.x + 3 * c / 2, -z_len))
+    base_line = (Point2(Fraction(0), Fraction(0)), c_pt)
+    L = a / 2
+    tol = Fraction(1, 10 ** (digits + 4)) * max(Fraction(1), L)
+    target_sq = Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
+    return z, _cut_constants(z, (theta_line, base_line)), target_sq
+
+
 _coord = st.fractions(min_value=-10, max_value=10, max_denominator=60)
 _point = st.builds(Point2, _coord, _coord)
 
@@ -900,9 +930,11 @@ def _both_checks(prob):
     """The integer check and the interval reference on one figure, and
     the figure's value function."""
     target = _width_target(prob)
-    z, cuts, target_sq = _neusis_figure(prob, _digits_for(target))
+    digits = _digits_for(target)
+    cuts, target_sq = _neusis_figure(prob, digits)
+    z = _figure_by_points(prob, digits)[0]
     return (
-        _cut_check(prob, z.x, cuts, target_sq, target),
+        _cut_check(prob, cuts, target_sq, target),
         _interval_cut_check(prob, z, cuts, target_sq, target),
         _intercept_defect(cuts, prob.ab / 2),
     )
@@ -969,13 +1001,15 @@ def test_cut_check_equals_the_interval_check(prob, data):
 def test_cut_check_band_is_closed(prob, data):
     # A band that ends exactly at the squared cut's ends holds it.
     target = _width_target(prob)
-    z, cuts, _ = _neusis_figure(prob, _digits_for(target))
+    digits = _digits_for(target)
+    cuts, _ = _neusis_figure(prob, digits)
+    z = _figure_by_points(prob, digits)[0]
     L, H, Q = data.draw(_neusis_brackets(_intercept_defect(cuts, prob.ab / 2)))
     cut = _interval_cut(z, cuts, Fraction(L, Q), Fraction(H, Q))
     assume(cut is not None)
     cut_sq = cut[1]
     for band in (cut_sq, Interval(cut_sq.lo, cut_sq.hi + 1), Interval(cut_sq.lo / 2, cut_sq.hi)):
-        check = _cut_check(prob, z.x, cuts, band, target)
+        check = _cut_check(prob, cuts, band, target)
         reference = _interval_cut_check(prob, z, cuts, band, target)
         verdict, expected = _verdicts(check, reference, L, H, Q)
         assert verdict == expected
@@ -989,6 +1023,8 @@ def test_cut_check_band_is_closed(prob, data):
         (1 + Fraction(1, 10 ** 15), Fraction(1), Fraction(1, 10 ** 12)),
         (Fraction(2), Fraction(1), Fraction(1, 10 ** 40)),
         (Fraction(7, 3), Fraction(5, 11), Fraction(1, 10 ** 6)),
+        (Fraction(10 ** 6), Fraction(1), Fraction(1, 10 ** 12)),
+        (Fraction(2), Fraction(1), Fraction(1, 10 ** 30)),
     ],
 )
 def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
@@ -1016,7 +1052,30 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
 def test_neusis_cut_constants_have_fixed_signs(prob):
     # The signs the integer check relies on, for every ab > bc: the line
     # through C runs right and down with n1 < 0; the base line runs right.
-    _, cuts, _ = _neusis_figure(prob, _digits_for(_width_target(prob)))
+    cuts, _ = _neusis_figure(prob, _digits_for(_width_target(prob)))
     (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
     assert vx1 > 0 and vy1 < 0 and n1 < 0
     assert vx_k > 0 and vy_k == 0 and n_k < 0
+
+
+
+def _edge(ab, tol):
+    return MeanPropProblem(ab=ab, bc=Fraction(1), tol=Fraction(1, 10 ** tol))
+
+
+@given(_neusis_problems)
+# the four edge problems of the benchmark's meanprops blocks
+@example(_edge(Fraction(10 ** 30), 12))
+@example(_edge(1 + Fraction(1, 10 ** 15), 12))
+@example(_edge(Fraction(10 ** 6), 12))
+@example(_edge(Fraction(2), 30))
+@settings(max_examples=150, deadline=None)
+def test_neusis_figure_equals_the_fraction_reference(prob):
+    # The closed-form cut constants and the one-Fraction pole are the
+    # values the Point2 figure gives, and the base line's triple holds the
+    # pole's depth.
+    digits = _digits_for(_width_target(prob))
+    z, cuts, target_sq = _figure_by_points(prob, digits)
+    assert _neusis_figure(prob, digits) == (cuts, target_sq)
+    _, (vx_k, _, n_k) = cuts
+    assert Fraction(n_k, vx_k) == z.y

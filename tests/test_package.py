@@ -18,7 +18,8 @@ from practica import (
     pi_bounds,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_binds_every_exported_name():
@@ -76,3 +77,32 @@ def test_circle_and_curve_arguments_refuse_inexact_numbers(call, inexact):
     # whose square carries a 110-bit denominator into every bound.
     with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
         call(inexact)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names that the module's imports bind but that it never reads, nor
+    exports through ``__all__``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_modules_import_only_what_they_use():
+    modules = sorted((ROOT / "src" / "practica").glob("*.py"))
+    assert len(modules) >= 9
+    unused = {}
+    for path in modules:
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[path.name] = names
+    assert unused == {}
