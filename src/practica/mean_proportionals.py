@@ -17,19 +17,16 @@ the range's level-k dyadic grid, over one denominator that doubles at
 each step, with no Fraction and no gcd.  Because the signs are exact,
 the chain is fixed in advance, and the one kernel (``_bisect``) checks
 only some of its brackets, then searches back to the first step that
-passes.  It never walks the chain: ``_chain`` finds each step it asks
-for by regula falsi on the polynomial's values at that step's
-denominator and proves it by the exact signs at the cell's two ends.  A
+passes.  It never walks the chain: every route knows its root in closed
+form, a cube root taken on integers, so ``_chain`` places each step it
+asks for and proves it by the exact signs at the cell's two ends.  A
 check that fails may estimate how many more halvings the bracket needs,
-and the kernel places its next probe there; an estimate changes only
-which steps are probed, never the result, since the checks are monotone
-along nested brackets and the kernel finds the step that checking every
-one would.  The checks take the bracket's integer ends: heron, philo,
-apollonius and diocles compare the widths of the means as integer
-fractions and build Intervals only for the bracket they accept;
-nicomedes' check is interval evaluation of its cut, computed on integers
-over two common denominators, and it reads its means on integers too,
-building Fractions only for the bracket it accepts.
+and the kernel probes there.  Neither estimate changes the result: the
+signs fix each cell, and the checks are monotone along nested brackets.
+The checks take a bracket's integer ends, and the result is built only
+for the step the kernel settles on: heron, philo, apollonius and diocles
+compare the widths of the means as integer fractions, and nicomedes
+evaluates its cut and its means as intervals on integers.
 """
 
 from __future__ import annotations
@@ -146,17 +143,21 @@ def _sign(v: int) -> int:
 
 
 def _chain(
-    value_at: Callable[[int, int], int], lo: Fraction, hi: Fraction
+    value_at: Callable[[int, int], int],
+    lo: Fraction,
+    hi: Fraction,
+    floor_root: Callable[[int], int],
 ) -> Callable[[int], tuple[int, int, int, int]]:
     """Random access to the chain of nested brackets that bisection on
     the signs of ``value_at`` makes from [lo, hi].
 
     ``value_at(P, Q)`` is the defect's value at P/Q for integers P and
-    Q > 0; only its sign decides anything, and that sign must not depend
-    on how P/Q is written.  The signs at lo and hi must be nonzero and
-    opposite, or BracketNotFoundError is raised, and the sign must change
-    once on [lo, hi]: every route passes a range on which its defect has
-    exactly one root (see each route's factorization).
+    Q > 0; only its sign is read, and that sign must not depend on how
+    P/Q is written.  The signs at lo and hi must be nonzero and opposite,
+    or BracketNotFoundError is raised, and the sign must change once on
+    [lo, hi]: every route passes a range on which its defect has exactly
+    one root (see each route's factorization).  ``floor_root(M)``
+    estimates floor(root * M) for M > 0.
 
     Returns ``step(k)``, which gives (s, L, H, Q): s = min(k, e) with e
     the chain's last step (infinite unless the chain ends), and
@@ -168,83 +169,45 @@ def _chain(
     point, first on the grid at level e (so at an odd index g), the chain
     ends at step e on the point bracket L = H = L0*2**e + g*W.
 
-    A step at or above the deepest cell known is that cell's ancestor,
-    found by a shift.  A deeper step is searched for among the known
-    cell's descendants at its level, by regula falsi on the values there:
-    the estimate splits the index range [a, b] in the ratio
-    |value(a)| : |value(b)|.  After n estimates in a row have moved the
-    same end, the other end's value counts 2**-(n - 1) (the Illinois
-    rule), and an estimate that fails to halve the range is followed by
-    one bisection, so a search takes at most about twice the evaluations
-    of bisection.  It ends on two adjacent indices, whose exact signs
-    prove the cell.  An exact zero at grid index g of level k ends the
-    chain at step k - v2(g), v2(g) the number of times 2 divides g.
-    Values taken at two levels are put on one scale by the degree d of
-    ``value_at``, found once from value_at(2*L0, 2*Q0) =
-    2**d * value_at(L0, Q0); a function that is not homogeneous, such as
-    a bare sign, is taken as degree 0.  The degree, the Illinois rule and
-    the bisections move only where the values are taken, never the cell,
-    which the signs fix.
+    The estimate places step k and the signs prove it: floor(root * M)
+    is taken at M = Q0*2**K, K eight levels deeper than the deepest step
+    asked for, and shifted down to level k, and the exact signs at the
+    ends of the cell it names prove that cell.  Otherwise the search
+    gallops from it in strides 1, 2, 4, ... until the sign changes, then
+    bisects: an estimate n cells off costs O(log n) signs, and none moves
+    the cell.  An exact zero at grid index g of level k ends the chain at
+    step k - v2(g), v2(g) the number of times 2 divides g.
     """
     L0, H0, Q0 = _cleared(lo, hi)
-    v_lo, v_hi = value_at(L0, Q0), value_at(H0, Q0)
-    s_lo, s_hi = _sign(v_lo), _sign(v_hi)
+    s_lo, s_hi = _sign(value_at(L0, Q0)), _sign(value_at(H0, Q0))
     if s_lo * s_hi >= 0:
         raise BracketNotFoundError(
             f"defect signs {s_lo} at {lo} and {s_hi} at {hi} are not opposite"
         )
     W = H0 - L0
-    r, rem = divmod(value_at(2 * L0, 2 * Q0), v_lo)
-    deg = r.bit_length() - 1 if rem == 0 and r > 0 and r & (r - 1) == 0 else 0
-    # The deepest cell known: index i at level j (a point bracket when
-    # ``point``), and the values at its two ends with the levels they
-    # were taken at.
-    j, i, point = 0, 0, False
-    va, la, vb, lb = v_lo, 0, v_hi, 0
-
-    def descend(k: int) -> None:
-        nonlocal j, i, point, va, la, vb, lb
-        a, b = i << (k - j), (i + 1) << (k - j)
-        base, Qk = L0 << k, Q0 << k
-        run = 0  # estimates in a row that moved the low end (> 0) or the high end (< 0)
-        bisect = False
-        while b - a > 1:
-            w = b - a
-            if bisect:
-                g = (a + b) >> 1
-            else:
-                # |v| * 2**e at level k, the far end halved once per
-                # estimate in a row after the first
-                ea = (k - la) * deg - max(-run - 1, 0)
-                eb = (k - lb) * deg - max(run - 1, 0)
-                e = min(ea, eb)
-                wa, wb = abs(va) << (ea - e), abs(vb) << (eb - e)
-                g = min(max(a + w * wa // (wa + wb), a + 1), b - 1)
-            v = value_at(base + g * W, Qk)
-            s = _sign(v)
-            if s == 0:
-                t = (g & -g).bit_length() - 1
-                j, i, point = k - t, g >> t, True
-                return
-            if s == s_lo:
-                a, va, la = g, v, k
-            else:
-                b, vb, lb = g, v, k
-            if bisect:
-                bisect = False
-            else:
-                run = max(run, 0) + 1 if s == s_lo else min(run, 0) - 1
-                bisect = 2 * (b - a) > w
-        j, i = k, a
+    K, F = 0, L0  # F = floor(root * Q0 * 2**K); level 0 is one cell and needs none
 
     def step(k: int) -> tuple[int, int, int, int]:
-        if k > j and not point:
-            descend(k)
-        if point and k >= j:
-            P = (L0 << j) + i * W
-            return j, P, P, Q0 << j
-        L = (L0 << k) + (i >> (j - k)) * W
-        return k, L, L + W, Q0 << k
+        nonlocal K, F
+        if k > K:
+            K = k + 8
+            F = floor_root(Q0 << K)
+        base, Qk, a, b = L0 << k, Q0 << k, 0, 1 << k  # signs s_lo at a, s_hi at b
+        g, stride = min(max(((F >> (K - k)) - base) // W, 1), b - 1), 1
+        while b - a > 1:
+            if not a < g < b:
+                g = (a + b) >> 1
+            s = _sign(value_at(base + g * W, Qk))
+            if s == 0:
+                t = (g & -g).bit_length() - 1
+                P = (L0 << (k - t)) + (g >> t) * W
+                return k - t, P, P, Q0 << (k - t)
+            if s == s_lo:
+                a, g = g, g + stride
+            else:
+                b, g = g, g - stride
+            stride *= 2
+        return k, base + a * W, base + b * W, Qk
 
     return step
 
@@ -253,20 +216,21 @@ def _bisect(
     value_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
+    floor_root: Callable[[int], int],
     accept: Callable[[int, int, int], object],
 ) -> object:
     """Bisect [lo, hi] on exact signs until ``accept`` takes a bracket.
 
-    ``value_at`` and [lo, hi] are as ``_chain`` takes them.  ``accept(L,
-    H, Q)`` judges the bracket [L/Q, H/Q] (Q > 0, the fraction not
-    reduced) and returns the result; to keep narrowing it returns None,
-    or an int: its estimate of how many more halvings the bracket needs.
-    The kernel returns the verdict of the first step of the bisection
-    chain that ``accept`` does not refuse; when the chain ends at a point
-    bracket (an exact root) that ``accept`` still refuses, it raises
-    PrecisionError.  Nothing is kept of the chain but its deepest known
-    cell (see ``_chain``), so the kernel's memory is linear in the
-    digits of the brackets.
+    ``value_at``, [lo, hi] and ``floor_root`` are as ``_chain`` takes
+    them.  ``accept(L, H, Q)`` judges the bracket [L/Q, H/Q] (Q > 0, not
+    reduced): to accept it returns a builder, a function of no arguments
+    that makes the result from the integers ``accept`` computed; to keep
+    narrowing, None or an int, its estimate of how many more halvings
+    the bracket needs.  The kernel calls one builder, that of the first
+    step of the bisection chain that ``accept`` does not refuse; when the
+    chain ends at a point bracket (an exact root) that ``accept`` still
+    refuses, it raises PrecisionError.  It keeps nothing of the chain but
+    the estimate, so its memory is linear in the digits of the brackets.
 
     There is no step budget.  The loop ends because, along any chain
     that narrows onto a root, ``accept`` eventually stops refusing:
@@ -278,37 +242,33 @@ def _bisect(
     denominators are nonzero for t > 0 and K lies beyond C there.
 
     Contract: along nested brackets, "accept does not refuse" is
-    monotone; once a bracket is not refused, no bracket inside it is.
-    Interval arithmetic on exact endpoints is inclusion-isotonic, so a
-    certification that succeeds on a bracket succeeds on any
-    sub-bracket.  (Apollonius and diocles read their means through
-    directed square-root bounds, whose endpoints are monotone only up to
-    their last-digit rounding; a width within that rounding of the
-    target at a skipped step is the one way they could settle on another
-    step than the step-by-step loop.)
+    monotone.  Interval arithmetic on exact endpoints is
+    inclusion-isotonic, so a certification that succeeds on a bracket
+    succeeds on any sub-bracket.  (Apollonius and diocles read their
+    means through directed square-root bounds, monotone only up to their
+    last-digit rounding; a width within that rounding of the target at a
+    skipped step is the one way they could settle on another step than
+    the step-by-step loop.)
 
     The chain depends on the signs alone, so ``accept`` is called only
-    at some of its steps, and ``_chain`` evaluates signs only where the
+    at some of its steps, and ``_chain`` places only the steps the
     probes reach.  After a refusal at step s the next probe is step
     s + max(estimate, jump): the minimum jump is 1 at first and doubles
     at each refusal, so refusals without an estimate probe steps 0, 1,
-    3, 7, 15, ..., and the chain's last step is probed when the chain
-    ends first.  Once a probe is accepted, the first accepted step lies
-    between the last refused probe and the first accepted one, and later
-    probes stay there: after an accepted probe that an estimate placed,
-    the step just before it; after a refusal with an estimate,
-    s + max(estimate, jump) as before, or the step just before the
-    accepted probe when that is nearer; otherwise the middle step.
-    Without estimates a chain settled at step k costs at most
-    2*ceil(log2(k + 2)) + 2 calls instead of k + 1, and an exact
-    estimate settles it in 3.  Because the jumps at least double, any
-    estimates cost O(log n) calls, n the furthest step they send the
-    kernel to.  An estimate moves only which steps are probed: whatever
-    the kernel returns is still the verdict ``accept`` gave on that very
-    bracket, and its being the first such step rests on the contract
-    alone.
+    3, 7, 15, ..., and the chain's last step when the chain ends first.
+    Once a probe is accepted, the first accepted step lies between the
+    last refused probe and it, and later probes stay there: the step
+    just before an accepted probe that an estimate placed; after a
+    refusal with an estimate, s + max(estimate, jump) or the step just
+    before the accepted probe, whichever is nearer; otherwise the middle
+    step.  Without estimates a chain settled at step k costs at most
+    2*ceil(log2(k + 2)) + 2 calls, an exact estimate settles it in 3,
+    and any estimates cost O(log n) calls, n the furthest step they send
+    the kernel to.  Whatever the kernel returns is still the verdict
+    ``accept`` gave on that very bracket, and its being the first such
+    step rests on the contract alone.
     """
-    step = _chain(value_at, lo, hi)
+    step = _chain(value_at, lo, hi, floor_root)
     none_at, ok_at = -1, None  # last step known refused; first step known accepted
     probe, jump, guessed = 0, 1, False  # next step; minimum jump; placed by an estimate
     while True:
@@ -316,7 +276,7 @@ def _bisect(
         if probe == none_at:  # the chain ended at a point bracket, never accepted
             raise PrecisionError("enclosure too wide at an exact root")
         verdict = accept(L, H, Q)
-        if verdict is not None and not isinstance(verdict, int):  # accepted
+        if callable(verdict):  # accepted
             ok_at, found = probe, verdict
             probe = probe - 1 if guessed else (none_at + probe) // 2
             guessed = False
@@ -330,7 +290,7 @@ def _bisect(
             jump *= 2
         if ok_at is not None:  # the first step accepted lies in (none_at, ok_at]
             if ok_at - none_at == 1:
-                return found
+                return found()
             probe = min(probe, ok_at - 1)
 
 
@@ -343,6 +303,7 @@ def _solve_defect(
     value_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction,
+    floor_root: Callable[[int], int],
     evaluate: Callable[[int, int, int], tuple[Ends, Ends]],
     target: Fraction,
 ) -> tuple[Interval, Interval]:
@@ -351,23 +312,29 @@ def _solve_defect(
     The widths are compared as integer cross-products, a refusal
     estimates the halvings still lacking from the wider of the two (the
     value ``_halvings`` gives), and the Intervals are built only for the
-    bracket that is accepted."""
+    step the kernel settles on."""
     tn, td = target.numerator, target.denominator
 
-    def accept(L: int, H: int, Q: int) -> tuple[Interval, Interval] | int:
+    def accept(L: int, H: int, Q: int) -> Callable[[], tuple[Interval, Interval]] | int:
         (xln, xld, xhn, xhd), (yln, yld, yhn, yhd) = evaluate(L, H, Q)
         n, d = xhn * xld - xln * xhd, xhd * xld
         yn, yd = yhn * yld - yln * yhd, yhd * yld
         if yn * d > n * yd:
             n, d = yn, yd
         if n * td <= tn * d:
-            return (
+            return lambda: (
                 Interval._of(Fraction(xln, xld), Fraction(xhn, xhd)),
                 Interval._of(Fraction(yln, yld), Fraction(yhn, yhd)),
             )
         return _halvings(n * td, d * tn)
 
-    return _bisect(value_at, lo, hi, accept)
+    return _bisect(value_at, lo, hi, floor_root, accept)
+
+
+def _cube_encloses(iv: Interval, n: int, d: int) -> bool:
+    """Whether iv.lo**3 <= n/d <= iv.hi**3 (d > 0), on integers."""
+    (ln, ld), (hn, hd) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+    return ln ** 3 * d <= n * ld ** 3 and n * hd ** 3 <= hn ** 3 * d
 
 
 def _trivial(method: str, prob: MeanPropProblem) -> MeanPropResult:
@@ -383,17 +350,22 @@ def _solve_slope(
     prob: MeanPropProblem, value_at: Callable[[int, int], int]
 ) -> tuple[Interval, Interval]:
     """Rotate a line through B with slope u from 1/2 to past cbrt(a/c) until
-    ``value_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c."""
+    ``value_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c.
+    The root is u = cbrt(a/c) = cbrt(A/C), so floor(u*M) is the integer
+    cube root of floor(A*M**3/C), exactly."""
     a, c = prob.ab, prob.bc
     u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
     A, C, D = _cleared(a, c)
+
+    def floor_root(M: int) -> int:
+        return int_nth_root_floor(A * M ** 3 // C, 3)
 
     def evaluate(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
         # u in [L/Q, H/Q]: x in [AQ/DH, AQ/DL], y in [CL/QD, CH/QD]
         AQ, QD = A * Q, Q * D
         return (AQ, D * H, AQ, D * L), (C * L, QD, C * H, QD)
 
-    return _solve_defect(value_at, Fraction(1, 2), u_hi, evaluate, _width_target(prob))
+    return _solve_defect(value_at, Fraction(1, 2), u_hi, floor_root, evaluate, _width_target(prob))
 
 
 def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
@@ -407,8 +379,7 @@ def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     that of a - c*u**3; the figure's form is kept as the construction.
     The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
     (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
-    on whether P/Q is reduced, and values at one Q compare as the defect
-    does."""
+    on whether P/Q is reduced."""
     A, C, _ = _cleared(a, c)
     diff = A * A - C * C
 
@@ -434,8 +405,7 @@ def _apollonius_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     that of x**3 - a**2 c; the figure's form is kept as the construction.
     The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
     (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
-    on whether P/Q is reduced, and values at one Q compare as the defect
-    does."""
+    on whether P/Q is reduced."""
     A, C, D = _cleared(a, c)
     base4 = A * A - C * C  # 4 * base * D**2
 
@@ -459,7 +429,9 @@ def solve_heron_apollonius(
     the cuts on the extended sides through D).  ``variant="apollonius"``
     grows a circle about E instead, parametrized by where it crosses
     the horizontal through A, and drives the collinearity of F, B, G;
-    both land on the same line and read off x = AF, y = CG.
+    both land on the same line and read off x = AF, y = CG.  Apollonius'
+    root is sigma = x + c/2 with x = cbrt(a**2 c), so with a = A/D and
+    c = C/D, floor(sigma*M) = (floor(cbrt(8 A**2 C M**3)) + CM) // 2D.
     """
     if variant not in ("heron", "apollonius"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -479,7 +451,10 @@ def solve_heron_apollonius(
     # a = A/D, c = C/D and sigma = S/Q, sigma**2 + (a**2 - c**2)/4 is
     # (4 D**2 S**2 + (A**2 - C**2) Q**2) / (4 D**2 Q**2).
     A, C, D = _cleared(a, c)
-    D2, DD4, base4 = 2 * D, 4 * D * D, A * A - C * C
+    D2, DD4, base4, A2C8 = 2 * D, 4 * D * D, A * A - C * C, 8 * A * A * C
+
+    def floor_root(M: int) -> int:
+        return (int_nth_root_floor(A2C8 * M ** 3, 3) + C * M) // D2
 
     def evaluate_sigma(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
         QD2, CQ, QQ = Q * D2, C * Q, Q * Q
@@ -491,7 +466,7 @@ def solve_heron_apollonius(
         )
 
     means = _solve_defect(
-        _apollonius_defect(a, c), Fraction(c), c / 2 + a, evaluate_sigma, target
+        _apollonius_defect(a, c), Fraction(c), c / 2 + a, floor_root, evaluate_sigma, target
     )
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
 
@@ -508,8 +483,7 @@ def _philo_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     test Philo's equality reduces to; the figure's form is kept as the
     construction.  The form is homogeneous of degree 3 in (P, Q):
     ``value_at(P, Q)`` (Q > 0) is Q**3 times a function of P/Q, so its
-    sign does not depend on whether P/Q is reduced, and values at one Q
-    compare as the defect does."""
+    sign does not depend on whether P/Q is reduced."""
     A, C, _ = _cleared(a, c)
 
     def value_at(P: int, Q: int) -> int:
@@ -606,8 +580,7 @@ def _diocles_defect(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
     r**2 q**3 - k**2 with q = (r - m)/(r + m), a cube test in q.  The
     form is homogeneous of degree 3 in (P, Q): ``value_at(P, Q)`` (Q > 0)
     is Q**3 times a function of P/Q, so its sign does not depend on
-    whether P/Q is reduced, and values at one Q compare as the defect
-    does."""
+    whether P/Q is reduced."""
     R, K, D = _cleared(r, k)
     R2, K2 = R * R, K * K
 
@@ -624,14 +597,21 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
 
     At the crossing, the half-chord KH and the segment DK are the two
     mean proportionals between AK and KL; rescaling all four lines by
-    ab : AK turns them into (ab, x, y, bc).
+    ab : AK turns them into (ab, x, y, bc).  The root is m = r(1 - q)/(1 + q)
+    with q = cbrt(k**2/r**2); q is taken 8 bits finer than the grid, so the
+    estimate lands in the kernel's cell or next to it.
     """
     r, k = prob.ab, prob.bc
     if r == k:
         return _trivial(DIOCLES, prob)
     target = _width_target(prob)
     digits = _digits_for(target) + 8
-    R, _, D = _cleared(r, k)
+    R, K, D = _cleared(r, k)
+
+    def floor_root(M: int) -> int:
+        G = M << 8
+        q = int_nth_root_floor(K * K * G ** 3 // (R * R), 3)  # about q * G
+        return R * M * (G - q) // (D * (G + q))
 
     def evaluate(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
         # q = (r - m)/(r + m) = (RQ - DM)/(RQ + DM) at m = M/Q, which
@@ -642,7 +622,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         shn, shd = _isqrt_quotient(qhn, qhd, digits, up=True)
         return (R * sln, D * sld, R * shn, D * shd), (R * qln, D * qld, R * qhn, D * qhd)
 
-    means = _solve_defect(_diocles_defect(r, k), Fraction(0), r, evaluate, target)
+    means = _solve_defect(_diocles_defect(r, k), Fraction(0), r, floor_root, evaluate, target)
     return MeanPropResult(DIOCLES, *means, prob)
 
 
@@ -713,8 +693,7 @@ def _intercept_defect(
     pole on the parallel line).  Each d_i is homogeneous of degree 2 in
     (P, Q) and the value of degree 4: ``value_at(P, Q)`` (Q > 0) is Q**4
     times a function of P/Q, so its sign, and the test d1*d2 == 0, do
-    not depend on whether P/Q is reduced, and values at one Q compare as
-    the defect does."""
+    not depend on whether P/Q is reduced."""
     (vx1, vy1, n1), (vx2, vy2, n2) = cuts
     Lp, Lq = L.numerator, L.denominator
 
@@ -804,10 +783,10 @@ def _cut_check(
     CK runs over [p, q] with K = c/2 + lam_k * dx, and y = a*K/x - a over
     [a(c - w)/q, a(c + w)/p], w = q - p, so y's width is w times
     a(c + p + q)/(pq).  Every comparison and the halvings estimate are
-    cross-multiplications, and Fractions are built only for the bracket
-    that is accepted.  The checks, in this order: both denominators
-    exclude 0; the squared cut lies in the band; K lies beyond C; the
-    means are no wider than the target."""
+    cross-multiplications, and an accepted bracket's builder makes the
+    Fractions only when the kernel settles on it.  The checks, in this
+    order: both denominators exclude 0; the squared cut lies in the band;
+    K lies beyond C; the means are no wider than the target."""
     a, c = prob.ab, prob.bc
     an, ad, cn, cd2 = a.numerator, a.denominator, c.numerator, 2 * c.denominator
     tn, td = target.numerator, target.denominator
@@ -850,11 +829,15 @@ def _cut_check(
         if rn > rd:
             wn, wd = wn * rn, wd * rd
         if wn * td <= tn * wd:
-            x = Interval._of(Fraction(pn, pd), Fraction(qn, qd))
-            # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the
-            # quotient pairs each end of K * a with the far end of x
-            y = Interval._of((x.lo + c) * a / x.hi - a, (x.hi + c) * a / x.lo - a)
-            return MeanPropResult(NICOMEDES, x, y, prob)
+
+            def build() -> MeanPropResult:
+                x = Interval._of(Fraction(pn, pd), Fraction(qn, qd))
+                # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the
+                # quotient pairs each end of K * a with the far end of x
+                y = Interval._of((x.lo + c) * a / x.hi - a, (x.hi + c) * a / x.lo - a)
+                return MeanPropResult(NICOMEDES, x, y, prob)
+
+            return build
         return _halvings(wn * td, wd * tn)
 
     return accept
@@ -883,25 +866,39 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     C.  Both cut denominators are nonzero for t > 0; at t = 0 the line
     is parallel to the base line and the cut is unbounded (sign +1), and
     at t = 1 it is a third of Z's depth below the base line, less than
-    a/2 (sign -1).  A bracket is checked (see ``_cut_check``) by the
-    interval expressions of the cut, computed on integers over two
-    common denominators: both cut denominators exclude 0; the cut lies
-    within 10**-(d + 4) * max(1, L) of L (d the decimal digits of the
-    width target); and K lies beyond C.  The means' widths are then
-    compared with the target on integers, and Fractions are built only
-    for the bracket that is accepted.  The figure (see ``_neusis_figure``)
-    takes Z's depth from two integer square roots.  The verdicts are
-    those of interval arithmetic on exact endpoints, so they are
-    monotone along nested brackets and the kernel checks only O(log n)
-    of a chain's n brackets (see ``_bisect``).
-    """
+    a/2 (sign -1).  ``_cut_check`` checks a bracket by the interval
+    expressions of the cut and of the means, computed on integers: the
+    cut lies within 10**-(d + 4) * max(1, L) of L (d the decimal digits of
+    the width target), K lies beyond C and the means meet the target.
+    Its verdicts are monotone along nested brackets, so the kernel checks
+    only O(log n) of a chain's n brackets (see ``_bisect``).  The figure
+    (see ``_neusis_figure``) takes Z's depth z from two integer square
+    roots.
+
+    The root is t = z/(|ZK| + c/2 + x), the half-angle tangent of Z -> K,
+    estimated at the true x = cbrt(a**2 c).  The rounded z moves the
+    figure's root by about a*dz/(3x), which can carry the means off the
+    true ones at ratios near 1e34; the result is checked to enclose both
+    on integers, and PrecisionError names the cause."""
     a, c = prob.ab, prob.bc
     if a == c:
         return _trivial(NICOMEDES, prob)
     target = _width_target(prob)
     cuts, target_sq = _neusis_figure(prob, _digits_for(target))
+    A, C, D = _cleared(a, c)
+    A2C, D3, (_, (vx_k, _, n_k)) = A * A * C, D ** 3, cuts
+
+    def floor_root(M: int) -> int:
+        S = M << 8  # x + c/2, z and |ZK| over S
+        h = int_nth_root_floor(A2C * S ** 3 // D3, 3) + C * S // (2 * D)
+        z = -n_k * S // vx_k
+        return z * M // (math.isqrt(h * h + z * z) + h)
+
     accept = _cut_check(prob, cuts, target_sq, target)
-    return _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), accept)
+    res = _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), floor_root, accept)
+    if not (_cube_encloses(res.x, A2C, D3) and _cube_encloses(res.y, A * C * C, D3)):
+        raise PrecisionError("the rounded pole depth moves the neusis off the means")
+    return res
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {

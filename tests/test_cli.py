@@ -182,6 +182,23 @@ def test_meanprops_nicomedes_at_huge_ratio():
     assert res.y.contains(10 ** 10)
 
 
+def test_meanprops_nicomedes_refuses_means_its_rounded_pole_moves():
+    # At 1e34 : 1/3, tol 1e-6, the figure's root misses the means: exit 3
+    # alone, and a failure row beside the other routes under --method all.
+    args = ("meanprops", "--ab", "1e34", "--bc", "1/3", "--tol", "1e-6")
+    message = "the rounded pole depth moves the neusis off the means"
+    r = run(*args, "--method", "nicomedes")
+    assert r.returncode == 3
+    assert r.stderr.decode() == f"practica: numerical failure: {message}\n"
+    r = run(*args, "--method", "all")
+    assert r.returncode == 3
+    lines = r.stdout.decode().splitlines()
+    assert [line.split()[0] for line in lines] == ["heron", "philo", "diocles", "nicomedes"]
+    assert lines[3] == f"nicomedes  numerical failure: {message}"
+    for line in lines[:3]:
+        assert " x~" in line and " y~" in line
+
+
 def test_meanprops_single_method_and_variant():
     r = run("meanprops", "--method", "heron", "--ab", "5", "--bc", "5")
     assert r.returncode == 0

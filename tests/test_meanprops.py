@@ -327,15 +327,16 @@ def _stepwise_chain(value_at, lo, hi):
             bl, s_lo = mid, s_mid
 
 
-def _stepwise(value_at, lo, hi, accept):
+def _stepwise(value_at, lo, hi, floor_root, accept):
     """Reference for ``_bisect``: call ``accept`` on every step of the
-    bisection chain of ``_stepwise_chain``, over one denominator.  A
-    verdict of None or an int (an estimate of the halvings still lacking)
-    is a refusal.  Returns (step, verdict)."""
+    bisection chain of ``_stepwise_chain``, over one denominator, and
+    build the first accepted step's result.  A verdict of None or an int
+    (an estimate of the halvings still lacking) is a refusal; the
+    estimate ``floor_root`` is not used.  Returns (step, result)."""
     for step, (bl, bh) in enumerate(_stepwise_chain(value_at, lo, hi)):
         verdict = accept(*_cleared(bl, bh))
-        if verdict is not None and not isinstance(verdict, int):
-            return step, verdict
+        if callable(verdict):
+            return step, verdict()
         if bl == bh:
             raise PrecisionError("enclosure too wide at an exact root")
 
@@ -353,8 +354,8 @@ _VALUE_SHAPES = {
 
 @st.composite
 def _rooted_ranges(draw):
-    """A range [lo, hi], a value function with one root in it, and the
-    function's orientation.  The root is a point of the range's dyadic
+    """A range [lo, hi], a value function with one root in it, in either
+    orientation, and the root.  The root is a point of the range's dyadic
     grid at a level from 1 to 90, or anywhere inside."""
     lo = draw(st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
     hi = lo + draw(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=100, max_denominator=10 ** 6))
@@ -371,20 +372,39 @@ def _rooted_ranges(draw):
     else:
         def value_at(P, Q, value=value):
             return -value(P, Q)
-    return lo, hi, value_at
+    return lo, hi, value_at, root
 
 
-@given(_rooted_ranges(), st.permutations(range(81)))
+@st.composite
+def _floor_roots(draw, lo, hi, root):
+    """An estimate ``floor_root(M)`` of floor(root * M): exact, off by up
+    to 2**40 cells of the level it is taken at (M = Q0 * 2**K, cells W
+    wide), always 0, or 10**50 * M, far past the range."""
+    kind = draw(st.sampled_from(["exact", "off", "zero", "huge"]))
+    event(f"estimate {kind}")
+    L0, H0, _ = _cleared(lo, hi)
+    W = H0 - L0
+    off = draw(st.integers(min_value=-2 ** 40, max_value=2 ** 40)) if kind == "off" else 0
+    return {
+        "exact": lambda M: root.numerator * M // root.denominator,
+        "off": lambda M: root.numerator * M // root.denominator + off * W,
+        "zero": lambda M: 0,
+        "huge": lambda M: 10 ** 50 * M,
+    }[kind]
+
+
+@given(_rooted_ranges(), st.permutations(range(81)), st.data())
 @settings(max_examples=300, deadline=None)
-def test_chain_steps_match_stepwise(case, order):
+def test_chain_steps_match_stepwise(case, order, data):
     # Every step up to 80, asked for in any order, is the step-by-step
-    # chain's bracket over the denominator Q0 * 2**step, or its end.
-    lo, hi, value_at = case
+    # chain's bracket over the denominator Q0 * 2**step, or its end,
+    # however far off the estimate that places it.
+    lo, hi, value_at, root = case
     expected = list(itertools.islice(_stepwise_chain(value_at, lo, hi), 81))
     end = len(expected) - 1
     event("ends at a point" if expected[-1][0] == expected[-1][1] else "runs past step 80")
     Q0 = _cleared(lo, hi)[2]
-    step = _chain(value_at, lo, hi)
+    step = _chain(value_at, lo, hi, data.draw(_floor_roots(lo, hi, root)))
     for k in order:
         s, L, H, Q = step(k)
         assert s == min(k, end)
@@ -406,6 +426,11 @@ def _fractions(accept):
     return lambda L, H, Q: accept(Fraction(L, Q), Fraction(H, Q))
 
 
+def _floor_sqrt(c):
+    """floor(sqrt(c) * M), the exact estimate of the root of ``_square_minus(c)``."""
+    return lambda M: math.isqrt(c.numerator * M * M // c.denominator)
+
+
 @given(
     st.fractions(min_value=Fraction(1, 100), max_value=Fraction(399, 100), max_denominator=10**6),
     st.integers(min_value=0, max_value=70),
@@ -421,11 +446,11 @@ def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
     @_fractions
     def accept(bl, bh):
         calls.append(bl)
-        return (bl, bh) if bh - bl <= width else None
+        return (lambda: (bl, bh)) if bh - bl <= width else None
 
-    found = _bisect(value_at, Fraction(0), Fraction(2), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
     probes = len(calls)
-    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
     assert found == expected
     assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
 
@@ -464,14 +489,14 @@ def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kin
     def accept(bl, bh):
         calls.append(bl)
         if bh - bl <= width:
-            return bl, bh
+            return lambda: (bl, bh)
         e = estimate(bh - bl, width, rnd)
         estimates.append(e or 0)
         return e
 
-    found = _bisect(value_at, Fraction(0), Fraction(2), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
     probes, reach = len(calls), max(estimates)
-    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
     assert found == expected
     if kind == "exact":
         assert probes <= 3  # the estimate, the step it names, the step before
@@ -498,7 +523,7 @@ def _counting_kernel(monkeypatch):
     """Count the sign evaluations and ``accept`` calls of every solve."""
     kernel, counts = _bisect, {"values": 0, "accepts": 0}
 
-    def counting(value_at, lo, hi, accept):
+    def counting(value_at, lo, hi, floor_root, accept):
         def value(P, Q):
             counts["values"] += 1
             return value_at(P, Q)
@@ -507,7 +532,7 @@ def _counting_kernel(monkeypatch):
             counts["accepts"] += 1
             return accept(L, H, Q)
 
-        return kernel(value, lo, hi, judged)
+        return kernel(value, lo, hi, floor_root, judged)
 
     monkeypatch.setattr(mean_proportionals, "_bisect", counting)
     return counts
@@ -529,10 +554,11 @@ def test_routes_settle_in_few_accept_calls(monkeypatch):
     assert sum(per_solve.values()) / len(per_solve) <= 6, per_solve
 
 
-#: Sign evaluations per solve on the 25 problems at tol 1e-12: 12.9 for
-#: heron and philo, 29.3 for diocles and 22.7 for nicomedes.  Without the
-#: Illinois rule heron and philo take 18.2, and 16.0 without the degree.
-_VALUES_PER_SOLVE = {HERON_APOLLONIUS: 15, PHILO: 15, DIOCLES: 35, NICOMEDES: 30}
+#: Sign evaluations per solve on the 25 problems at tol 1e-12, two at the
+#: range's ends and two per step placed exactly: 12.0 for heron and philo
+#: (six steps), 9.0 for diocles and 9.9 for nicomedes, whose estimates can
+#: be a cell or more off.  Regula falsi took 12.9, 12.9, 29.3 and 22.7.
+_VALUES_PER_SOLVE = {HERON_APOLLONIUS: 13, PHILO: 13, DIOCLES: 10, NICOMEDES: 11}
 
 
 def test_routes_settle_in_few_sign_evaluations(monkeypatch):
@@ -552,20 +578,20 @@ def test_routes_settle_in_few_sign_evaluations(monkeypatch):
     [("heron", 3), ("apollonius", 3), ("philo", 3), ("diocles", 3), ("nicomedes", 7)],
 )
 def test_deep_tolerances_take_few_sign_evaluations(monkeypatch, route, accepts):
-    # 2/1 at tol 1e-600 settles near step 2000: 26 to 30 sign evaluations,
-    # where bisection takes about 2000 and regula falsi without the
-    # Illinois rule 128 to 132.
+    # 2/1 at tol 1e-600 settles near step 2000: 6 sign evaluations, and 13
+    # for nicomedes' seven steps, where bisection takes about 2000 and
+    # regula falsi took 26 to 30.
     counts = _counting_kernel(monkeypatch)
     prob = MeanPropProblem(ab=Fraction(2), bc=Fraction(1), tol=Fraction(1, 10 ** 600))
     res = _ROUTES[route](prob)
     assert res.x.lo ** 3 <= 4 <= res.x.hi ** 3 and res.y.lo ** 3 <= 2 <= res.y.hi ** 3
-    assert counts["values"] <= 60, counts
+    assert counts["values"] <= 16, counts
     assert counts["accepts"] == accepts, counts
 
 
 def test_kernel_memory_is_linear_in_the_digits():
-    # The kernel keeps one cell of the chain: about 26 KiB here, twice
-    # that at 1e-2400.
+    # The kernel keeps the estimate and one cell of the chain: about
+    # 23 KiB here, twice that at 1e-2400.
     prob = MeanPropProblem(ab=Fraction(2), bc=Fraction(1), tol=Fraction(1, 10 ** 1200))
     tracemalloc.start()
     try:
@@ -606,7 +632,7 @@ def test_bisect_chain_ends_as_stepwise(value_at, expected, message):
 
     for kernel in (_bisect, _stepwise):
         with pytest.raises(expected, match=f"^{re.escape(message)}$"):
-            kernel(value_at, Fraction(0), Fraction(1), never)
+            kernel(value_at, Fraction(0), Fraction(1), lambda M: M // 2, never)
 
 
 def _cut_constants(z, lines):
@@ -831,8 +857,9 @@ def test_nicomedes_signs_are_opposite_at_the_range_ends(c, ratio):
     # parallel to the base line, so the cut is unbounded), -1 at t = 1.
     ends = []
 
-    def record(value_at, lo, hi, accept):
+    def record(value_at, lo, hi, floor_root, accept):
         ends.append((lo, _sign_of(value_at, lo), hi, _sign_of(value_at, hi)))
+        return _bisect(value_at, lo, hi, floor_root, accept)
 
     with mock.patch.object(mean_proportionals, "_bisect", record):
         METHODS[NICOMEDES](MeanPropProblem(ab=c * ratio, bc=c))
@@ -941,7 +968,10 @@ def _both_checks(prob):
 
 
 def _verdict(accept, *bracket):
+    """A check's verdict on a bracket, an accepted one built."""
     got = accept(*bracket)
+    if callable(got):
+        got = got()
     return type(got), got
 
 
@@ -973,7 +1003,7 @@ def _neusis_brackets(draw, value_at):
     kind = draw(st.sampled_from(["chain", "chain-point", "any"]))
     if kind != "any":
         step = draw(st.integers(min_value=0, max_value=250))
-        _, L, H, Q = _chain(value_at, Fraction(0), Fraction(1))(step)
+        _, L, H, Q = _chain(value_at, Fraction(0), Fraction(1), lambda M: 0)(step)
         if kind == "chain-point":
             L = H = draw(st.sampled_from([L, H]))
         return L, H, Q
@@ -1032,7 +1062,7 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
     # so that each of the check's verdicts is reached.
     prob = MeanPropProblem(ab=ab, bc=bc, tol=tol)
     check, reference, value_at = _both_checks(prob)
-    chain = _chain(value_at, Fraction(0), Fraction(1))
+    chain = _chain(value_at, Fraction(0), Fraction(1), lambda M: 0)
     kinds, past = set(), None
     for step in itertools.count():
         reached, L, H, Q = chain(step)
@@ -1079,3 +1109,99 @@ def test_neusis_figure_equals_the_fraction_reference(prob):
     assert _neusis_figure(prob, digits) == (cuts, target_sq)
     _, (vx_k, _, n_k) = cuts
     assert Fraction(n_k, vx_k) == z.y
+
+
+def _recorded_kernel_calls(monkeypatch):
+    """Record the value function, range and estimate of each kernel call."""
+    calls = []
+
+    def recording(value_at, lo, hi, floor_root, accept):
+        calls.append((value_at, lo, hi, floor_root))
+        return _bisect(value_at, lo, hi, floor_root, accept)
+
+    monkeypatch.setattr(mean_proportionals, "_bisect", recording)
+    return calls
+
+
+def _slope_cell(A, C, D, F, M):
+    return C * F ** 3 <= A * M ** 3 < C * (F + 1) ** 3
+
+
+#: Each route's exact test that F/M <= root < (F + 1)/M for a = A/D and
+#: c = C/D: the slope's root is cbrt(A/C), and sigma's is cbrt(a**2 c) + c/2.
+_CELL_TESTS = {
+    "heron": _slope_cell,
+    "philo": _slope_cell,
+    "apollonius": lambda A, C, D, F, M: (
+        (2 * D * F - C * M) ** 3 <= 8 * A * A * C * M ** 3 < (2 * D * (F + 1) - C * M) ** 3
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ["heron", "apollonius", "philo", "diocles"])
+def test_route_estimates_place_the_root(monkeypatch, route):
+    # On the 25 count-test problems and the four benchmark edges, at grids
+    # M = Q0 * 2**K as the kernel takes them: heron, philo and apollonius
+    # estimate floor(root * M) exactly, and diocles names the level-K cell
+    # that its decreasing defect proves (sign >= 0 at the low end, < 0 at
+    # the high end), or a cell next to it.
+    calls = _recorded_kernel_calls(monkeypatch)
+    edges = [_edge(Fraction(10 ** 30), 12), _edge(1 + Fraction(1, 10 ** 15), 12),
+             _edge(Fraction(10 ** 6), 12), _edge(Fraction(2), 30)]
+    for prob in _criterion07_problems() + edges:
+        calls.clear()
+        _ROUTES[route](prob)
+        [(value_at, lo, hi, floor_root)] = calls
+        A, C, D = _cleared(prob.ab, prob.bc)
+        L0, H0, Q0 = _cleared(lo, hi)
+        for K in (0, 1, 8, 50, 200, 700):
+            M, base, W = Q0 << K, L0 << K, H0 - L0
+            F = floor_root(M)
+            if route == "diocles":
+                i = (F - base) // W
+                a, b = max(i - 1, 0), min(i + 2, 1 << K)
+                low, high = value_at(base + a * W, M), value_at(base + b * W, M)
+                assert _sign(low) >= 0 > _sign(high), (prob, K)
+            else:
+                assert _CELL_TESTS[route](A, C, D, F, M), (prob, K)
+
+
+_MISSED = MeanPropProblem(ab=10 ** 34, bc=Fraction(1, 3), tol=Fraction(1, 10 ** 6))
+
+
+def test_nicomedes_refuses_means_its_rounded_pole_moves(monkeypatch):
+    # At 1e34 : 1/3 the pole depth, rounded to 26 digits, moves the
+    # figure's root by about a*dz/(3x): the step the kernel settles on
+    # gives an x 4.2e-19 wide that lies wholly above cbrt(a**2 c).
+    settled = []
+
+    def keeping(*args):
+        settled.append(_bisect(*args))
+        return settled[-1]
+
+    monkeypatch.setattr(mean_proportionals, "_bisect", keeping)
+    message = "^the rounded pole depth moves the neusis off the means$"
+    with pytest.raises(PrecisionError, match=message):
+        METHODS[NICOMEDES](_MISSED)
+    [res] = settled
+    a, c = _MISSED.ab, _MISSED.bc
+    assert res.x.width < Fraction(1, 10 ** 18)
+    assert res.x.lo ** 3 > a * a * c
+    check_result(METHODS[HERON_APOLLONIUS](_MISSED), a, c, _MISSED.tol)
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10 ** 6), Fraction(1, 10 ** 12)])
+def test_nicomedes_means_enclose_the_cube_roots_or_refuse(tol):
+    # ab from 1e20 to 1e40 against small bc, where the rounded pole depth
+    # can move the figure's root (14 of these 110 problems, all at 1e-6,
+    # are refused): every result nicomedes returns holds both true means.
+    for k in range(20, 41, 2):
+        for bc in (Fraction(1, n) for n in (3, 7, 999, 1000, 12345)):
+            prob = MeanPropProblem(ab=Fraction(10 ** k), bc=bc, tol=tol)
+            try:
+                res = METHODS[NICOMEDES](prob)
+            except PrecisionError:
+                continue
+            a, c = prob.ab, prob.bc
+            assert res.x.lo ** 3 <= a * a * c <= res.x.hi ** 3, prob
+            assert res.y.lo ** 3 <= a * c * c <= res.y.hi ** 3, prob
