@@ -107,17 +107,9 @@ class HeronIdentityReport:
 # Z[√A, √B, √C] for integer radicands: an element is 8 integer
 # coefficients, coefficient m (a bitmask, 1: A, 2: B, 4: C) being that of
 # the product of the square roots of the radicands in m.
-_ONE, _SQRT_B, _SQRT_C = ([int(m == k) for m in range(8)] for k in (0, 2, 4))
 _PERIMETER = [0, 1, 1, 0, 1, 0, 0, 0]  # P = √A + √B + √C
+_ZERO = Interval.point(0)  # shared by every quotient whose enclosure is (0, 0)
 _GUARD_DIGITS = 10
-
-
-def _lin(*terms: tuple[int, list[int]]) -> list[int]:
-    """The integer combination of elements sum(k * x) over (k, x) terms."""
-    out = [0] * 8
-    for k, x in terms:
-        out = [o + k * xm for o, xm in zip(out, x)]
-    return out
 
 
 class _Ring:
@@ -142,19 +134,29 @@ class _Ring:
                         out[i ^ j] += xi * yj * self.radicands[i & j]
         return out
 
+    def times_sqrt_c(self, x: list[int]) -> list[int]:
+        """x·√C: monomial m moves to m ^ 4, times C where m holds √C."""
+        c = self.radicands[4]
+        return [x[4] * c, x[5] * c, x[6] * c, x[7] * c, x[0], x[1], x[2], x[3]]
+
     def enclose(self, x: list[int]) -> tuple[int, int]:
         """Integer ends lo, hi with x in [lo, hi] / scale."""
         lo = hi = 0
         for k, (root_lo, root_hi) in zip(x, self.roots):
-            lo += k * (root_lo if k > 0 else root_hi)
-            hi += k * (root_hi if k > 0 else root_lo)
+            if k:
+                lo += k * (root_lo if k > 0 else root_hi)
+                hi += k * (root_hi if k > 0 else root_lo)
         return lo, hi
 
-    def quotient(self, x: list[int], den: tuple[int, int], k: int) -> Interval:
-        """x / (y·k), for an int k > 0 and a y > 0 in [den[0], den[1]] / scale."""
+    def quotient(self, x: list[int], den: tuple[int, int], k: int, shift: int = 0) -> Interval:
+        """x / (y·k) + shift / k, for ints k > 0 and shift, and a y > 0 in
+        [den[0], den[1]] / scale; each end one Fraction, and [0, 0] shared."""
         lo, hi = self.enclose(x)
-        return Interval._of(Fraction(lo, (den[1] if lo >= 0 else den[0]) * k),
-                            Fraction(hi, (den[0] if hi >= 0 else den[1]) * k))
+        if lo == hi == shift == 0:
+            return _ZERO
+        lo_den, hi_den = den[lo >= 0], den[hi < 0]
+        return Interval._of(Fraction(lo + shift * lo_den, lo_den * k),
+                            Fraction(hi + shift * hi_den, hi_den * k))
 
 
 def _identity(ring: _Ring, d: list[list[int]], v: tuple[int, int], h2: list[int]):
@@ -162,16 +164,15 @@ def _identity(ring: _Ring, d: list[list[int]], v: tuple[int, int], h2: list[int]
     (P·C)**2 DE**2, P·C·AE, P·C·EB, 2C·AH, 2C·BH and the residual times
     4 P**4 C**6.  E = tau·v is the foot from D, with T = P·C·tau = P·D·v."""
     c_sq = v[0] * v[0] + v[1] * v[1]
-    tee = _lin((v[0], d[0]), (v[1], d[1]))
-    de = [_lin((c_sq, d[i]), (-v[i], tee)) for i in (0, 1)]
-    de_sq = _lin((1, ring.mul(de[0], de[0])), (1, ring.mul(de[1], de[1])))
-    ae, eb, ah, bh = (
-        ring.mul(x, _SQRT_C)
-        for x in (tee, _lin((c_sq, _PERIMETER), (-1, tee)), h2, _lin((1, h2), (-2 * c_sq, _ONE)))
-    )
+    tee = [v[0] * x + v[1] * y for x, y in zip(*d)]
+    de = [[c_sq * x - vi * t for x, t in zip(di, tee)] for di, vi in zip(d, v)]
+    de_sq = [x + y for x, y in zip(ring.mul(de[0], de[0]), ring.mul(de[1], de[1]))]
+    ae, eb, ah, bh = map(ring.times_sqrt_c, (
+        tee, [c_sq * q - t for q, t in zip(_PERIMETER, tee)], h2, [h2[0] - 2 * c_sq, *h2[1:]]))
     # DE**4 AH**2 - EB**2 BH**2 AE**2 = (l - r)(l + r), l = DE**2 AH, r = EB BH AE
     lhs, rhs = ring.mul(de_sq, ah), ring.mul(ring.mul(eb, bh), ae)
-    return de_sq, ae, eb, ah, bh, ring.mul(_lin((1, lhs), (-1, rhs)), _lin((1, lhs), (1, rhs)))
+    return de_sq, ae, eb, ah, bh, ring.mul([l - r for l, r in zip(lhs, rhs)],
+                                           [l + r for l, r in zip(lhs, rhs)])
 
 
 def verify_heron_identity(
@@ -191,43 +192,42 @@ def verify_heron_identity(
     Z[√A, √B, √C] (A, B, C the squared sides), on integers.  Evaluation
     into the reals is a ring homomorphism, so an element that is 0
     proves its identity, whatever the radicands are, and its residual
-    is exactly [0, 0].  Every field is enclosed from the monomials'
-    square roots on the grid 10**-(p + 10).
+    is exactly [0, 0], with no Fraction built.  Every other end is one
+    Fraction, from the monomials' square roots on the grid 10**-(p + 10).
     """
-    p1 = t.p1
-    scale = math.lcm(*(q.denominator for pt in (p1, t.p2, t.p3) for q in (pt.x, pt.y)))
+    scale = math.lcm(*(q.denominator for pt in (t.p1, t.p2, t.p3) for q in (pt.x, pt.y)))
+    (x1, y1), (x2, y2), (x3, y3) = ([q.numerator * (scale // q.denominator) for q in (pt.x, pt.y)]
+                                    for pt in (t.p1, t.p2, t.p3))
     # p1 at the origin; the sides p1p2, p2p3 and p3p1, of squared lengths C, A and B.
-    v, u = ((int((q.x - p1.x) * scale), int((q.y - p1.y) * scale)) for q in (t.p2, t.p3))
+    v, u = (x2 - x1, y2 - y1), (x3 - x1, y3 - y1)
     sides = (((0, 0), v), (v, u), (u, (0, 0)))
-    sides_sq = [(x1 - x0) ** 2 + (y1 - y0) ** 2 for (x0, y0), (x1, y1) in sides]
-    ring = _Ring(sides_sq[1], sides_sq[2], sides_sq[0], 10 ** (p.decimal_digits + _GUARD_DIGITS))
-    # P·D = b·p2 + c·p3, and H = h·p2 with 2C·h = 2·AH·c, AH = c + (s - c).
-    d = [_lin((v[i], _SQRT_B), (u[i], _SQRT_C)) for i in (0, 1)]
-    h2 = ring.mul(_lin((2, _SQRT_C), (1, _PERIMETER), (-2, _SQRT_C)), _SQRT_C)
-    de_sq, ae, eb, ah, bh, identity = _identity(ring, d, v, h2)
+    c, a, b = sides_sq = [(xb - xa) ** 2 + (yb - ya) ** 2 for (xa, ya), (xb, yb) in sides]
+    ring = _Ring(a, b, c, 10 ** (p.decimal_digits + _GUARD_DIGITS))
+    # P·D = b·p2 + c·p3, and H = h·p2 with 2C·h = 2·AH·c = P·c, AH = c + (s - c) = s.
+    d = [[0, 0, v[i], 0, u[i], 0, 0, 0] for i in (0, 1)]
+    de_sq, ae, eb, ah, bh, identity = _identity(ring, d, v, ring.times_sqrt_c(_PERIMETER))
     # P·(D - p_i) x side i, squared: perp_sq[i] times P**2 |side i|**2.
-    cross = [_lin((x1 - x0, d[1]), (y0 - y1, d[0]), (x0 * y1 - y0 * x1, _PERIMETER))
-             for (x0, y0), (x1, y1) in sides]
+    cross = [[0, k, dx * v[1] + dy * v[0] + k, 0, dx * u[1] + dy * u[0] + k, 0, 0, 0]
+             for dx, dy, k in ((xb - xa, ya - yb, xa * yb - ya * xb)
+                               for (xa, ya), (xb, yb) in sides)]
     cross_sq = [ring.mul(x, x) for x in cross]
-    p_sq = ring.mul(_PERIMETER, _PERIMETER)
-    per, per_sq, one = ring.enclose(_PERIMETER), ring.enclose(p_sq), ring.enclose(_ONE)
-    length = scale * sides_sq[0]  # P·C·AE / (P·length) is AE in the triangle's units
+    p_sq = [a + b + c, 0, 0, 2, 0, 2, 2, 0]  # P**2
+    per, per_sq, one = ring.enclose(_PERIMETER), ring.enclose(p_sq), ring.roots[0]
+    length = scale * c  # P·C·AE / (P·length) is AE in the triangle's units
     return HeronIdentityReport(
-        incenter=PointBounds(*(ring.quotient(x, per, scale) + q for x, q in zip(d, (p1.x, p1.y)))),
+        incenter=PointBounds(*(ring.quotient(x, per, scale, q) for x, q in zip(d, (x1, y1)))),
         de_sq=ring.quotient(de_sq, per_sq, length * length),
         ae=ring.quotient(ae, per, length),
         eb=ring.quotient(eb, per, length),
         ah=ring.quotient(ah, one, 2 * length),
         bh=ring.quotient(bh, one, 2 * length),
-        identity_residual=ring.quotient(
-            identity, ring.enclose(ring.mul(p_sq, p_sq)), 4 * length ** 6
-        ),
-        perp_sq=tuple(
-            ring.quotient(x, per_sq, n * scale * scale) for x, n in zip(cross_sq, sides_sq)
-        ),
+        identity_residual=ring.quotient(identity, ring.enclose(ring.mul(p_sq, p_sq)),
+                                        4 * length ** 6),
+        perp_sq=tuple(ring.quotient(x, per_sq, n * scale * scale)
+                      for x, n in zip(cross_sq, sides_sq)),
         perp_residuals=tuple(
-            ring.quotient(_lin((sides_sq[j], cross_sq[i]), (-sides_sq[i], cross_sq[j])), per_sq,
-                          sides_sq[i] * sides_sq[j] * scale * scale)
-            for i, j in ((0, 1), (1, 2), (2, 0))
+            ring.quotient([n * x - m * y for x, y in zip(cross_sq[i], cross_sq[j])], per_sq,
+                          m * n * scale * scale)
+            for i, j, m, n in ((0, 1, c, a), (1, 2, a, b), (2, 0, b, c))
         ),
     )

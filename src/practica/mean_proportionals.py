@@ -169,14 +169,20 @@ def _chain(
     point, first on the grid at level e (so at an odd index g), the chain
     ends at step e on the point bracket L = H = L0*2**e + g*W.
 
-    The estimate places step k and the signs prove it: floor(root * M)
-    is taken at M = Q0*2**K, K eight levels deeper than the deepest step
-    asked for, and shifted down to level k, and the exact signs at the
-    ends of the cell it names prove that cell.  Otherwise the search
-    gallops from it in strides 1, 2, 4, ... until the sign changes, then
-    bisects: an estimate n cells off costs O(log n) signs, and none moves
-    the cell.  An exact zero at grid index g of level k ends the chain at
-    step k - v2(g), v2(g) the number of times 2 divides g.
+    The kernel keeps the deepest cell it has proved, as its level J and
+    index I, or the chain's end point.  Step k <= J is that cell shifted
+    to cell I >> (J - k), with no sign evaluated, and so is any step
+    before the end point's.  A deeper step is searched among the cell's
+    level-k descendants, [I << (k - J), (I + 1) << (k - J)], whose ends
+    have known signs.  The estimate places it and the signs prove it:
+    floor(root * M) is taken at M = Q0*2**K, K eight levels deeper than
+    the deepest step asked for, and shifted down to level k, and the
+    exact signs at the ends of the cell it names prove that cell.
+    Otherwise the search gallops from it in strides 1, 2, 4, ... until
+    the sign changes, then bisects: an estimate n cells off costs
+    O(log n) signs, and none moves the cell.  An exact zero at grid
+    index g of level k ends the chain at step k - v2(g), v2(g) the
+    number of times 2 divides g.
     """
     L0, H0, Q0 = _cleared(lo, hi)
     s_lo, s_hi = _sign(value_at(L0, Q0)), _sign(value_at(H0, Q0))
@@ -186,28 +192,36 @@ def _chain(
         )
     W = H0 - L0
     K, F = 0, L0  # F = floor(root * Q0 * 2**K); level 0 is one cell and needs none
+    J, I, ended = 0, 0, False  # the deepest cell proved, or the end point at level J
 
     def step(k: int) -> tuple[int, int, int, int]:
-        nonlocal K, F
-        if k > K:
-            K = k + 8
-            F = floor_root(Q0 << K)
-        base, Qk, a, b = L0 << k, Q0 << k, 0, 1 << k  # signs s_lo at a, s_hi at b
-        g, stride = min(max(((F >> (K - k)) - base) // W, 1), b - 1), 1
-        while b - a > 1:
-            if not a < g < b:
-                g = (a + b) >> 1
-            s = _sign(value_at(base + g * W, Qk))
-            if s == 0:
-                t = (g & -g).bit_length() - 1
-                P = (L0 << (k - t)) + (g >> t) * W
-                return k - t, P, P, Q0 << (k - t)
-            if s == s_lo:
-                a, g = g, g + stride
+        nonlocal K, F, J, I, ended
+        if k > J and not ended:
+            if k > K:
+                K = k + 8
+                F = floor_root(Q0 << K)
+            base, a, b = L0 << k, I << (k - J), (I + 1) << (k - J)  # signs s_lo at a, s_hi at b
+            g, stride = min(max(((F >> (K - k)) - base) // W, a + 1), b - 1), 1
+            while b - a > 1:
+                if not a < g < b:
+                    g = (a + b) >> 1
+                s = _sign(value_at(base + g * W, Q0 << k))
+                if s == 0:
+                    t = (g & -g).bit_length() - 1
+                    J, I, ended = k - t, g >> t, True
+                    break
+                if s == s_lo:
+                    a, g = g, g + stride
+                else:
+                    b, g = g, g - stride
+                stride *= 2
             else:
-                b, g = g, g - stride
-            stride *= 2
-        return k, base + a * W, base + b * W, Qk
+                J, I = k, a
+        if ended and k >= J:
+            P = (L0 << J) + I * W
+            return J, P, P, Q0 << J
+        i = I >> (J - k)
+        return k, (L0 << k) + i * W, (L0 << k) + (i + 1) * W, Q0 << k
 
     return step
 
@@ -230,7 +244,8 @@ def _bisect(
     step of the bisection chain that ``accept`` does not refuse; when the
     chain ends at a point bracket (an exact root) that ``accept`` still
     refuses, it raises PrecisionError.  It keeps nothing of the chain but
-    the estimate, so its memory is linear in the digits of the brackets.
+    the estimate and the deepest cell proved, so its memory is linear in
+    the digits of the brackets.
 
     There is no step budget.  The loop ends because, along any chain
     that narrows onto a root, ``accept`` eventually stops refusing:

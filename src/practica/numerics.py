@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from practica import heron
-from practica.geometry import Point2, dist_sq, orient
+from practica.geometry import Point2, PointBounds, dist_sq, orient
 from practica.heron import (
+    HeronIdentityReport,
     TriangleSides,
     TriangleVertices,
     heron_area_bounds,
@@ -179,11 +181,30 @@ def square_product_triangles(draw):
     return _figure(*points)
 
 
+@st.composite
+def coord_triangles(draw):
+    points = [(draw(coords), draw(coords)) for _ in range(3)]
+    assume(orient(*(Point2(*q) for q in points)) != 0)
+    return _figure(*points)
+
+
 @given(st.one_of(right_triangles(), isosceles_triangles(), square_product_triangles()))
 def test_special_radicands_decide_exactly_zero(tri):
     # Square radicands or square products make the monomials dependent;
     # the ring element is still identically 0.
     assert _decided_zero(verify_heron_identity(tri, Precision(10)))
+
+
+# Ring elements for the tests: 1, √B and √C, and their integer combinations.
+_ONE, _SQRT_B, _SQRT_C = ([int(m == k) for m in range(8)] for k in (0, 2, 4))
+
+
+def _lin(*terms: tuple[int, list[int]]) -> list[int]:
+    """The integer combination of elements sum(k * x) over (k, x) terms."""
+    out = [0] * 8
+    for k, x in terms:
+        out = [o + k * xm for o, xm in zip(out, x)]
+    return out
 
 
 @given(
@@ -207,6 +228,8 @@ def test_ring_product_matches_fraction_evaluation(x, y, roots):
         return total
 
     assert value(ring.mul(x, y)) == value(x) * value(y)
+    # the √C product is the ring product by √C
+    assert ring.times_sqrt_c(x) == ring.mul(x, _SQRT_C)
     # and is enclosed exactly: each monomial's ceiling root is its floor root
     assert ring.enclose(x) == (10 * value(x), 10 * value(x))
 
@@ -268,14 +291,117 @@ MUTANTS = {
     # H beyond p2 by s - b instead of s - c.
     "h offset": lambda ring, d, v, h2: (
         ring, d, v,
-        ring.mul(heron._lin((2, heron._SQRT_C), (1, heron._PERIMETER), (-2, heron._SQRT_B)),
-                 heron._SQRT_C),
+        ring.mul(_lin((2, _SQRT_C), (1, heron._PERIMETER), (-2, _SQRT_B)), _SQRT_C),
     ),
     # P·D doubled.
-    "scale": lambda ring, d, v, h2: (ring, [heron._lin((2, x)) for x in d], v, h2),
+    "scale": lambda ring, d, v, h2: (ring, [_lin((2, x)) for x in d], v, h2),
     # The foot dropped on p2's reflection in the diagonal.
     "side vector": lambda ring, d, v, h2: (ring, d, (v[1], v[0]), h2),
 }
+
+
+class _ReferenceRing:
+    """Z[√A, √B, √C] as the ring was first built: every product a full
+    8-by-8 product, and every quotient two fresh Fractions."""
+
+    def __init__(self, a: int, b: int, c: int, scale: int) -> None:
+        self.radicands = [(a if m & 1 else 1) * (b if m & 2 else 1) * (c if m & 4 else 1)
+                          for m in range(8)]
+        self.roots = []
+        for r in self.radicands:
+            n = r * scale * scale
+            root = math.isqrt(n)
+            self.roots.append((root, root + (root * root != n)))
+
+    def mul(self, x, y):
+        out = [0] * 8
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i ^ j] += xi * yj * self.radicands[i & j]
+        return out
+
+    def enclose(self, x):
+        lo = hi = 0
+        for k, (root_lo, root_hi) in zip(x, self.roots):
+            lo += k * (root_lo if k > 0 else root_hi)
+            hi += k * (root_hi if k > 0 else root_lo)
+        return lo, hi
+
+    def quotient(self, x, den, k):
+        lo, hi = self.enclose(x)
+        return Interval(Fraction(lo, (den[1] if lo >= 0 else den[0]) * k),
+                        Fraction(hi, (den[0] if hi >= 0 else den[1]) * k))
+
+
+def _reference_report(t: TriangleVertices, p: Precision) -> HeronIdentityReport:
+    """The incenter report built on Fractions and ``_lin`` combinations."""
+    p1, per_b = t.p1, heron._PERIMETER
+    scale = math.lcm(*(q.denominator for pt in (p1, t.p2, t.p3) for q in (pt.x, pt.y)))
+    v, u = ((int((q.x - p1.x) * scale), int((q.y - p1.y) * scale)) for q in (t.p2, t.p3))
+    sides = (((0, 0), v), (v, u), (u, (0, 0)))
+    sides_sq = [(x1 - x0) ** 2 + (y1 - y0) ** 2 for (x0, y0), (x1, y1) in sides]
+    ring = _ReferenceRing(sides_sq[1], sides_sq[2], sides_sq[0], 10 ** (p.decimal_digits + 10))
+    d = [_lin((v[i], _SQRT_B), (u[i], _SQRT_C)) for i in (0, 1)]
+    h2 = ring.mul(_lin((2, _SQRT_C), (1, per_b), (-2, _SQRT_C)), _SQRT_C)
+    c_sq = sides_sq[0]
+    tee = _lin((v[0], d[0]), (v[1], d[1]))
+    de = [_lin((c_sq, d[i]), (-v[i], tee)) for i in (0, 1)]
+    de_sq = _lin((1, ring.mul(de[0], de[0])), (1, ring.mul(de[1], de[1])))
+    ae, eb, ah, bh = (
+        ring.mul(x, _SQRT_C)
+        for x in (tee, _lin((c_sq, per_b), (-1, tee)), h2, _lin((1, h2), (-2 * c_sq, _ONE)))
+    )
+    lhs, rhs = ring.mul(de_sq, ah), ring.mul(ring.mul(eb, bh), ae)
+    identity = ring.mul(_lin((1, lhs), (-1, rhs)), _lin((1, lhs), (1, rhs)))
+    cross = [_lin((x1 - x0, d[1]), (y0 - y1, d[0]), (x0 * y1 - y0 * x1, per_b))
+             for (x0, y0), (x1, y1) in sides]
+    cross_sq = [ring.mul(x, x) for x in cross]
+    p_sq = ring.mul(per_b, per_b)
+    per, per_sq, one = ring.enclose(per_b), ring.enclose(p_sq), ring.enclose(_ONE)
+    length = scale * c_sq
+    return HeronIdentityReport(
+        incenter=PointBounds(*(ring.quotient(x, per, scale) + q for x, q in zip(d, (p1.x, p1.y)))),
+        de_sq=ring.quotient(de_sq, per_sq, length * length),
+        ae=ring.quotient(ae, per, length),
+        eb=ring.quotient(eb, per, length),
+        ah=ring.quotient(ah, one, 2 * length),
+        bh=ring.quotient(bh, one, 2 * length),
+        identity_residual=ring.quotient(
+            identity, ring.enclose(ring.mul(p_sq, p_sq)), 4 * length ** 6
+        ),
+        perp_sq=tuple(
+            ring.quotient(x, per_sq, n * scale * scale) for x, n in zip(cross_sq, sides_sq)
+        ),
+        perp_residuals=tuple(
+            ring.quotient(_lin((sides_sq[j], cross_sq[i]), (-sides_sq[i], cross_sq[j])), per_sq,
+                          sides_sq[i] * sides_sq[j] * scale * scale)
+            for i, j in ((0, 1), (1, 2), (2, 0))
+        ),
+    )
+
+
+# Apex p1 = (1, 1) with B = C = 25: the incenter's x is p1's, so P·(D - p1)
+# has the exact enclosure (0, 0) there, and the incenter end is 1, not 0.
+_INCENTER_ABOVE_P1 = _figure((1, 1), (-2, 5), (4, 5))
+
+
+def _with_reference_examples(test):
+    for tri in _generator_triangles(25) + FIGURES + [_INCENTER_ABOVE_P1]:
+        test = example(tri)(test)
+    return test
+
+
+@pytest.mark.parametrize("digits", [10, 30])
+@given(st.one_of(coord_triangles(), right_triangles(), isosceles_triangles(),
+                 square_product_triangles()))
+@_with_reference_examples
+def test_report_equals_the_ring_reference(digits, tri):
+    # Square radicands (right, isosceles, square-product triangles) give
+    # the ring zero divisors; the report is the reference's all the same.
+    report = verify_heron_identity(tri, Precision(digits))
+    expected = _reference_report(tri, Precision(digits))
+    assert report == expected
+    assert repr(report) == repr(expected)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
@@ -307,7 +433,7 @@ def test_identity_element_is_the_squared_form(monkeypatch, mutant):
         ring = args[0]
         de_sq, ae, eb, ah, bh, element = real(*MUTANTS[mutant](*args))
         sq = [ring.mul(x, x) for x in (de_sq, ah, eb, bh, ae)]
-        squared = heron._lin(
+        squared = _lin(
             (1, ring.mul(sq[0], sq[1])),
             (-1, ring.mul(ring.mul(sq[2], sq[3]), sq[4])),
         )

@@ -106,3 +106,37 @@ def test_modules_import_only_what_they_use():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names a module binds at its top level: functions,
+    classes and assignment targets, without dunders."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_private_names_are_read_by_the_library():
+    # A private name that no library module reads is dead code, even when
+    # a test still reaches it.  A bare read counts for its own module, an
+    # import for the module it names, and an attribute read for any.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "practica").glob("*.py"))}
+    read = {stem: set() for stem in trees}
+    attributes = set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[stem].add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                read[node.module].update(alias.name for alias in node.names)
+    dead = {stem: sorted(_private_definitions(tree) - read[stem] - attributes)
+            for stem, tree in trees.items()}
+    assert {stem: names for stem, names in dead.items() if names} == {}
