@@ -138,15 +138,15 @@ def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
 
 
 def _doubled(
-    sides: int, p: Precision, B: int, i_lo: int, i_hi: int, c_lo: int, c_hi: int
+    sides: int, p: Precision, s: int, b: int, i_lo: int, i_hi: int, c_lo: int, c_hi: int
 ) -> tuple[int, int, int, int]:
     """One doubling of the n-gon bounds i.lo, i.hi, c.lo, c.hi, given as
     positive numerators over B: the numerators over S = 10**D of i2.lo,
-    i2.hi, c2.lo and c2.hi (see `double_polygon`)."""
-    S = 10 ** _working_digits(p)
-    c2_lo = 2 * S * i_lo * c_lo // (B * (i_hi + c_hi))
-    c2_hi = -(-2 * S * i_hi * c_hi // (B * (i_lo + c_lo)))
-    i2_lo = math.isqrt(S * c2_lo * i_lo // B)
+    i2.hi, c2.lo and c2.hi (see `double_polygon`), given s/b = S/B in
+    lowest terms."""
+    c2_lo = 2 * s * i_lo * c_lo // (b * (i_hi + c_hi))
+    c2_hi = -(-2 * s * i_hi * c_hi // (b * (i_lo + c_lo)))
+    i2_lo = math.isqrt(s * c2_lo * i_lo // b)
     if i2_lo == 0:
         raise PrecisionError(
             f"cannot double {sides} sides at {p.decimal_digits} digits: "
@@ -156,7 +156,7 @@ def _doubled(
     # left of PolygonBounds' checks is the order of i2.lo and c2.hi.
     if not i2_lo < c2_hi:
         raise ValueError("inscribed/circumscribed bounds are inconsistent")
-    return i2_lo, _isqrt_ceil(-(-S * c2_hi * i_hi // B)), c2_lo, c2_hi
+    return i2_lo, _isqrt_ceil(-(-s * c2_hi * i_hi // b)), c2_lo, c2_hi
 
 
 def _on_grid(S: int, lo: int, hi: int) -> Interval:
@@ -187,16 +187,21 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
     of ``((2*i*c)/(i + c)).round_outward(D)``.  A real's root floored is
     the isqrt of its floor (ceilings likewise), so the i2 lines are the
     tightest enclosure of sqrt(c2*i) on the grid, never wider than
-    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  The chain
-    carries the numerators over S from step to step (B = S); this
-    function clears ``b``'s ends to one denominator, so bounds off the
-    grid double too.  Once the bounds have widened past the grid's reach
-    (at 1 digit, after about 34 doublings), i2.lo rounds to 0; that
-    raises `PrecisionError`.
+    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  Each line
+    reads S and B only as their ratio, so the step takes S/B in lowest
+    terms, s/b with g = gcd(S, B), s = S/g and b = B/g.  The chain
+    carries the numerators over S from step to step (B = S), so its step
+    takes s = b = 1 and needs no S/B factor; this function clears
+    ``b``'s ends to one denominator and reduces S/B once, so bounds off
+    the grid double too.  Once the bounds have widened past the grid's
+    reach (at 1 digit, after about 34 doublings), i2.lo rounds to 0;
+    that raises `PrecisionError`.
     """
     i, c = b.per_inscribed, b.per_circumscribed
     *ends, B = _cleared(i.lo, i.hi, c.lo, c.hi)
-    return _polygon(p, 2 * b.sides, *_doubled(b.sides, p, B, *ends))
+    S = 10 ** _working_digits(p)
+    g = math.gcd(S, B)
+    return _polygon(p, 2 * b.sides, *_doubled(b.sides, p, S // g, B // g, *ends))
 
 
 def _chain_seed_for(n: int) -> int:
@@ -215,12 +220,11 @@ def _chain_from(n: int, p: Precision) -> Iterator[tuple[int, int, int, int, int]
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
     if seed not in _SEEDS:
         raise ValueError(f"{n} sides is not reachable by doubling from a 3-, 4-, or 6-gon")
-    S = 10 ** _working_digits(p)
     sides, ends = seed, _seed_ends(seed, p)
     while True:
         if sides >= n:
             yield sides, *ends
-        ends = _doubled(sides, p, S, *ends)
+        ends = _doubled(sides, p, 1, 1, *ends)
         sides *= 2
 
 

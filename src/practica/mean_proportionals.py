@@ -8,31 +8,36 @@ answers are returned as certified intervals, from which the residuals of
 the two continued-proportion equations AB*y - x**2 and x*BC - y**2 follow.
 Each defect is an integer polynomial in the numerator and denominator of
 the route's parameter, whose coefficients are the route's constants with
-their denominators cleared once per solve (square roots are eliminated
+their denominators cleared once per problem (square roots are eliminated
 by squaring before comparing), so its signs are exact and bisection
-never accumulates rounding error.  Each polynomial is homogeneous, so
-its sign does not change when numerator and denominator share a factor,
-and the chain of bisection steps lives on integers: step k is a cell of
-the range's level-k dyadic grid, over one denominator that doubles at
-each step, with no Fraction and no gcd.  Because the signs are exact,
-the chain is fixed in advance, and the one kernel (``_bisect``) checks
-only some of its brackets, then searches back to the first step that
-passes.  It never walks the chain: every route knows its root in closed
-form, a cube root taken on integers, so ``_chain`` places each step it
-asks for and proves it by the exact signs at the cell's two ends.  A
-check that fails may estimate how many more halvings the bracket needs,
-and the kernel probes there.  Neither estimate changes the result: the
-signs fix each cell, and the checks are monotone along nested brackets.
+never accumulates rounding error.  A problem computes its width target,
+the target's decimal digits and its lines cleared to integers on first
+read and keeps them, and every route that solves it reads those.  Each
+polynomial is homogeneous, so its sign does not change when numerator
+and denominator share a factor, and the chain of bisection steps lives
+on integers: step k is a cell of the range's level-k dyadic grid, over
+one denominator that doubles at each step, with no Fraction and no gcd.
+Because the signs are exact, the chain is fixed in advance, and the one
+kernel (``_bisect``) checks only some of its brackets, then searches
+back to the first step that passes.  It never walks the chain: every
+route knows its root in closed form, a cube root taken on integers, so
+``_chain`` places each step it asks for and proves it by the exact
+signs at the cell's two ends.  A check that fails may estimate how many
+more halvings the bracket needs, and the kernel probes there.  Neither
+estimate changes the result: the signs fix each cell, and the checks
+are monotone along nested brackets.
 The checks take a bracket's integer ends, and the result is built only
 for the step the kernel settles on: heron, philo, apollonius and diocles
 compare the widths of the means as integer fractions, and nicomedes
-evaluates its cut and its means as intervals on integers.
+builds its figure and evaluates its cut and its means as intervals, all
+on integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -92,6 +97,28 @@ class MeanPropProblem:
         object.__setattr__(self, "bc", bc)
         object.__setattr__(self, "tol", tol)
 
+    # The cached values below are computed on first read, by whichever
+    # route reads them first, and kept on the instance, outside the
+    # fields: they stay out of repr, == and hash.
+
+    @cached_property
+    def width_target(self) -> Fraction:
+        """The width every route's means must get within: tol times
+        min(bc, max(1, ab)/8).  Tight enough that midpoints beat both the
+        relative agreement with the cube-root oracle and the
+        cross-multiplied residual bounds."""
+        return self.tol * min(self.bc, max(Fraction(1), self.ab) / 8)
+
+    @cached_property
+    def _lines(self) -> tuple[int, int, int]:
+        """(A, C, D) with ab = A/D and bc = C/D, D > 0 least."""
+        return _cleared(self.ab, self.bc)
+
+    @cached_property
+    def _digits(self) -> int:
+        """The decimal digits of the width target (see ``_digits_for``)."""
+        return _digits_for(self.width_target)
+
 
 @dataclass(frozen=True)
 class MeanPropResult:
@@ -125,12 +152,6 @@ def _digits_for(x: Fraction) -> int:
     return len(int_to_decimal(-(-x.denominator // x.numerator) - 1))
 
 
-def _width_target(prob: MeanPropProblem) -> Fraction:
-    # Tight enough that midpoints beat both the relative agreement with
-    # the cube-root oracle and the cross-multiplied residual bounds.
-    return prob.tol * min(prob.bc, max(Fraction(1), prob.ab) / 8)
-
-
 def _halvings(width: Fraction | int, target: Fraction | int) -> int:
     """The bit length of ceil(width / target), for Fractions or for a
     cross-multiplied ratio of integers: about how many halvings bring
@@ -145,7 +166,7 @@ def _sign(v: int) -> int:
 def _chain(
     value_at: Callable[[int, int], int],
     lo: Fraction,
-    hi: Fraction,
+    hi: Fraction | int,
     floor_root: Callable[[int], int],
 ) -> Callable[[int], tuple[int, int, int, int]]:
     """Random access to the chain of nested brackets that bisection on
@@ -229,7 +250,7 @@ def _chain(
 def _bisect(
     value_at: Callable[[int, int], int],
     lo: Fraction,
-    hi: Fraction,
+    hi: Fraction | int,
     floor_root: Callable[[int], int],
     accept: Callable[[int, int, int], object],
 ) -> object:
@@ -317,7 +338,7 @@ Ends = tuple[int, int, int, int]
 def _solve_defect(
     value_at: Callable[[int, int], int],
     lo: Fraction,
-    hi: Fraction,
+    hi: Fraction | int,
     floor_root: Callable[[int], int],
     evaluate: Callable[[int, int, int], tuple[Ends, Ends]],
     target: Fraction,
@@ -368,9 +389,8 @@ def _solve_slope(
     ``value_at`` changes sign; it cuts off x = AF = a/u and y = CG = u*c.
     The root is u = cbrt(a/c) = cbrt(A/C), so floor(u*M) is the integer
     cube root of floor(A*M**3/C), exactly."""
-    a, c = prob.ab, prob.bc
-    u_hi = Fraction(int_nth_root_floor(math.ceil(a / c), 3) + 1)
-    A, C, D = _cleared(a, c)
+    A, C, D = prob._lines
+    u_hi = int_nth_root_floor(-(-A // C), 3) + 1
 
     def floor_root(M: int) -> int:
         return int_nth_root_floor(A * M ** 3 // C, 3)
@@ -380,10 +400,10 @@ def _solve_slope(
         AQ, QD = A * Q, Q * D
         return (AQ, D * H, AQ, D * L), (C * L, QD, C * H, QD)
 
-    return _solve_defect(value_at, Fraction(1, 2), u_hi, floor_root, evaluate, _width_target(prob))
+    return _solve_defect(value_at, Fraction(1, 2), u_hi, floor_root, evaluate, prob.width_target)
 
 
-def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+def _heron_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
     """EF**2 - EG**2 at slope u > 0 as an integer polynomial, with E = (c/2, a/2) the
     diagonal midpoint and F = (-a/u, a), G = (c, -u*c) the cuts.
 
@@ -395,7 +415,7 @@ def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
     (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
     on whether P/Q is reduced."""
-    A, C, _ = _cleared(a, c)
+    A, C, _ = prob._lines
     diff = A * A - C * C
 
     def value_at(P: int, Q: int) -> int:
@@ -406,7 +426,7 @@ def _heron_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     return value_at
 
 
-def _apollonius_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+def _apollonius_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
     """sigma**2 + base - q**2 for sigma > c/2 as an integer polynomial, with
     base = (a**2 - c**2)/4.  The circle about E through F (AF = sigma - c/2)
     crosses the vertical through C sqrt(sigma**2 + base) below E's height,
@@ -421,7 +441,7 @@ def _apollonius_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     The form is homogeneous of degree 4 in (P, Q): ``value_at(P, Q)``
     (Q > 0) is Q**4 times a function of P/Q, so its sign does not depend
     on whether P/Q is reduced."""
-    A, C, D = _cleared(a, c)
+    A, C, D = prob._lines
     base4 = A * A - C * C  # 4 * base * D**2
 
     def value_at(P: int, Q: int) -> int:
@@ -455,17 +475,16 @@ def solve_heron_apollonius(
         return _trivial(HERON_APOLLONIUS, prob)
 
     if variant == "heron":
-        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_defect(a, c)), prob)
+        return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_defect(prob)), prob)
 
-    target = _width_target(prob)
-    digits = _digits_for(target) + 8
+    digits = prob._digits + 8
 
     # sigma is the (signed) distance from E's abscissa to the circle's
     # cut F on the horizontal through A; the matching vertical cut is
     # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below E's height.  With
     # a = A/D, c = C/D and sigma = S/Q, sigma**2 + (a**2 - c**2)/4 is
     # (4 D**2 S**2 + (A**2 - C**2) Q**2) / (4 D**2 Q**2).
-    A, C, D = _cleared(a, c)
+    A, C, D = prob._lines
     D2, DD4, base4, A2C8 = 2 * D, 4 * D * D, A * A - C * C, 8 * A * A * C
 
     def floor_root(M: int) -> int:
@@ -481,12 +500,12 @@ def solve_heron_apollonius(
         )
 
     means = _solve_defect(
-        _apollonius_defect(a, c), Fraction(c), c / 2 + a, floor_root, evaluate_sigma, target
+        _apollonius_defect(prob), c, c / 2 + a, floor_root, evaluate_sigma, prob.width_target
     )
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
 
 
-def _philo_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
+def _philo_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
     """BG - OF at slope u > 0 as an integer polynomial, read as abscissa
     differences along the line through B: G sits at abscissa c, the
     second circle crossing O at (c - u*a)/(1 + u**2) and the cut F at
@@ -499,7 +518,7 @@ def _philo_defect(a: Fraction, c: Fraction) -> Callable[[int, int], int]:
     construction.  The form is homogeneous of degree 3 in (P, Q):
     ``value_at(P, Q)`` (Q > 0) is Q**3 times a function of P/Q, so its
     sign does not depend on whether P/Q is reduced."""
-    A, C, _ = _cleared(a, c)
+    A, C, _ = prob._lines
 
     def value_at(P: int, Q: int) -> int:
         N = P * P + Q * Q
@@ -519,10 +538,9 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
     sqrt(1 + u**2), so the defect sign reduces to an exact rational
     comparison of abscissa differences along the line.
     """
-    a, c = prob.ab, prob.bc
-    if a == c:
+    if prob.ab == prob.bc:
         return _trivial(PHILO, prob)
-    return MeanPropResult(PHILO, *_solve_slope(prob, _philo_defect(a, c)), prob)
+    return MeanPropResult(PHILO, *_solve_slope(prob, _philo_defect(prob)), prob)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +603,7 @@ def cissoid_arc_defect(
     return dk.square() - kh * kl
 
 
-def _diocles_defect(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
+def _diocles_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
     """r**2 (r - m)**3 - k**2 (r + m)**3 at the chord foot m as an integer
     polynomial: the cissoid's height against the secant's, squared
     exactly.
@@ -596,7 +614,7 @@ def _diocles_defect(r: Fraction, k: Fraction) -> Callable[[int, int], int]:
     form is homogeneous of degree 3 in (P, Q): ``value_at(P, Q)`` (Q > 0)
     is Q**3 times a function of P/Q, so its sign does not depend on
     whether P/Q is reduced."""
-    R, K, D = _cleared(r, k)
+    R, K, D = prob._lines
     R2, K2 = R * R, K * K
 
     def value_at(P: int, Q: int) -> int:
@@ -616,12 +634,11 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
     with q = cbrt(k**2/r**2); q is taken 8 bits finer than the grid, so the
     estimate lands in the kernel's cell or next to it.
     """
-    r, k = prob.ab, prob.bc
-    if r == k:
+    r = prob.ab
+    if r == prob.bc:
         return _trivial(DIOCLES, prob)
-    target = _width_target(prob)
-    digits = _digits_for(target) + 8
-    R, K, D = _cleared(r, k)
+    digits = prob._digits + 8
+    R, K, D = prob._lines
 
     def floor_root(M: int) -> int:
         G = M << 8
@@ -637,7 +654,9 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         shn, shd = _isqrt_quotient(qhn, qhd, digits, up=True)
         return (R * sln, D * sld, R * shn, D * shd), (R * qln, D * qld, R * qhn, D * qhd)
 
-    means = _solve_defect(_diocles_defect(r, k), Fraction(0), r, floor_root, evaluate, target)
+    means = _solve_defect(
+        _diocles_defect(prob), Fraction(0), r, floor_root, evaluate, prob.width_target
+    )
     return MeanPropResult(DIOCLES, *means, prob)
 
 
@@ -723,31 +742,48 @@ def _intercept_defect(
     return value_at
 
 
-def _neusis_figure(
-    prob: MeanPropProblem, digits: int
-) -> tuple[tuple[tuple[int, int, int], ...], Interval]:
-    """Nicomedes' figure for ``prob`` (ab > bc): the cut constants (see
-    ``_intercept_defect``) of the line through C parallel to GZ and of the
-    base line, and the band [(L - e)**2, (L + e)**2] that the squared cut
-    must lie in, with L = AB/2 and e = 10**-(digits + 4) * max(1, L)
-    (``digits``: the decimal digits of the width target).
+def _cleared_pairs(*pairs: tuple[int, int]) -> tuple[int, ...]:
+    """The numerators that ``_cleared`` gives the rationals n/d of
+    ``pairs`` (d > 0, not necessarily reduced), without building them:
+    each times the least common multiple of the reduced denominators."""
+    m = math.lcm(*(d // math.gcd(n, d) for n, d in pairs))
+    return tuple(n * m // d for n, d in pairs)
+
+
+def _neusis_figure(prob: MeanPropProblem) -> tuple[tuple[tuple[int, int, int], ...], Ends]:
+    """Nicomedes' figure for ``prob`` (ab > bc), on integers: the cut
+    constants (see ``_intercept_defect``) of the line through C parallel
+    to GZ and of the base line, and the band [(L - e)**2, (L + e)**2]
+    that the squared cut must lie in, with L = AB/2 and
+    e = 10**-(d + 4) * max(1, L) (d: the decimal digits of the width
+    target), as its ends' numerators and denominators.
 
     The pole is Z = (c/2, -z), z the midpoint of the directed bounds on
-    sqrt((a**2 - c**2)/4) at 2*digits + 12 digits.  G = (-c, 0) always
-    (the line through the far corner and the midpoint of AB meets the
-    base line there), so the line through C parallel to GZ runs along
-    (3c/2, -z) with (C - Z) x v = -2cz, and the base line along (c, 0)
-    with (B - Z) x v = -cz, whose triple gives z back as -n/vx."""
-    a, c = prob.ab, prob.bc
-    A, C, D = _cleared(a, c)
+    sqrt((a**2 - c**2)/4) at 2*d + 12 digits, reduced by one gcd.
+    G = (-c, 0) always (the line through the far corner and the midpoint
+    of AB meets the base line there), so the line through C parallel to
+    GZ runs along (3c/2, -z) with (C - Z) x v = -2cz, and the base line
+    along (c, 0) with (B - Z) x v = -cz, whose triple gives z back as
+    -n/vx.  Each triple is cleared as ``_cleared`` clears those three
+    rationals.  With a = A/D and E = 10**(d + 4), L is AE and e is
+    max(2D, A) over 2DE, so the band's ends are (AE -+ max(2D, A))**2
+    over (2DE)**2, its low end 0 when AE <= max(2D, A)."""
+    A, C, D = prob._lines
+    cn, cd = prob.bc.numerator, prob.bc.denominator
+    digits = 2 * prob._digits + 12
     n, d = A * A - C * C, 4 * D * D  # z**2 = (a**2 - c**2)/4 = n/d
-    ln, ld = _isqrt_quotient(n, d, 2 * digits + 12, up=False)
-    hn, hd = _isqrt_quotient(n, d, 2 * digits + 12, up=True)
-    z = Fraction(ln * hd + hn * ld, 2 * ld * hd)
-    cuts = (_cleared(3 * c / 2, -z, -2 * c * z)[:3], _cleared(c, 0, -c * z)[:3])
-    L = a / 2
-    tol = Fraction(1, 10 ** (digits + 4)) * max(Fraction(1), L)
-    return cuts, Interval((L - tol) ** 2 if L > tol else Fraction(0), (L + tol) ** 2)
+    ln, ld = _isqrt_quotient(n, d, digits, up=False)
+    hn, hd = _isqrt_quotient(n, d, digits, up=True)
+    zn, zd = ln * hd + hn * ld, 2 * ld * hd
+    g = math.gcd(zn, zd)
+    zn, zd = zn // g, zd // g
+    cuts = (
+        _cleared_pairs((3 * cn, 2 * cd), (-zn, zd), (-2 * cn * zn, cd * zd)),
+        _cleared_pairs((cn, cd), (0, 1), (-cn * zn, cd * zd)),
+    )
+    E = 10 ** (prob._digits + 4)
+    L, e, den = A * E, max(2 * D, A), (2 * D * E) ** 2
+    return cuts, ((L - e) ** 2 if L > e else 0, den, (L + e) ** 2, den)
 
 
 def _square_ends(
@@ -773,13 +809,12 @@ def _pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 def _cut_check(
-    prob: MeanPropProblem,
-    cuts: tuple[tuple[int, int, int], ...],
-    target_sq: Interval,
-    target: Fraction,
+    prob: MeanPropProblem, cuts: tuple[tuple[int, int, int], ...], band: Ends
 ) -> Callable[[int, int, int], object]:
     """Nicomedes' ``accept`` for brackets [L/Q, H/Q] inside [0, 1], from
-    the figure of ``_neusis_figure`` (the pole's abscissa is c/2).
+    the figure of ``_neusis_figure`` (the pole's abscissa is c/2): its
+    cut constants and the band, any positive-width [bln/bld, bhn/bhd]
+    given as the four integers (bln, bld, bhn, bhd), bld and bhd > 0.
 
     It is interval evaluation of the cut over the bracket, done on
     integers: every quantity below is the value that the ``Interval``
@@ -799,18 +834,19 @@ def _cut_check(
     [a(c - w)/q, a(c + w)/p], w = q - p, so y's width is w times
     a(c + p + q)/(pq).  Every comparison and the halvings estimate are
     cross-multiplications, and an accepted bracket's builder makes the
-    Fractions only when the kernel settles on it.  The checks, in this
-    order: both denominators exclude 0; the squared cut lies in the band;
-    K lies beyond C; the means are no wider than the target."""
-    a, c = prob.ab, prob.bc
-    an, ad, cn, cd2 = a.numerator, a.denominator, c.numerator, 2 * c.denominator
+    Fractions, one from integers per end, only when the kernel settles
+    on it.  The checks, in this order: both denominators exclude 0; the
+    squared cut lies in the band; K lies beyond C; the means are no
+    wider than the width target."""
+    a, c, target = prob.ab, prob.bc, prob.width_target
+    an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+    cd2 = 2 * cd
     tn, td = target.numerator, target.denominator
     # the line through C, then the base line
     (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
     N1, Nk = -n1, -n_k
-    bln, bld = target_sq.lo.numerator, target_sq.lo.denominator
-    bhn, bhd = target_sq.hi.numerator, target_sq.hi.denominator
-    bwn, bwd = target_sq.width.numerator, target_sq.width.denominator
+    bln, bld, bhn, bhd = band
+    bwn, bwd = bhn * bld - bln * bhd, bhd * bld  # the band's width
 
     def accept(L: int, H: int, Q: int) -> object:
         QQ = Q * Q
@@ -831,7 +867,7 @@ def _cut_check(
         )
         (lo_n, lo_d), (hi_n, hi_d) = _pair_sum(x_lo, y_lo), _pair_sum(x_hi, y_hi)
         if not (bln * lo_d <= lo_n * bld and hi_n * bhd <= bhn * hi_d):
-            # _halvings(cut_sq.width, target_sq.width), cross-multiplied
+            # _halvings(cut_sq.width, the band's width), cross-multiplied
             return _halvings((hi_n * lo_d - lo_n * hi_d) * bwd, hi_d * lo_d * bwn)
         # x = K - c over [pn/pd, qn/qd]: Nk*dx/ek - c/2 at th, at tl
         pn, pd = cd2 * Nk * dxl - cn * ekl, cd2 * ekl
@@ -848,8 +884,13 @@ def _cut_check(
             def build() -> MeanPropResult:
                 x = Interval._of(Fraction(pn, pd), Fraction(qn, qd))
                 # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the
-                # quotient pairs each end of K * a with the far end of x
-                y = Interval._of((x.lo + c) * a / x.hi - a, (x.hi + c) * a / x.lo - a)
+                # quotient pairs each end of K * a with the far end of x:
+                # [a(c - w)/q, a(c + w)/p], c and w over cd*pd*qd
+                cw, wc = cn * pd * qd, (qn * pd - pn * qd) * cd
+                y = Interval._of(
+                    Fraction(an * (cw - wc), ad * cd * pd * qn),
+                    Fraction(an * (cw + wc), ad * cd * qd * pn),
+                )
                 return MeanPropResult(NICOMEDES, x, y, prob)
 
             return build
@@ -887,20 +928,19 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     the width target), K lies beyond C and the means meet the target.
     Its verdicts are monotone along nested brackets, so the kernel checks
     only O(log n) of a chain's n brackets (see ``_bisect``).  The figure
-    (see ``_neusis_figure``) takes Z's depth z from two integer square
-    roots.
+    (see ``_neusis_figure``) is built on integers and takes Z's depth z
+    from two integer square roots.
 
     The root is t = z/(|ZK| + c/2 + x), the half-angle tangent of Z -> K,
     estimated at the true x = cbrt(a**2 c).  The rounded z moves the
     figure's root by about a*dz/(3x), which can carry the means off the
     true ones at ratios near 1e34; the result is checked to enclose both
     on integers, and PrecisionError names the cause."""
-    a, c = prob.ab, prob.bc
-    if a == c:
+    a = prob.ab
+    if a == prob.bc:
         return _trivial(NICOMEDES, prob)
-    target = _width_target(prob)
-    cuts, target_sq = _neusis_figure(prob, _digits_for(target))
-    A, C, D = _cleared(a, c)
+    cuts, band = _neusis_figure(prob)
+    A, C, D = prob._lines
     A2C, D3, (_, (vx_k, _, n_k)) = A * A * C, D ** 3, cuts
 
     def floor_root(M: int) -> int:
@@ -909,7 +949,7 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         z = -n_k * S // vx_k
         return z * M // (math.isqrt(h * h + z * z) + h)
 
-    accept = _cut_check(prob, cuts, target_sq, target)
+    accept = _cut_check(prob, cuts, band)
     res = _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), floor_root, accept)
     if not (_cube_encloses(res.x, A2C, D3) and _cube_encloses(res.y, A * C * C, D3)):
         raise PrecisionError("the rounded pole depth moves the neusis off the means")

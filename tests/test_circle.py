@@ -213,9 +213,24 @@ _NEAR_GRID_FROM_BELOW = PolygonBounds(
 )
 
 
+# Bounds whose ends clear to B = S, to B = 3*S (g = gcd(S, B) = S, so the
+# step takes S/B as 1/3) and to B = 77 (g = 1), at 5 digits.
+_P5 = Precision(5)
+_S5 = 10 ** _working_digits(_P5)
+_C5 = Interval(Fraction(16, 5), Fraction(33, 10))
+_OVER_S = PolygonBounds(6, Interval(3 + Fraction(1, _S5), Fraction(31, 10)), _C5)
+_OVER_3S = PolygonBounds(6, Interval(3 + Fraction(1, 3 * _S5), Fraction(31, 10)), _C5)
+_OVER_7_AND_11 = PolygonBounds(
+    6, Interval(Fraction(20, 7), Fraction(22, 7)), Interval(Fraction(35, 11), Fraction(36, 11))
+)
+
+
 @given(doubling_inputs())
 @example((_NEAR_GRID_FROM_ABOVE, Precision(1)))
 @example((_NEAR_GRID_FROM_BELOW, Precision(1)))
+@example((_OVER_S, _P5))
+@example((_OVER_3S, _P5))
+@example((_OVER_7_AND_11, _P5))
 def test_doubling_is_the_tightest_grid_enclosure(case):
     # c2 is exactly the reference's; i2 is floor(S*sqrt(c2.lo*i.lo)) and
     # ceil(S*sqrt(c2.hi*i.hi)) over S, which lies inside the reference's
@@ -291,7 +306,7 @@ def test_integer_step_checks_the_order_of_its_bounds():
     # the chain builds no PolygonBounds between the bounds it returns, so
     # the integer step makes its check itself, with the same message
     with pytest.raises(ValueError, match=r"^inscribed/circumscribed bounds are inconsistent$"):
-        _doubled(6, P20, 1, 100, 100, 1, 1)
+        _doubled(6, P20, 1, 1, 100, 100, 1, 1)
 
 
 def test_bounds_nest_as_sides_double():

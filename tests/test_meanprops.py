@@ -25,6 +25,7 @@ from practica.mean_proportionals import (
     _bisect,
     _chain,
     _cleared,
+    _cleared_pairs,
     _cut_check,
     _digits_for,
     _diocles_defect,
@@ -34,7 +35,6 @@ from practica.mean_proportionals import (
     _neusis_figure,
     _philo_defect,
     _sign,
-    _width_target,
     cissoid_arc_defect,
     cissoid_points,
     conchoid_points,
@@ -149,7 +149,7 @@ def test_tight_tolerances_enclose_the_means(route, ab, bc, k):
     res = _ROUTES[route](prob)
     assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3
     assert res.y.lo ** 3 <= ab * bc * bc <= res.y.hi ** 3
-    target = _width_target(prob)
+    target = prob.width_target
     assert res.x.width <= target and res.y.width <= target
 
 
@@ -159,7 +159,7 @@ def test_ratios_near_one(k):
     # parallel to the base line; the sign there is +1, so it still brackets.
     ab, bc = 1 + Fraction(1, 10 ** k), Fraction(1)
     prob = MeanPropProblem(ab=ab, bc=bc)
-    target = _width_target(prob)
+    target = prob.width_target
     for route, solve in _ROUTES.items():
         res = solve(prob)
         assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3, route
@@ -197,6 +197,48 @@ def test_problem_refuses_inexact_numbers(kwargs):
     # A float would be stored as its binary value: 2.1 as 4728779608739021/2**51.
     with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
         MeanPropProblem(**kwargs)
+
+
+def test_width_target_is_tol_times_the_smaller_scale():
+    # tol * min(bc, max(1, ab)/8), read off the swap-normalized lines
+    tol = Fraction(1, 10 ** 9)
+    assert MeanPropProblem(Fraction(2), Fraction(1), tol).width_target == tol / 4
+    assert MeanPropProblem(Fraction(1, 100), Fraction(1, 2), tol).width_target == tol / 100
+    assert MeanPropProblem(Fraction(1000), Fraction(3), tol).width_target == 3 * tol
+
+
+def test_reading_the_width_target_leaves_the_problem_and_results_unchanged():
+    # The cached values live outside the dataclass fields.
+    prob = MeanPropProblem(ab=Fraction(7, 3), bc=Fraction(5, 11))
+    fresh = MeanPropProblem(ab=Fraction(7, 3), bc=Fraction(5, 11))
+    before = repr(prob), hash(prob)
+    results = {route: solve(prob) for route, solve in _ROUTES.items()}
+    expected = {route: repr(res) for route, res in results.items()}
+    assert prob.width_target == Fraction(7, 24) * prob.tol
+    assert (repr(prob), hash(prob)) == before == (repr(fresh), hash(fresh))
+    assert prob == fresh
+    for route, res in results.items():
+        assert repr(res) == expected[route], route
+        assert res == _ROUTES[route](fresh), route
+        assert hash(res.problem) == hash(fresh), route
+
+
+@pytest.mark.parametrize(
+    "ab, bc, tol",
+    [
+        (Fraction(2), Fraction(1), Fraction(1, 10 ** 12)),
+        (Fraction(7, 3), Fraction(5, 11), Fraction(1, 10 ** 6)),
+        (Fraction(10 ** 30), Fraction(1), Fraction(1, 10 ** 12)),
+        (1 + Fraction(1, 10 ** 15), Fraction(1), Fraction(1, 10 ** 12)),
+        (Fraction(1, 3), Fraction(1000, 7), Fraction(1, 10 ** 20)),
+    ],
+)
+def test_one_problem_shared_by_every_route_gives_the_fresh_results(ab, bc, tol):
+    # Whichever route reads the problem's cached integer form first, every
+    # route gives the result that a problem of its own gives.
+    shared = MeanPropProblem(ab=ab, bc=bc, tol=tol)
+    for route, solve in _ROUTES.items():
+        assert solve(shared) == solve(MeanPropProblem(ab=ab, bc=bc, tol=tol)), route
 
 
 def test_problem_takes_ints_and_fractions():
@@ -787,7 +829,7 @@ def test_route_signs_match_fraction_defects(x, y, s, w):
     a = max(x, y) if w is None else c * w ** 3
     roots = None if w is None else _exact_roots(c, w)
     for route, (make_value, defect, lo, hi) in _fraction_defects(a, c).items():
-        value_at = make_value(a, c)
+        value_at = make_value(MeanPropProblem(a, c))
         if a > c:  # the precondition of ``_bisect``; a == c never reaches it
             assert _sign_of(value_at, lo) * _sign_of(value_at, hi) == -1, route
         t = lo + (hi - lo) * s if roots is None else roots[route]
@@ -813,7 +855,7 @@ def test_route_signs_ignore_a_common_factor(x, y, s, w, k):
     a = max(x, y) if w is None else c * w ** 3
     roots = None if w is None else _exact_roots(c, w)
     for route, (make_value, defect, lo, hi) in _fraction_defects(a, c).items():
-        value_at = make_value(a, c)
+        value_at = make_value(MeanPropProblem(a, c))
         t = lo + (hi - lo) * s if roots is None else roots[route]
         g = defect(t)
         P, Q = t.numerator, t.denominator
@@ -906,6 +948,21 @@ def test_digits_for_matches_the_loop(x):
     assert _digits_for(x) == _digits_by_loop(x)
 
 
+_ratio = st.tuples(
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.integers(min_value=1, max_value=10 ** 40),
+)
+
+
+@given(st.lists(_ratio, min_size=1, max_size=4), st.integers(min_value=1, max_value=10 ** 6))
+def test_cleared_pairs_clears_as_cleared_does(pairs, k):
+    # Unreduced pairs, and every pair scaled by k, give the numerators
+    # ``_cleared`` gives the Fractions.
+    expected = _cleared(*(Fraction(n, d) for n, d in pairs))[:-1]
+    assert _cleared_pairs(*pairs) == expected
+    assert _cleared_pairs(*((k * n, k * d) for n, d in pairs)) == expected
+
+
 def test_digits_for_rejects_nonpositive_targets():
     for x in (Fraction(0), Fraction(-1, 10)):
         with pytest.raises(ValueError, match="^width target must be positive$"):
@@ -955,15 +1012,18 @@ def _interval_cut_check(prob, z, cuts, target_sq, target):
     return accept
 
 
+def _band_ends(band):
+    """An Interval band as the four integers ``_cut_check`` takes."""
+    return band.lo.numerator, band.lo.denominator, band.hi.numerator, band.hi.denominator
+
+
 def _both_checks(prob):
     """The integer check and the interval reference on one figure, and
     the figure's value function."""
-    target = _width_target(prob)
-    digits = _digits_for(target)
-    cuts, target_sq = _neusis_figure(prob, digits)
-    z = _figure_by_points(prob, digits)[0]
+    target = prob.width_target
+    z, cuts, target_sq = _figure_by_points(prob, _digits_for(target))
     return (
-        _cut_check(prob, cuts, target_sq, target),
+        _cut_check(prob, cuts, _band_ends(target_sq)),
         _interval_cut_check(prob, z, cuts, target_sq, target),
         _intercept_defect(cuts, prob.ab / 2),
     )
@@ -1032,16 +1092,14 @@ def test_cut_check_equals_the_interval_check(prob, data):
 @settings(max_examples=100, deadline=None)
 def test_cut_check_band_is_closed(prob, data):
     # A band that ends exactly at the squared cut's ends holds it.
-    target = _width_target(prob)
-    digits = _digits_for(target)
-    cuts, _ = _neusis_figure(prob, digits)
-    z = _figure_by_points(prob, digits)[0]
+    target = prob.width_target
+    z, cuts, _ = _figure_by_points(prob, _digits_for(target))
     L, H, Q = data.draw(_neusis_brackets(_intercept_defect(cuts, prob.ab / 2)))
     cut = _interval_cut(z, cuts, Fraction(L, Q), Fraction(H, Q))
     assume(cut is not None)
     cut_sq = cut[1]
     for band in (cut_sq, Interval(cut_sq.lo, cut_sq.hi + 1), Interval(cut_sq.lo / 2, cut_sq.hi)):
-        check = _cut_check(prob, cuts, band, target)
+        check = _cut_check(prob, cuts, _band_ends(band))
         reference = _interval_cut_check(prob, z, cuts, band, target)
         verdict, expected = _verdicts(check, reference, L, H, Q)
         assert verdict == expected
@@ -1084,7 +1142,7 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
 def test_neusis_cut_constants_have_fixed_signs(prob):
     # The signs the integer check relies on, for every ab > bc: the line
     # through C runs right and down with n1 < 0; the base line runs right.
-    cuts, _ = _neusis_figure(prob, _digits_for(_width_target(prob)))
+    cuts, _ = _neusis_figure(prob)
     (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
     assert vx1 > 0 and vy1 < 0 and n1 < 0
     assert vx_k > 0 and vy_k == 0 and n_k < 0
@@ -1103,12 +1161,13 @@ def _edge(ab, tol):
 @example(_edge(Fraction(2), 30))
 @settings(max_examples=150, deadline=None)
 def test_neusis_figure_equals_the_fraction_reference(prob):
-    # The closed-form cut constants and the one-Fraction pole are the
-    # values the Point2 figure gives, and the base line's triple holds the
-    # pole's depth.
-    digits = _digits_for(_width_target(prob))
-    z, cuts, target_sq = _figure_by_points(prob, digits)
-    assert _neusis_figure(prob, digits) == (cuts, target_sq)
+    # The integer cut constants are the triples the Point2 figure gives,
+    # the base line's triple holds the pole's depth, and the band's
+    # integer ends are the reference band's ends.
+    z, cuts, target_sq = _figure_by_points(prob, _digits_for(prob.width_target))
+    got_cuts, (bln, bld, bhn, bhd) = _neusis_figure(prob)
+    assert got_cuts == cuts
+    assert (Fraction(bln, bld), Fraction(bhn, bhd)) == (target_sq.lo, target_sq.hi)
     _, (vx_k, _, n_k) = cuts
     assert Fraction(n_k, vx_k) == z.y
 
