@@ -26,11 +26,15 @@ signs at the cell's two ends.  A check that fails may estimate how many
 more halvings the bracket needs, and the kernel probes there.  Neither
 estimate changes the result: the signs fix each cell, and the checks
 are monotone along nested brackets.
-The checks take a bracket's integer ends, and the result is built only
-for the step the kernel settles on: heron, philo, apollonius and diocles
-compare the widths of the means as integer fractions, and nicomedes
-builds its figure and evaluates its cut and its means as intervals, all
-on integers.
+The routes differ only in their figure: a defect, a range, a root
+estimate and ``evaluate``, which maps a bracket's integer ends to the
+integer ends of the means.  The kernel alone judges a bracket: it
+compares the widths of both means with the width target as integer
+cross-products and builds the Intervals only for the step it settles
+on.  Heron and philo map the bracket exactly, apollonius and diocles
+through directed square-root bounds, and nicomedes through the interval
+expressions of its cut, evaluated on integers, which may refuse a
+bracket before its means can be read.
 """
 
 from __future__ import annotations
@@ -247,73 +251,92 @@ def _chain(
     return step
 
 
+#: A mean's ends over a bracket as integers (lo_num, lo_den, hi_num,
+#: hi_den), denominators positive.
+Ends = tuple[int, int, int, int]
+
+
 def _bisect(
     value_at: Callable[[int, int], int],
     lo: Fraction,
     hi: Fraction | int,
     floor_root: Callable[[int], int],
-    accept: Callable[[int, int, int], object],
-) -> object:
-    """Bisect [lo, hi] on exact signs until ``accept`` takes a bracket.
+    evaluate: Callable[[int, int, int], tuple[Ends, Ends] | int | None],
+    target: Fraction,
+) -> tuple[Interval, Interval]:
+    """Bisect [lo, hi] on exact signs until the means x and y that
+    ``evaluate`` reads off a bracket are both no wider than ``target``.
 
     ``value_at``, [lo, hi] and ``floor_root`` are as ``_chain`` takes
-    them.  ``accept(L, H, Q)`` judges the bracket [L/Q, H/Q] (Q > 0, not
-    reduced): to accept it returns a builder, a function of no arguments
-    that makes the result from the integers ``accept`` computed; to keep
-    narrowing, None or an int, its estimate of how many more halvings
-    the bracket needs.  The kernel calls one builder, that of the first
-    step of the bisection chain that ``accept`` does not refuse; when the
-    chain ends at a point bracket (an exact root) that ``accept`` still
-    refuses, it raises PrecisionError.  It keeps nothing of the chain but
-    the estimate and the deepest cell proved, so its memory is linear in
-    the digits of the brackets.
+    them.  ``evaluate(L, H, Q)`` reads the bracket [L/Q, H/Q] (Q > 0, not
+    reduced): it returns the integer ends of x and of y, or, while the
+    bracket cannot be read yet, None or an int, its estimate of how many
+    more halvings the bracket needs.  The kernel compares both widths
+    with the target as integer cross-products and refuses a wider
+    bracket with the halvings still lacking from the wider of the two
+    (the value ``_halvings`` gives).  It returns x and y as Intervals,
+    built only for the first step of the bisection chain that it does
+    not refuse; when the chain ends at a point bracket (an exact root)
+    that it still refuses, it raises PrecisionError.  It keeps nothing
+    of the chain but the estimate and the deepest cell proved, so its
+    memory is linear in the digits of the brackets.
 
     There is no step budget.  The loop ends because, along any chain
-    that narrows onto a root, ``accept`` eventually stops refusing:
-    heron and philo read x and y through exact maps; apollonius and
-    diocles go through directed square-root bounds, whose error falls as
-    endpoint denominators grow like 2**k; and nicomedes' ``accept``, the
-    interval expressions of its cut and of its means computed on integers
-    (see ``_cut_check``), converges at its root since the cut
-    denominators are nonzero for t > 0 and K lies beyond C there.
+    that narrows onto a root, the means narrow onto the true ones and
+    ``evaluate`` eventually reads them: heron and philo read x and y
+    through exact maps; apollonius and diocles go through directed
+    square-root bounds, whose error falls as endpoint denominators grow
+    like 2**k; and nicomedes reads them off the interval expressions of
+    its cut (see ``_neusis_means``), which converge at its root since
+    the cut denominators are nonzero for t > 0 and K lies beyond C
+    there.
 
-    Contract: along nested brackets, "accept does not refuse" is
-    monotone.  Interval arithmetic on exact endpoints is
-    inclusion-isotonic, so a certification that succeeds on a bracket
-    succeeds on any sub-bracket.  (Apollonius and diocles read their
-    means through directed square-root bounds, monotone only up to their
-    last-digit rounding; a width within that rounding of the target at a
-    skipped step is the one way they could settle on another step than
-    the step-by-step loop.)
+    Contract: along nested brackets, "not refused" is monotone.  Interval
+    arithmetic on exact endpoints is inclusion-isotonic, so means that
+    meet the target on a bracket meet it on any sub-bracket.
+    (Apollonius and diocles read their means through directed
+    square-root bounds, monotone only up to their last-digit rounding; a
+    width within that rounding of the target at a skipped step is the
+    one way they could settle on another step than the step-by-step
+    loop.)
 
-    The chain depends on the signs alone, so ``accept`` is called only
-    at some of its steps, and ``_chain`` places only the steps the
-    probes reach.  After a refusal at step s the next probe is step
-    s + max(estimate, jump): the minimum jump is 1 at first and doubles
-    at each refusal, so refusals without an estimate probe steps 0, 1,
-    3, 7, 15, ..., and the chain's last step when the chain ends first.
-    Once a probe is accepted, the first accepted step lies between the
-    last refused probe and it, and later probes stay there: the step
-    just before an accepted probe that an estimate placed; after a
-    refusal with an estimate, s + max(estimate, jump) or the step just
-    before the accepted probe, whichever is nearer; otherwise the middle
-    step.  Without estimates a chain settled at step k costs at most
-    2*ceil(log2(k + 2)) + 2 calls, an exact estimate settles it in 3,
-    and any estimates cost O(log n) calls, n the furthest step they send
-    the kernel to.  Whatever the kernel returns is still the verdict
-    ``accept`` gave on that very bracket, and its being the first such
-    step rests on the contract alone.
+    The chain depends on the signs alone, so only some of its steps are
+    read, and ``_chain`` places only the steps the probes reach.  After
+    a refusal at step s the next probe is step s + max(estimate, jump):
+    the minimum jump is 1 at first and doubles at each refusal, so
+    refusals without an estimate probe steps 0, 1, 3, 7, 15, ..., and
+    the chain's last step when the chain ends first.  Once a probe is
+    accepted, the first accepted step lies between the last refused
+    probe and it, and later probes stay there: the step just before an
+    accepted probe that an estimate placed; after a refusal with an
+    estimate, s + max(estimate, jump) or the step just before the
+    accepted probe, whichever is nearer; otherwise the middle step.
+    Without estimates a chain settled at step k costs at most
+    2*ceil(log2(k + 2)) + 2 reads, an exact estimate settles it in 3,
+    and any estimates cost O(log n) reads, n the furthest step they send
+    the kernel to.  Whatever the kernel returns is still read off that
+    very bracket, and its being the first such step rests on the
+    contract alone.
     """
     step = _chain(value_at, lo, hi, floor_root)
+    tn, td = target.numerator, target.denominator
     none_at, ok_at = -1, None  # last step known refused; first step known accepted
     probe, jump, guessed = 0, 1, False  # next step; minimum jump; placed by an estimate
     while True:
         probe, L, H, Q = step(probe)
         if probe == none_at:  # the chain ended at a point bracket, never accepted
             raise PrecisionError("enclosure too wide at an exact root")
-        verdict = accept(L, H, Q)
-        if callable(verdict):  # accepted
-            ok_at, found = probe, verdict
+        verdict = evaluate(L, H, Q)
+        if type(verdict) is tuple:
+            (xln, xld, xhn, xhd), (yln, yld, yhn, yhd) = verdict
+            n, d = xhn * xld - xln * xhd, xhd * xld  # x's width is n/d
+            yn, yd = yhn * yld - yln * yhd, yhd * yld
+            if yn * d > n * yd:
+                n, d = yn, yd
+            if n * td > tn * d:
+                verdict = _halvings(n * td, d * tn)
+        if type(verdict) is tuple:  # accepted
+            ok_at, ends = probe, verdict
             probe = probe - 1 if guessed else (none_at + probe) // 2
             guessed = False
         elif verdict is None and ok_at is not None:
@@ -326,45 +349,12 @@ def _bisect(
             jump *= 2
         if ok_at is not None:  # the first step accepted lies in (none_at, ok_at]
             if ok_at - none_at == 1:
-                return found()
+                (xln, xld, xhn, xhd), (yln, yld, yhn, yhd) = ends
+                return (
+                    Interval._of(Fraction(xln, xld), Fraction(xhn, xhd)),
+                    Interval._of(Fraction(yln, yld), Fraction(yhn, yhd)),
+                )
             probe = min(probe, ok_at - 1)
-
-
-#: A mean's ends over a bracket as integers (lo_num, lo_den, hi_num,
-#: hi_den), denominators positive.
-Ends = tuple[int, int, int, int]
-
-
-def _solve_defect(
-    value_at: Callable[[int, int], int],
-    lo: Fraction,
-    hi: Fraction | int,
-    floor_root: Callable[[int], int],
-    evaluate: Callable[[int, int, int], tuple[Ends, Ends]],
-    target: Fraction,
-) -> tuple[Interval, Interval]:
-    """Narrow [lo, hi] until the means x and y that ``evaluate(L, H, Q)``
-    reads off the bracket [L/Q, H/Q] are both no wider than the target.
-    The widths are compared as integer cross-products, a refusal
-    estimates the halvings still lacking from the wider of the two (the
-    value ``_halvings`` gives), and the Intervals are built only for the
-    step the kernel settles on."""
-    tn, td = target.numerator, target.denominator
-
-    def accept(L: int, H: int, Q: int) -> Callable[[], tuple[Interval, Interval]] | int:
-        (xln, xld, xhn, xhd), (yln, yld, yhn, yhd) = evaluate(L, H, Q)
-        n, d = xhn * xld - xln * xhd, xhd * xld
-        yn, yd = yhn * yld - yln * yhd, yhd * yld
-        if yn * d > n * yd:
-            n, d = yn, yd
-        if n * td <= tn * d:
-            return lambda: (
-                Interval._of(Fraction(xln, xld), Fraction(xhn, xhd)),
-                Interval._of(Fraction(yln, yld), Fraction(yhn, yhd)),
-            )
-        return _halvings(n * td, d * tn)
-
-    return _bisect(value_at, lo, hi, floor_root, accept)
 
 
 def _cube_encloses(iv: Interval, n: int, d: int) -> bool:
@@ -400,7 +390,7 @@ def _solve_slope(
         AQ, QD = A * Q, Q * D
         return (AQ, D * H, AQ, D * L), (C * L, QD, C * H, QD)
 
-    return _solve_defect(value_at, Fraction(1, 2), u_hi, floor_root, evaluate, prob.width_target)
+    return _bisect(value_at, Fraction(1, 2), u_hi, floor_root, evaluate, prob.width_target)
 
 
 def _heron_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
@@ -499,7 +489,7 @@ def solve_heron_apollonius(
             (D2 * rln - A * rld, D2 * rld, D2 * rhn - A * rhd, D2 * rhd),
         )
 
-    means = _solve_defect(
+    means = _bisect(
         _apollonius_defect(prob), c, c / 2 + a, floor_root, evaluate_sigma, prob.width_target
     )
     return MeanPropResult(HERON_APOLLONIUS, *means, prob)
@@ -654,7 +644,7 @@ def solve_diocles(prob: MeanPropProblem) -> MeanPropResult:
         shn, shd = _isqrt_quotient(qhn, qhd, digits, up=True)
         return (R * sln, D * sld, R * shn, D * shd), (R * qln, D * qld, R * qhn, D * qhd)
 
-    means = _solve_defect(
+    means = _bisect(
         _diocles_defect(prob), Fraction(0), r, floor_root, evaluate, prob.width_target
     )
     return MeanPropResult(DIOCLES, *means, prob)
@@ -742,14 +732,6 @@ def _intercept_defect(
     return value_at
 
 
-def _cleared_pairs(*pairs: tuple[int, int]) -> tuple[int, ...]:
-    """The numerators that ``_cleared`` gives the rationals n/d of
-    ``pairs`` (d > 0, not necessarily reduced), without building them:
-    each times the least common multiple of the reduced denominators."""
-    m = math.lcm(*(d // math.gcd(n, d) for n, d in pairs))
-    return tuple(n * m // d for n, d in pairs)
-
-
 def _neusis_figure(prob: MeanPropProblem) -> tuple[tuple[tuple[int, int, int], ...], Ends]:
     """Nicomedes' figure for ``prob`` (ab > bc), on integers: the cut
     constants (see ``_intercept_defect``) of the line through C parallel
@@ -764,8 +746,9 @@ def _neusis_figure(prob: MeanPropProblem) -> tuple[tuple[tuple[int, int, int], .
     of AB meets the base line there), so the line through C parallel to
     GZ runs along (3c/2, -z) with (C - Z) x v = -2cz, and the base line
     along (c, 0) with (B - Z) x v = -cz, whose triple gives z back as
-    -n/vx.  Each triple is cleared as ``_cleared`` clears those three
-    rationals.  With a = A/D and E = 10**(d + 4), L is AE and e is
+    -n/vx.  With c = cn/cd and z = zn/zd, the triples are those times
+    2*cd*zd and times zd/c: (3*cn*zd, -2*cd*zn, -4*cn*zn) and
+    (zd, 0, -zn).  With a = A/D and E = 10**(d + 4), L is AE and e is
     max(2D, A) over 2DE, so the band's ends are (AE -+ max(2D, A))**2
     over (2DE)**2, its low end 0 when AE <= max(2D, A)."""
     A, C, D = prob._lines
@@ -777,10 +760,7 @@ def _neusis_figure(prob: MeanPropProblem) -> tuple[tuple[tuple[int, int, int], .
     zn, zd = ln * hd + hn * ld, 2 * ld * hd
     g = math.gcd(zn, zd)
     zn, zd = zn // g, zd // g
-    cuts = (
-        _cleared_pairs((3 * cn, 2 * cd), (-zn, zd), (-2 * cn * zn, cd * zd)),
-        _cleared_pairs((cn, cd), (0, 1), (-cn * zn, cd * zd)),
-    )
+    cuts = ((3 * cn * zd, -2 * cd * zn, -4 * cn * zn), (zd, 0, -zn))
     E = 10 ** (prob._digits + 4)
     L, e, den = A * E, max(2 * D, A), (2 * D * E) ** 2
     return cuts, ((L - e) ** 2 if L > e else 0, den, (L + e) ** 2, den)
@@ -808,10 +788,10 @@ def _pair_sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return xn * yd + yn * xd, xd * yd
 
 
-def _cut_check(
+def _neusis_means(
     prob: MeanPropProblem, cuts: tuple[tuple[int, int, int], ...], band: Ends
-) -> Callable[[int, int, int], object]:
-    """Nicomedes' ``accept`` for brackets [L/Q, H/Q] inside [0, 1], from
+) -> Callable[[int, int, int], tuple[Ends, Ends] | int | None]:
+    """Nicomedes' ``evaluate`` for brackets [L/Q, H/Q] inside [0, 1], from
     the figure of ``_neusis_figure`` (the pole's abscissa is c/2): its
     cut constants and the band, any positive-width [bln/bld, bhn/bhd]
     given as the four integers (bln, bld, bhn, bhd), bld and bhd > 0.
@@ -829,26 +809,22 @@ def _cut_check(
     over [ekh, ekl], all >= 0, so each denominator excludes 0 unless its
     smaller end is 0.  The low ends of both cut coordinates are then
     integers over e1l * ekh, the high ends over e1h * ekl; only their
-    squares need a sign case.  The means are read on integers too: x =
-    CK runs over [p, q] with K = c/2 + lam_k * dx, and y = a*K/x - a over
-    [a(c - w)/q, a(c + w)/p], w = q - p, so y's width is w times
-    a(c + p + q)/(pq).  Every comparison and the halvings estimate are
-    cross-multiplications, and an accepted bracket's builder makes the
-    Fractions, one from integers per end, only when the kernel settles
-    on it.  The checks, in this order: both denominators exclude 0; the
-    squared cut lies in the band; K lies beyond C; the means are no
-    wider than the width target."""
-    a, c, target = prob.ab, prob.bc, prob.width_target
+    squares need a sign case.  It refuses a bracket, in this order,
+    unless both denominators exclude 0 (None), the squared cut lies in
+    the band (the halvings estimate, cross-multiplied) and K lies beyond
+    C (None).  Otherwise it reads the means on integers: x = CK runs
+    over [p, q] with K = c/2 + lam_k * dx, and y = a*K/x - a over
+    [a(c - w)/q, a(c + w)/p], w = q - p."""
+    a, c = prob.ab, prob.bc
     an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
-    cd2 = 2 * cd
-    tn, td = target.numerator, target.denominator
+    cd2, acd = 2 * cd, ad * cd
     # the line through C, then the base line
     (vx1, vy1, n1), (vx_k, vy_k, n_k) = cuts
     N1, Nk = -n1, -n_k
     bln, bld, bhn, bhd = band
     bwn, bwd = bhn * bld - bln * bhd, bhd * bld  # the band's width
 
-    def accept(L: int, H: int, Q: int) -> object:
+    def evaluate(L: int, H: int, Q: int) -> tuple[Ends, Ends] | int | None:
         QQ = Q * Q
         dxl, dxh = QQ - H * H, QQ - L * L  # Q**2 (1 - t**2) at th, at tl
         dyl, dyh = 2 * L * Q, 2 * H * Q  # Q**2 * 2t at tl, at th
@@ -874,29 +850,13 @@ def _cut_check(
         if pn <= 0:
             return None  # K may still lie beyond C: narrow until it is decided
         qn, qd = cd2 * Nk * dxh - cn * ekh, cd2 * ekh
-        wn, wd = qn * pd - pn * qd, pd * qd  # x's width
-        # y's width over x's, a(c + p + q)/(pq), with c = cn*2/cd2
-        rn, rd = an * (2 * cn * wd + cd2 * (pn * qd + qn * pd)), ad * cd2 * pn * qn
-        if rn > rd:
-            wn, wd = wn * rn, wd * rd
-        if wn * td <= tn * wd:
+        # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the quotient
+        # pairs each end of K * a with the far end of x: [a(c - w)/q,
+        # a(c + w)/p], c and w over cd*pd*qd
+        cw, wc = cn * pd * qd, (qn * pd - pn * qd) * cd
+        return (pn, pd, qn, qd), (an * (cw - wc), acd * pd * qn, an * (cw + wc), acd * qd * pn)
 
-            def build() -> MeanPropResult:
-                x = Interval._of(Fraction(pn, pd), Fraction(qn, qd))
-                # MA, with M = (0, K * a / x); K > c > 0 and a > 0, so the
-                # quotient pairs each end of K * a with the far end of x:
-                # [a(c - w)/q, a(c + w)/p], c and w over cd*pd*qd
-                cw, wc = cn * pd * qd, (qn * pd - pn * qd) * cd
-                y = Interval._of(
-                    Fraction(an * (cw - wc), ad * cd * pd * qn),
-                    Fraction(an * (cw + wc), ad * cd * qd * pn),
-                )
-                return MeanPropResult(NICOMEDES, x, y, prob)
-
-            return build
-        return _halvings(wn * td, wd * tn)
-
-    return accept
+    return evaluate
 
 
 def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
@@ -922,14 +882,15 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
     C.  Both cut denominators are nonzero for t > 0; at t = 0 the line
     is parallel to the base line and the cut is unbounded (sign +1), and
     at t = 1 it is a third of Z's depth below the base line, less than
-    a/2 (sign -1).  ``_cut_check`` checks a bracket by the interval
-    expressions of the cut and of the means, computed on integers: the
-    cut lies within 10**-(d + 4) * max(1, L) of L (d the decimal digits of
-    the width target), K lies beyond C and the means meet the target.
-    Its verdicts are monotone along nested brackets, so the kernel checks
-    only O(log n) of a chain's n brackets (see ``_bisect``).  The figure
-    (see ``_neusis_figure``) is built on integers and takes Z's depth z
-    from two integer square roots.
+    a/2 (sign -1).  ``_neusis_means`` reads a bracket's means off the
+    interval expressions of the cut, computed on integers, once the cut
+    lies within 10**-(d + 4) * max(1, L) of L (d the decimal digits of
+    the width target) and K lies beyond C; the kernel judges their
+    widths as it does every route's.  Its refusals are monotone along
+    nested brackets, so the kernel reads only O(log n) of a chain's n
+    brackets (see ``_bisect``).  The figure (see ``_neusis_figure``) is
+    built on integers and takes Z's depth z from two integer square
+    roots.
 
     The root is t = z/(|ZK| + c/2 + x), the half-angle tangent of Z -> K,
     estimated at the true x = cbrt(a**2 c).  The rounded z moves the
@@ -949,11 +910,13 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         z = -n_k * S // vx_k
         return z * M // (math.isqrt(h * h + z * z) + h)
 
-    accept = _cut_check(prob, cuts, band)
-    res = _bisect(_intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), floor_root, accept)
-    if not (_cube_encloses(res.x, A2C, D3) and _cube_encloses(res.y, A * C * C, D3)):
+    x, y = _bisect(
+        _intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), floor_root,
+        _neusis_means(prob, cuts, band), prob.width_target,
+    )
+    if not (_cube_encloses(x, A2C, D3) and _cube_encloses(y, A * C * C, D3)):
         raise PrecisionError("the rounded pole depth moves the neusis off the means")
-    return res
+    return MeanPropResult(NICOMEDES, x, y, prob)
 
 
 METHODS: dict[str, Callable[[MeanPropProblem], MeanPropResult]] = {

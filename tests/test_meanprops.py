@@ -20,19 +20,17 @@ from practica.mean_proportionals import (
     PHILO,
     BracketNotFoundError,
     MeanPropProblem,
-    MeanPropResult,
     _apollonius_defect,
     _bisect,
     _chain,
     _cleared,
-    _cleared_pairs,
-    _cut_check,
     _digits_for,
     _diocles_defect,
     _halvings,
     _heron_defect,
     _intercept_defect,
     _neusis_figure,
+    _neusis_means,
     _philo_defect,
     _sign,
     cissoid_arc_defect,
@@ -369,16 +367,24 @@ def _stepwise_chain(value_at, lo, hi):
             bl, s_lo = mid, s_mid
 
 
-def _stepwise(value_at, lo, hi, floor_root, accept):
-    """Reference for ``_bisect``: call ``accept`` on every step of the
+def _intervals(means):
+    """The means that ``evaluate`` reads, as integer ends, made Intervals."""
+    return tuple(Interval(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in means)
+
+
+def _stepwise(value_at, lo, hi, floor_root, evaluate, target):
+    """Reference for ``_bisect``: call ``evaluate`` on every step of the
     bisection chain of ``_stepwise_chain``, over one denominator, and
-    build the first accepted step's result.  A verdict of None or an int
-    (an estimate of the halvings still lacking) is a refusal; the
-    estimate ``floor_root`` is not used.  Returns (step, result)."""
+    return the first step whose means, made Intervals, are both no wider
+    than ``target``.  A read of None or an int (an estimate of the
+    halvings still lacking) is a refusal; the estimate ``floor_root`` is
+    not used.  Returns (step, (x, y))."""
     for step, (bl, bh) in enumerate(_stepwise_chain(value_at, lo, hi)):
-        verdict = accept(*_cleared(bl, bh))
-        if callable(verdict):
-            return step, verdict()
+        means = evaluate(*_cleared(bl, bh))
+        if type(means) is tuple:
+            x, y = _intervals(means)
+            if x.width <= target and y.width <= target:
+                return step, (x, y)
         if bl == bh:
             raise PrecisionError("enclosure too wide at an exact root")
 
@@ -463,9 +469,18 @@ def _square_minus(c):
     return value_at
 
 
-def _fractions(accept):
-    """An ``accept`` on Fraction ends as the kernel's ``accept(L, H, Q)``."""
-    return lambda L, H, Q: accept(Fraction(L, Q), Fraction(H, Q))
+def _fractions(evaluate):
+    """An ``evaluate`` on Fraction ends as the kernel's ``evaluate(L, H, Q)``."""
+    return lambda L, H, Q: evaluate(Fraction(L, Q), Fraction(H, Q))
+
+
+def _means_of(bl, bh):
+    """The means x = [bl, bh] and y = [bl + 1, bh + 1] as ``evaluate``
+    reads them, as integer ends."""
+    return tuple(
+        (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        for lo, hi in ((bl, bh), (bl + 1, bh + 1))
+    )
 
 
 def _floor_sqrt(c):
@@ -480,27 +495,29 @@ def _floor_sqrt(c):
 )
 @settings(max_examples=60, deadline=None)
 def test_bisect_accepts_the_first_step_with_few_probes(c, j, m):
-    # One root, sqrt(c), in [0, 2]; accepted once the bracket is narrow enough.
+    # One root, sqrt(c), in [0, 2]; the means are read, and accepted, once
+    # the bracket is narrow enough.
     width = Fraction(m, 2 ** j)
     calls = []
     value_at = _square_minus(c)
 
     @_fractions
-    def accept(bl, bh):
+    def evaluate(bl, bh):
         calls.append(bl)
-        return (lambda: (bl, bh)) if bh - bl <= width else None
+        return _means_of(bl, bh) if bh - bl <= width else None
 
-    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), evaluate, width)
     probes = len(calls)
-    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), evaluate, width)
     assert found == expected
     assert probes <= 2 * (step + 1).bit_length() + 2  # 2*ceil(log2(step + 2)) + 2
 
 
-#: What an ``accept`` may estimate when it refuses a bracket of width w
-#: that must narrow to ``target``: the exact count of halvings still
-#: lacking, none, always one, always far too many, that count off by a
-#: few, or noise.
+#: What an ``evaluate`` may estimate when it cannot read a bracket of
+#: width w that must narrow to ``target``: the exact count of halvings
+#: still lacking, none, always one, always far too many, that count off by
+#: a few, or noise; or it reads every bracket ("widths"), and the kernel
+#: estimates from the means' widths.
 _ESTIMATES = {
     "exact": lambda w, target, rnd: (-(-w // target) - 1).bit_length(),
     "none": lambda w, target, rnd: None,
@@ -508,6 +525,7 @@ _ESTIMATES = {
     "huge": lambda w, target, rnd: 1000,
     "off": lambda w, target, rnd: (-(-w // target) - 1).bit_length() + rnd.randint(-3, 3),
     "random": lambda w, target, rnd: rnd.randint(-3, 150),
+    "widths": None,
 }
 
 
@@ -521,24 +539,24 @@ _ESTIMATES = {
 @settings(max_examples=120, deadline=None)
 def test_bisect_returns_the_stepwise_verdict_whatever_the_estimates(c, j, m, kind, rnd):
     # The root sqrt(c) of test_bisect_accepts_the_first_step_with_few_probes,
-    # with accepts that estimate the halvings they still lack.
+    # with reads that estimate the halvings they still lack.
     width = Fraction(m, 2 ** j)
     estimate = _ESTIMATES[kind]
     calls, estimates = [], [0]
     value_at = _square_minus(c)
 
     @_fractions
-    def accept(bl, bh):
+    def evaluate(bl, bh):
         calls.append(bl)
-        if bh - bl <= width:
-            return lambda: (bl, bh)
+        if bh - bl <= width or estimate is None:
+            return _means_of(bl, bh)
         e = estimate(bh - bl, width, rnd)
         estimates.append(e or 0)
         return e
 
-    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
+    found = _bisect(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), evaluate, width)
     probes, reach = len(calls), max(estimates)
-    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), accept)
+    step, expected = _stepwise(value_at, Fraction(0), Fraction(2), _floor_sqrt(c), evaluate, width)
     assert found == expected
     if kind == "exact":
         assert probes <= 3  # the estimate, the step it names, the step before
@@ -562,19 +580,19 @@ def _criterion07_problems():
 
 
 def _counting_kernel(monkeypatch):
-    """Count the sign evaluations and ``accept`` calls of every solve."""
-    kernel, counts = _bisect, {"values": 0, "accepts": 0}
+    """Count the sign evaluations and ``evaluate`` reads of every solve."""
+    kernel, counts = _bisect, {"values": 0, "reads": 0}
 
-    def counting(value_at, lo, hi, floor_root, accept):
+    def counting(value_at, lo, hi, floor_root, evaluate, target):
         def value(P, Q):
             counts["values"] += 1
             return value_at(P, Q)
 
-        def judged(L, H, Q):
-            counts["accepts"] += 1
-            return accept(L, H, Q)
+        def read(L, H, Q):
+            counts["reads"] += 1
+            return evaluate(L, H, Q)
 
-        return kernel(value, lo, hi, floor_root, judged)
+        return kernel(value, lo, hi, floor_root, read, target)
 
     monkeypatch.setattr(mean_proportionals, "_bisect", counting)
     return counts
@@ -582,16 +600,17 @@ def _counting_kernel(monkeypatch):
 
 def test_routes_settle_in_few_accept_calls(monkeypatch):
     # The estimates place the probes: on 25 criterion-07 problems every
-    # route settles in at most 8 accept calls per solve, and the four
-    # in at most 6 on average (12 to 13 with probes at 0, 1, 3, 7, ...).
+    # route settles in at most 8 ``evaluate`` reads, the kernel's checks,
+    # per solve, and the four in at most 6 on average (12 to 13 with probes
+    # at 0, 1, 3, 7, ...).
     problems = _criterion07_problems()
     counts = _counting_kernel(monkeypatch)
     per_solve = {}
     for name, solve in METHODS.items():
-        counts["accepts"] = 0
+        counts["reads"] = 0
         for prob in problems:
             solve(prob)
-        per_solve[name] = counts["accepts"] / len(problems)
+        per_solve[name] = counts["reads"] / len(problems)
     assert max(per_solve.values()) <= 8, per_solve
     assert sum(per_solve.values()) / len(per_solve) <= 6, per_solve
 
@@ -618,10 +637,10 @@ def test_routes_settle_in_few_sign_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "route, accepts",
+    "route, reads",
     [("heron", 3), ("apollonius", 3), ("philo", 3), ("diocles", 3), ("nicomedes", 7)],
 )
-def test_deep_tolerances_take_few_sign_evaluations(monkeypatch, route, accepts):
+def test_deep_tolerances_take_few_sign_evaluations(monkeypatch, route, reads):
     # 2/1 at tol 1e-600 settles near step 2000: 4 sign evaluations, and 7
     # for nicomedes' seven steps, where bisection takes about 2000, proving
     # every step asked for took 6 and 13, and regula falsi 26 to 30.
@@ -630,7 +649,7 @@ def test_deep_tolerances_take_few_sign_evaluations(monkeypatch, route, accepts):
     res = _ROUTES[route](prob)
     assert res.x.lo ** 3 <= 4 <= res.x.hi ** 3 and res.y.lo ** 3 <= 2 <= res.y.hi ** 3
     assert counts["values"] <= (7 if route == "nicomedes" else 4), counts
-    assert counts["accepts"] == accepts, counts
+    assert counts["reads"] == reads, counts
 
 
 def test_kernel_memory_is_linear_in_the_digits():
@@ -676,7 +695,7 @@ def test_bisect_chain_ends_as_stepwise(value_at, expected, message):
 
     for kernel in (_bisect, _stepwise):
         with pytest.raises(expected, match=f"^{re.escape(message)}$"):
-            kernel(value_at, Fraction(0), Fraction(1), lambda M: M // 2, never)
+            kernel(value_at, Fraction(0), Fraction(1), lambda M: M // 2, never, Fraction(1))
 
 
 def _cut_constants(z, lines):
@@ -901,9 +920,9 @@ def test_nicomedes_signs_are_opposite_at_the_range_ends(c, ratio):
     # parallel to the base line, so the cut is unbounded), -1 at t = 1.
     ends = []
 
-    def record(value_at, lo, hi, floor_root, accept):
+    def record(value_at, lo, hi, *rest):
         ends.append((lo, _sign_of(value_at, lo), hi, _sign_of(value_at, hi)))
-        return _bisect(value_at, lo, hi, floor_root, accept)
+        return _bisect(value_at, lo, hi, *rest)
 
     with mock.patch.object(mean_proportionals, "_bisect", record):
         METHODS[NICOMEDES](MeanPropProblem(ab=c * ratio, bc=c))
@@ -948,21 +967,6 @@ def test_digits_for_matches_the_loop(x):
     assert _digits_for(x) == _digits_by_loop(x)
 
 
-_ratio = st.tuples(
-    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
-    st.integers(min_value=1, max_value=10 ** 40),
-)
-
-
-@given(st.lists(_ratio, min_size=1, max_size=4), st.integers(min_value=1, max_value=10 ** 6))
-def test_cleared_pairs_clears_as_cleared_does(pairs, k):
-    # Unreduced pairs, and every pair scaled by k, give the numerators
-    # ``_cleared`` gives the Fractions.
-    expected = _cleared(*(Fraction(n, d) for n, d in pairs))[:-1]
-    assert _cleared_pairs(*pairs) == expected
-    assert _cleared_pairs(*((k * n, k * d) for n, d in pairs)) == expected
-
-
 def test_digits_for_rejects_nonpositive_targets():
     for x in (Fraction(0), Fraction(-1, 10)):
         with pytest.raises(ValueError, match="^width target must be positive$"):
@@ -988,12 +992,12 @@ def _interval_cut(z, cuts, tl, th):
     return x_k, cut_x.square() + cut_y.square()
 
 
-def _interval_cut_check(prob, z, cuts, target_sq, target):
-    """The reference for ``_cut_check``: nicomedes' check on a bracket as
-    ``Interval`` expressions."""
+def _interval_neusis_means(prob, z, cuts, target_sq):
+    """The reference for ``_neusis_means``: nicomedes' read of a bracket
+    as ``Interval`` expressions."""
     a, c = prob.ab, prob.bc
 
-    def accept(tl, th):
+    def evaluate(tl, th):
         cut = _interval_cut(z, cuts, tl, th)
         if cut is None:
             return None
@@ -1003,42 +1007,37 @@ def _interval_cut_check(prob, z, cuts, target_sq, target):
         if x_k.lo <= c:
             return None
         x_iv = x_k - c
-        y_iv = (x_k * a) / x_iv - a
-        width = max(x_iv.width, y_iv.width)
-        if width <= target:
-            return MeanPropResult(NICOMEDES, x_iv, y_iv, prob)
-        return _halvings(width, target)
+        return x_iv, (x_k * a) / x_iv - a
 
-    return accept
+    return evaluate
 
 
 def _band_ends(band):
-    """An Interval band as the four integers ``_cut_check`` takes."""
+    """An Interval band as the four integers ``_neusis_means`` takes."""
     return band.lo.numerator, band.lo.denominator, band.hi.numerator, band.hi.denominator
 
 
 def _both_checks(prob):
-    """The integer check and the interval reference on one figure, and
+    """The integer read and the interval reference on one figure, and
     the figure's value function."""
-    target = prob.width_target
-    z, cuts, target_sq = _figure_by_points(prob, _digits_for(target))
+    z, cuts, target_sq = _figure_by_points(prob, _digits_for(prob.width_target))
     return (
-        _cut_check(prob, cuts, _band_ends(target_sq)),
-        _interval_cut_check(prob, z, cuts, target_sq, target),
+        _neusis_means(prob, cuts, _band_ends(target_sq)),
+        _interval_neusis_means(prob, z, cuts, target_sq),
         _intercept_defect(cuts, prob.ab / 2),
     )
 
 
-def _verdict(accept, *bracket):
-    """A check's verdict on a bracket, an accepted one built."""
-    got = accept(*bracket)
-    if callable(got):
-        got = got()
+def _verdict(evaluate, *bracket):
+    """A read's verdict on a bracket, integer ends made Intervals."""
+    got = evaluate(*bracket)
+    if type(got) is tuple and type(got[0]) is tuple:
+        got = _intervals(got)
     return type(got), got
 
 
 def _verdicts(check, reference, L, H, Q):
-    """The integer check's verdict on [L/Q, H/Q] and the interval
+    """The integer read's verdict on [L/Q, H/Q] and the interval
     reference's on the same bracket as Fractions."""
     return _verdict(check, L, H, Q), _verdict(reference, Fraction(L, Q), Fraction(H, Q))
 
@@ -1099,8 +1098,8 @@ def test_cut_check_band_is_closed(prob, data):
     assume(cut is not None)
     cut_sq = cut[1]
     for band in (cut_sq, Interval(cut_sq.lo, cut_sq.hi + 1), Interval(cut_sq.lo / 2, cut_sq.hi)):
-        check = _cut_check(prob, cuts, _band_ends(band))
-        reference = _interval_cut_check(prob, z, cuts, band, target)
+        check = _neusis_means(prob, cuts, _band_ends(band))
+        reference = _interval_neusis_means(prob, z, cuts, band)
         verdict, expected = _verdicts(check, reference, L, H, Q)
         assert verdict == expected
 
@@ -1118,8 +1117,8 @@ def test_cut_check_band_is_closed(prob, data):
     ],
 )
 def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
-    # Every step of the chain up to a few past the first accepted one,
-    # so that each of the check's verdicts is reached.
+    # Every step of the chain up to a few past the first one whose means
+    # meet the width target, so that each of the read's verdicts is reached.
     prob = MeanPropProblem(ab=ab, bc=bc, tol=tol)
     check, reference, value_at = _both_checks(prob)
     chain = _chain(value_at, Fraction(0), Fraction(1), lambda M: 0)
@@ -1130,11 +1129,12 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
         verdict, expected = _verdicts(check, reference, L, H, Q)
         assert verdict == expected, step
         kinds.add(verdict[0])
-        if verdict[0] is MeanPropResult and past is None:
+        kind, means = verdict
+        if kind is tuple and past is None and max(iv.width for iv in means) <= prob.width_target:
             past = step + 5
         if step == past:
             break
-    assert kinds >= {type(None), int, MeanPropResult}
+    assert kinds >= {type(None), int, tuple}
 
 
 @given(_neusis_problems)
@@ -1161,14 +1161,18 @@ def _edge(ab, tol):
 @example(_edge(Fraction(2), 30))
 @settings(max_examples=150, deadline=None)
 def test_neusis_figure_equals_the_fraction_reference(prob):
-    # The integer cut constants are the triples the Point2 figure gives,
-    # the base line's triple holds the pole's depth, and the band's
-    # integer ends are the reference band's ends.
+    # The integer cut constants are positive multiples of the triples the
+    # Point2 figure gives (a line's cut does not change when its triple is
+    # scaled by a positive number), the base line's triple holds the
+    # pole's depth, and the band's integer ends are the reference band's
+    # ends.
     z, cuts, target_sq = _figure_by_points(prob, _digits_for(prob.width_target))
     got_cuts, (bln, bld, bhn, bhd) = _neusis_figure(prob)
-    assert got_cuts == cuts
+    for got, ref in zip(got_cuts, cuts, strict=True):
+        k = Fraction(got[0], ref[0])
+        assert k > 0 and got == tuple(k * r for r in ref), (got, ref)
     assert (Fraction(bln, bld), Fraction(bhn, bhd)) == (target_sq.lo, target_sq.hi)
-    _, (vx_k, _, n_k) = cuts
+    _, (vx_k, _, n_k) = got_cuts
     assert Fraction(n_k, vx_k) == z.y
 
 
@@ -1176,9 +1180,9 @@ def _recorded_kernel_calls(monkeypatch):
     """Record the value function, range and estimate of each kernel call."""
     calls = []
 
-    def recording(value_at, lo, hi, floor_root, accept):
+    def recording(value_at, lo, hi, floor_root, *rest):
         calls.append((value_at, lo, hi, floor_root))
-        return _bisect(value_at, lo, hi, floor_root, accept)
+        return _bisect(value_at, lo, hi, floor_root, *rest)
 
     monkeypatch.setattr(mean_proportionals, "_bisect", recording)
     return calls
@@ -1244,10 +1248,10 @@ def test_nicomedes_refuses_means_its_rounded_pole_moves(monkeypatch):
     message = "^the rounded pole depth moves the neusis off the means$"
     with pytest.raises(PrecisionError, match=message):
         METHODS[NICOMEDES](_MISSED)
-    [res] = settled
+    [(x, _)] = settled
     a, c = _MISSED.ab, _MISSED.bc
-    assert res.x.width < Fraction(1, 10 ** 18)
-    assert res.x.lo ** 3 > a * a * c
+    assert x.width < Fraction(1, 10 ** 18)
+    assert x.lo ** 3 > a * a * c
     check_result(METHODS[HERON_APOLLONIUS](_MISSED), a, c, _MISSED.tol)
 
 
