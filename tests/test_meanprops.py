@@ -1128,8 +1128,8 @@ def test_cut_check_equals_the_interval_check_along_the_chain(ab, bc, tol):
         assert reached == step  # the root is irrational: the chain never ends
         verdict, expected = _verdicts(check, reference, L, H, Q)
         assert verdict == expected, step
-        kinds.add(verdict[0])
         kind, means = verdict
+        kinds.add(kind)
         if kind is tuple and past is None and max(iv.width for iv in means) <= prob.width_target:
             past = step + 5
         if step == past:
