@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "scripts" / "result_sweep.py"
-SCRIPTS = sorted(s for s in (ROOT / "scripts").glob("*.py") if s != SWEEP)
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 #: The sweep's sets in the order it prints them, with their line counts.
 SWEEP_LINES = {"meanprops": 1452, "circle": 1926, "heron": 158, "roots": 932, "curves": 392}
@@ -37,22 +37,42 @@ def _run(script, *args):
     return r.stdout.decode()
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_runs(script):
-    assert _run(script).strip()
+@pytest.fixture(scope="module")
+def sweep():
+    # The result sweep's output, from one run of every set.
+    return _run(SWEEP)
 
 
-def test_result_sweep_passes_the_oracles():
-    # One run of every set: the integer oracles and the curves' defining
-    # properties accept every meanprops, heron, roots and curves result,
-    # and every circle result but the exceptions above.
-    lines = iter(_run(SWEEP).splitlines())
+@pytest.fixture(scope="module")
+def sweep_sets(sweep):
+    lines = iter(sweep.splitlines())
     sets = {name: list(itertools.islice(lines, count)) for name, count in SWEEP_LINES.items()}
-    assert {name: len(got) for name, got in sets.items()} == SWEEP_LINES
-    assert next(lines, None) is None
-    for name in ("meanprops", "heron", "roots", "curves"):
-        rejected = [line for line in sets[name] if not line.endswith(" :: ok")]
+    sets["after the last set"] = list(lines)
+    return sets
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_script_runs(script, request):
+    # The sweep's one run is shared with the oracle tests below.
+    out = request.getfixturevalue("sweep") if script == SWEEP else _run(script)
+    assert out.strip()
+
+
+def test_result_sweep_slice_passes_the_oracles(sweep_sets):
+    # The meanprops, heron and curves sets: the integer oracles and the
+    # curves' defining properties accept every result.
+    for name in ("meanprops", "heron", "curves"):
+        assert len(sweep_sets[name]) == SWEEP_LINES[name], name
+        rejected = [line for line in sweep_sets[name] if not line.endswith(" :: ok")]
         assert not rejected, (name, rejected[:3])
-    for line in sets["circle"]:
+
+
+def test_result_sweep_passes_the_oracles(sweep_sets):
+    # Every set has its line count, the integer oracles accept every roots
+    # result, and every circle result but the exceptions above.
+    assert {name: len(got) for name, got in sweep_sets.items()} == {**SWEEP_LINES, "after the last set": 0}
+    rejected = [line for line in sweep_sets["roots"] if not line.endswith(" :: ok")]
+    assert not rejected, rejected[:3]
+    for line in sweep_sets["circle"]:
         label, verdict = line.split(" -> ", 1)[0], line.rsplit(" :: ", 1)[1]
         assert verdict in ("ok", CIRCLE_EXCEPTIONS.get(label)), line
