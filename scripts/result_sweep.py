@@ -62,6 +62,7 @@ from practica import (  # noqa: E402
     Point2,
     Precision,
     PrecisionError,
+    RootExtraction,
     TriangleVertices,
     cissoid_arc_defect,
     cissoid_points,
@@ -83,6 +84,14 @@ SHOWN_CHARS = 400
 REFUSALS = (PrecisionError, BracketNotFoundError)
 
 
+#: Results spelled by these public attributes, in this order, rather than
+#: by their dataclass fields: an extraction keeps its trace as private
+#: columns and builds ``steps`` from them when it is read.
+PUBLIC_ATTRIBUTES = {
+    RootExtraction: ("radicand", "degree", "frac_digits", "digits", "remainder", "steps"),
+}
+
+
 def _canonical(value: object) -> str:
     """A spelling of a result with every integer in hex, so that results
     with huge integers are digested without decimal conversion."""
@@ -93,7 +102,8 @@ def _canonical(value: object) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator:x}/{value.denominator:x}"
     if dataclasses.is_dataclass(value):
-        inner = ",".join(_canonical(getattr(value, f.name)) for f in dataclasses.fields(value))
+        names = PUBLIC_ATTRIBUTES.get(type(value)) or [f.name for f in dataclasses.fields(value)]
+        inner = ",".join(_canonical(getattr(value, name)) for name in names)
         return f"{type(value).__name__}({inner})"
     if isinstance(value, (tuple, list)):
         return "(" + ",".join(map(_canonical, value)) + ")"
@@ -103,6 +113,11 @@ def _canonical(value: object) -> str:
 def shown(value: object) -> str:
     canonical = _canonical(value)
     if len(canonical) <= SHOWN_CHARS:
+        if type(value) in PUBLIC_ATTRIBUTES:
+            # the dataclass repr, spelled from the public attributes
+            names = PUBLIC_ATTRIBUTES[type(value)]
+            inner = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+            return f"{type(value).__name__}({inner})"
         return repr(value)
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:24]
     return f"<{type(value).__name__} sha256:{digest}>"

@@ -14,7 +14,13 @@ root so far, each step needs the powers r, r**2, ..., r**(n-1) and the
 terms T_k = V_k * r**(n-k).  The divisor is T_1 (simplified) or
 T_1 + ... + T_(n-1) (full), and the subtrahend of a candidate digit d is
 (10r + d)**n - (10r)**n = T_1*d + T_2*d**2 + ... + T_n*d**n, evaluated
-by Horner's rule in d.  The powers come one of two ways:
+by Horner's rule in d.  The trial digit min(9, point // divisor) is
+read from the leading bits (`_trial_digit`): shifted until the divisor
+keeps 64 bits, point and divisor bound the quotient from both sides,
+and an exact division is left only where the bounds part, at or very
+near a multiple of the divisor.  At 16000 bits the exact division
+took 2.6 us and the leading bits 0.7 us, about one big subtraction
+(best of 7 on the host named below).  The powers come one of two ways:
 
 * While the root is short, and always for n = 2, one chain of n-2
   full-size multiplications rebuilds them at every step (`_powers`).
@@ -40,18 +46,25 @@ a microsecond a step, and at n = 129.  The cube root of 2 to 3000
 fractional digits takes 42 ms with the switch and 111 ms without (best
 of 7 on the same host).
 
-Each `TraceStep` stores only what it cannot derive: the remainder
-carried into the point (the same object as the previous step's
-``remainder_after``), the point's digit group, the degree, the divisor,
-both digits and ``remainder_after``.  ``point_value`` and ``subtrahend``
-are computed from these on access.
+The trace is O(D**2) in size for D digits, so a `RootExtraction` keeps
+only what it cannot derive, as columns: the remainder carried into each
+point (one int per step, which is also the previous step's
+``remainder_after``), the trial digits, the digits and the divisor mode.
+``steps`` builds the `TraceStep` rows on first read and keeps them: the
+groups come from the radicand again, and the divisors from the same walk
+of the root's powers as the extraction took (`_divisions`).  On the
+square root of 2 to 5000 digits the extraction holds 5.5 MiB, and
+11.4 MiB once ``steps`` is read (tracemalloc).  A `TraceStep` derives
+``point_value`` and ``subtrahend`` from its fields on access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Generator
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import mul
 
 from .numerics import _check_int, int_to_decimal
@@ -140,6 +153,10 @@ class RootExtraction:
     With R the concatenation of ``digits`` read as an integer:
     R**degree <= radicand * 10**(degree*frac_digits) < (R+1)**degree
     and ``remainder`` is the exact difference on the left.
+
+    The trace is kept as columns, the remainder carried into each point
+    and each trial digit; ``steps`` builds the `TraceStep` rows from
+    them on first read.
     """
 
     radicand: int
@@ -147,7 +164,24 @@ class RootExtraction:
     frac_digits: int
     digits: tuple[int, ...]
     remainder: int
-    steps: tuple[TraceStep, ...]
+    divisor_mode: str
+    _carried: tuple[int, ...] = field(repr=False)
+    _trials: bytes = field(repr=False)
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """One `TraceStep` per point; the divisors are formed again by the
+        walk the extraction took (`_divisions`)."""
+        n = self.degree
+        walk = _divisions(n, self.divisor_mode == SIMPLIFIED)
+        divisors = [
+            division[1] if (division := walk.send(d)) else 0
+            for d in (None, *self.digits[:-1])
+        ]
+        groups = group_points(self.radicand, n) + [0] * self.frac_digits
+        afters = (*self._carried[1:], self.remainder)
+        columns = (self._carried, groups, repeat(n), divisors, self._trials, self.digits, afters)
+        return tuple(map(TraceStep, *columns))
 
     @property
     def integer_digits(self) -> tuple[int, ...]:
@@ -209,6 +243,56 @@ def _shifted(powers: list[int], rows: tuple[tuple[int, ...], ...]) -> list[int]:
     return [1, *(sum(map(mul, row, powers)) for row in rows)]
 
 
+def _divisions(
+    n: int, simplified: bool
+) -> Generator[tuple[list[int], int] | None, int | None, None]:
+    """The terms T_n, ..., T_1 and the divisor of each step, in order.
+
+    Send None to get the first step's, then each step's digit to get the
+    next step's.  Yields None while the root so far is 0, where no
+    divisor exists.  The powers of the root are rebuilt by `_powers` at
+    every step, or carried and updated by `_shifted` once n >= 3 and
+    the root has more than _SHIFT_BITS + n**2 bits; this walk is the
+    only code that decides which, for the extraction and its trace.
+    """
+    root = 0
+    while root == 0:
+        root = yield None
+    # V_n = 1, V_(n-1), ..., V_1, times 1, r, ..., r**(n-1).  Built at the
+    # first step that divides: a radicand of one point never reads the
+    # row, and a high degree's row is large.
+    coefficients = (1, *reversed(SpecialNumbers.for_degree(n).values))
+    shift_bits = _SHIFT_BITS + n * n
+    powers: list[int] | None = None
+    while True:
+        step_powers = powers or _powers(root, n)
+        terms = [*map(mul, coefficients, step_powers)]
+        # T_1, or T_1 + ... + T_(n-1); at n = 2 both are T_1 itself
+        digit = yield terms, terms[-1] if simplified else sum(terms[1:-1], terms[-1])
+        if n > 2 and root.bit_length() > shift_bits:
+            powers = _shifted(step_powers, _shift_rows(n)[digit])
+        root = 10 * root + digit
+
+
+def _trial_digit(point: int, divisor: int) -> int:
+    """min(9, point // divisor), from the leading bits when they decide it.
+
+    With k = divisor.bit_length() - 64 > 0, p = point >> k and
+    q = divisor >> k, p // (q + 1) <= point // divisor <= (p + 1) // q.
+    When the two bounds, each capped at 9, agree they give the trial
+    digit with no big division; they part only where point lies at or
+    within about 2**-60 of its size from a multiple of divisor, and there
+    the exact division decides.
+    """
+    k = divisor.bit_length() - 64
+    if k > 0:
+        p, q = point >> k, divisor >> k
+        low = min(9, p // (q + 1))
+        if low == min(9, (p + 1) // q):
+            return low
+    return min(9, point // divisor)
+
+
 def _subtrahend(terms: list[int], d: int) -> int:
     """(10r + d)**n - (10r)**n = T_1*d + ... + T_n*d**n, by Horner in d."""
     acc = 0
@@ -239,54 +323,43 @@ def extract_root(
 
     groups += [0] * frac_digits
     base = 10 ** n
-    # Built at the first step that divides: a radicand of one point never
-    # reads it, and a high degree's row is large.
-    sp: SpecialNumbers | None = None
-    shift_bits = _SHIFT_BITS + n * n
-    simplified = divisor_mode == SIMPLIFIED
-
-    steps: list[TraceStep] = []
-    root = 0
+    walk = _divisions(n, divisor_mode == SIMPLIFIED)
+    carried: list[int] = []
+    trials = bytearray()
+    digits: list[int] = []
     remainder = 0
-    powers: list[int] | None = None
+    digit = None
     for group in groups:
         point = remainder * base + group
-        if root == 0:
+        division = walk.send(digit)
+        if division is None:
             # Power-table rule: no divisor exists yet.
             digit = 0
             for d in range(9, 0, -1):
                 if d ** n <= point:
                     digit = d
                     break
-            divisor = 0
             trial = digit
             subtrahend = digit ** n
         else:
-            if sp is None:
-                sp = SpecialNumbers.for_degree(n)
-                # V_n = 1, V_(n-1), ..., V_1, times 1, r, ..., r**(n-1)
-                coefficients = (1, *reversed(sp.values))
-            step_powers = powers or _powers(root, n)
-            terms = [*map(mul, coefficients, step_powers)]
-            divisor = terms[-1] if simplified else sum(terms[1:])
-            trial = digit = min(9, point // divisor)
+            terms, divisor = division
+            trial = digit = _trial_digit(point, divisor)
             while (subtrahend := _subtrahend(terms, digit)) > point:
                 digit -= 1
-        after = point - subtrahend
-        steps.append(TraceStep(remainder, group, n, divisor, trial, digit, after))
-        remainder = after
-        if n > 2 and root.bit_length() > shift_bits:
-            # a root this long is not 0, so this step formed step_powers
-            powers = _shifted(step_powers, _shift_rows(n)[digit])
-        root = 10 * root + digit
+        carried.append(remainder)
+        trials.append(trial)
+        digits.append(digit)
+        remainder = point - subtrahend
 
     return RootExtraction(
         radicand=N,
         degree=n,
         frac_digits=frac_digits,
-        digits=tuple(s.corrected_digit for s in steps),
+        digits=tuple(digits),
         remainder=remainder,
-        steps=tuple(steps),
+        divisor_mode=divisor_mode,
+        _carried=tuple(carried),
+        _trials=bytes(trials),
     )
 
 

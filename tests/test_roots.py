@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from practica.root_extraction import (
     FULL,
     SIMPLIFIED,
     SpecialNumbers,
+    _trial_digit,
     extract_root,
     group_points,
     render_trace,
@@ -304,6 +306,88 @@ def test_roots_past_the_power_switch_match_pow_reference(n, mode, no_str_digit_l
     N = S ** n + rng.randrange((S + 1) ** n - S ** n)
     assert_matches_reference(N, n, len(str(R)), mode)
     assert extract_root(N, n).digits[-1] == tail
+
+
+# --- the trial digit from the leading bits --------------------------------
+
+
+class CountedInt(int):
+    """An int that counts the exact divisions taken of it."""
+
+    divisions = 0
+
+    def __floordiv__(self, other):
+        self.divisions += 1
+        return int.__floordiv__(self, other)
+
+
+#: Divisors of every size, many past 64 bits, and powers of two a little
+#: off, where the leading bits cut the divisor just below or above a carry.
+divisors = st.one_of(
+    st.integers(min_value=1, max_value=2 ** 400),
+    st.builds(lambda e, s: 2 ** e + s, st.integers(min_value=60, max_value=400),
+              st.integers(min_value=-3, max_value=3)),
+)
+
+
+@given(
+    divisors,
+    st.integers(min_value=0, max_value=12),
+    st.one_of(st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=0, max_value=2 ** 400)),
+)
+@settings(max_examples=500, deadline=None)
+def test_trial_digit_is_the_capped_quotient(divisor, quotient, offset):
+    # points at quotient * divisor + r: exact multiples (r = 0), just off
+    # them, and anywhere in between
+    point = max(0, quotient * divisor + offset)
+    assert _trial_digit(point, divisor) == min(9, point // divisor)
+
+
+def test_trial_digit_divides_exactly_only_where_the_leading_bits_part():
+    # divisor = 2**100 + 1 keeps q = 2**63 of its leading bits.  At the
+    # exact multiple 3 * divisor the bounds p // (q + 1) and (p + 1) // q
+    # are 2 and 3, so the trial needs the exact division; a little above
+    # the multiple, or far past 9 multiples, the leading bits decide.
+    divisor = 2 ** 100 + 1
+    for point, trial, divisions in (
+        (3 * divisor, 3, 1),
+        (3 * divisor + 2 ** 90, 3, 0),
+        (50 * divisor, 9, 0),
+    ):
+        counted = CountedInt(point)
+        assert _trial_digit(counted, divisor) == trial
+        assert counted.divisions == divisions, point
+
+
+# --- the trace as columns ---------------------------------------------------
+
+
+def test_extraction_holds_its_trace_as_columns():
+    # The divisors and the TraceStep rows are built on the first read of
+    # steps, so until then the extraction holds little more than its
+    # carried remainders.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rx = extract_root(2, 2, frac_digits=5000)
+        held = tracemalloc.get_traced_memory()[0] - base
+        steps = rx.steps
+        with_steps = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.6 * with_steps, (held, with_steps)
+    assert rx.steps is steps
+
+
+def test_extractions_compare_by_mode_too():
+    full, simplified = (
+        extract_root(2, 3, frac_digits=50, divisor_mode=m) for m in (FULL, SIMPLIFIED)
+    )
+    assert full == extract_root(2, 3, frac_digits=50)
+    assert hash(full) == hash(extract_root(2, 3, frac_digits=50))
+    assert full.digits == simplified.digits
+    assert full != simplified
 
 
 def test_trace_steps_have_slots():
