@@ -31,8 +31,13 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
 
 Usage: PYTHONPATH=<tree>/src python scripts/result_sweep.py [SET ...]
 
-With no SET it prints every set.  Run it once per tree and diff the
-two outputs: every differing line is a result that moved.
+With no SET it prints every set.  ``tests/test_scripts.py`` pins each
+set by its line count and the sha256 of its lines (``SWEEP_LINES``, as
+``result_sweep.py SET | sha256sum`` prints it), so a moved result fails
+the tests.  A change that means to move a set updates that set's row
+and says in CHANGES.md which set moved and why.  To list the lines that
+moved, run the script once per tree and diff the two outputs: every
+differing line is a result that moved.
 """
 
 from __future__ import annotations

@@ -83,15 +83,22 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def format_fraction(x: Fraction) -> str:
+    """``str(x)`` (``p/q``, or ``p`` when q is 1) for a fraction of any size."""
+    if x.denominator == 1:
+        return int_to_decimal(x.numerator)
+    return f"{int_to_decimal(x.numerator)}/{int_to_decimal(x.denominator)}"
+
+
 def format_decimal(x: Fraction, digits: int) -> str:
     """Fixed-point decimal, truncated toward zero, via integer math."""
     sign = "-" if x < 0 else ""
     n = abs(Fraction(x))
-    scaled = n.numerator * 10 ** digits // n.denominator
+    scaled = int_to_decimal(n.numerator * 10 ** digits // n.denominator)
     if digits == 0:
-        return f"{sign}{scaled}"
-    ip, fp = divmod(scaled, 10 ** digits)
-    return f"{sign}{ip}.{fp:0{digits}d}"
+        return sign + scaled
+    scaled = scaled.rjust(digits + 1, "0")
+    return f"{sign}{scaled[:-digits]}.{scaled[-digits:]}"
 
 
 def format_magnitude_bound(x: Fraction) -> str:
@@ -152,16 +159,16 @@ def cmd_pi_bounds(args: argparse.Namespace) -> int:
         _emit(
             [
                 "bound,fraction,decimal",
-                f"lower,{b.lower},{format_decimal(b.lower, digits)}",
-                f"upper,{b.upper},{format_decimal(b.upper, digits)}",
+                f"lower,{format_fraction(b.lower)},{format_decimal(b.lower, digits)}",
+                f"upper,{format_fraction(b.upper)},{format_decimal(b.upper, digits)}",
             ]
         )
         return 0
     _emit(
         [
-            f"sides    {b.sides}",
-            f"lower    {b.lower}",
-            f"upper    {b.upper}",
+            f"sides    {int_to_decimal(b.sides)}",
+            f"lower    {format_fraction(b.lower)}",
+            f"upper    {format_fraction(b.upper)}",
             f"lower ~  {format_decimal(b.lower, digits)}",
             f"upper ~  {format_decimal(b.upper, digits)}",
             f"width <= {format_magnitude_bound(b.width)}",
@@ -178,9 +185,9 @@ def cmd_heron(args: argparse.Namespace) -> int:
         product = heron_product(tri)
         area = heron_area_bounds(tri, p)
         lines = [
-            f"sides          {tri.a} {tri.b} {tri.c}",
-            f"semiperimeter  {tri.semiperimeter}",
-            f"product        {product}",
+            "sides          " + " ".join(map(format_fraction, (tri.a, tri.b, tri.c))),
+            f"semiperimeter  {format_fraction(tri.semiperimeter)}",
+            f"product        {format_fraction(product)}",
             f"area ~         {render_value(area, digits)}"
             + ("  (exact)" if area.width == 0 else ""),
         ]
@@ -198,9 +205,10 @@ def cmd_heron(args: argparse.Namespace) -> int:
     area = rat_sqrt_bounds(area_sq, p)
     _emit(
         [
-            f"vertices       ({tri.p1.x}, {tri.p1.y}) ({tri.p2.x}, {tri.p2.y}) ({tri.p3.x}, {tri.p3.y})",
-            f"area^2         {area_sq}  (product route)",
-            f"area^2         {cross_sq}  (cross product route)",
+            "vertices       "
+            + " ".join(f"({format_fraction(v.x)}, {format_fraction(v.y)})" for v in (tri.p1, tri.p2, tri.p3)),
+            f"area^2         {format_fraction(area_sq)}  (product route)",
+            f"area^2         {format_fraction(cross_sq)}  (cross product route)",
             f"agreement      {agree}",
             f"area ~         {render_value(area, digits)}"
             + ("  (exact)" if area.width == 0 else ""),
@@ -305,7 +313,7 @@ def cmd_special_numbers(args: argparse.Namespace) -> int:
     # one row at a time: all rows up to MAX_DEGREE run to about 240 MB
     for n in range(2, args.max_degree + 1):
         sp = SpecialNumbers.for_degree(n)
-        _emit([f"degree {n:>2d}: " + ", ".join(str(v) for v in sp.values)])
+        _emit([f"degree {n:>2d}: " + ", ".join(map(int_to_decimal, sp.values))])
     return 0
 
 

@@ -330,7 +330,9 @@ def extract_root(
     remainder = 0
     digit = None
     for group in groups:
-        point = remainder * base + group
+        point = remainder * base
+        if group:  # adding a fractional step's 0 would copy the big int
+            point += group
         division = walk.send(digit)
         if division is None:
             # Power-table rule: no divisor exists yet.

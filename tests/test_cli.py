@@ -13,19 +13,24 @@ import sys
 import xml.etree.ElementTree as ET
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from practica import cli
-from practica.cli import format_decimal, format_magnitude_bound, parse_rational
+from practica.circle_measurement import pi_bounds
+from practica.cli import format_decimal, format_fraction, format_magnitude_bound, parse_rational
+from practica.heron import TriangleSides, heron_product
 from practica.mean_proportionals import (
     DIOCLES,
     MeanPropProblem,
     conchoid_points,
     solve_nicomedes,
 )
-from practica.numerics import PrecisionError, int_nth_root_floor
+from practica.numerics import DEFAULT_PRECISION, Precision, PrecisionError, int_nth_root_floor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -110,6 +115,52 @@ def test_heron_accepts_rational_syntax():
     r = run("heron", "--sides", "3/2", "2", "5/2")
     assert r.returncode == 0
     assert "product        9/4" in r.stdout.decode()
+
+
+def _truncated(x: Fraction, digits: int) -> str:
+    # x >= 0 to `digits` places, truncated, spelled by decimal.Decimal
+    scaled = Decimal(x.numerator * 10 ** digits // x.denominator).as_tuple()
+    return str(Decimal((0, scaled.digits, -digits)))
+
+
+def _pi_lines(sides: int, precision: int, digits: int) -> list[str]:
+    b = pi_bounds(target_sides=sides, p=Precision(precision))
+    return [
+        f"sides    {b.sides}",
+        f"lower    {format_fraction(b.lower)}",
+        f"upper    {format_fraction(b.upper)}",
+        f"lower ~  {_truncated(b.lower, digits)}",
+        f"upper ~  {_truncated(b.upper, digits)}",
+    ]
+
+
+def _heron_lines(side: Fraction) -> list[str]:
+    tri = TriangleSides(side, side, side)
+    return [
+        "sides          " + " ".join([format_fraction(side)] * 3),
+        f"semiperimeter  {format_fraction(tri.semiperimeter)}",
+        f"product        {format_fraction(heron_product(tri))}",
+    ]
+
+
+#: Commands that print numbers past the 4300-digit limit of ``str(int)``,
+#: by test id, with the lines they must print first.
+LONG_NUMBER_COMMANDS = {
+    "pi-bounds-decimal-digits": (
+        "pi-bounds --sides 96 --decimal-digits 5000",
+        partial(_pi_lines, 96, DEFAULT_PRECISION.decimal_digits, 5000),
+    ),
+    "pi-bounds-precision": ("pi-bounds --sides 6 --precision 4400", partial(_pi_lines, 6, 4400, 4400)),
+    "heron-sides": ("heron --sides 1e1500 1e1500 1e1500", partial(_heron_lines, Fraction(10 ** 1500))),
+}
+
+
+@pytest.mark.parametrize("command, lines", LONG_NUMBER_COMMANDS.values(), ids=LONG_NUMBER_COMMANDS.keys())
+def test_numbers_past_the_str_limit_print(command, lines):
+    r = run(*command.split())
+    assert r.returncode == 0, r.stderr.decode()
+    expected = lines()
+    assert r.stdout.decode().splitlines()[:len(expected)] == expected
 
 
 #: Every README command that prints to stdout, by test id.
@@ -402,6 +453,34 @@ def test_format_decimal_truncates_toward_zero():
     assert format_decimal(Fraction(2, 3), 5) == "0.66666"
     assert format_decimal(Fraction(5), 0) == "5"
     assert format_decimal(Fraction(22, 7), 3) == "3.142"
+
+
+def _format_decimal_reference(x: Fraction, digits: int) -> str:
+    # format_decimal as it was spelled before it went through int_to_decimal
+    sign = "-" if x < 0 else ""
+    n = abs(Fraction(x))
+    scaled = n.numerator * 10 ** digits // n.denominator
+    if digits == 0:
+        return f"{sign}{scaled}"
+    ip, fp = divmod(scaled, 10 ** digits)
+    return f"{sign}{ip}.{fp:0{digits}d}"
+
+
+#: Fractions whose decimal spellings stay inside the str limit.
+_SPELLABLE = st.builds(Fraction, st.integers(-10 ** 4000, 10 ** 4000), st.integers(1, 10 ** 200))
+
+
+@given(st.one_of(st.fractions(), _SPELLABLE), st.integers(0, 200))
+@example(Fraction(-1, 1000), 2)  # truncates to -0.00
+@example(Fraction(-7, 2), 0)
+@example(Fraction(0), 0)
+def test_format_decimal_matches_the_f_string_form(x, digits):
+    assert format_decimal(x, digits) == _format_decimal_reference(x, digits)
+
+
+@given(st.one_of(st.fractions(), _SPELLABLE))
+def test_format_fraction_matches_str(x):
+    assert format_fraction(x) == str(x)
 
 
 def test_format_magnitude_bound_rounds_up():

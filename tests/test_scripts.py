@@ -1,6 +1,8 @@
-"""Every study under scripts/ runs to completion and prints something, and
-the result sweep's verdicts are those of a correct library."""
+"""Every study under scripts/ runs to completion and prints something, the
+result sweep's verdicts are those of a correct library, and its results
+are the pinned ones."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -13,8 +15,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "scripts" / "result_sweep.py"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
-#: The sweep's sets in the order it prints them, with their line counts.
-SWEEP_LINES = {"meanprops": 1452, "circle": 1926, "heron": 158, "roots": 932, "curves": 392}
+#: The sweep's sets in the order it prints them, each with its line count
+#: and the sha256 of its lines, as ``result_sweep.py <set> | sha256sum``
+#: prints it.  A change that moves a set's results updates its row.
+SWEEP_LINES = {
+    "meanprops": (1452, "6e6efdf9f58c97d99a53ee6adee6ccc546d762d1eade1f42172f57c565ef3265"),
+    "circle": (1926, "641b2262c250f931ca96f05eee21f53cbc3ec7d32f00b6dd6d58d41b2858be69"),
+    "heron": (158, "d876161c76191378c730522e4a244dee843424f0f213d1af7f85cbe9eb879dd5"),
+    "roots": (932, "bdd757e2f741208382ec2643ad5662a58125ad34a772754dbbc3a177be35c48c"),
+    "curves": (392, "22b1d0e5153b6de4c3d3f3b19e421313f2a668cc087fdc6dd4b996bc729cae49"),
+}
 
 #: The circle lines that may read otherwise than ok, by label, with the
 #: verdict they may read: the documented 34th doublings at 1 digit refuse,
@@ -46,7 +56,7 @@ def sweep():
 @pytest.fixture(scope="module")
 def sweep_sets(sweep):
     lines = iter(sweep.splitlines())
-    sets = {name: list(itertools.islice(lines, count)) for name, count in SWEEP_LINES.items()}
+    sets = {name: list(itertools.islice(lines, count)) for name, (count, _) in SWEEP_LINES.items()}
     sets["after the last set"] = list(lines)
     return sets
 
@@ -62,7 +72,7 @@ def test_result_sweep_slice_passes_the_oracles(sweep_sets):
     # The meanprops, heron and curves sets: the integer oracles and the
     # curves' defining properties accept every result.
     for name in ("meanprops", "heron", "curves"):
-        assert len(sweep_sets[name]) == SWEEP_LINES[name], name
+        assert len(sweep_sets[name]) == SWEEP_LINES[name][0], name
         rejected = [line for line in sweep_sets[name] if not line.endswith(" :: ok")]
         assert not rejected, (name, rejected[:3])
 
@@ -70,9 +80,20 @@ def test_result_sweep_slice_passes_the_oracles(sweep_sets):
 def test_result_sweep_passes_the_oracles(sweep_sets):
     # Every set has its line count, the integer oracles accept every roots
     # result, and every circle result but the exceptions above.
-    assert {name: len(got) for name, got in sweep_sets.items()} == {**SWEEP_LINES, "after the last set": 0}
+    counts = {name: count for name, (count, _) in SWEEP_LINES.items()}
+    assert {name: len(got) for name, got in sweep_sets.items()} == {**counts, "after the last set": 0}
     rejected = [line for line in sweep_sets["roots"] if not line.endswith(" :: ok")]
     assert not rejected, rejected[:3]
     for line in sweep_sets["circle"]:
         label, verdict = line.split(" -> ", 1)[0], line.rsplit(" :: ", 1)[1]
         assert verdict in ("ok", CIRCLE_EXCEPTIONS.get(label)), line
+
+
+def test_result_sweep_prints_the_pinned_results(sweep_sets):
+    # Each set's lines hash to its pinned digest; the failure names the
+    # sets that moved.
+    moved = [
+        name for name, (_, digest) in SWEEP_LINES.items()
+        if hashlib.sha256("".join(f"{line}\n" for line in sweep_sets[name]).encode()).hexdigest() != digest
+    ]
+    assert not moved, f"results moved in {moved}"
