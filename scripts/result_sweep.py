@@ -90,8 +90,8 @@ REFUSALS = (PrecisionError, BracketNotFoundError)
 
 
 #: Results spelled by these public attributes, in this order, rather than
-#: by their dataclass fields: an extraction keeps its trace as private
-#: columns and builds ``steps`` from them when it is read.
+#: by their dataclass fields: an extraction's ``steps`` is no field, but
+#: a replay of the extraction made when it is first read.
 PUBLIC_ATTRIBUTES = {
     RootExtraction: ("radicand", "degree", "frac_digits", "digits", "remainder", "steps"),
 }

@@ -104,20 +104,23 @@ def format_decimal(x: Fraction, digits: int) -> str:
 def format_magnitude_bound(x: Fraction) -> str:
     """Upper bound on |x| in scientific notation, 3 significant digits,
     rounded up (so the printed bound always holds)."""
-    n = abs(Fraction(x))
-    if n == 0:
+    x = Fraction(x)
+    num, den = abs(x.numerator), x.denominator
+    if num == 0:
         return "0"
-    exp = 0
-    while n >= 10:
-        n /= 10
-        exp += 1
-    while n < 1:
-        n *= 10
+
+    def at_least(e: int) -> bool:  # |x| >= 10**e
+        return num >= den * 10 ** e if e >= 0 else num * 10 ** -e >= den
+
+    # 10**exp <= |x| < 10**(exp + 1).  The bit lengths put |x| within a
+    # factor of 2 of 2**bits, so exp is within one of bits * log10(2).
+    exp = (num.bit_length() - den.bit_length()) * 3010299957 // 10 ** 10
+    while not at_least(exp):
         exp -= 1
-    scaled = n * 100  # in [100, 1000)
-    m = scaled.numerator // scaled.denominator
-    if Fraction(m) != scaled:
-        m += 1  # round up
+    while at_least(exp + 1):
+        exp += 1
+    top, bottom = (num * 10 ** (2 - exp), den) if exp <= 2 else (num, den * 10 ** (exp - 2))
+    m = -(-top // bottom)  # |x| * 10**(2 - exp) rounded up, in [100, 1000]
     if m == 1000:  # rounding crossed a decade
         m, exp = 100, exp + 1
     s = str(m)

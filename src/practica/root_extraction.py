@@ -46,25 +46,26 @@ a microsecond a step, and at n = 129.  The cube root of 2 to 3000
 fractional digits takes 42 ms with the switch and 111 ms without (best
 of 7 on the same host).
 
-The trace is O(D**2) in size for D digits, so a `RootExtraction` keeps
-only what it cannot derive, as columns: the remainder carried into each
-point (one int per step, which is also the previous step's
-``remainder_after``), the trial digits, the digits and the divisor mode.
-``steps`` builds the `TraceStep` rows on first read and keeps them: the
-groups come from the radicand again, and the divisors from the same walk
-of the root's powers as the extraction took (`_divisions`).  On the
-square root of 2 to 5000 digits the extraction holds 5.5 MiB, and
-11.4 MiB once ``steps`` is read (tracemalloc).  A `TraceStep` derives
-``point_value`` and ``subtrahend`` from its fields on access.
+The trace is O(D**2) in size for D digits, and the digits determine
+it, so a `RootExtraction` keeps only the digits and the final
+remainder.  The extraction and its trace run the same loop
+(`_longhand`), which yields each step's carried remainder, divisor,
+trial and corrected digits and remainder; the extraction keeps the
+digits and the last remainder, and ``steps`` replays the whole loop on
+first read and keeps the `TraceStep` rows.  So the first read costs
+more than the extraction did.  On the square root of 2 to 5000 digits
+the extraction takes 42 ms and holds 0.04 MiB, and the first read of
+``steps`` takes 55 ms more and leaves 11.3 MiB held (best of 7 on the
+host named above; tracemalloc).  A `TraceStep` derives ``point_value``
+and ``subtrahend`` from its fields on access.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 from operator import mul
 
 from .numerics import _check_int, int_to_decimal
@@ -154,9 +155,8 @@ class RootExtraction:
     R**degree <= radicand * 10**(degree*frac_digits) < (R+1)**degree
     and ``remainder`` is the exact difference on the left.
 
-    The trace is kept as columns, the remainder carried into each point
-    and each trial digit; ``steps`` builds the `TraceStep` rows from
-    them on first read.
+    Only the digits and the final remainder are kept: ``steps`` replays
+    the extraction on first read and keeps the `TraceStep` rows it gives.
     """
 
     radicand: int
@@ -165,23 +165,18 @@ class RootExtraction:
     digits: tuple[int, ...]
     remainder: int
     divisor_mode: str
-    _carried: tuple[int, ...] = field(repr=False)
-    _trials: bytes = field(repr=False)
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
-        """One `TraceStep` per point; the divisors are formed again by the
-        walk the extraction took (`_divisions`)."""
+        """One `TraceStep` per point, from a replay of the extraction
+        (`_longhand`) on first read."""
         n = self.degree
-        walk = _divisions(n, self.divisor_mode == SIMPLIFIED)
-        divisors = [
-            division[1] if (division := walk.send(d)) else 0
-            for d in (None, *self.digits[:-1])
-        ]
         groups = group_points(self.radicand, n) + [0] * self.frac_digits
-        afters = (*self._carried[1:], self.remainder)
-        columns = (self._carried, groups, repeat(n), divisors, self._trials, self.digits, afters)
-        return tuple(map(TraceStep, *columns))
+        walk = _longhand(groups, n, self.divisor_mode == SIMPLIFIED)
+        return tuple(
+            TraceStep(carried, group, n, divisor, trial, digit, after)
+            for group, (carried, divisor, trial, digit, after) in zip(groups, walk)
+        )
 
     @property
     def integer_digits(self) -> tuple[int, ...]:
@@ -243,35 +238,58 @@ def _shifted(powers: list[int], rows: tuple[tuple[int, ...], ...]) -> list[int]:
     return [1, *(sum(map(mul, row, powers)) for row in rows)]
 
 
-def _divisions(
-    n: int, simplified: bool
-) -> Generator[tuple[list[int], int] | None, int | None, None]:
-    """The terms T_n, ..., T_1 and the divisor of each step, in order.
+def _longhand(
+    groups: list[int], n: int, simplified: bool
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(carried, divisor, trial, digit, remainder_after) for each point.
 
-    Send None to get the first step's, then each step's digit to get the
-    next step's.  Yields None while the root so far is 0, where no
-    divisor exists.  The powers of the root are rebuilt by `_powers` at
-    every step, or carried and updated by `_shifted` once n >= 3 and
-    the root has more than _SHIFT_BITS + n**2 bits; this walk is the
-    only code that decides which, for the extraction and its trace.
+    While the root so far is 0 the digit comes from the power table and
+    the divisor is 0.  After that the powers of the root are rebuilt by
+    `_powers` at every step, or carried and updated by `_shifted` once
+    n >= 3 and the root has more than _SHIFT_BITS + n**2 bits; this loop
+    is the only code that decides which, for the extraction and its
+    trace.  The powers for a point are updated only when it is asked
+    for, so a caller zips the walk with the groups, which stops at the
+    last point without asking for another.
     """
-    root = 0
-    while root == 0:
-        root = yield None
+    base = 10 ** n
+    points = iter(groups)
+    root = remainder = 0
+    for group in points:
+        # Power-table rule: the remainder stays 0 until the first
+        # nonzero digit, so the point is the group itself.
+        root = 0
+        for d in range(9, 0, -1):
+            if d ** n <= group:
+                root = d
+                break
+        remainder = group - root ** n
+        yield 0, 0, root, root, remainder
+        if root:
+            break
     # V_n = 1, V_(n-1), ..., V_1, times 1, r, ..., r**(n-1).  Built at the
     # first step that divides: a radicand of one point never reads the
     # row, and a high degree's row is large.
     coefficients = (1, *reversed(SpecialNumbers.for_degree(n).values))
     shift_bits = _SHIFT_BITS + n * n
     powers: list[int] | None = None
-    while True:
+    for group in points:
+        point = remainder * base
+        if group:  # adding a fractional step's 0 would copy the big int
+            point += group
         step_powers = powers or _powers(root, n)
         terms = [*map(mul, coefficients, step_powers)]
         # T_1, or T_1 + ... + T_(n-1); at n = 2 both are T_1 itself
-        digit = yield terms, terms[-1] if simplified else sum(terms[1:-1], terms[-1])
+        divisor = terms[-1] if simplified else sum(terms[1:-1], terms[-1])
+        trial = digit = _trial_digit(point, divisor)
+        while (subtrahend := _subtrahend(terms, digit)) > point:
+            digit -= 1
+        after = point - subtrahend
+        yield remainder, divisor, trial, digit, after
         if n > 2 and root.bit_length() > shift_bits:
             powers = _shifted(step_powers, _shift_rows(n)[digit])
         root = 10 * root + digit
+        remainder = after
 
 
 def _trial_digit(point: int, divisor: int) -> int:
@@ -307,7 +325,7 @@ def extract_root(
     frac_digits: int = 0,
     divisor_mode: str = FULL,
 ) -> RootExtraction:
-    """Run the longhand algorithm and record every step.
+    """Run the longhand algorithm and keep its digits and final remainder.
 
     The first digit of each extraction is the largest d with
     d**n <= leading point.  Every later digit starts from the trial
@@ -322,47 +340,12 @@ def extract_root(
         raise ValueError(f"unknown divisor mode {divisor_mode!r}")
 
     groups += [0] * frac_digits
-    base = 10 ** n
-    walk = _divisions(n, divisor_mode == SIMPLIFIED)
-    carried: list[int] = []
-    trials = bytearray()
     digits: list[int] = []
     remainder = 0
-    digit = None
-    for group in groups:
-        point = remainder * base
-        if group:  # adding a fractional step's 0 would copy the big int
-            point += group
-        division = walk.send(digit)
-        if division is None:
-            # Power-table rule: no divisor exists yet.
-            digit = 0
-            for d in range(9, 0, -1):
-                if d ** n <= point:
-                    digit = d
-                    break
-            trial = digit
-            subtrahend = digit ** n
-        else:
-            terms, divisor = division
-            trial = digit = _trial_digit(point, divisor)
-            while (subtrahend := _subtrahend(terms, digit)) > point:
-                digit -= 1
-        carried.append(remainder)
-        trials.append(trial)
+    walk = _longhand(groups, n, divisor_mode == SIMPLIFIED)
+    for _, (_, _, _, digit, remainder) in zip(groups, walk):
         digits.append(digit)
-        remainder = point - subtrahend
-
-    return RootExtraction(
-        radicand=N,
-        degree=n,
-        frac_digits=frac_digits,
-        digits=tuple(digits),
-        remainder=remainder,
-        divisor_mode=divisor_mode,
-        _carried=tuple(carried),
-        _trials=bytes(trials),
-    )
+    return RootExtraction(N, n, frac_digits, tuple(digits), remainder, divisor_mode)
 
 
 def render_trace(rx: RootExtraction) -> str:

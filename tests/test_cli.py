@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from practica import cli
@@ -490,6 +490,49 @@ def test_format_magnitude_bound_rounds_up():
     assert format_magnitude_bound(Fraction(-999, 1000)) == "9.99e-01"
     # rounding up may carry across a decade
     assert format_magnitude_bound(Fraction(9999, 10000)) == "1.00e+00"
+
+
+def _format_magnitude_bound_reference(x: Fraction) -> str:
+    # format_magnitude_bound as it was spelled before it read the decade
+    # from the bit lengths: one division or multiplication by 10 a decade
+    n = abs(Fraction(x))
+    if n == 0:
+        return "0"
+    exp = 0
+    while n >= 10:
+        n /= 10
+        exp += 1
+    while n < 1:
+        n *= 10
+        exp -= 1
+    scaled = n * 100
+    m = scaled.numerator // scaled.denominator
+    if Fraction(m) != scaled:
+        m += 1
+    if m == 1000:
+        m, exp = 100, exp + 1
+    s = str(m)
+    return f"{s[0]}.{s[1:]}e{exp:+03d}"
+
+
+#: Mantissas just off a power of ten, of either sign: the ones a little
+#: under it round up across the decade.
+_NEAR_DECADE = st.builds(
+    lambda k, s, sign: Fraction(sign * (10 ** k + s), 10 ** k),
+    st.integers(1, 12), st.integers(-3, 3), st.sampled_from([-1, 1]),
+)
+
+
+@given(st.one_of(st.fractions(), _NEAR_DECADE), st.integers(-6000, 6000))
+@example(Fraction(9999, 10000), 0)
+@example(Fraction(-999, 1000), 6000)
+@example(Fraction(9999, 10000), -6000)
+@example(Fraction(-999999, 1000000), 6000)
+@example(Fraction(7, 3), 1000)
+@settings(deadline=None)
+def test_format_magnitude_bound_matches_the_decade_loop(mantissa, exp):
+    x = mantissa * Fraction(10) ** exp
+    assert format_magnitude_bound(x) == _format_magnitude_bound_reference(x)
 
 
 def test_parse_rational_forms():

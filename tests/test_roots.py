@@ -1,6 +1,7 @@
 """Longhand root extraction: golden traces, the remainder invariant, the
 divisor bookkeeping, and the digit loop against a pow-based reference."""
 
+import dataclasses
 import decimal
 import math
 import random
@@ -17,6 +18,7 @@ from practica.root_extraction import (
     _SHIFT_BITS,
     FULL,
     SIMPLIFIED,
+    RootExtraction,
     SpecialNumbers,
     _trial_digit,
     extract_root,
@@ -360,24 +362,31 @@ def test_trial_digit_divides_exactly_only_where_the_leading_bits_part():
         assert counted.divisions == divisions, point
 
 
-# --- the trace as columns ---------------------------------------------------
+# --- what an extraction keeps ------------------------------------------------
 
 
-def test_extraction_holds_its_trace_as_columns():
-    # The divisors and the TraceStep rows are built on the first read of
-    # steps, so until then the extraction holds little more than its
-    # carried remainders.
+def test_extraction_keeps_only_its_digits():
+    # The trace is O(D**2) in size; an extraction holds its digits and
+    # final remainder, and steps replays the walk on first read.
+    assert [f.name for f in dataclasses.fields(RootExtraction)] == [
+        "radicand", "degree", "frac_digits", "digits", "remainder", "divisor_mode",
+    ]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         rx = extract_root(2, 2, frac_digits=5000)
         held = tracemalloc.get_traced_memory()[0] - base
+        before = hash(rx)
         steps = rx.steps
         with_steps = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= 0.6 * with_steps, (held, with_steps)
+    assert held < 0.25 * 2 ** 20, held
+    assert held < with_steps / 20, (held, with_steps)
     assert rx.steps is steps
+    fresh = extract_root(2, 2, frac_digits=5000)
+    assert rx == fresh
+    assert hash(rx) == before == hash(fresh)
 
 
 def test_extractions_compare_by_mode_too():
