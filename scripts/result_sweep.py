@@ -34,8 +34,9 @@ Usage: PYTHONPATH=<tree>/src python scripts/result_sweep.py [SET ...]
 With no SET it prints every set.  ``tests/test_scripts.py`` pins each
 set by its line count and the sha256 of its lines (``SWEEP_LINES``, as
 ``result_sweep.py SET | sha256sum`` prints it), so a moved result fails
-the tests.  A change that means to move a set updates that set's row
-and says in CHANGES.md which set moved and why.  To list the lines that
+the tests; the failing test prints each moved set's new row.  A change
+that means to move a set updates that set's row and says in CHANGES.md
+which set moved and why.  To list the lines that
 moved, run the script once per tree and diff the two outputs: every
 differing line is a result that moved.
 """
@@ -360,7 +361,7 @@ def curves() -> Iterator[str]:
                 yield from _sampled(
                     f"cissoid_points r={r} samples={CISSOID_SAMPLES} span=[{s0}, {s1}] p={digits}",
                     partial(cissoid_points, r, CISSOID_SAMPLES, p, (s0, s1)),
-                    lambda pt, r=r, p=p: _contains_zero("arc defect", cissoid_arc_defect(pt, r, p)),
+                    lambda pt, r=r: _contains_zero("arc defect", cissoid_arc_defect(pt, r)),
                 )
 
 

@@ -59,7 +59,6 @@ from .numerics import (
     Precision,
     PrecisionError,
     int_nth_root_floor,
-    interval_sqrt,
     rat_sqrt_bounds,
 )
 from .root_extraction import (
@@ -119,7 +118,6 @@ __all__ = [
     "heron_area_sq_from_vertices",
     "heron_product",
     "int_nth_root_floor",
-    "interval_sqrt",
     "orient",
     "pi_bounds",
     "polygon_seed",

@@ -186,8 +186,10 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
     is [i.lo + c.lo, i.hi + c.hi], so the c2 lines are exactly the ends
     of ``((2*i*c)/(i + c)).round_outward(D)``.  A real's root floored is
     the isqrt of its floor (ceilings likewise), so the i2 lines are the
-    tightest enclosure of sqrt(c2*i) on the grid, never wider than
-    ``interval_sqrt(c2*i, Precision(D)).round_outward(D)``.  Each line
+    tightest enclosure of sqrt(c2*i) on the grid, never wider than the
+    low end of ``rat_sqrt_bounds(c2.lo*i.lo, Precision(D))`` and the high
+    end of ``rat_sqrt_bounds(c2.hi*i.hi, Precision(D))``, rounded outward
+    to D digits.  Each line
     reads S and B only as their ratio, so the step takes S/B in lowest
     terms, s/b with g = gcd(S, B), s = S/g and b = B/g.  The chain
     carries the numerators over S from step to step (B = S), so its step

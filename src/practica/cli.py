@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -383,8 +384,19 @@ def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15,
     _add_decimal_digits(sub, decimal_default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts "-" or "-." and a digit as a value (no
+    option does): ``--span -1/2 1/2`` and ``--x-range -1e3 1e3`` too,
+    which older Pythons (3.11, for one) read as an option.  The
+    subparsers are built with this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="practica",
         description="Exact-arithmetic reconstructions of classical geometry algorithms.",
     )

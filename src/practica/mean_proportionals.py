@@ -31,7 +31,7 @@ estimate and ``evaluate``, which maps a bracket's integer ends to the
 integer ends of the means.  The kernel alone judges a bracket: it
 compares the widths of both means with the width target as integer
 cross-products and builds the Intervals only for the step it settles
-on.  Heron and philo map the bracket exactly, apollonius and diocles
+on.  Heron, philo and apollonius map the bracket exactly, diocles
 through directed square-root bounds, and nicomedes through the interval
 expressions of its cut, evaluated on integers, which may refuse a
 bracket before its means can be read.
@@ -57,7 +57,6 @@ from .numerics import (
     _to_rational,
     int_nth_root_floor,
     int_to_decimal,
-    interval_sqrt,
     rat_sqrt_bounds,
 )
 
@@ -283,8 +282,8 @@ def _bisect(
 
     There is no step budget.  The loop ends because, along any chain
     that narrows onto a root, the means narrow onto the true ones and
-    ``evaluate`` eventually reads them: heron and philo read x and y
-    through exact maps; apollonius and diocles go through directed
+    ``evaluate`` eventually reads them: heron, philo and apollonius read
+    x and y through exact maps; diocles goes through directed
     square-root bounds, whose error falls as endpoint denominators grow
     like 2**k; and nicomedes reads them off the interval expressions of
     its cut (see ``_neusis_means``), which converge at its root since
@@ -294,11 +293,10 @@ def _bisect(
     Contract: along nested brackets, "not refused" is monotone.  Interval
     arithmetic on exact endpoints is inclusion-isotonic, so means that
     meet the target on a bracket meet it on any sub-bracket.
-    (Apollonius and diocles read their means through directed
-    square-root bounds, monotone only up to their last-digit rounding; a
-    width within that rounding of the target at a skipped step is the
-    one way they could settle on another step than the step-by-step
-    loop.)
+    (Diocles reads x through directed square-root bounds, monotone only
+    up to their last-digit rounding; a width within that rounding of the
+    target at a skipped step is the one way it could settle on another
+    step than the step-by-step loop.)
 
     The chain depends on the signs alone, so only some of its steps are
     read, and ``_chain`` places only the steps the probes reach.  After
@@ -454,9 +452,12 @@ def solve_heron_apollonius(
     the cuts on the extended sides through D).  ``variant="apollonius"``
     grows a circle about E instead, parametrized by where it crosses
     the horizontal through A, and drives the collinearity of F, B, G;
-    both land on the same line and read off x = AF, y = CG.  Apollonius'
-    root is sigma = x + c/2 with x = cbrt(a**2 c), so with a = A/D and
-    c = C/D, floor(sigma*M) = (floor(cbrt(8 A**2 C M**3)) + CM) // 2D.
+    both land on the same line.  Heron reads off x = AF and y = CG, and
+    apollonius x = AF and y = x**2/a: its defect's factorization (see
+    ``_apollonius_defect``) proves x**3 = a**2 c at the root, so x**2/a
+    is the second mean, with no square root.  Apollonius' root is
+    sigma = x + c/2 with x = cbrt(a**2 c), so with a = A/D and c = C/D,
+    floor(sigma*M) = (floor(cbrt(8 A**2 C M**3)) + CM) // 2D.
     """
     if variant not in ("heron", "apollonius"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -467,27 +468,20 @@ def solve_heron_apollonius(
     if variant == "heron":
         return MeanPropResult(HERON_APOLLONIUS, *_solve_slope(prob, _heron_defect(prob)), prob)
 
-    digits = prob._digits + 8
-
-    # sigma is the (signed) distance from E's abscissa to the circle's
-    # cut F on the horizontal through A; the matching vertical cut is
-    # s_c = sqrt(sigma**2 + (a**2 - c**2)/4) below E's height.  With
-    # a = A/D, c = C/D and sigma = S/Q, sigma**2 + (a**2 - c**2)/4 is
-    # (4 D**2 S**2 + (A**2 - C**2) Q**2) / (4 D**2 Q**2).
+    # sigma is the (signed) distance from E's abscissa to the circle's cut
+    # F on the horizontal through A.  With a = A/D, c = C/D and sigma in
+    # [L/Q, H/Q], x = sigma - c/2 runs over [2DL - CQ, 2DH - CQ] / 2QD, in
+    # [c/2, a], and y = x**2/a over the squares of those ends / 4 Q**2 DA.
     A, C, D = prob._lines
-    D2, DD4, base4, A2C8 = 2 * D, 4 * D * D, A * A - C * C, 8 * A * A * C
+    D2, A2C8 = 2 * D, 8 * A * A * C
 
     def floor_root(M: int) -> int:
         return (int_nth_root_floor(A2C8 * M ** 3, 3) + C * M) // D2
 
     def evaluate_sigma(L: int, H: int, Q: int) -> tuple[Ends, Ends]:
-        QD2, CQ, QQ = Q * D2, C * Q, Q * Q
-        rln, rld = _isqrt_quotient(DD4 * L * L + base4 * QQ, DD4 * QQ, digits, up=False)
-        rhn, rhd = _isqrt_quotient(DD4 * H * H + base4 * QQ, DD4 * QQ, digits, up=True)
-        return (  # x = sigma - c/2, y = s_c - a/2
-            (D2 * L - CQ, QD2, D2 * H - CQ, QD2),
-            (D2 * rln - A * rld, D2 * rld, D2 * rhn - A * rhd, D2 * rhd),
-        )
+        QD2, CQ = Q * D2, C * Q
+        xl, xh, yd = D2 * L - CQ, D2 * H - CQ, QD2 * Q * 2 * A
+        return (xl, QD2, xh, QD2), (xl * xl, yd, xh * xh, yd)
 
     means = _bisect(
         _apollonius_defect(prob), c, c / 2 + a, floor_root, evaluate_sigma, prob.width_target
@@ -580,17 +574,15 @@ def cissoid_points(
     return points
 
 
-def cissoid_arc_defect(
-    point: PointBounds, radius: Fraction, p: Precision = DEFAULT_PRECISION
-) -> Interval:
+def cissoid_arc_defect(point: PointBounds, radius: Fraction) -> Interval:
     """Re-check a sampled point against the defining mean-proportion
-    property DK**2 = KH * KL; the enclosure must contain zero."""
+    property DK**2 = KH * KL, squared so that no root is taken: with
+    KH**2 = r**2 - y**2 and KL = |x|, the enclosure of
+    DK**4 - (r**2 - y**2) * x**2 must contain zero."""
     r = _to_rational(radius)
     x, y = point.x, point.y
-    dk = y + r  # cusp D = (0, -r) up to the foot K = (0, y)
-    kh = interval_sqrt(Interval.point(r * r) - y.square(), p)
-    kl = x.magnitude()
-    return dk.square() - kh * kl
+    dk2 = (y + r).square()  # cusp D = (0, -r) up to the foot K = (0, y)
+    return dk2.square() - (r * r - y.square()) * x.square()
 
 
 def _diocles_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
@@ -908,7 +900,8 @@ def solve_nicomedes(prob: MeanPropProblem) -> MeanPropResult:
         S = M << 8  # x + c/2, z and |ZK| over S
         h = int_nth_root_floor(A2C * S ** 3 // D3, 3) + C * S // (2 * D)
         z = -n_k * S // vx_k
-        return z * M // (math.isqrt(h * h + z * z) + h)
+        # h = z = 0 at shallow levels on tiny lines: estimate 0 and gallop
+        return z * M // (math.isqrt(h * h + z * z) + h or 1)
 
     x, y = _bisect(
         _intercept_defect(cuts, a / 2), Fraction(0), Fraction(1), floor_root,

@@ -243,12 +243,6 @@ def _isqrt_quotient(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
     return math.isqrt(n * sq), _isqrt_ceil(d * sq)
 
 
-def _sqrt_bound(x: Fraction, p: Precision, up: bool) -> Fraction:
-    """One end of ``rat_sqrt_bounds(x, p)`` for a Fraction x >= 0: the
-    lower bound on sqrt(x), or the upper one when ``up``."""
-    return Fraction(*_isqrt_quotient(x.numerator, x.denominator, p.decimal_digits, up))
-
-
 def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Interval:
     """Directed-rounding enclosure of sqrt(x) for a nonnegative rational.
 
@@ -259,14 +253,9 @@ def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Inte
     x = _to_rational(x)
     if x < 0:
         raise ValueError(f"square root of negative value {x}")
-    return Interval._of(_sqrt_bound(x, p, up=False), _sqrt_bound(x, p, up=True))
-
-
-def interval_sqrt(iv: Interval, p: Precision = DEFAULT_PRECISION) -> Interval:
-    """Enclosure of sqrt over a nonnegative interval."""
-    if iv.lo < 0:
-        raise ValueError(f"square root of interval {iv} with negative values")
-    return Interval._of(_sqrt_bound(iv.lo, p, up=False), _sqrt_bound(iv.hi, p, up=True))
+    n, d, k = x.numerator, x.denominator, p.decimal_digits
+    lo, hi = (Fraction(*_isqrt_quotient(n, d, k, up)) for up in (False, True))
+    return Interval._of(lo, hi)
 
 
 def int_nth_root_floor(N: int, n: int) -> int:

@@ -31,7 +31,7 @@ from practica.circle_measurement import (
     prop2_ratio_check,
 )
 from practica.mean_proportionals import cissoid_points, conchoid_points
-from practica.numerics import Interval, Precision, PrecisionError, interval_sqrt, rat_sqrt_bounds
+from practica.numerics import Interval, Precision, PrecisionError, rat_sqrt_bounds
 
 P20 = Precision(20)
 
@@ -109,12 +109,18 @@ def test_polygon_bounds_need_positive_lower_ends(field, lo):
         PolygonBounds(6, **fields)
 
 
+def _sqrt_by_intervals(iv, p):
+    """The enclosure of sqrt over a nonnegative interval: the low end of
+    rat_sqrt_bounds at iv.lo and its high end at iv.hi."""
+    return Interval(rat_sqrt_bounds(iv.lo, p).lo, rat_sqrt_bounds(iv.hi, p).hi)
+
+
 def _means_by_intervals(b, p):
     """The reference's i2 and c2: the interval expressions, rounded afterwards."""
     digits = _working_digits(p)
     i, c = b.per_inscribed, b.per_circumscribed
     c2 = ((2 * i * c) / (i + c)).round_outward(digits)
-    return interval_sqrt(c2 * i, Precision(digits)).round_outward(digits), c2
+    return _sqrt_by_intervals(c2 * i, Precision(digits)).round_outward(digits), c2
 
 
 def _doubled_by_intervals(b, p):
@@ -143,7 +149,7 @@ def _area_by_intervals(b, p):
     """The reference apothem area i_n * sqrt(1 - (i_n/n)**2), rounded afterwards."""
     digits = _working_digits(p)
     cos_sq = 1 - (b.per_inscribed / b.sides).square()
-    return (b.per_inscribed * interval_sqrt(cos_sq, Precision(digits))).round_outward(digits)
+    return (b.per_inscribed * _sqrt_by_intervals(cos_sq, Precision(digits))).round_outward(digits)
 
 
 @settings(deadline=None)

@@ -217,6 +217,15 @@ def test_meanprops_all_reports_each_failure_and_keeps_other_rows(monkeypatch, ca
         assert " x~" in line and " y~" in line
 
 
+def test_meanprops_all_on_small_lines():
+    # nicomedes once divided by zero here, and --method all printed no row
+    r = run("meanprops", "--method", "all", "--ab", "2e-6", "--bc", "1e-6")
+    assert r.returncode == 0, r.stderr.decode()
+    lines = r.stdout.decode().splitlines()
+    assert [line.split()[0] for line in lines] == ["heron", "philo", "diocles", "nicomedes"]
+    assert all(" x~0.000001587401051 " in line for line in lines)
+
+
 def test_meanprops_all_at_tight_tolerance():
     r = run("meanprops", "--method", "all", "--ab", "2", "--bc", "1", "--tol", "1e-160")
     assert r.returncode == 0, r.stderr.decode()
@@ -377,6 +386,26 @@ def test_curve_svg_is_wellformed_standalone():
     assert len(polylines) == 1
     assert len(polylines[0].get("points").split()) == 30
     assert "http" not in r.stdout.decode().replace("http://www.w3.org/2000/svg", "")
+
+
+@pytest.mark.parametrize(
+    "args, spelled",
+    [
+        (("curve", "--type", "cissoid", "--samples", "5", "--span", "-1/2", "1/2"),
+         ("-0.5", "0.5")),
+        (("curve", "--type", "conchoid", "--samples", "5", "--x-range", "-1e3", "1e3"),
+         ("-1000", "1000")),
+        (("heron", "--vertices", "0", "0", "5", "0", "-1/2", "2"), ("-0.5", "2")),
+    ],
+    ids=["span-p/q", "x-range-scientific", "vertices-p/q"],
+)
+def test_multi_value_flags_take_negative_fractions_and_scientific_literals(args, spelled):
+    # The last two values, spelled as plain decimals, give the same bytes.
+    r = run(*args)
+    assert r.returncode == 0, r.stderr.decode()
+    plain = run(*args[:-2], *spelled)
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert r.stdout == plain.stdout
 
 
 def test_curve_exit_codes():

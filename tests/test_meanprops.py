@@ -11,7 +11,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from practica import mean_proportionals
-from practica.geometry import Point2
+from practica.geometry import Point2, PointBounds
 from practica.mean_proportionals import (
     DIOCLES,
     HERON_APOLLONIUS,
@@ -106,6 +106,21 @@ def test_apollonius_variant_matches_heron():
         solve_heron_apollonius(MeanPropProblem(Fraction(5), Fraction(5)), variant="pappus")
 
 
+def test_apollonius_reads_the_second_mean_as_x_squared_over_ab():
+    # Apollonius' defect proves x**3 = ab**2 * bc at its root, so it reads
+    # y = x**2/ab: the y ends are the x ends squared over ab, exactly.
+    problems = _criterion07_problems() + [
+        MeanPropProblem(ab=Fraction(7, 3), bc=Fraction(5, 11), tol=Fraction(1, 10 ** 160)),
+        MeanPropProblem(ab=Fraction(1), bc=Fraction(2), tol=Fraction(1, 2)),
+        MeanPropProblem(ab=1 + Fraction(1, 10 ** 20), bc=Fraction(1)),
+        MeanPropProblem(ab=Fraction(10 ** 30), bc=Fraction(1, 10 ** 6)),
+    ]
+    for prob in problems:
+        res = solve_heron_apollonius(prob, variant="apollonius")
+        assert res.y.lo == res.x.lo ** 2 / prob.ab, prob
+        assert res.y.hi == res.x.hi ** 2 / prob.ab, prob
+
+
 def test_methods_pairwise_agreement_random():
     rng = random.Random(991)
     for _ in range(8):
@@ -163,6 +178,20 @@ def test_ratios_near_one(k):
         assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3, route
         assert res.y.lo ** 3 <= ab * bc * bc <= res.y.hi ** 3, route
         assert res.x.width <= target and res.y.width <= target, route
+
+
+@pytest.mark.parametrize("ratio", [2, 10, 1000, 10 ** 9])
+def test_small_lines_solve_on_every_route(ratio):
+    # Lines this small floor nicomedes' estimate to 0 at shallow levels,
+    # where it once divided by zero; the kernel gallops from that 0.
+    for k in range(4, 38):
+        bc = Fraction(1, 10 ** k)
+        ab = ratio * bc
+        prob = MeanPropProblem(ab=ab, bc=bc)
+        for route, solve in _ROUTES.items():
+            res = solve(prob)
+            assert res.x.lo ** 3 <= ab * ab * bc <= res.x.hi ** 3, (route, k)
+            assert res.y.lo ** 3 <= ab * bc * bc <= res.y.hi ** 3, (route, k)
 
 
 def test_ordering_of_means():
@@ -295,6 +324,12 @@ def test_cissoid_mirror_symmetry_across_vertical_diameter():
 def test_cissoid_defining_property_everywhere():
     for pt in cissoid_points(Fraction(3, 2), 17, span=(Fraction(-1), Fraction(1))):
         assert cissoid_arc_defect(pt, Fraction(3, 2)).contains(0)
+
+
+def test_cissoid_arc_defect_refuses_points_off_the_curve():
+    for pt in cissoid_points(Fraction(3, 2), 9, span=(Fraction(1, 10), Fraction(9, 10))):
+        off = PointBounds(pt.x + Fraction(1, 10 ** 6), pt.y)
+        assert not cissoid_arc_defect(off, Fraction(3, 2)).contains(0)
 
 
 def test_cissoid_validation():

@@ -10,7 +10,6 @@ from practica.numerics import (
     Interval,
     Precision,
     int_nth_root_floor,
-    interval_sqrt,
     rat_sqrt_bounds,
 )
 
@@ -221,13 +220,6 @@ def test_rat_sqrt_exact_for_perfect_squares(r):
 def test_sqrt_domain_errors():
     with pytest.raises(ValueError):
         rat_sqrt_bounds(Fraction(-1))
-    with pytest.raises(ValueError):
-        interval_sqrt(Interval(Fraction(-1), Fraction(1)))
-
-
-def test_interval_sqrt_monotone_endpoints():
-    iv = interval_sqrt(Interval(Fraction(4), Fraction(9)))
-    assert iv.lo == 2 and iv.hi == 3
 
 
 @given(st.integers(min_value=0, max_value=10 ** 80), st.integers(min_value=2, max_value=17))

@@ -19,7 +19,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 #: and the sha256 of its lines, as ``result_sweep.py <set> | sha256sum``
 #: prints it.  A change that moves a set's results updates its row.
 SWEEP_LINES = {
-    "meanprops": (1452, "6e6efdf9f58c97d99a53ee6adee6ccc546d762d1eade1f42172f57c565ef3265"),
+    "meanprops": (1452, "4c370fb7936940bae4cc11da997b77a6fa35006ffefa16494eb83b80c804a02b"),
     "circle": (1926, "641b2262c250f931ca96f05eee21f53cbc3ec7d32f00b6dd6d58d41b2858be69"),
     "heron": (158, "d876161c76191378c730522e4a244dee843424f0f213d1af7f85cbe9eb879dd5"),
     "roots": (932, "bdd757e2f741208382ec2643ad5662a58125ad34a772754dbbc3a177be35c48c"),
@@ -91,9 +91,11 @@ def test_result_sweep_passes_the_oracles(sweep_sets):
 
 def test_result_sweep_prints_the_pinned_results(sweep_sets):
     # Each set's lines hash to its pinned digest; the failure names the
-    # sets that moved.
-    moved = [
-        name for name, (_, digest) in SWEEP_LINES.items()
-        if hashlib.sha256("".join(f"{line}\n" for line in sweep_sets[name]).encode()).hexdigest() != digest
-    ]
-    assert not moved, f"results moved in {moved}"
+    # sets that moved and gives each one's new SWEEP_LINES row.
+    moved = {}
+    for name, (_, digest) in SWEEP_LINES.items():
+        lines = sweep_sets[name]
+        got = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+        if got != digest:
+            moved[name] = f'"{name}": ({len(lines)}, "{got}")'
+    assert not moved, f"results moved in {list(moved)}; new rows: {', '.join(moved.values())}"
