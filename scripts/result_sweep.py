@@ -43,7 +43,6 @@ differing line is a result that moved.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import sys
@@ -91,7 +90,7 @@ REFUSALS = (PrecisionError, BracketNotFoundError)
 
 
 #: Results spelled by these public attributes, in this order, rather than
-#: by their dataclass fields: an extraction's ``steps`` is no field, but
+#: by their fields (``_fields``): an extraction's ``steps`` is no field, but
 #: a replay of the extraction made when it is first read.
 PUBLIC_ATTRIBUTES = {
     RootExtraction: ("radicand", "degree", "frac_digits", "digits", "remainder", "steps"),
@@ -107,8 +106,8 @@ def _canonical(value: object) -> str:
         return format(value, "x")
     if isinstance(value, Fraction):
         return f"{value.numerator:x}/{value.denominator:x}"
-    if dataclasses.is_dataclass(value):
-        names = PUBLIC_ATTRIBUTES.get(type(value)) or [f.name for f in dataclasses.fields(value)]
+    names = PUBLIC_ATTRIBUTES.get(type(value)) or getattr(type(value), "_fields", None)
+    if names is not None:
         inner = ",".join(_canonical(getattr(value, name)) for name in names)
         return f"{type(value).__name__}({inner})"
     if isinstance(value, (tuple, list)):
@@ -120,7 +119,7 @@ def shown(value: object) -> str:
     canonical = _canonical(value)
     if len(canonical) <= SHOWN_CHARS:
         if type(value) in PUBLIC_ATTRIBUTES:
-            # the dataclass repr, spelled from the public attributes
+            # the value class's repr, spelled from the public attributes
             names = PUBLIC_ATTRIBUTES[type(value)]
             inner = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
             return f"{type(value).__name__}({inner})"

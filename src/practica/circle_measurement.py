@@ -25,10 +25,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import ClassVar
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -37,6 +35,7 @@ from .numerics import (
     PrecisionError,
     _check_int,
     _cleared,
+    _frozen,
     _isqrt_ceil,
     _isqrt_quotient,
     _to_rational,
@@ -47,7 +46,7 @@ from .numerics import (
 _GUARD_DIGITS = 10
 
 
-@dataclass(frozen=True)
+@_frozen
 class PolygonBounds:
     """Certified perimeter/diameter ratios of the inscribed and
     circumscribed regular n-gons.
@@ -73,7 +72,7 @@ class PolygonBounds:
             raise ValueError("inscribed/circumscribed bounds are inconsistent")
 
 
-@dataclass(frozen=True)
+@_frozen
 class PiBounds:
     """A certified rational enclosure of the circle ratio."""
 
@@ -310,7 +309,7 @@ def circle_area_bounds(radius: Fraction, pi_b: PiBounds) -> Interval:
     return Interval(r * r * pi_b.lower, r * r * pi_b.upper)
 
 
-@dataclass(frozen=True)
+@_frozen
 class RatioVerdict:
     """Whether 11/14 falls inside the quarter-ratio interval.
 
@@ -318,7 +317,7 @@ class RatioVerdict:
     from 11/14 to the nearest endpoint are derived from it.
     """
 
-    target: ClassVar[Fraction] = Fraction(11, 14)
+    target = Fraction(11, 14)
     quarter: Interval
 
     @property
@@ -341,7 +340,7 @@ def prop2_ratio_check(pi_b: PiBounds) -> RatioVerdict:
     return RatioVerdict(Interval(pi_b.lower / 4, pi_b.upper / 4))
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExhaustionStep:
     """One doubling step of the square chain: the area gaps before and after.
 

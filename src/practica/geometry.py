@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import Interval, _to_rational
+from .numerics import Interval, _frozen, _to_rational
 
 
-@dataclass(frozen=True)
+@_frozen
 class Point2:
     """A plane point with exact rational coordinates."""
 
@@ -20,7 +19,7 @@ class Point2:
         object.__setattr__(self, "y", _to_rational(self.y))
 
 
-@dataclass(frozen=True)
+@_frozen
 class PointBounds:
     """A plane point whose coordinates are certified intervals."""
 

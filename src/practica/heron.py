@@ -14,15 +14,14 @@ so a zero element proves it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
 from .numerics import DEFAULT_PRECISION, Interval, Precision, rat_sqrt_bounds
-from .numerics import _to_rational
+from .numerics import _frozen, _to_rational
 
 
-@dataclass(frozen=True)
+@_frozen
 class TriangleSides:
     """Three side lengths forming a strict (non-degenerate) triangle."""
 
@@ -44,7 +43,7 @@ class TriangleSides:
         return (self.a + self.b + self.c) / 2
 
 
-@dataclass(frozen=True)
+@_frozen
 class TriangleVertices:
     """Three exact rational vertices, rejected when collinear."""
 
@@ -81,7 +80,7 @@ def heron_area_sq_from_vertices(t: TriangleVertices) -> Fraction:
     return sixteen_area_sq / 16
 
 
-@dataclass(frozen=True)
+@_frozen
 class HeronIdentityReport:
     """The incenter construction, in the triangle's own units.
 

@@ -40,10 +40,9 @@ bracket before its means can be read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable
 
 from .geometry import PointBounds
 from .numerics import (
@@ -53,6 +52,7 @@ from .numerics import (
     PrecisionError,
     _check_int,
     _cleared,
+    _frozen,
     _isqrt_quotient,
     _to_rational,
     int_nth_root_floor,
@@ -72,7 +72,7 @@ class BracketNotFoundError(RuntimeError):
     """The defect function's signs at the ends of its range are not opposite."""
 
 
-@dataclass(frozen=True)
+@_frozen(derived=("swapped",))
 class MeanPropProblem:
     """Find x, y with ab : x :: x : y :: y : bc.
 
@@ -84,7 +84,7 @@ class MeanPropProblem:
     ab: Fraction
     bc: Fraction
     tol: Fraction = DEFAULT_TOL
-    swapped: bool = field(init=False, default=False)
+    swapped: bool = False
 
     def __post_init__(self) -> None:
         ab, bc = _to_rational(self.ab), _to_rational(self.bc)
@@ -93,9 +93,9 @@ class MeanPropProblem:
         tol = _to_rational(self.tol)
         if tol <= 0:
             raise ValueError("tol must be positive")
+        object.__setattr__(self, "swapped", bc > ab)
         if bc > ab:
             ab, bc = bc, ab
-            object.__setattr__(self, "swapped", True)
         object.__setattr__(self, "ab", ab)
         object.__setattr__(self, "bc", bc)
         object.__setattr__(self, "tol", tol)
@@ -123,7 +123,7 @@ class MeanPropProblem:
         return _digits_for(self.width_target)
 
 
-@dataclass(frozen=True)
+@_frozen
 class MeanPropResult:
     """Certified means; the continued-proportion residuals are derived."""
 

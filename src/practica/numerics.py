@@ -20,13 +20,73 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_REQUIRED = object()  # marks a field with no default in `_frozen`
 
 
-@dataclass(frozen=True)
+def _frozen(cls=None, /, *, derived: tuple[str, ...] = ()):
+    """Make ``cls`` a frozen value class over its own annotated names, the
+    ``_fields``: arguments bind by position or keyword, class attributes
+    are defaults, ``__post_init__`` runs last and sets the ``derived``
+    fields, which are no arguments; ``==``, hash and repr read the fields,
+    and assignment raises.  Copies and pickles carry the fields alone, so
+    ``__slots__`` work.  It compiles nothing and imports no ``inspect``,
+    which start-up would pay.
+    """
+    if cls is None:
+        return lambda cls: _frozen(cls, derived=derived)
+    own = vars(cls)
+    names = tuple(own.get("__annotations__", ()))
+    params = tuple(name for name in names if name not in derived)
+    defaults = {name: own[name] for name in names if name in own and name not in own.get("__slots__", ())}
+    post_init, put = own.get("__post_init__"), object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(params):
+            rest = [kwargs.pop(name, defaults.get(name, _REQUIRED)) for name in params[len(args):]]
+            if kwargs or len(args) > len(params) or any(value is _REQUIRED for value in rest):
+                raise TypeError(f"{cls.__name__}() takes the arguments {params}, each once")
+            args = (*args, *rest)
+        for name, value in zip(params, args):
+            put(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    for name in ("__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__getstate__", "__setstate__"):
+        setattr(cls, name, vars(_FrozenMethods)[name])
+    cls.__init__, cls._fields, cls.__match_args__ = __init__, names, params
+    return cls
+
+
+class _FrozenMethods:  # the methods `_frozen` gives a value class
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setstate__(self, values: tuple) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+@_frozen
 class Precision:
     """A decimal-digit budget for directed-rounding operations.
 
@@ -74,7 +134,7 @@ def _cleared(*values: Fraction | int) -> tuple[int, ...]:
     return (*(v.numerator * (d // v.denominator) for v in values), d)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Interval:
     """A closed interval [lo, hi] with exact rational endpoints.
 

@@ -64,17 +64,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .numerics import _check_int, int_to_decimal
+from .numerics import _check_int, _frozen, int_to_decimal
 
 FULL = "full"
 SIMPLIFIED = "simplified"
 
 
-@dataclass(frozen=True)
+@_frozen
 class SpecialNumbers:
     """The divisor coefficients C(n,k) * 10**(n-k) for k = 1 .. n-1."""
 
@@ -117,7 +116,7 @@ def _shift_rows(degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class TraceStep:
     """One point of the extraction, with every intermediate quantity.
 
@@ -128,6 +127,7 @@ class TraceStep:
     not from a division).
     """
 
+    __slots__ = ("carried", "group", "degree", "divisor", "trial_digit", "corrected_digit", "remainder_after")
     carried: int
     group: int
     degree: int
@@ -147,7 +147,7 @@ class TraceStep:
         return self.point_value - self.remainder_after
 
 
-@dataclass(frozen=True)
+@_frozen
 class RootExtraction:
     """The result and complete trace of one longhand root extraction.
 

@@ -476,7 +476,7 @@ def _endpoints(value):
         for item in value:
             yield from _endpoints(item)
     else:
-        for name in value.__dataclass_fields__:
+        for name in value._fields:
             yield from _endpoints(getattr(value, name))
 
 

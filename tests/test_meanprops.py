@@ -235,7 +235,7 @@ def test_width_target_is_tol_times_the_smaller_scale():
 
 
 def test_reading_the_width_target_leaves_the_problem_and_results_unchanged():
-    # The cached values live outside the dataclass fields.
+    # The cached values live outside the fields (``_fields``).
     prob = MeanPropProblem(ab=Fraction(7, 3), bc=Fraction(5, 11))
     fresh = MeanPropProblem(ab=Fraction(7, 3), bc=Fraction(5, 11))
     before = repr(prob), hash(prob)

@@ -1,7 +1,6 @@
 """Longhand root extraction: golden traces, the remainder invariant, the
 divisor bookkeeping, and the digit loop against a pow-based reference."""
 
-import dataclasses
 import decimal
 import math
 import random
@@ -368,9 +367,9 @@ def test_trial_digit_divides_exactly_only_where_the_leading_bits_part():
 def test_extraction_keeps_only_its_digits():
     # The trace is O(D**2) in size; an extraction holds its digits and
     # final remainder, and steps replays the walk on first read.
-    assert [f.name for f in dataclasses.fields(RootExtraction)] == [
+    assert RootExtraction._fields == (
         "radicand", "degree", "frac_digits", "digits", "remainder", "divisor_mode",
-    ]
+    )
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
