@@ -22,12 +22,13 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
   the short extractions of seeds 2 and 3, and the square root of 2 to
   degrees 3-17 at 200 and 1000 fractional digits in both divisor modes);
 * curves: one line per sampled point, each checked by its defining
-  property (``cissoid_arc_defect`` or, with pole distance and offset 1,
-  ``conchoid_quartic_residual`` contains 0): the README's 200-sample
-  conchoid over [0, 21] at 30 digits, 21-sample conchoids over
-  [-5, 5] and [0, 1000] at 10 and 60 digits, and 9-sample cissoids of
-  radius 1 and 3/2 over the spans [-1, 1] and [1/10, 9/10] at 10, 30
-  and 60 digits.
+  property (``cissoid_arc_defect`` or the conchoid's quartic contains
+  0): the README's 200-sample conchoid over [0, 21] at 30 digits,
+  21-sample conchoids over [-5, 5] and [0, 1000] at 10 and 60 digits,
+  with pole distance and offset 1, and at 30 digits with pole distance
+  3/2 and offset 2 over [-5, 5] and with 1/1000 and 10**6 over
+  [-1000, 1000], and 9-sample cissoids of radius 1 and 3/2 over the
+  spans [-1, 1] and [1/10, 9/10] at 10, 30 and 60 digits.
 
 Usage: PYTHONPATH=<tree>/src python scripts/result_sweep.py [SET ...]
 
@@ -72,7 +73,6 @@ from practica import (  # noqa: E402
     cissoid_arc_defect,
     cissoid_points,
     conchoid_points,
-    conchoid_quartic_residual,
     double_polygon,
     exhaustion_report,
     extract_root,
@@ -318,13 +318,15 @@ def roots() -> Iterator[str]:
 # ----------------------------------------------------------------------
 # curves
 
-#: (samples, x_range, digits) of the conchoids with pole distance and offset 1.
+#: (pole distance, offset, samples, x_range, digits) of the conchoids.
 CONCHOIDS = (
-    (200, (Fraction(0), Fraction(21)), 30),  # the README's curve
-    (21, (Fraction(-5), Fraction(5)), 10),
-    (21, (Fraction(-5), Fraction(5)), 60),
-    (21, (Fraction(0), Fraction(1000)), 10),
-    (21, (Fraction(0), Fraction(1000)), 60),
+    (Fraction(1), Fraction(1), 200, (Fraction(0), Fraction(21)), 30),  # the README's curve
+    (Fraction(1), Fraction(1), 21, (Fraction(-5), Fraction(5)), 10),
+    (Fraction(1), Fraction(1), 21, (Fraction(-5), Fraction(5)), 60),
+    (Fraction(1), Fraction(1), 21, (Fraction(0), Fraction(1000)), 10),
+    (Fraction(1), Fraction(1), 21, (Fraction(0), Fraction(1000)), 60),
+    (Fraction(3, 2), Fraction(2), 21, (Fraction(-5), Fraction(5)), 30),
+    (Fraction(1, 1000), Fraction(10 ** 6), 21, (Fraction(-1000), Fraction(1000)), 30),
 )
 CISSOID_SAMPLES = 9
 CISSOID_RADII = (Fraction(1), Fraction(3, 2))
@@ -333,6 +335,13 @@ CISSOID_SPANS = ((Fraction(-1), Fraction(1)), (Fraction(1, 10), Fraction(9, 10))
 
 def _contains_zero(what: str, iv) -> str | None:
     return None if iv.contains(0) else f"the {what} excludes 0"
+
+
+def _conchoid_quartic(d: Fraction, e: Fraction, point) -> str | None:
+    """(x**2 + (y + d)**2) * y**2 - e**2 * (y + d)**2 contains 0 on the
+    conchoid with pole distance d and offset e."""
+    yd = (point.y + d).square()
+    return _contains_zero("quartic residual", (point.x.square() + yd) * point.y.square() - e * e * yd)
 
 
 def _sampled(label: str, sample: Callable[[], list], check: Check) -> Iterator[str]:
@@ -346,12 +355,11 @@ def _sampled(label: str, sample: Callable[[], list], check: Check) -> Iterator[s
 
 
 def curves() -> Iterator[str]:
-    one = Fraction(1)
-    for samples, (x0, x1), digits in CONCHOIDS:
+    for d, e, samples, (x0, x1), digits in CONCHOIDS:
         yield from _sampled(
-            f"conchoid_points d=1 e=1 samples={samples} x_range=[{x0}, {x1}] p={digits}",
-            partial(conchoid_points, one, one, samples, (x0, x1), Precision(digits)),
-            lambda pt: _contains_zero("quartic residual", conchoid_quartic_residual(pt)),
+            f"conchoid_points d={d} e={e} samples={samples} x_range=[{x0}, {x1}] p={digits}",
+            partial(conchoid_points, d, e, samples, (x0, x1), Precision(digits)),
+            partial(_conchoid_quartic, d, e),
         )
     for r in CISSOID_RADII:
         for s0, s1 in CISSOID_SPANS:

@@ -35,11 +35,11 @@ from .numerics import (
     PrecisionError,
     _check_int,
     _cleared,
+    _decade,
     _frozen,
     _isqrt_ceil,
     _isqrt_quotient,
     _to_rational,
-    int_to_decimal,
 )
 
 #: Extra decimal digits carried internally beyond the requested precision.
@@ -234,7 +234,7 @@ def _digits_for_width(width: Fraction) -> int:
     ceil(5*(k + 2)/3) for 10**-(k+1) < width <= 10**-k (k = 0 above 1).
     At D digits the chain stalls between 10**(-0.589*D) and 10**(-0.608*D)
     (measured for D = 11 .. 419), 0.87 decades or more below 10**-(k+1)."""
-    k = len(int_to_decimal(width.denominator // width.numerator)) - 1
+    k = max(0, _decade(width.denominator, width.numerator))
     return -(-5 * (k + 2) // 3)
 
 

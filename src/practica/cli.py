@@ -22,7 +22,6 @@ from .geometry import Point2, PointBounds, orient
 from .heron import (
     TriangleSides,
     TriangleVertices,
-    heron_area_bounds,
     heron_area_sq_from_vertices,
     heron_product,
 )
@@ -45,6 +44,7 @@ from .numerics import (
     Interval,
     Precision,
     PrecisionError,
+    _decade,
     int_to_decimal,
     rat_sqrt_bounds,
 )
@@ -109,17 +109,7 @@ def format_magnitude_bound(x: Fraction) -> str:
     num, den = abs(x.numerator), x.denominator
     if num == 0:
         return "0"
-
-    def at_least(e: int) -> bool:  # |x| >= 10**e
-        return num >= den * 10 ** e if e >= 0 else num * 10 ** -e >= den
-
-    # 10**exp <= |x| < 10**(exp + 1).  The bit lengths put |x| within a
-    # factor of 2 of 2**bits, so exp is within one of bits * log10(2).
-    exp = (num.bit_length() - den.bit_length()) * 3010299957 // 10 ** 10
-    while not at_least(exp):
-        exp -= 1
-    while at_least(exp + 1):
-        exp += 1
+    exp = _decade(num, den)  # 10**exp <= |x| < 10**(exp + 1)
     top, bottom = (num * 10 ** (2 - exp), den) if exp <= 2 else (num, den * 10 ** (exp - 2))
     m = -(-top // bottom)  # |x| * 10**(2 - exp) rounded up, in [100, 1000]
     if m == 1000:  # rounding crossed a decade
@@ -181,43 +171,40 @@ def cmd_pi_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _precision_for(digits: int, square: Fraction) -> Precision:
+    """Fewest working digits p (and at least `DEFAULT_PRECISION`'s) at which
+    `rat_sqrt_bounds` of a root <= sqrt(square), at most 10**-p * max(1,
+    root) wide, is within one unit in the last of ``digits`` places."""
+    square = max(Fraction(1), square)
+    c = -(_decade(square.denominator, square.numerator) // 2)  # max(1, root) <= 10**c
+    return Precision(max(DEFAULT_PRECISION.decimal_digits, digits + c))
+
+
 def cmd_heron(args: argparse.Namespace) -> int:
-    p = Precision(args.precision)
-    digits = args.decimal_digits
     if args.sides is not None:
         tri = TriangleSides(*args.sides)
-        product = heron_product(tri)
-        area = heron_area_bounds(tri, p)
+        area_sq = heron_product(tri)
         lines = [
             "sides          " + " ".join(map(format_fraction, (tri.a, tri.b, tri.c))),
             f"semiperimeter  {format_fraction(tri.semiperimeter)}",
-            f"product        {format_fraction(product)}",
-            f"area ~         {render_value(area, digits)}"
-            + ("  (exact)" if area.width == 0 else ""),
+            f"product        {format_fraction(area_sq)}",
         ]
-        _emit(lines)
-        return 0
-    coords = args.vertices
-    tri = TriangleVertices(
-        Point2(coords[0], coords[1]),
-        Point2(coords[2], coords[3]),
-        Point2(coords[4], coords[5]),
-    )
-    area_sq = heron_area_sq_from_vertices(tri)
-    cross_sq = (orient(tri.p1, tri.p2, tri.p3) / 2) ** 2
-    agree = "exact" if area_sq == cross_sq else "MISMATCH"
-    area = rat_sqrt_bounds(area_sq, p)
-    _emit(
-        [
+    else:
+        tri = TriangleVertices(*(Point2(*args.vertices[i:i + 2]) for i in (0, 2, 4)))
+        area_sq = heron_area_sq_from_vertices(tri)
+        cross_sq = (orient(tri.p1, tri.p2, tri.p3) / 2) ** 2
+        lines = [
             "vertices       "
             + " ".join(f"({format_fraction(v.x)}, {format_fraction(v.y)})" for v in (tri.p1, tri.p2, tri.p3)),
             f"area^2         {format_fraction(area_sq)}  (product route)",
             f"area^2         {format_fraction(cross_sq)}  (cross product route)",
-            f"agreement      {agree}",
-            f"area ~         {render_value(area, digits)}"
-            + ("  (exact)" if area.width == 0 else ""),
+            f"agreement      {'exact' if area_sq == cross_sq else 'MISMATCH'}",
         ]
-    )
+    digits = args.decimal_digits
+    area = rat_sqrt_bounds(area_sq, _precision_for(digits, area_sq))
+    lines.append(f"area ~         {render_value(area, digits)}"
+                 + ("  (exact)" if area.width == 0 else ""))
+    _emit(lines)
     return 0
 
 
@@ -292,13 +279,15 @@ def cmd_nth_root(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    p = Precision(args.precision)
+    # every coordinate is one root, of at most the radius or the offset
+    digits = args.decimal_digits
     if args.type == "cissoid":
+        p = _precision_for(digits, args.radius ** 2)
         points = cissoid_points(args.radius, args.samples, p, args.span)
     else:
+        p = _precision_for(digits, args.offset ** 2)
         points = conchoid_points(args.pole_distance, args.offset, args.samples, args.x_range, p)
     if args.format == "csv":
-        digits = args.decimal_digits
         rows = ["x,y"]
         rows += [
             f"{format_decimal(pt.x.mid, digits)},{format_decimal(pt.y.mid, digits)}"
@@ -376,14 +365,6 @@ def _add_decimal_digits(sub: argparse.ArgumentParser, default: int | None = 15) 
                      help="decimal places in printed values")
 
 
-def _add_common(sub: argparse.ArgumentParser, decimal_default: int | None = 15,
-                precision_help: str = "working precision in decimal digits") -> None:
-    sub.add_argument("--precision", type=int_at_least(1),
-                     default=DEFAULT_PRECISION.decimal_digits,
-                     metavar="P", help=f"{precision_help} (default %(default)s)")
-    _add_decimal_digits(sub, decimal_default)
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts "-" or "-." and a digit as a value (no
     option does): ``--span -1/2 1/2`` and ``--x-range -1e3 1e3`` too,
@@ -409,8 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--width", type=parse_rational, metavar="W",
                         help="double until upper - lower <= W")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
-    _add_common(sp, decimal_default=None, precision_help="working precision in decimal "
-                "digits; with --width, a floor under the digits the width needs")
+    sp.add_argument("--precision", type=int_at_least(1), default=DEFAULT_PRECISION.decimal_digits,
+                    metavar="P", help="working precision in decimal digits; with --width, a floor "
+                    "under the digits the width needs (default %(default)s)")
+    _add_decimal_digits(sp, default=None)
     sp.set_defaults(func=cmd_pi_bounds)
 
     sp = sub.add_parser("heron", help="triangle area from sides or vertices")
@@ -418,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     triangle.add_argument("--sides", type=parse_rational, nargs=3, metavar=("A", "B", "C"))
     triangle.add_argument("--vertices", type=parse_rational, nargs=6,
                           metavar=("X1", "Y1", "X2", "Y2", "X3", "Y3"))
-    _add_common(sp)
+    _add_decimal_digits(sp)
     sp.set_defaults(func=cmd_heron)
 
     sp = sub.add_parser("meanprops", help="two mean proportionals between two lines")
@@ -451,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--offset", type=parse_rational, default=Fraction(1), metavar="E")
     sp.add_argument("--x-range", type=parse_rational, nargs=2, metavar=("X0", "X1"),
                     default=(Fraction(0), Fraction(21)))
-    _add_common(sp)
+    _add_decimal_digits(sp)
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("special-numbers", help="divisor coefficient rows per degree")

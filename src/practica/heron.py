@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
 from .numerics import DEFAULT_PRECISION, Interval, Precision, rat_sqrt_bounds
-from .numerics import _frozen, _to_rational
+from .numerics import _frozen, _isqrt_ceil, _to_rational
 
 
 @_frozen
@@ -120,8 +120,8 @@ class _Ring:
         self.roots = []
         for r in self.radicands:
             n = r * scale * scale
-            root = math.isqrt(n)
-            self.roots.append((root, root + (root * root != n)))
+            hi = _isqrt_ceil(n)
+            self.roots.append((hi - (hi * hi != n), hi))  # one isqrt gives both ends
 
     def mul(self, x: list[int], y: list[int]) -> list[int]:
         # √X·√X = X: monomials i and j multiply to i ^ j times the radicands of i & j.

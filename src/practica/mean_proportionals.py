@@ -52,11 +52,11 @@ from .numerics import (
     PrecisionError,
     _check_int,
     _cleared,
+    _decade,
     _frozen,
     _isqrt_quotient,
     _to_rational,
     int_nth_root_floor,
-    int_to_decimal,
     rat_sqrt_bounds,
 )
 
@@ -148,11 +148,10 @@ class MeanPropResult:
 
 
 def _digits_for(x: Fraction) -> int:
-    """Smallest d >= 1 with 10**-d <= x.  For x = n/m that is
-    10**d >= ceil(m/n), so d is the number of digits of ceil(m/n) - 1."""
+    """Smallest d >= 1 with 10**-d <= x: minus the decade of x, or 1."""
     if x <= 0:
         raise ValueError("width target must be positive")
-    return len(int_to_decimal(-(-x.denominator // x.numerator) - 1))
+    return max(1, -_decade(x.numerator, x.denominator))
 
 
 def _halvings(width: Fraction | int, target: Fraction | int) -> int:
@@ -531,6 +530,14 @@ def solve_philo(prob: MeanPropProblem) -> MeanPropResult:
 # cissoid
 
 
+def _sample_grid(lo: Fraction, hi: Fraction, samples: int) -> list[Fraction]:
+    """``samples`` evenly spaced parameters from lo to hi, both included."""
+    _check_int(samples, "samples")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    return [lo + (hi - lo) * Fraction(j, samples - 1) for j in range(samples)]
+
+
 def cissoid_points(
     radius: Fraction,
     samples: int,
@@ -546,7 +553,8 @@ def cissoid_points(
     and its mirror M across the vertical diameter (equal arcs either
     side of E); the emitted point is the intersection of line DM with
     the horizontal through the chord's foot K = (0, -m), namely
-    (h*(r-m)/(r+m), -m) with h the half-chord sqrt(r**2 - m**2).
+    (h*(r-m)/(r+m), -m) with h the half-chord sqrt(r**2 - m**2): as
+    h**2 = (r-m)(r+m), the abscissa is one root, sqrt((r-m)**3/(r+m)) <= r.
 
     The sample parameter s runs over ``span`` inside [-1, 1]: |s| scales
     the foot height (s = 0 gives E, |s| = 1 the cusp D) and its sign
@@ -556,21 +564,14 @@ def cissoid_points(
     r = _to_rational(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    _check_int(samples, "samples")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     s0, s1 = _to_rational(span[0]), _to_rational(span[1])
     if not (-1 <= s0 < s1 <= 1):
         raise ValueError("span must be an ordered pair inside [-1, 1]")
     points = []
-    for j in range(samples):
-        s = s0 + (s1 - s0) * Fraction(j, samples - 1)
+    for s in _sample_grid(s0, s1, samples):
         m = r * abs(s)
-        chord = rat_sqrt_bounds(r * r - m * m, p)  # the half-chord KH
-        x = chord * ((r - m) / (r + m))
-        if s < 0:
-            x = -x
-        points.append(PointBounds(x, Interval.point(-m)))
+        x = rat_sqrt_bounds((r - m) ** 3 / (r + m), p)
+        points.append(PointBounds(-x if s < 0 else x, Interval.point(-m)))
     return points
 
 
@@ -657,24 +658,20 @@ def conchoid_points(
 
     The base line is y = 0 and the pole sits below it at (0, -d); each
     sampled base point S = (s, 0) is pushed away from the pole by the
-    offset e along the ray pole -> S, landing on the upper branch."""
+    offset e along the ray pole -> S, landing on the upper branch: with
+    k = e**2/(s**2 + d**2), x = s +- sqrt(k*s**2) and y = sqrt(k*d**2),
+    each one root of at most e."""
     d, e = _to_rational(pole_distance), _to_rational(offset)
     if d <= 0 or e <= 0:
         raise ValueError("pole distance and offset must be positive")
-    _check_int(samples, "samples")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     x0, x1 = _to_rational(x_range[0]), _to_rational(x_range[1])
     if not x0 < x1:
         raise ValueError("x_range must be an ordered pair")
     points = []
-    for j in range(samples):
-        s = x0 + (x1 - x0) * Fraction(j, samples - 1)
-        hyp = rat_sqrt_bounds(s * s + d * d, p)  # |S - pole|
-        stretch = e / hyp
-        points.append(
-            PointBounds(Interval.point(s) + s * stretch, d * stretch)
-        )
+    for s in _sample_grid(x0, x1, samples):
+        k = e * e / (s * s + d * d)
+        push = rat_sqrt_bounds(k * s * s, p)
+        points.append(PointBounds(s + push if s >= 0 else s - push, rat_sqrt_bounds(k * d * d, p)))
     return points
 
 

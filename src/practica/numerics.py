@@ -117,6 +117,23 @@ def _check_int(value: object, what: str) -> None:
         raise TypeError(f"{what} must be an integer")
 
 
+def _decade(n: int, d: int) -> int:
+    """The k with 10**k <= n/d < 10**(k + 1), for integers n, d > 0.
+
+    The bit lengths put n/d within a factor of 2 of 2**bits, so k is
+    within one of bits * log10(2), and exact comparisons settle it."""
+
+    def at_least(e: int) -> bool:  # n/d >= 10**e
+        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
+
+    k = (n.bit_length() - d.bit_length()) * 3010299957 // 10 ** 10
+    while not at_least(k):
+        k -= 1
+    while at_least(k + 1):
+        k += 1
+    return k
+
+
 def _scalar(value: object) -> Fraction | int:
     """An exact rational operand as given (an int stays an int)."""
     if isinstance(value, (Fraction, int)):
@@ -307,8 +324,9 @@ def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Inte
     """Directed-rounding enclosure of sqrt(x) for a nonnegative rational.
 
     Returns [lo, hi] with lo**2 <= x <= hi**2 and
-    hi - lo <= 10**-p.decimal_digits * max(1, hi).  Perfect squares of
-    rationals come back as degenerate (zero-width) intervals.
+    hi - lo <= 10**-p.decimal_digits * max(1, sqrt(x)), so also with hi
+    for sqrt(x); the two guard digits leave a factor of 20.  Perfect
+    squares of rationals come back as degenerate (zero-width) intervals.
     """
     x = _to_rational(x)
     if x < 0:

@@ -84,6 +84,7 @@ class SpecialNumbers:
     @lru_cache(maxsize=64, typed=True)
     def for_degree(cls, degree: int) -> "SpecialNumbers":
         """The row for one degree; frozen, so repeated calls share it."""
+        _check_int(degree, "degree")
         if degree < 2:
             raise ValueError(f"degree must be at least 2, got {degree}")
         values = tuple(

@@ -32,6 +32,7 @@ from practica.circle_measurement import (
 )
 from practica.mean_proportionals import cissoid_points, conchoid_points
 from practica.numerics import Interval, Precision, PrecisionError, rat_sqrt_bounds
+from practica.root_extraction import SpecialNumbers
 
 P20 = Precision(20)
 
@@ -555,6 +556,8 @@ def test_exhaustion_step_reports_a_gap_that_does_not_halve():
         (lambda: cissoid_points(Fraction(1), True), "samples"),
         (lambda: conchoid_points(Fraction(1), Fraction(1), 3.0, (0, 1)), "samples"),
         (lambda: conchoid_points(Fraction(1), Fraction(1), True, (0, 1)), "samples"),
+        (lambda: SpecialNumbers.for_degree(3.0), "degree"),
+        (lambda: SpecialNumbers.for_degree(True), "degree"),
     ],
 )
 def test_counts_must_be_integers(call, name):

@@ -2,11 +2,15 @@
 
 Each case goes through a real subprocess so the exit-code contract and
 byte-level determinism are what a shell user would see, except the one
-that runs ``cli.main`` in process to stand a failure in for a route.
+that runs ``cli.main`` in process to stand a failure in for a route and
+the generated ``heron`` and ``curve`` runs that check every printed digit.
 """
 
+import contextlib
 import csv
 import io
+import math
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from practica import cli
@@ -447,18 +451,161 @@ def test_negative_decimal_digits_is_usage_error(command):
     assert r.stdout == b""
 
 
-@pytest.mark.parametrize("command", ["pi-bounds", "heron", "curve"])
+@pytest.mark.parametrize("command", ["pi-bounds"])
 @pytest.mark.parametrize("precision", ["0", "-1"])
 def test_nonpositive_precision_is_usage_error(command, precision):
-    flags = {
-        "pi-bounds": ("--sides", "96"),
-        "heron": ("--sides", "3", "4", "5"),
-        "curve": ("--type", "cissoid"),
-    }[command]
-    r = run(command, *flags, f"--precision={precision}")
+    r = run(command, "--sides", "96", f"--precision={precision}")
     assert r.returncode == 2
     assert f"argument --precision: must be at least 1, got {precision}" in r.stderr.decode()
     assert r.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "command", [("heron", "--sides", "3", "4", "5"), ("curve", "--type", "cissoid")],
+    ids=lambda command: command[0],
+)
+def test_heron_and_curve_take_no_precision(command):
+    # their working digits follow from --decimal-digits
+    r = run(*command, "--precision", "30")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --precision 30" in r.stderr.decode()
+    assert r.stdout == b""
+
+
+# --- every printed digit of heron and curve -------------------------------
+
+
+def _floor_root(q: Fraction, b: Fraction) -> int:
+    """floor(q + sqrt(b)) for rationals q, b >= 0, decided by squaring:
+    it is n or n + 1 for n = floor(q) + isqrt(floor(b))."""
+    n = math.floor(q) + math.isqrt(math.floor(b))
+    return n + (n + 1 <= q or (n + 1 - q) ** 2 <= b)
+
+
+#: One printed decimal's true value, -(q + sqrt(b)) if ``negative`` else
+#: q + sqrt(b), with rationals q, b >= 0.
+Truth = tuple[bool, Fraction, Fraction]
+
+
+def _check_printed(printed: str, truth: Truth) -> None:
+    """``printed`` is the true value truncated toward zero to its places,
+    or one unit in the last place from that."""
+    negative, q, b = truth
+    assert printed.startswith("-") == negative, printed
+    scale = 10 ** len(printed.partition(".")[2])
+    shown = abs(Fraction(printed)) * scale
+    assert abs(shown - _floor_root(q * scale, b * scale * scale)) <= 1, (printed, truth)
+
+
+def _main_stdout(argv: list[str]) -> str:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.buffer.getvalue().decode()
+
+
+def _heron_sides_case(sides: list[Fraction], digits: int) -> tuple[list[str], list[Truth]]:
+    a, b, c = sides
+    s = (a + b + c) / 2
+    argv = ["heron", "--sides", *map(str, sides), "--decimal-digits", str(digits)]
+    return argv, [(False, Fraction(0), s * (s - a) * (s - b) * (s - c))]
+
+
+def _heron_vertices_case(coords: list[Fraction], digits: int) -> tuple[list[str], list[Truth]]:
+    x1, y1, x2, y2, x3, y3 = coords
+    cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    argv = ["heron", "--vertices", *map(str, coords), "--decimal-digits", str(digits)]
+    return argv, [(False, Fraction(0), cross * cross / 4)]
+
+
+def _cissoid_case(r: Fraction, samples: int, span: tuple[Fraction, Fraction] | None,
+                  digits: int) -> tuple[list[str], list[Truth]]:
+    # (h*(r-m)/(r+m), -m) with h**2 = r**2 - m**2, as the figure builds it
+    argv = ["curve", "--type", "cissoid", "--samples", str(samples), "--radius", str(r),
+            "--decimal-digits", str(digits)]
+    if span is not None:
+        argv += ["--span", *map(str, span)]
+    s0, s1 = span or (Fraction(0), Fraction(1))
+    truths = []
+    for j in range(samples):
+        s = s0 + (s1 - s0) * Fraction(j, samples - 1)
+        m = r * abs(s)
+        x_sq = (r * r - m * m) * ((r - m) / (r + m)) ** 2
+        truths += [(s < 0 and x_sq > 0, Fraction(0), x_sq), (m > 0, m, Fraction(0))]
+    return argv, truths
+
+
+def _conchoid_case(d: Fraction, e: Fraction, samples: int, x_range: tuple[Fraction, Fraction],
+                   digits: int) -> tuple[list[str], list[Truth]]:
+    # S = (s, 0) pushed by e away from the pole (0, -d): S + e*(s, d)/|(s, d)|
+    argv = ["curve", "--type", "conchoid", "--samples", str(samples), "--pole-distance", str(d),
+            "--offset", str(e), "--x-range", *map(str, x_range), "--decimal-digits", str(digits)]
+    x0, x1 = x_range
+    truths = []
+    for j in range(samples):
+        s = x0 + (x1 - x0) * Fraction(j, samples - 1)
+        hyp_sq = s * s + d * d
+        truths += [(s < 0, abs(s), e * e * s * s / hyp_sq), (False, Fraction(0), e * e * d * d / hyp_sq)]
+    return argv, truths
+
+
+#: Lengths from 1e-20 to 1e20 with short mantissas.
+_LENGTHS = st.builds(lambda m, k: m * Fraction(10) ** k,
+                     st.fractions(min_value=1, max_value=10, max_denominator=1000),
+                     st.integers(-20, 20))
+_UNIT = st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000)
+_DIGITS = st.integers(0, 60)
+_SAMPLES = st.integers(2, 5)
+_COORDINATES = st.fractions(min_value=-1, max_value=1, max_denominator=1000)
+_PAIRS = st.lists(_COORDINATES, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def _triangle_sides(draw) -> list[Fraction]:
+    # c strictly between |a - b| and a + b
+    a, b = draw(_LENGTHS), draw(_LENGTHS)
+    c = abs(a - b) + 2 * min(a, b) * draw(_UNIT)
+    return [a, b, c]
+
+
+@st.composite
+def _vertices(draw) -> list[Fraction]:
+    scale = draw(_LENGTHS)
+    coords = [scale * v for v in draw(st.lists(_COORDINATES, min_size=6, max_size=6))]
+    x1, y1, x2, y2, x3, y3 = coords
+    assume((x2 - x1) * (y3 - y1) != (y2 - y1) * (x3 - x1))
+    return coords
+
+
+_CLI_CASES = st.one_of(
+    st.builds(_heron_sides_case, _triangle_sides(), _DIGITS),
+    st.builds(_heron_vertices_case, _vertices(), _DIGITS),
+    st.builds(_cissoid_case, _LENGTHS, _SAMPLES, st.none() | _PAIRS.map(tuple), _DIGITS),
+    st.builds(_conchoid_case, _LENGTHS, _LENGTHS, _SAMPLES,
+              st.tuples(_LENGTHS, _PAIRS).map(lambda sp: tuple(sp[0] * v for v in sp[1])), _DIGITS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CLI_CASES)
+@example(_cissoid_case(Fraction(1), 3, None, 45))  # wrong from the 31st decimal at 30 digits
+@example(_conchoid_case(Fraction(1), Fraction(1), 3, (Fraction(0), Fraction(21)), 60))
+@example(_heron_sides_case([Fraction(10 ** 20)] * 3, 60))
+def test_heron_and_curve_print_only_true_digits(case):
+    # Every decimal heron or curve (CSV) prints is the true value
+    # truncated to its places, up to one unit in the last place, with no
+    # interval beside it.
+    argv, truths = case
+    out = _main_stdout(argv)
+    if argv[0] == "heron":
+        match = re.fullmatch(r"area ~ +(\S+)(  \(exact\))?", out.splitlines()[-1])
+        assert match, out
+        printed = [match.group(1)]
+    else:
+        printed = [value for row in out.splitlines()[1:] for value in row.split(",")]
+    assert len(printed) == len(truths)
+    for text, truth in zip(printed, truths):
+        _check_printed(text, truth)
 
 
 @pytest.mark.parametrize("literal", ["inf", "Infinity", "-inf", "-Infinity", "nan", "snan"])

@@ -364,6 +364,33 @@ def test_conchoid_heights_strictly_decrease():
         assert b.y.hi < a.y.lo
 
 
+#: Lengths from 1e-20 to 1e20 with short mantissas.
+_LENGTHS = st.builds(lambda m, k: m * Fraction(10) ** k,
+                     st.fractions(min_value=1, max_value=10, max_denominator=1000),
+                     st.integers(-20, 20))
+
+
+def _conchoid_quartic(pt: PointBounds, d: Fraction, e: Fraction) -> Interval:
+    """(x**2 + (y + d)**2) * y**2 - e**2 * (y + d)**2, 0 on the conchoid."""
+    yd = (pt.y + d).square()
+    return (pt.x.square() + yd) * pt.y.square() - e * e * yd
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LENGTHS, _LENGTHS, _LENGTHS, _LENGTHS, st.integers(1, 60))
+def test_sampled_coordinates_are_roots_as_narrow_as_their_precision(r, d, e, reach, digits):
+    # Each coordinate is one root of at most r (cissoid) or e (conchoid),
+    # so it is at most 10**-p * max(1, r or e) wide, and the points keep
+    # their defining properties.
+    p = Precision(digits)
+    for pt in cissoid_points(r, 5, p, (Fraction(-1), Fraction(1))):
+        assert pt.x.width <= max(1, r) / 10 ** digits and pt.y.width == 0
+        assert cissoid_arc_defect(pt, r).contains(0)
+    for pt in conchoid_points(d, e, 5, (-reach, reach), p):
+        assert max(pt.x.width, pt.y.width) <= max(1, e) / 10 ** digits
+        assert _conchoid_quartic(pt, d, e).contains(0)
+
+
 def test_conchoid_validation():
     with pytest.raises(ValueError):
         conchoid_points(Fraction(0), Fraction(1), 5, (Fraction(0), Fraction(1)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from practica.numerics import (
     Interval,
     Precision,
+    _decade,
     int_nth_root_floor,
     rat_sqrt_bounds,
 )
@@ -209,6 +210,26 @@ def test_rat_sqrt_bounds_postcondition(x, digits):
     assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
     assert iv.lo >= 0
     assert iv.width <= Fraction(1, 10 ** digits) * max(1, iv.hi)
+    # and at most 10**-digits * max(1, sqrt(x)), decided by squaring
+    scaled = iv.width * 10 ** digits
+    assert scaled <= 1 or scaled * scaled <= x
+
+
+@given(
+    st.one_of(
+        # exact powers of ten, and values just either side of them
+        st.builds(
+            lambda k, e: Fraction(10) ** k * (1 + Fraction(e, 10 ** 40)),
+            st.integers(min_value=-6000, max_value=6000),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 30).filter(bool),
+        st.builds(Fraction, st.integers(1, 10 ** 5100), st.integers(1, 10 ** 60)),
+    )
+)
+def test_decade_brackets_the_value(x):
+    k = _decade(x.numerator, x.denominator)
+    assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1)
 
 
 @given(st.fractions(min_value=0, max_value=100, max_denominator=50))

@@ -23,7 +23,7 @@ SWEEP_LINES = {
     "circle": (1926, "641b2262c250f931ca96f05eee21f53cbc3ec7d32f00b6dd6d58d41b2858be69"),
     "heron": (158, "d876161c76191378c730522e4a244dee843424f0f213d1af7f85cbe9eb879dd5"),
     "roots": (932, "bdd757e2f741208382ec2643ad5662a58125ad34a772754dbbc3a177be35c48c"),
-    "curves": (392, "22b1d0e5153b6de4c3d3f3b19e421313f2a668cc087fdc6dd4b996bc729cae49"),
+    "curves": (434, "547858fa590019854e4c13c955f2908d7e5f8b980b8af6dc0da196b454896643"),
 }
 
 #: The circle lines that may read otherwise than ok, by label, with the
