@@ -22,8 +22,8 @@ documented numerical failure, CLI exit 3), ``WRONG: <reason>`` or
   the short extractions of seeds 2 and 3, and the square root of 2 to
   degrees 3-17 at 200 and 1000 fractional digits in both divisor modes);
 * curves: one line per sampled point, each checked by its defining
-  property (``cissoid_arc_defect`` or the conchoid's quartic contains
-  0): the README's 200-sample conchoid over [0, 21] at 30 digits,
+  property (``cissoid_arc_defect`` or ``conchoid_quartic_residual``
+  contains 0): the README's 200-sample conchoid over [0, 21] at 30 digits,
   21-sample conchoids over [-5, 5] and [0, 1000] at 10 and 60 digits,
   with pole distance and offset 1, and at 30 digits with pole distance
   3/2 and offset 2 over [-5, 5] and with 1/1000 and 10**6 over
@@ -73,6 +73,7 @@ from practica import (  # noqa: E402
     cissoid_arc_defect,
     cissoid_points,
     conchoid_points,
+    conchoid_quartic_residual,
     double_polygon,
     exhaustion_report,
     extract_root,
@@ -337,13 +338,6 @@ def _contains_zero(what: str, iv) -> str | None:
     return None if iv.contains(0) else f"the {what} excludes 0"
 
 
-def _conchoid_quartic(d: Fraction, e: Fraction, point) -> str | None:
-    """(x**2 + (y + d)**2) * y**2 - e**2 * (y + d)**2 contains 0 on the
-    conchoid with pole distance d and offset e."""
-    yd = (point.y + d).square()
-    return _contains_zero("quartic residual", (point.x.square() + yd) * point.y.square() - e * e * yd)
-
-
 def _sampled(label: str, sample: Callable[[], list], check: Check) -> Iterator[str]:
     """One line per sampled point, or one line for a sampler that raised."""
     points, exc = run(sample)
@@ -359,7 +353,7 @@ def curves() -> Iterator[str]:
         yield from _sampled(
             f"conchoid_points d={d} e={e} samples={samples} x_range=[{x0}, {x1}] p={digits}",
             partial(conchoid_points, d, e, samples, (x0, x1), Precision(digits)),
-            partial(_conchoid_quartic, d, e),
+            lambda pt, d=d, e=e: _contains_zero("quartic residual", conchoid_quartic_residual(pt, d, e)),
         )
     for r in CISSOID_RADII:
         for s0, s1 in CISSOID_SPANS:

@@ -100,8 +100,9 @@ def _at_least(p: Precision, digits: int) -> Precision:
 
 
 def _times_root(a: int, n: int, d: int, digits: int, up: bool) -> int:
-    """a * sqrt(n/d), its root bounded by `_isqrt_quotient`, floored or, when
-    ``up``, ceiled: for a >= 0, the end ``round_outward`` gives the product."""
+    """An integer bound on a * sqrt(n/d) for a >= 0, from below or, when
+    ``up``, from above: the root bounded by `_isqrt_quotient` that way,
+    the product floored or ceiled."""
     rn, rd = _isqrt_quotient(n, d, digits, up)
     return -(-a * rn // rd) if up else a * rn // rd
 
@@ -181,22 +182,21 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
         i2.lo = isqrt(floor(S*c2.lo*I1 / B)) / S
         i2.hi = isqrt_ceil(ceil(S*c2.hi*I2 / B)) / S
 
-    On positive intervals 2*i*c is [2*i.lo*c.lo, 2*i.hi*c.hi] and i + c
-    is [i.lo + c.lo, i.hi + c.hi], so the c2 lines are exactly the ends
-    of ``((2*i*c)/(i + c)).round_outward(D)``.  A real's root floored is
-    the isqrt of its floor (ceilings likewise), so the i2 lines are the
+    On positive bounds the harmonic mean 2*i*c/(i + c) grows with each
+    of i and c, so the c2 lines are its least value floored and its
+    greatest ceiled, each onto the grid.  A real's root floored is the
+    isqrt of its floor (ceilings likewise), so the i2 lines are the
     tightest enclosure of sqrt(c2*i) on the grid, never wider than the
-    low end of ``rat_sqrt_bounds(c2.lo*i.lo, Precision(D))`` and the high
-    end of ``rat_sqrt_bounds(c2.hi*i.hi, Precision(D))``, rounded outward
-    to D digits.  Each line
-    reads S and B only as their ratio, so the step takes S/B in lowest
-    terms, s/b with g = gcd(S, B), s = S/g and b = B/g.  The chain
-    carries the numerators over S from step to step (B = S), so its step
-    takes s = b = 1 and needs no S/B factor; this function clears
-    ``b``'s ends to one denominator and reduces S/B once, so bounds off
-    the grid double too.  Once the bounds have widened past the grid's
-    reach (at 1 digit, after about 34 doublings), i2.lo rounds to 0;
-    that raises `PrecisionError`.
+    low end of ``rat_sqrt_bounds(c2.lo*i.lo, Precision(D))`` floored and
+    the high end of ``rat_sqrt_bounds(c2.hi*i.hi, Precision(D))`` ceiled
+    onto the grid.  Each line reads S and B only as their ratio, so the
+    step takes S/B in lowest terms, s/b with g = gcd(S, B), s = S/g and
+    b = B/g.  The chain carries the numerators over S from step to step
+    (B = S), so its step takes s = b = 1 and needs no S/B factor; this
+    function clears ``b``'s ends to one denominator and reduces S/B once,
+    so bounds off the grid double too.  Once the bounds have widened past
+    the grid's reach (at 1 digit, after about 34 doublings), i2.lo rounds
+    to 0; that raises `PrecisionError`.
     """
     i, c = b.per_inscribed, b.per_circumscribed
     *ends, B = _cleared(i.lo, i.hi, c.lo, c.hi)

@@ -675,12 +675,16 @@ def conchoid_points(
     return points
 
 
-def conchoid_quartic_residual(point: PointBounds) -> Interval:
-    """Residual of (x**2 + (y+1)**2) * y**2 - (y+1)**2 for the normalized
-    curve (pole distance = offset = 1); contains zero for true points."""
+def conchoid_quartic_residual(
+    point: PointBounds, pole_distance: Fraction, offset: Fraction
+) -> Interval:
+    """Residual of (x**2 + (y + d)**2) * y**2 - e**2 * (y + d)**2 on the
+    conchoid with pole distance d and offset e, as `conchoid_points`
+    draws it; contains zero for true points."""
+    d, e = _to_rational(pole_distance), _to_rational(offset)
     x, y = point.x, point.y
-    y1 = y + 1
-    return (x.square() + y1.square()) * y.square() - y1.square()
+    yd = (y + d).square()
+    return (x.square() + yd) * y.square() - e * e * yd
 
 
 def _intercept_defect(

@@ -3,17 +3,16 @@ rational intervals, and big-integer nth roots.
 
 Every quantity in this package is either an exact `Fraction` or an
 `Interval` with exact rational endpoints that is guaranteed to contain
-the true (possibly irrational) value.  Interval products and quotients
-take one rule, the min and max over the four endpoint products or
-quotients, and are exact because the endpoints are.  Nothing here ever
-touches a float: square roots are bounded by integer square roots of
-scaled numerators/denominators, with the numerator root rounded down
-and the denominator root rounded up for the lower endpoint (and the
-opposite for the upper endpoint), so the enclosure is bit-exact on
-every platform.  Long derivations keep their denominators bounded on a
-decimal grid: the polygon chain of `circle_measurement` floors and
-ceils its ends onto the grid as integer numerators itself, as
-``Interval.round_outward`` would, which stays as public API.
+the true (possibly irrational) value.  An interval product is the min
+and max over the four endpoint products, exact because the endpoints
+are.  Nothing here ever touches a float: square roots are bounded by
+integer square roots of scaled numerators/denominators, with the
+numerator root rounded down and the denominator root rounded up for the
+lower endpoint (and the opposite for the upper endpoint), so the
+enclosure is bit-exact on every platform.  Long derivations keep their
+denominators bounded on a decimal grid: the polygon chain of
+`circle_measurement` carries each end as an integer numerator over
+10**D, the lower end floored and the upper end ceiled.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def _decade(n: int, d: int) -> int:
 
 def _scalar(value: object) -> Fraction | int:
     """An exact rational operand as given (an int stays an int)."""
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, (Fraction, int)) and value.__class__ is not bool:
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -155,23 +154,18 @@ def _cleared(*values: Fraction | int) -> tuple[int, ...]:
 class Interval:
     """A closed interval [lo, hi] with exact rational endpoints.
 
-    Arithmetic is outward-directed: the exact +, -, *, / on Fractions
-    introduces no rounding at all, so the result of combining intervals
-    always contains every value obtainable by combining members of the
-    operands.  ``round_outward`` compresses endpoints to a decimal grid,
-    which bounds denominators and can only enlarge the enclosure, never
-    shrink it.  No library chain calls it: the polygon chain floors and
-    ceils its ends onto the grid on integers, as it would.  It stays as
-    public API and as the reference the tests hold those ends to.
-
-    A product or quotient is the min and max of the four endpoint
-    products or quotients (Moore's rule), with a scalar operand taken
-    as ``point(v)``; a divisor that contains 0 is refused.  ``square``
-    and ``magnitude`` give the tighter image of one operand.  Operators
-    build their results with ``_of``, which skips validation because
-    their endpoints are Fractions already in order; the public
-    ``Interval(lo, hi)`` and ``point`` still convert ints and reject
-    anything else or reversed endpoints.
+    The operations are +, -, * and negation, with an interval or an
+    exact rational on either side, and ``square``, ``magnitude`` and
+    ``contains``.  The exact +, -, * on Fractions introduce no rounding
+    at all, so the result of combining intervals always contains every
+    value obtainable by combining members of the operands.  A product is
+    the min and max of the four endpoint products (Moore's rule), with a
+    scalar operand taken as ``point(v)``.  ``square`` and ``magnitude``
+    give the tighter image of one operand.  Operators build their
+    results with ``_of``, which skips validation because their endpoints
+    are Fractions already in order; the public ``Interval(lo, hi)`` and
+    ``point`` still convert ints and reject anything else (bools too)
+    or reversed endpoints.
     """
 
     lo: Fraction
@@ -215,9 +209,6 @@ class Interval:
         v = _scalar(value)
         return self.lo <= v <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -253,18 +244,6 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "Interval | Fraction | int") -> "Interval":
-        if not isinstance(other, Interval):
-            other = Interval.point(other)
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if c <= 0 <= d:
-            raise ZeroDivisionError(f"interval division by {other} which contains zero")
-        quotients = (a / c, a / d, b / c, b / d)
-        return Interval._of(min(quotients), max(quotients))
-
-    def __rtruediv__(self, other: "Fraction | int") -> "Interval":
-        return Interval.point(other) / self
-
     def square(self) -> "Interval":
         """Tight image of x**2 over the interval (tighter than self*self
         when the interval straddles zero)."""
@@ -282,20 +261,6 @@ class Interval:
         if self.hi.numerator <= 0:
             return Interval._of(-self.hi, -self.lo)
         return Interval._of(_ZERO, max(-self.lo, self.hi))
-
-    def round_outward(self, digits: int) -> "Interval":
-        """Push endpoints outward onto the 10**-digits grid.
-
-        This bounds the size of endpoint denominators along a long
-        chain of operations at the cost of at most 2*10**-digits of
-        extra width.
-        """
-        scale = 10 ** digits
-        lo, hi = self.lo, self.hi
-        return Interval._of(
-            Fraction(lo.numerator * scale // lo.denominator, scale),
-            Fraction(-(-hi.numerator * scale // hi.denominator), scale),
-        )
 
 
 def _isqrt_ceil(n: int) -> int:

@@ -234,7 +234,7 @@ def test_criterion_10_half_perimeter_identity():
 
 def test_criterion_11_conchoid_properties():
     pts = conchoid_points(Fraction(1), Fraction(1), 200, (Fraction(0), Fraction(21)))
-    ok = all(conchoid_quartic_residual(pt).contains(0) for pt in pts)
+    ok = all(conchoid_quartic_residual(pt, 1, 1).contains(0) for pt in pts)
     for a, b in zip(pts, pts[1:]):
         ok = ok and b.y.hi < a.y.lo  # strictly decreasing with |x|
     ok = ok and pts[-1].y.hi < Fraction(5, 100)

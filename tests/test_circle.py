@@ -34,6 +34,8 @@ from practica.mean_proportionals import cissoid_points, conchoid_points
 from practica.numerics import Interval, Precision, PrecisionError, rat_sqrt_bounds
 from practica.root_extraction import SpecialNumbers
 
+from interval_reference import encloses, quotient, round_outward
+
 P20 = Precision(20)
 
 # the circle ratio to 60 decimals, truncated, and one unit in the last place above
@@ -120,8 +122,8 @@ def _means_by_intervals(b, p):
     """The reference's i2 and c2: the interval expressions, rounded afterwards."""
     digits = _working_digits(p)
     i, c = b.per_inscribed, b.per_circumscribed
-    c2 = ((2 * i * c) / (i + c)).round_outward(digits)
-    return _sqrt_by_intervals(c2 * i, Precision(digits)).round_outward(digits), c2
+    c2 = round_outward(quotient(2 * i * c, i + c), digits)
+    return round_outward(_sqrt_by_intervals(c2 * i, Precision(digits)), digits), c2
 
 
 def _doubled_by_intervals(b, p):
@@ -143,14 +145,14 @@ def _seed_by_intervals(sides, p):
         sqrt3 = rat_sqrt_bounds(Fraction(3), wp)
         per_in = Fraction(3, 2) * sqrt3
         per_circ = 3 * sqrt3
-    return PolygonBounds(sides, per_in.round_outward(digits), per_circ.round_outward(digits))
+    return PolygonBounds(sides, round_outward(per_in, digits), round_outward(per_circ, digits))
 
 
 def _area_by_intervals(b, p):
     """The reference apothem area i_n * sqrt(1 - (i_n/n)**2), rounded afterwards."""
     digits = _working_digits(p)
-    cos_sq = 1 - (b.per_inscribed / b.sides).square()
-    return (b.per_inscribed * _sqrt_by_intervals(cos_sq, Precision(digits))).round_outward(digits)
+    cos_sq = 1 - quotient(b.per_inscribed, b.sides).square()
+    return round_outward(b.per_inscribed * _sqrt_by_intervals(cos_sq, Precision(digits)), digits)
 
 
 @settings(deadline=None)
@@ -249,7 +251,7 @@ def test_doubling_is_the_tightest_grid_enclosure(case):
     i2_lo = _tightest_root(S * S * c2.lo * i.lo, up=False)
     i2_hi = _tightest_root(S * S * c2.hi * i.hi, up=True)
     i2 = Interval(Fraction(i2_lo, S), Fraction(i2_hi, S))
-    assert ref_i2.contains_interval(i2)
+    assert encloses(ref_i2, i2)
     expected = _outcome(lambda *_: PolygonBounds(2 * b.sides, i2, c2), b, p)
     assert _outcome(double_polygon, b, p) == expected
 

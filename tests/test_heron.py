@@ -19,6 +19,8 @@ from practica.heron import (
 )
 from practica.numerics import Interval, Precision, rat_sqrt_bounds
 
+from interval_reference import encloses, quotient
+
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -251,11 +253,11 @@ def test_ring_enclosure_contains_the_element(x, radicands):
 
     ring = heron._Ring(*radicands, 10 ** 12)
     lo, hi = ring.enclose(x)
-    assert Interval(Fraction(lo, 10 ** 12), Fraction(hi, 10 ** 12)).contains_interval(value(x))
+    assert encloses(Interval(Fraction(lo, 10 ** 12), Fraction(hi, 10 ** 12)), value(x))
     # On a coarse grid, x / (7P) still holds the true quotient.
     coarse = heron._Ring(*radicands, 10)
-    quotient = coarse.quotient(x, coarse.enclose(heron._PERIMETER), 7)
-    assert quotient.contains_interval(value(x) / (value(heron._PERIMETER) * 7))
+    ring_quotient = coarse.quotient(x, coarse.enclose(heron._PERIMETER), 7)
+    assert encloses(ring_quotient, quotient(value(x), value(heron._PERIMETER) * 7))
     # One monomial with a negative coefficient: its lower end is the
     # ceiling root's.
     for m in range(1, 8):
@@ -458,13 +460,13 @@ def test_segments_overlap_the_classical_tangent_lengths(digits):
     for tri in _generator_triangles(10) + FIGURES:
         a, b, c = (rat_sqrt_bounds(dist_sq(p, q), Precision(digits + 10))
                    for p, q in ((tri.p2, tri.p3), (tri.p1, tri.p3), (tri.p1, tri.p2)))
-        s = (a + b + c) / 2
+        s = quotient(a + b + c, 2)
         report = verify_heron_identity(tri, Precision(digits))
         assert _overlap(report.ah, s)
         assert _overlap(report.ae, s - a)
         assert _overlap(report.eb, s - b)
         assert _overlap(report.bh, s - c)
-        assert _overlap(report.de_sq, (s - a) * (s - b) * (s - c) / s)
+        assert _overlap(report.de_sq, quotient((s - a) * (s - b) * (s - c), s))
         assert all(seg.lo > 0 for seg in (report.ae, report.eb, report.bh, report.ah))
 
 
@@ -508,3 +510,6 @@ def test_floats_and_strings_are_refused():
         Point2(0.1, "1/3")
     with pytest.raises(TypeError):
         Point2(Fraction(1, 10), "1/3")
+    for flags in (lambda: TriangleSides(True, True, True), lambda: Point2(False, 1)):
+        with pytest.raises(TypeError, match="^expected an exact rational, got bool$"):
+            flags()

@@ -43,6 +43,8 @@ from practica.mean_proportionals import (
 )
 from practica.numerics import Interval, Precision, PrecisionError, int_nth_root_floor, rat_sqrt_bounds
 
+from interval_reference import encloses, quotient
+
 
 def cbrt(x: Fraction, digits: int = 30) -> Fraction:
     """Cube-root oracle on the 10**-digits grid (floor)."""
@@ -217,12 +219,13 @@ def test_problem_validation():
         {"ab": 2, "bc": 1.0},
         {"ab": 2, "bc": 1, "tol": 1e-12},
         {"ab": "2.1", "bc": 1},
+        {"ab": True, "bc": 1},
     ],
-    ids=["ab", "bc", "tol", "string"],
+    ids=["ab", "bc", "tol", "string", "bool"],
 )
 def test_problem_refuses_inexact_numbers(kwargs):
     # A float would be stored as its binary value: 2.1 as 4728779608739021/2**51.
-    with pytest.raises(TypeError, match="^expected an exact rational, got (float|str)$"):
+    with pytest.raises(TypeError, match="^expected an exact rational, got (float|str|bool)$"):
         MeanPropProblem(**kwargs)
 
 
@@ -355,7 +358,20 @@ def test_conchoid_vertical_sample_is_exact():
 def test_conchoid_normalized_quartic():
     pts = conchoid_points(Fraction(1), Fraction(1), 50, (Fraction(0), Fraction(21)))
     for pt in pts:
-        assert conchoid_quartic_residual(pt).contains(0)
+        assert conchoid_quartic_residual(pt, 1, 1).contains(0)
+
+
+@pytest.mark.parametrize(
+    "d, e, reach",
+    [(Fraction(3, 2), 2, 5), (Fraction(1, 1000), 10 ** 6, 1000), (2, 3, 1)],
+)
+def test_conchoid_check_takes_its_figure(d, e, reach):
+    # the check encloses the quartic of the figure it is given: every
+    # sample of that figure passes, and the same point 1e-6 higher fails
+    for pt in conchoid_points(d, e, 21, (-reach, reach)):
+        assert conchoid_quartic_residual(pt, d, e).contains(0)
+        off = PointBounds(pt.x, pt.y + Fraction(1, 10 ** 6))
+        assert not conchoid_quartic_residual(off, d, e).contains(0)
 
 
 def test_conchoid_heights_strictly_decrease():
@@ -370,12 +386,6 @@ _LENGTHS = st.builds(lambda m, k: m * Fraction(10) ** k,
                      st.integers(-20, 20))
 
 
-def _conchoid_quartic(pt: PointBounds, d: Fraction, e: Fraction) -> Interval:
-    """(x**2 + (y + d)**2) * y**2 - e**2 * (y + d)**2, 0 on the conchoid."""
-    yd = (pt.y + d).square()
-    return (pt.x.square() + yd) * pt.y.square() - e * e * yd
-
-
 @settings(max_examples=150, deadline=None)
 @given(_LENGTHS, _LENGTHS, _LENGTHS, _LENGTHS, st.integers(1, 60))
 def test_sampled_coordinates_are_roots_as_narrow_as_their_precision(r, d, e, reach, digits):
@@ -388,7 +398,7 @@ def test_sampled_coordinates_are_roots_as_narrow_as_their_precision(r, d, e, rea
         assert cissoid_arc_defect(pt, r).contains(0)
     for pt in conchoid_points(d, e, 5, (-reach, reach), p):
         assert max(pt.x.width, pt.y.width) <= max(1, e) / 10 ** digits
-        assert _conchoid_quartic(pt, d, e).contains(0)
+        assert conchoid_quartic_residual(pt, d, e).contains(0)
 
 
 def test_conchoid_validation():
@@ -1046,9 +1056,9 @@ def _interval_cut(z, cuts, tl, th):
     den_k = dx * vy_k - dy * vx_k
     if den1.contains(0) or den_k.contains(0):
         return None
-    lam_k = n_k / den_k
+    lam_k = quotient(n_k, den_k)
     x_k = z.x + lam_k * dx  # K's abscissa on the base line
-    lam1 = n1 / den1
+    lam1 = quotient(n1, den1)
     cut_x = z.x + lam1 * dx - x_k
     cut_y = z.y + lam1 * dy - (z.y + lam_k * dy)
     return x_k, cut_x.square() + cut_y.square()
@@ -1064,12 +1074,12 @@ def _interval_neusis_means(prob, z, cuts, target_sq):
         if cut is None:
             return None
         x_k, cut_sq = cut
-        if not target_sq.contains_interval(cut_sq):
+        if not encloses(target_sq, cut_sq):
             return _halvings(cut_sq.width, target_sq.width)
         if x_k.lo <= c:
             return None
         x_iv = x_k - c
-        return x_iv, (x_k * a) / x_iv - a
+        return x_iv, quotient(x_k * a, x_iv) - a
 
     return evaluate
 
