@@ -256,8 +256,9 @@ def circle() -> Iterator[str]:
                        partial(fibonacci_identity_check, n, p),
                        partial(oracles.check_fibonacci, max_width=Fraction(1, 10 ** digits)))
         yield from _doublings(digits)
-    # 34 and 67 working digits, where a 3-gon seed taken as the tightest
-    # grid enclosure of (k/q) * sqrt(r) would move.
+    # 34 and 67 working digits, where the 3-gon seed, the tightest grid
+    # enclosure of (k/q) * sqrt(r), is a step narrower than a root taken on
+    # a 100 times finer grid and then multiplied.
     yield from _doublings(24)
     yield from _doublings(57)
 

@@ -38,7 +38,6 @@ from .numerics import (
     _decade,
     _frozen,
     _isqrt_ceil,
-    _isqrt_quotient,
     _to_rational,
 )
 
@@ -99,12 +98,11 @@ def _at_least(p: Precision, digits: int) -> Precision:
     return Precision(max(p.decimal_digits, digits - _GUARD_DIGITS))
 
 
-def _times_root(a: int, n: int, d: int, digits: int, up: bool) -> int:
-    """An integer bound on a * sqrt(n/d) for a >= 0, from below or, when
-    ``up``, from above: the root bounded by `_isqrt_quotient` that way,
-    the product floored or ceiled."""
-    rn, rd = _isqrt_quotient(n, d, digits, up)
-    return -(-a * rn // rd) if up else a * rn // rd
+def _times_root(a: int, n: int, d: int, up: bool) -> int:
+    """floor(a * sqrt(n/d)), or its ceiling when ``up``, for a >= 0 and
+    integers n >= 0, d > 0: the root of a**2 * n/d floored, or ceiled,
+    as `_doubled` takes its roots."""
+    return _isqrt_ceil(-(-a * a * n // d)) if up else math.isqrt(a * a * n // d)
 
 
 #: Each seed's inscribed and circumscribed perimeter ratios as (k/q) * sqrt(r), q | 10**D.
@@ -115,20 +113,18 @@ def _seed_ends(sides: int, p: Precision) -> tuple[int, ...]:
     """The numerators over S = 10**D of the seed's i.lo, i.hi, c.lo, c.hi."""
     if sides not in _SEEDS:
         raise ValueError(f"no exact seed for {sides} sides (use 3, 4, or 6)")
-    D = _working_digits(p)
-    S = 10 ** D
+    S = 10 ** _working_digits(p)
     return tuple(
-        _times_root(k * S // q, r, 1, D, up) for k, q, r in _SEEDS[sides] for up in (False, True)
+        _times_root(k * S // q, r, 1, up) for k, q, r in _SEEDS[sides] for up in (False, True)
     )
 
 
 def _inscribed_area(sides: int, p: Precision, i_lo: int, i_hi: int) -> tuple[int, int]:
     """The numerators over S = 10**D of the ends of the inscribed n-gon's area
     from those of i.lo and i.hi, by the apothem: i_n * sqrt(1 - (i_n/n)**2)."""
-    D = _working_digits(p)
-    nS_sq = (sides * 10 ** D) ** 2
-    lo = _times_root(i_lo, nS_sq - i_hi * i_hi, nS_sq, D, up=False)
-    return lo, _times_root(i_hi, nS_sq - i_lo * i_lo, nS_sq, D, up=True)
+    nS_sq = (sides * 10 ** _working_digits(p)) ** 2
+    lo = _times_root(i_lo, nS_sq - i_hi * i_hi, nS_sq, up=False)
+    return lo, _times_root(i_hi, nS_sq - i_lo * i_lo, nS_sq, up=True)
 
 
 def polygon_seed(sides: int, p: Precision = DEFAULT_PRECISION) -> PolygonBounds:
@@ -186,10 +182,12 @@ def double_polygon(b: PolygonBounds, p: Precision = DEFAULT_PRECISION) -> Polygo
     of i and c, so the c2 lines are its least value floored and its
     greatest ceiled, each onto the grid.  A real's root floored is the
     isqrt of its floor (ceilings likewise), so the i2 lines are the
-    tightest enclosure of sqrt(c2*i) on the grid, never wider than the
-    low end of ``rat_sqrt_bounds(c2.lo*i.lo, Precision(D))`` floored and
-    the high end of ``rat_sqrt_bounds(c2.hi*i.hi, Precision(D))`` ceiled
-    onto the grid.  Each line reads S and B only as their ratio, so the
+    tightest enclosure of sqrt(c2*i) on the grid: the low end of
+    ``rat_sqrt_bounds(c2.lo*i.lo, Precision(D))``, whose grid is 100
+    times finer, floored onto it, and the high end of
+    ``rat_sqrt_bounds(c2.hi*i.hi, Precision(D))`` ceiled.  The seeds and
+    the apothem areas take their roots the same way (`_times_root`).
+    Each line reads S and B only as their ratio, so the
     step takes S/B in lowest terms, s/b with g = gcd(S, B), s = S/g and
     b = B/g.  The chain carries the numerators over S from step to step
     (B = S), so its step takes s = b = 1 and needs no S/B factor; this

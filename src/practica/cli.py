@@ -171,13 +171,11 @@ def cmd_pi_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _precision_for(digits: int, square: Fraction) -> Precision:
-    """Fewest working digits p (and at least `DEFAULT_PRECISION`'s) at which
-    `rat_sqrt_bounds` of a root <= sqrt(square), at most 10**-p * max(1,
-    root) wide, is within one unit in the last of ``digits`` places."""
-    square = max(Fraction(1), square)
-    c = -(_decade(square.denominator, square.numerator) // 2)  # max(1, root) <= 10**c
-    return Precision(max(DEFAULT_PRECISION.decimal_digits, digits + c))
+def _precision_for(digits: int) -> Precision:
+    """``digits``, and at least `DEFAULT_PRECISION`'s: a root from
+    `rat_sqrt_bounds` is then 10**-(p + 2) wide, whatever its size, so
+    well within one unit in the last of ``digits`` places."""
+    return Precision(max(DEFAULT_PRECISION.decimal_digits, digits))
 
 
 def cmd_heron(args: argparse.Namespace) -> int:
@@ -201,7 +199,7 @@ def cmd_heron(args: argparse.Namespace) -> int:
             f"agreement      {'exact' if area_sq == cross_sq else 'MISMATCH'}",
         ]
     digits = args.decimal_digits
-    area = rat_sqrt_bounds(area_sq, _precision_for(digits, area_sq))
+    area = rat_sqrt_bounds(area_sq, _precision_for(digits))
     lines.append(f"area ~         {render_value(area, digits)}"
                  + ("  (exact)" if area.width == 0 else ""))
     _emit(lines)
@@ -279,13 +277,12 @@ def cmd_nth_root(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    # every coordinate is one root, of at most the radius or the offset
+    # every coordinate is one root from rat_sqrt_bounds
     digits = args.decimal_digits
+    p = _precision_for(digits)
     if args.type == "cissoid":
-        p = _precision_for(digits, args.radius ** 2)
         points = cissoid_points(args.radius, args.samples, p, args.span)
     else:
-        p = _precision_for(digits, args.offset ** 2)
         points = conchoid_points(args.pole_distance, args.offset, args.samples, args.x_range, p)
     if args.format == "csv":
         rows = ["x,y"]

@@ -13,12 +13,11 @@ so a zero element proves it.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .geometry import Point2, PointBounds, dist_sq, orient
 from .numerics import DEFAULT_PRECISION, Interval, Precision, rat_sqrt_bounds
-from .numerics import _frozen, _isqrt_ceil, _to_rational
+from .numerics import _cleared, _frozen, _isqrt_ceil, _to_rational
 
 
 @_frozen
@@ -185,8 +184,8 @@ def verify_heron_identity(
     The classical proof shows DE**2 AH**2 = AH EB BH AE, and that D is
     equally far from the three sides.
 
-    The vertices are scaled to integers by the lcm of their
-    denominators, and each division is cleared by multiplying through by
+    The vertices are scaled to integers by their common denominator
+    (`_cleared`), and each division is cleared by multiplying through by
     P = a + b + c, C = c**2 or 2C, so both identities become elements of
     Z[√A, √B, √C] (A, B, C the squared sides), on integers.  Evaluation
     into the reals is a ring homomorphism, so an element that is 0
@@ -194,9 +193,7 @@ def verify_heron_identity(
     is exactly [0, 0], with no Fraction built.  Every other end is one
     Fraction, from the monomials' square roots on the grid 10**-(p + 10).
     """
-    scale = math.lcm(*(q.denominator for pt in (t.p1, t.p2, t.p3) for q in (pt.x, pt.y)))
-    (x1, y1), (x2, y2), (x3, y3) = ([q.numerator * (scale // q.denominator) for q in (pt.x, pt.y)]
-                                    for pt in (t.p1, t.p2, t.p3))
+    x1, y1, x2, y2, x3, y3, scale = _cleared(*(q for pt in (t.p1, t.p2, t.p3) for q in (pt.x, pt.y)))
     # p1 at the origin; the sides p1p2, p2p3 and p3p1, of squared lengths C, A and B.
     v, u = (x2 - x1, y2 - y1), (x3 - x1, y3 - y1)
     sides = (((0, 0), v), (v, u), (u, (0, 0)))

@@ -54,7 +54,7 @@ from .numerics import (
     _cleared,
     _decade,
     _frozen,
-    _isqrt_quotient,
+    _isqrt_ceil,
     _to_rational,
     int_nth_root_floor,
     rat_sqrt_bounds,
@@ -554,7 +554,8 @@ def cissoid_points(
     side of E); the emitted point is the intersection of line DM with
     the horizontal through the chord's foot K = (0, -m), namely
     (h*(r-m)/(r+m), -m) with h the half-chord sqrt(r**2 - m**2): as
-    h**2 = (r-m)(r+m), the abscissa is one root, sqrt((r-m)**3/(r+m)) <= r.
+    h**2 = (r-m)(r+m), the abscissa is one root, sqrt((r-m)**3/(r+m)),
+    which `rat_sqrt_bounds` encloses 10**-(p+2) wide whatever r is.
 
     The sample parameter s runs over ``span`` inside [-1, 1]: |s| scales
     the foot height (s = 0 gives E, |s| = 1 the cusp D) and its sign
@@ -584,6 +585,22 @@ def cissoid_arc_defect(point: PointBounds, radius: Fraction) -> Interval:
     x, y = point.x, point.y
     dk2 = (y + r).square()  # cusp D = (0, -r) up to the foot K = (0, y)
     return dk2.square() - (r * r - y.square()) * x.square()
+
+
+def _isqrt_quotient(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
+    """A bound on sqrt(n/d) from below, or from above when ``up``, for
+    n >= 0 and d > 0, as an unreduced numerator and denominator: with n/d
+    reduced and s = 10**(digits + 2), isqrt(n*s*s) / isqrt_ceil(d*s*s), or
+    isqrt_ceil(n*s*s) / isqrt(d*s*s).  Only diocles and nicomedes bound
+    roots so, which keeps their results; it goes when they map their
+    brackets exactly.  Every other root is `rat_sqrt_bounds`' grid form.
+    """
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    sq = 10 ** (2 * digits + 4)
+    if up:
+        return _isqrt_ceil(n * sq), math.isqrt(d * sq)
+    return math.isqrt(n * sq), _isqrt_ceil(d * sq)
 
 
 def _diocles_defect(prob: MeanPropProblem) -> Callable[[int, int], int]:
@@ -660,7 +677,8 @@ def conchoid_points(
     sampled base point S = (s, 0) is pushed away from the pole by the
     offset e along the ray pole -> S, landing on the upper branch: with
     k = e**2/(s**2 + d**2), x = s +- sqrt(k*s**2) and y = sqrt(k*d**2),
-    each one root of at most e."""
+    each one root, which `rat_sqrt_bounds` encloses 10**-(p+2) wide
+    whatever d and e are."""
     d, e = _to_rational(pole_distance), _to_rational(offset)
     if d <= 0 or e <= 0:
         raise ValueError("pole distance and offset must be positive")

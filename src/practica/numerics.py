@@ -5,11 +5,10 @@ Every quantity in this package is either an exact `Fraction` or an
 `Interval` with exact rational endpoints that is guaranteed to contain
 the true (possibly irrational) value.  An interval product is the min
 and max over the four endpoint products, exact because the endpoints
-are.  Nothing here ever touches a float: square roots are bounded by
-integer square roots of scaled numerators/denominators, with the
-numerator root rounded down and the denominator root rounded up for the
-lower endpoint (and the opposite for the upper endpoint), so the
-enclosure is bit-exact on every platform.  Long derivations keep their
+are.  Nothing here ever touches a float: a square root is bounded by
+the floor and ceiling of G*sqrt(x) on a decimal grid 1/G, one integer
+square root, so the enclosure is bit-exact on every platform and 1/G
+wide whatever the root's size.  Long derivations keep their
 denominators bounded on a decimal grid: the polygon chain of
 `circle_measurement` carries each end as an integer numerator over
 10**D, the lower end floored and the upper end ceiled.
@@ -89,9 +88,10 @@ class _FrozenMethods:  # the methods `_frozen` gives a value class
 class Precision:
     """A decimal-digit budget for directed-rounding operations.
 
-    ``decimal_digits`` is the number of guaranteed decimal digits: an
-    operation taking a Precision returns an interval whose width is at
-    most ``10**-decimal_digits`` times ``max(1, magnitude)``.
+    ``decimal_digits`` is the number of decimal places an operation
+    taking a Precision rounds to at least: a square root from
+    `rat_sqrt_bounds` lies on the grid ``10**-(decimal_digits + 2)``, so
+    its width is at most ``10**-decimal_digits`` whatever its size.
     """
 
     decimal_digits: int
@@ -268,37 +268,25 @@ def _isqrt_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _isqrt_quotient(n: int, d: int, digits: int, up: bool) -> tuple[int, int]:
-    """A directed bound on sqrt(n/d), for integers n >= 0 and d > 0, as an
-    (unreduced) numerator and denominator.
-
-    With n/d reduced to lowest terms and s = 10**(digits + 2), the bound
-    is isqrt(n*s*s) / isqrt_ceil(d*s*s) from below, or
-    isqrt_ceil(n*s*s) / isqrt(d*s*s) from above when ``up``: it depends
-    only on the rational n/d, not on how it is written.
-    """
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    sq = 10 ** (2 * digits + 4)
-    if up:
-        return _isqrt_ceil(n * sq), math.isqrt(d * sq)
-    return math.isqrt(n * sq), _isqrt_ceil(d * sq)
-
-
 def rat_sqrt_bounds(x: Fraction | int, p: Precision = DEFAULT_PRECISION) -> Interval:
-    """Directed-rounding enclosure of sqrt(x) for a nonnegative rational.
-
-    Returns [lo, hi] with lo**2 <= x <= hi**2 and
-    hi - lo <= 10**-p.decimal_digits * max(1, sqrt(x)), so also with hi
-    for sqrt(x); the two guard digits leave a factor of 20.  Perfect
-    squares of rationals come back as degenerate (zero-width) intervals.
+    """Directed-rounding enclosure of sqrt(x) for a nonnegative rational:
+    [floor(G*sqrt(x)), ceil(G*sqrt(x))] / G, G = 10**(p.decimal_digits + 2),
+    one isqrt of floor(x*G**2), so 1/G wide whatever the size of sqrt(x),
+    but a square of a rational comes back as the point of its exact root.
+    Off those squares both ends are non-decreasing in x; a square whose
+    root is off the grid is the one exception, its point lying strictly
+    inside its neighbours' enclosures.
     """
     x = _to_rational(x)
     if x < 0:
         raise ValueError(f"square root of negative value {x}")
-    n, d, k = x.numerator, x.denominator, p.decimal_digits
-    lo, hi = (Fraction(*_isqrt_quotient(n, d, k, up)) for up in (False, True))
-    return Interval._of(lo, hi)
+    n, d = x.numerator, x.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Interval.point(Fraction(rn, rd))
+    G = 10 ** (p.decimal_digits + 2)
+    r = math.isqrt(n * G * G // d)
+    return Interval._of(Fraction(r, G), Fraction(r + 1, G))
 
 
 def int_nth_root_floor(N: int, n: int) -> int:

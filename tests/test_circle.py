@@ -34,7 +34,7 @@ from practica.mean_proportionals import cissoid_points, conchoid_points
 from practica.numerics import Interval, Precision, PrecisionError, rat_sqrt_bounds
 from practica.root_extraction import SpecialNumbers
 
-from interval_reference import encloses, quotient, round_outward
+from interval_reference import quotient, round_outward
 
 P20 = Precision(20)
 
@@ -131,43 +131,33 @@ def _doubled_by_intervals(b, p):
     return PolygonBounds(2 * b.sides, *_means_by_intervals(b, p))
 
 
-def _seed_by_intervals(sides, p):
-    """The reference seed: exact multiples of rat_sqrt_bounds, rounded afterwards."""
-    digits = _working_digits(p)
-    wp = Precision(digits)
-    if sides == 6:
-        per_in = Interval.point(3)
-        per_circ = 2 * rat_sqrt_bounds(Fraction(3), wp)
-    elif sides == 4:
-        per_in = 2 * rat_sqrt_bounds(Fraction(2), wp)
-        per_circ = Interval.point(4)
-    else:
-        sqrt3 = rat_sqrt_bounds(Fraction(3), wp)
-        per_in = Fraction(3, 2) * sqrt3
-        per_circ = 3 * sqrt3
-    return PolygonBounds(sides, round_outward(per_in, digits), round_outward(per_circ, digits))
+#: Each seed's squared perimeter ratios, inscribed and circumscribed:
+#: (3, 2*sqrt(3)), (2*sqrt(2), 4) and ((3/2)*sqrt(3), 3*sqrt(3)).
+_SEED_SQUARES = {6: (9, 12), 4: (8, 16), 3: (Fraction(27, 4), 27)}
 
 
-def _area_by_intervals(b, p):
-    """The reference apothem area i_n * sqrt(1 - (i_n/n)**2), rounded afterwards."""
-    digits = _working_digits(p)
-    cos_sq = 1 - quotient(b.per_inscribed, b.sides).square()
-    return round_outward(b.per_inscribed * _sqrt_by_intervals(cos_sq, Precision(digits)), digits)
+def _on_grid_by_roots(S, lo_sq, hi_sq):
+    """[floor(S*sqrt(lo_sq)), ceil(S*sqrt(hi_sq))] / S by `_tightest_root`."""
+    return Interval(Fraction(_tightest_root(S * S * lo_sq, up=False), S),
+                    Fraction(_tightest_root(S * S * hi_sq, up=True), S))
 
 
 @settings(deadline=None)
 @given(st.sampled_from([3, 4, 6]), st.integers(min_value=1, max_value=410), st.integers(0, 30))
-@example(3, 24, 0)  # the 3-gon seed at 34 and 67 working digits, where the
-@example(3, 57, 0)  # tightest grid enclosure of (k/q) * sqrt(r) would differ
+@example(3, 24, 0)  # the 3-gon seed at 34 and 67 working digits, where a root
+@example(3, 57, 0)  # on a 100 times finer grid, multiplied, misses the tightest by a step
 def test_seeds_and_apothem_areas_equal_the_interval_reference(seed, digits, doublings):
+    # every end is its exact value floored or ceiled onto the grid: the
+    # seeds' perimeter ratios, and the area i * sqrt(1 - (i/n)**2) from
+    # i's ends, each factor at its own low end for the low end
     p = Precision(digits)
-    assert polygon_seed(seed, p) == _seed_by_intervals(seed, p)
-    ends = next(islice(_chain_from(seed, p), doublings, None))
-    n, i_lo, i_hi, _, _ = ends
     S = 10 ** _working_digits(p)
-    lo, hi = _inscribed_area(n, p, i_lo, i_hi)
-    expected = _area_by_intervals(_polygon(p, *ends), p)
-    assert (Fraction(lo, S), Fraction(hi, S)) == (expected.lo, expected.hi)
+    expected = PolygonBounds(seed, *(_on_grid_by_roots(S, sq, sq) for sq in _SEED_SQUARES[seed]))
+    assert polygon_seed(seed, p) == expected
+    n, i_lo, i_hi, _, _ = next(islice(_chain_from(seed, p), doublings, None))
+    lo, hi = Fraction(i_lo, S), Fraction(i_hi, S)
+    area = _on_grid_by_roots(S, lo * lo * (1 - (hi / n) ** 2), hi * hi * (1 - (lo / n) ** 2))
+    assert _inscribed_area(n, p, i_lo, i_hi) == (area.lo * S, area.hi * S)
 
 
 def _outcome(double, b, p):
@@ -205,8 +195,9 @@ def _tightest_root(x, up):
     return k
 
 
-# Roots just above and just below a grid point, where the interval
-# reference's i2.lo, then its i2.hi, is one grid step wider than the tightest.
+# Roots just above and just below a grid point, where any enclosure less
+# tight than the floor and the ceiling puts i2.lo, then i2.hi, one grid
+# step wider.
 _NEAR_GRID_FROM_ABOVE = PolygonBounds(
     6,
     Interval(Fraction(654573571016600838023200, 218191190338638000713277), Fraction(31, 10)),
@@ -242,8 +233,9 @@ _OVER_7_AND_11 = PolygonBounds(
 @example((_OVER_7_AND_11, _P5))
 def test_doubling_is_the_tightest_grid_enclosure(case):
     # c2 is exactly the reference's; i2 is floor(S*sqrt(c2.lo*i.lo)) and
-    # ceil(S*sqrt(c2.hi*i.hi)) over S, which lies inside the reference's
-    # i2; the step refuses as the bounds it would return demand
+    # ceil(S*sqrt(c2.hi*i.hi)) over S, the reference's i2 too, whose roots
+    # lie on a grid 100 times finer; the step refuses as the bounds it
+    # would return demand
     b, p = case
     S = 10 ** _working_digits(p)
     i = b.per_inscribed
@@ -251,7 +243,7 @@ def test_doubling_is_the_tightest_grid_enclosure(case):
     i2_lo = _tightest_root(S * S * c2.lo * i.lo, up=False)
     i2_hi = _tightest_root(S * S * c2.hi * i.hi, up=True)
     i2 = Interval(Fraction(i2_lo, S), Fraction(i2_hi, S))
-    assert encloses(ref_i2, i2)
+    assert ref_i2 == i2
     expected = _outcome(lambda *_: PolygonBounds(2 * b.sides, i2, c2), b, p)
     assert _outcome(double_polygon, b, p) == expected
 

@@ -41,7 +41,7 @@ from practica.mean_proportionals import (
     solve_heron_apollonius,
     solve_philo,
 )
-from practica.numerics import Interval, Precision, PrecisionError, int_nth_root_floor, rat_sqrt_bounds
+from practica.numerics import Interval, Precision, PrecisionError, int_nth_root_floor
 
 from interval_reference import encloses, quotient
 
@@ -783,13 +783,28 @@ def _cut_constants(z, lines):
     return tuple(constants)
 
 
+def _quotient_form_sqrt(x, digits):
+    """The enclosure of sqrt(x) that nicomedes places its pole by: with
+    x = n/d in lowest terms and s = 10**(digits + 2), the floor of
+    sqrt(n*s*s) over the ceiling of sqrt(d*s*s), and the ceiling over the
+    floor."""
+
+    def root(m, up):
+        k = math.isqrt(m)
+        return k + (up and k * k < m)
+
+    s_sq = 10 ** (2 * digits + 4)
+    n, d = x.numerator * s_sq, x.denominator * s_sq
+    return Interval(Fraction(root(n, False), root(d, True)), Fraction(root(n, True), root(d, False)))
+
+
 def _figure_by_points(prob, digits):
     """The reference for ``_neusis_figure``: the pole Z as the midpoint of
-    ``rat_sqrt_bounds``, the two lines as Fraction points, their cut
+    the quotient-form root, the two lines as Fraction points, their cut
     constants and the band, with the pole itself."""
     a, c = prob.ab, prob.bc
     c_pt = Point2(c, Fraction(0))
-    z_len = rat_sqrt_bounds((a * a - c * c) / 4, Precision(2 * digits + 12)).mid
+    z_len = _quotient_form_sqrt((a * a - c * c) / 4, 2 * digits + 12).mid
     z = Point2(c / 2, -z_len)
     # G = (-c, 0): the neusis cuts the line through C parallel to G -> Z,
     # then the base line.

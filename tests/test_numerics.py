@@ -1,8 +1,9 @@
+import math
 import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from practica.numerics import (
@@ -155,16 +156,37 @@ def test_interval_unary_ops_match_reference(x):
     assert_endpoints(-x, (-b, -a))
 
 
-@given(small_rationals, st.integers(min_value=1, max_value=40))
-def test_rat_sqrt_bounds_postcondition(x, digits):
-    p = Precision(digits)
+def _is_rational_square(x: Fraction) -> bool:
+    return all(math.isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+
+@given(
+    small_rationals,
+    st.integers(min_value=1, max_value=40),
+    st.fractions(min_value=0, max_value=Fraction(1, 10 ** 6), max_denominator=10 ** 12),
+)
+@example(Fraction(1, 9), 3, Fraction(1, 10 ** 9))  # a square whose root is off the grid
+def test_rat_sqrt_bounds_postcondition(x, digits, step):
+    # the ends are floor(G*sqrt(x)) and ceil(G*sqrt(x)) over G = 10**(digits + 2),
+    # each by its defining inequalities on integers, so the width is 1/G; a
+    # rational square is its exact root, 0 wide
+    p, G = Precision(digits), 10 ** (digits + 2)
     iv = rat_sqrt_bounds(x, p)
     assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
-    assert iv.lo >= 0
-    assert iv.width <= Fraction(1, 10 ** digits) * max(1, iv.hi)
-    # and at most 10**-digits * max(1, sqrt(x)), decided by squaring
-    scaled = iv.width * 10 ** digits
-    assert scaled <= 1 or scaled * scaled <= x
+    if _is_rational_square(x):
+        assert iv.lo == iv.hi >= 0 and iv.lo * iv.lo == x
+    else:
+        lo, hi = iv.lo * G, iv.hi * G
+        assert lo.denominator == hi.denominator == 1
+        n, d, lo, hi = x.numerator * G * G, x.denominator, int(lo), int(hi)
+        assert lo * lo * d <= n < (lo + 1) ** 2 * d
+        assert (hi - 1) ** 2 * d < n <= hi * hi * d
+        assert iv.width == Fraction(1, G)
+    # off the rational squares both ends are non-decreasing in x
+    y = x + step
+    if step and not (_is_rational_square(x) or _is_rational_square(y)):
+        above = rat_sqrt_bounds(y, p)
+        assert iv.lo <= above.lo and iv.hi <= above.hi
 
 
 @given(

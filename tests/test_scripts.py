@@ -20,10 +20,10 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 #: prints it.  A change that moves a set's results updates its row.
 SWEEP_LINES = {
     "meanprops": (1452, "4c370fb7936940bae4cc11da997b77a6fa35006ffefa16494eb83b80c804a02b"),
-    "circle": (1926, "641b2262c250f931ca96f05eee21f53cbc3ec7d32f00b6dd6d58d41b2858be69"),
+    "circle": (1926, "c5a3fcf39423506f00237861f00be941268056e8e00d49edfa571b017a9ab38f"),
     "heron": (158, "d876161c76191378c730522e4a244dee843424f0f213d1af7f85cbe9eb879dd5"),
     "roots": (932, "bdd757e2f741208382ec2643ad5662a58125ad34a772754dbbc3a177be35c48c"),
-    "curves": (434, "547858fa590019854e4c13c955f2908d7e5f8b980b8af6dc0da196b454896643"),
+    "curves": (434, "38cb6aa2f50200c4fa0e66f5c6f13c908b1f3385f732e4f84c4d31e141e97d36"),
 }
 
 #: The circle lines that may read otherwise than ok, by label, with the
