@@ -142,6 +142,7 @@ def _doubled(
     lowest terms."""
     c2_lo = 2 * s * i_lo * c_lo // (b * (i_hi + c_hi))
     c2_hi = -(-2 * s * i_hi * c_hi // (b * (i_lo + c_lo)))
+    # The i2 lines are `_times_root(1, s * c2 * i, b, up)` written out: the call slows pi_bounds.
     i2_lo = math.isqrt(s * c2_lo * i_lo // b)
     if i2_lo == 0:
         raise PrecisionError(

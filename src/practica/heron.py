@@ -89,6 +89,11 @@ class HeronIdentityReport:
     distances from the incenter to the three sides, and perp_residuals
     their pairwise differences.  A residual is exactly [0, 0] when its
     ring element is 0, which proves its identity.
+
+    The proof and every integer end are decided in the call, which sets
+    the residuals; the seven lengths, incenter to perp_sq, are built
+    together on the first read of one.  ``==``, hash, repr, copy and
+    pickle read every field, so they build them first.
     """
 
     incenter: PointBounds
@@ -101,12 +106,23 @@ class HeronIdentityReport:
     perp_sq: tuple[Interval, Interval, Interval]
     perp_residuals: tuple[Interval, Interval, Interval]
 
+    def __getattr__(self, name: str):
+        state = vars(self)  # reached only for a name the report lacks
+        ends = state.get("_ends")
+        if ends is None or name not in self._fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        x, y, de_sq, ae, eb, ah, bh, *perp_sq = (_quotient(*end) for end in ends)
+        state.update(incenter=PointBounds(x, y), de_sq=de_sq, ae=ae, eb=eb, ah=ah, bh=bh,
+                     perp_sq=tuple(perp_sq))
+        state.pop("_ends", None)  # a concurrent first read may have dropped it
+        return state[name]
+
 
 # Z[√A, √B, √C] for integer radicands: an element is 8 integer
 # coefficients, coefficient m (a bitmask, 1: A, 2: B, 4: C) being that of
 # the product of the square roots of the radicands in m.
 _PERIMETER = [0, 1, 1, 0, 1, 0, 0, 0]  # P = √A + √B + √C
-_ZERO = Interval.point(0)  # shared by every quotient whose enclosure is (0, 0)
+_ZERO = Interval.point(0)  # every (0, 0) quotient, set in the call or built on a first read
 _GUARD_DIGITS = 10
 
 
@@ -147,14 +163,17 @@ class _Ring:
         return lo, hi
 
     def quotient(self, x: list[int], den: tuple[int, int], k: int, shift: int = 0) -> Interval:
-        """x / (y·k) + shift / k, for ints k > 0 and shift, and a y > 0 in
-        [den[0], den[1]] / scale; each end one Fraction, and [0, 0] shared."""
-        lo, hi = self.enclose(x)
-        if lo == hi == shift == 0:
-            return _ZERO
-        lo_den, hi_den = den[lo >= 0], den[hi < 0]
-        return Interval._of(Fraction(lo + shift * lo_den, lo_den * k),
-                            Fraction(hi + shift * hi_den, hi_den * k))
+        return _quotient(*self.enclose(x), den, k, shift)
+
+
+def _quotient(lo: int, hi: int, den: tuple[int, int], k: int, shift: int = 0) -> Interval:
+    """[lo, hi] / (y·k) + shift / k, for ints k > 0 and shift, and a y > 0 in
+    [den[0], den[1]] / scale; each end one Fraction, and [0, 0] shared."""
+    if lo == hi == shift == 0:
+        return _ZERO
+    lo_den, hi_den = den[lo >= 0], den[hi < 0]
+    return Interval._of(Fraction(lo + shift * lo_den, lo_den * k),
+                        Fraction(hi + shift * hi_den, hi_den * k))
 
 
 def _identity(ring: _Ring, d: list[list[int]], v: tuple[int, int], h2: list[int]):
@@ -190,8 +209,9 @@ def verify_heron_identity(
     Z[√A, √B, √C] (A, B, C the squared sides), on integers.  Evaluation
     into the reals is a ring homomorphism, so an element that is 0
     proves its identity, whatever the radicands are, and its residual
-    is exactly [0, 0], with no Fraction built.  Every other end is one
-    Fraction, from the monomials' square roots on the grid 10**-(p + 10).
+    is exactly [0, 0], with no Fraction built.  Every end is decided
+    here as an integer, from the monomials' square roots on the grid
+    10**-(p + 10); a length's ends become Fractions on first read.
     """
     x1, y1, x2, y2, x3, y3, scale = _cleared(*(q for pt in (t.p1, t.p2, t.p3) for q in (pt.x, pt.y)))
     # p1 at the origin; the sides p1p2, p2p3 and p3p1, of squared lengths C, A and B.
@@ -210,20 +230,19 @@ def verify_heron_identity(
     p_sq = [a + b + c, 0, 0, 2, 0, 2, 2, 0]  # P**2
     per, per_sq, one = ring.enclose(_PERIMETER), ring.enclose(p_sq), ring.roots[0]
     length = scale * c  # P·C·AE / (P·length) is AE in the triangle's units
-    return HeronIdentityReport(
-        incenter=PointBounds(*(ring.quotient(x, per, scale, q) for x, q in zip(d, (x1, y1)))),
-        de_sq=ring.quotient(de_sq, per_sq, length * length),
-        ae=ring.quotient(ae, per, length),
-        eb=ring.quotient(eb, per, length),
-        ah=ring.quotient(ah, one, 2 * length),
-        bh=ring.quotient(bh, one, 2 * length),
+    # The lengths in `__getattr__`'s order, each an element and its quotient's den, k and shift.
+    lengths = (*((x, per, scale, q) for x, q in zip(d, (x1, y1))), (de_sq, per_sq, length * length),
+               (ae, per, length), (eb, per, length), (ah, one, 2 * length), (bh, one, 2 * length),
+               *((x, per_sq, n * scale * scale) for x, n in zip(cross_sq, sides_sq)))
+    report = object.__new__(HeronIdentityReport)
+    vars(report).update(
         identity_residual=ring.quotient(identity, ring.enclose(ring.mul(p_sq, p_sq)),
                                         4 * length ** 6),
-        perp_sq=tuple(ring.quotient(x, per_sq, n * scale * scale)
-                      for x, n in zip(cross_sq, sides_sq)),
         perp_residuals=tuple(
             ring.quotient([n * x - m * y for x, y in zip(cross_sq[i], cross_sq[j])], per_sq,
                           m * n * scale * scale)
             for i, j, m, n in ((0, 1, c, a), (1, 2, a, b), (2, 0, b, c))
         ),
+        _ends=tuple((*ring.enclose(x), *quotient) for x, *quotient in lengths),
     )
+    return report

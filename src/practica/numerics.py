@@ -30,8 +30,10 @@ def _frozen(cls=None, /, *, derived: tuple[str, ...] = ()):
     are defaults, ``__post_init__`` runs last and sets the ``derived``
     fields, which are no arguments; ``==``, hash and repr read the fields,
     and assignment raises.  Copies and pickles carry the fields alone, so
-    ``__slots__`` work.  It compiles nothing and imports no ``inspect``,
-    which start-up would pay.
+    ``__slots__`` work; each field is read by ``getattr``, so a class that
+    builds some on first read (`heron.HeronIdentityReport`) builds them
+    first.  It compiles nothing and imports no ``inspect``, which
+    start-up would pay.
     """
     if cls is None:
         return lambda cls: _frozen(cls, derived=derived)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -404,6 +406,57 @@ def test_report_equals_the_ring_reference(digits, tri):
     expected = _reference_report(tri, Precision(digits))
     assert report == expected
     assert repr(report) == repr(expected)
+
+
+_LENGTHS = ("incenter", "de_sq", "ae", "eb", "ah", "bh", "perp_sq")
+
+
+def test_lengths_are_built_together_on_first_read(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(heron, "Fraction", counting)
+    report = verify_heron_identity(_figure((-3, 1), (4, 2), (1, 7)), Precision(25))
+    # The residuals are decided in the call: the shared [0, 0], no Fraction.
+    assert _decided_zero(report) and built == []
+    for name in ("__deepcopy__", "_Ring", "unknown"):
+        with pytest.raises(AttributeError):
+            getattr(report, name)
+    assert built == []
+    # One read builds the seven lengths: ten intervals, none of them [0, 0]
+    # on this scalene triangle, so 20 ends.
+    first = report.ae
+    assert len(built) == 20
+    lengths = [getattr(report, name) for name in _LENGTHS]
+    assert lengths[2] is first and len(built) == 20
+    repr(report), hash(report), copy.deepcopy(report), pickle.dumps(report)
+    assert len(built) == 20
+
+
+def _with_read_examples(test):
+    for i, tri in enumerate(_generator_triangles(7) + FIGURES + [_INCENTER_ABOVE_P1]):
+        test = example(tri, _LENGTHS[i % len(_LENGTHS)])(test)
+    return test
+
+
+@pytest.mark.parametrize("digits", [10, 30])
+@given(st.one_of(coord_triangles(), right_triangles(), isosceles_triangles(),
+                 square_product_triangles()), st.sampled_from(_LENGTHS))
+@_with_read_examples
+def test_copies_and_pickles_are_the_reference_in_any_read_order(digits, tri, length):
+    expected = _reference_report(tri, Precision(digits))
+    read, unread = (verify_heron_identity(tri, Precision(digits)) for _ in range(2))
+    assert (read.identity_residual, read.perp_residuals) == (
+        expected.identity_residual, expected.perp_residuals)
+    assert getattr(read, length) == getattr(expected, length)
+    twins = [copy.copy(read), copy.deepcopy(read), pickle.loads(pickle.dumps(read)),
+             pickle.loads(pickle.dumps(unread)), read, unread]
+    for twin in twins:
+        assert type(twin) is HeronIdentityReport
+        assert twin == expected and hash(twin) == hash(expected) and repr(twin) == repr(expected)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
